@@ -67,6 +67,19 @@ def b0_quotient_sphere(n, order):
     return ConstantBound(lo, hi)
 
 
+def _volume_term(N, orbit_volume, volume):
+    """A^{2/N} / (K_N V^{2/N}): the volume part of the curvature lower bound."""
+    return orbit_volume ** (2.0 / N) / (sobolev_constant(N) * volume ** (2.0 / N))
+
+
+def _curvature_term(params, action):
+    """(n-2-k)/(4 (n-1-k)) (S_quotient + 3 lap(v_H)/A) from certified lower bounds."""
+    coeff = (params.n - 2 - params.k) / (4.0 * (params.n - 1 - params.k))
+    return coeff * (
+        action.quotient_scal_lower + 3.0 * action.vh_laplacian.lower() / action.orbit_volume
+    )
+
+
 def b0_lower_general(params, volume, action):
     """Curvature lower bound, valid with no upper companion.
 
@@ -83,11 +96,8 @@ def b0_lower_general(params, volume, action):
         raise PreconditionError("action orbit dimension %d does not match k=%d" % (action.k, params.k))
     if not volume > 0.0:
         raise PreconditionError("manifold volume must be positive")
-    A = action.orbit_volume
-    vol_term = A ** (2.0 / N) / (float(volume) ** (2.0 / N) * sobolev_constant(N))
-    coeff = (params.n - 2 - params.k) / (4.0 * (params.n - 1 - params.k))
-    curv_term = coeff * (action.quotient_scal_lower + 3.0 * action.vh_laplacian.lower() / A)
-    return ConstantBound(max(vol_term, curv_term), math.inf)
+    vol_term = _volume_term(N, action.orbit_volume, float(volume))
+    return ConstantBound(max(vol_term, _curvature_term(params, action)), math.inf)
 
 
 def b0_transfer_principal(action, quotient_bound):

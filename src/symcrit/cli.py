@@ -157,18 +157,13 @@ def _cmd_expansion(parser, args):
 def _cmd_table(parser, args):
     ids = [args.example] if args.example else list(EXAMPLE_IDS)
     rows = []
+    names = [name for name, _, _ in _PARAM_FLAGS]
     for ex in ids:
-        defaults = EXAMPLE_DEFAULTS[ex]
         interval = example_interval(ex)
         rows.append(
-            [
-                ex,
-                defaults.get("n"),
-                defaults.get("t"),
-                defaults.get("a"),
-                defaults.get("b"),
-                defaults.get("a1"),
-                defaults.get("a2"),
+            [ex]
+            + [EXAMPLE_DEFAULTS[ex].get(name) for name in names]
+            + [
                 interval.lo,
                 interval.hi,
                 interval.lo_strict,
@@ -177,10 +172,7 @@ def _cmd_table(parser, args):
                 interval.count,
             ]
         )
-    header = [
-        "example", "n", "t", "a", "b", "a1", "a2",
-        "lo", "hi", "lo_strict", "hi_strict", "empty", "count",
-    ]
+    header = ["example", *names, "lo", "hi", "lo_strict", "hi_strict", "empty", "count"]
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         print(canonical_json(payload))

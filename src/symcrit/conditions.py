@@ -27,16 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .best_constants import (
-    b0_circle_sphere,
-    b0_lower_general,
-    b0_quotient_sphere,
-    b0_sphere,
-    b0_transfer_principal,
-)
-from .constants import ConstantBound, EquationParams, sobolev_constant, sphere_volume
+from .best_constants import _curvature_term, _volume_term
+from .constants import sobolev_constant
 from .errors import PreconditionError
-from .geometry import example_configuration
+from .geometry import _EXAMPLES, example_configuration
 
 __all__ = [
     "FProfile",
@@ -77,16 +71,16 @@ class FProfile:
     vanishing_order: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.f_min <= self.f_avg <= self.f_max):
+        if not (0.0 < self.f_min <= self.f_avg <= self.f_max < math.inf):
             raise PreconditionError(
-                "need 0 < f_min <= f_avg <= f_max, got min=%r avg=%r max=%r"
+                "need 0 < f_min <= f_avg <= f_max < inf, got min=%r avg=%r max=%r"
                 % (self.f_min, self.f_avg, self.f_max)
             )
         if self.f_at_peak != self.f_max:
             raise PreconditionError("the peak value must be the maximum of f")
         if not math.isfinite(self.laplacian_at_peak):
             raise PreconditionError("Laplacian of f at the peak must be finite")
-        if self.vanishing_order is not None and self.vanishing_order < 1:
+        if self.vanishing_order is not None and not self.vanishing_order >= 1:
             raise PreconditionError("vanishing order must be >= 1 when given")
 
     @classmethod
@@ -227,14 +221,10 @@ def existence_alpha_bound(params, action, f=None):
     flat = True
     if f is not None and N > 4:
         flat = f.laplacian_at_peak == 0.0
-    coeff = (params.n - 2 - params.k) / (4.0 * (params.n - 1 - params.k))
-    ceiling = coeff * (
-        action.quotient_scal_lower + 3.0 * action.vh_laplacian.lower() / action.orbit_volume
-    )
-    return ExistenceBound(ceiling=ceiling, flatness_ok=flat, strict=True)
+    return ExistenceBound(ceiling=_curvature_term(params, action), flatness_ok=flat, strict=True)
 
 
-def _check_family(orbit1, orbit2, volume):
+def _check_family(params, orbit1, orbit2, volume):
     if not (orbit1 > 0.0 and orbit2 > 0.0):
         raise PreconditionError("orbit volumes must be positive")
     if not orbit1 < orbit2:
@@ -243,11 +233,8 @@ def _check_family(orbit1, orbit2, volume):
         )
     if not volume > 0.0:
         raise PreconditionError("manifold volume must be positive")
-
-
-def _orbit_term(N, orbit_volume, volume):
-    """A^{2/N} / (K_N V^{2/N}): the volume part of the curvature lower bound."""
-    return orbit_volume ** (2.0 / N) / (sobolev_constant(N) * volume ** (2.0 / N))
+    if params.reduced_dim < 3:
+        raise PreconditionError("need n - k >= 3")
 
 
 def _gap_lower(hi, term1, term2):
@@ -266,6 +253,47 @@ def _merge_lo(floor, lo3, gap_strict):
     return floor, False
 
 
+def _band_interval(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_strict):
+    """The interval of generic_interval for the band inequality (crit, P, D).
+
+    c = c(crit) is passed in, not recomputed: crit (4 - crit) / 4 and a
+    route's closed form differ by an ulp at some n, and the floor c D
+    must be the one that route displays.  D = inf marks an unknown
+    constant.
+    """
+    _check_family(params, orbit1, orbit2, volume)
+    N = params.reduced_dim
+    hi = bound_second.lo
+    if math.isinf(D):
+        floor = math.inf
+        defect = ConditionReport("dominate-defect", "needs-unknown-constant")
+    else:
+        floor = c * D
+        defect = ConditionReport("dominate-defect", "satisfied", floor)
+    conds = [ConditionReport("stay-below", "satisfied", hi), defect]
+    if f is None:
+        lo, lo_strict = floor, False
+        conds.append(ConditionReport("energy-gap", "assumed"))
+    elif math.isinf(bound_second.hi):
+        lo, lo_strict = math.inf, True
+        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
+    else:
+        mass_exp = (crit - 2.0) * (params.n - 2 - params.k) / (2.0 * N)
+        rho = (orbit2 / orbit1) ** (2.0 / N) - 1.0
+        gap = (
+            rho
+            * orbit2 ** ((2.0 - crit) / N)
+            * sobolev_constant(N) ** ((crit - 2.0) / 2.0)
+            * c ** (crit / 2.0)
+            * f.peak_ratio**mass_exp
+            / (volume**mass_exp * P ** (crit / 2.0))
+        )
+        lo3 = bound_second.hi - gap
+        conds.append(ConditionReport("energy-gap", "satisfied", lo3))
+        lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
+    return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conds))
+
+
 def generic_interval(params, ineq, bound_second, orbit1, orbit2, volume, f=None, *, gap_strict=True):
     """Distinct-energy interval from one band inequality (crit, P, D).
 
@@ -279,38 +307,10 @@ def generic_interval(params, ineq, bound_second, orbit1, orbit2, volume, f=None,
     other two (the weight is admissible) and the floor is the returned
     lower endpoint.
     """
-    _check_family(orbit1, orbit2, volume)
-    N = params.reduced_dim
-    if N < 3:
-        raise PreconditionError("need n - k >= 3")
-    floor = ineq.band_factor * ineq.D
-    hi = bound_second.lo
-    conds = [
-        ConditionReport("stay-below", "satisfied", hi),
-        ConditionReport("dominate-defect", "satisfied", floor),
-    ]
-    if f is None:
-        lo, lo_strict = floor, False
-        conds.append(ConditionReport("energy-gap", "assumed"))
-    elif math.isinf(bound_second.hi):
-        lo, lo_strict = math.inf, True
-        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
-    else:
-        crit = ineq.crit
-        mass_exp = (crit - 2.0) * (params.n - 2 - params.k) / (2.0 * N)
-        rho = (orbit2 / orbit1) ** (2.0 / N) - 1.0
-        gap = (
-            rho
-            * orbit2 ** ((2.0 - crit) / N)
-            * sobolev_constant(N) ** ((crit - 2.0) / 2.0)
-            * ineq.band_factor ** (crit / 2.0)
-            * f.peak_ratio**mass_exp
-            / (volume**mass_exp * ineq.P ** (crit / 2.0))
-        )
-        lo3 = bound_second.hi - gap
-        conds.append(ConditionReport("energy-gap", "satisfied", lo3))
-        lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
-    return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conds))
+    return _band_interval(
+        params, ineq.crit, ineq.band_factor, ineq.P, ineq.D,
+        bound_second, orbit1, orbit2, volume, f, gap_strict,
+    )
 
 
 def critical_interval(
@@ -318,84 +318,51 @@ def critical_interval(
 ):
     """Distinct-energy interval built on the ambient sharp inequality.
 
-    Direct evaluation of the specialization crit = 2n/(n-2), P = K_n,
-    D = ambient constant; needs n > 4.
+    generic_interval at crit = 2n/(n-2), P = K_n and D = bound_ambient.hi,
+    with c(crit) = n(n-4)/(n-2)^2; an infinite bound_ambient.hi leaves
+    dominate-defect unknown.  Needs n > 4.
     """
-    _check_family(orbit1, orbit2, volume)
-    n, k, N = params.n, params.k, params.reduced_dim
+    n = params.n
     if n <= 4:
         raise PreconditionError("the ambient route needs n > 4, got n=%d" % n)
-    c = n * (n - 4.0) / (n - 2.0) ** 2
-    hi = bound_second.lo
-    conds = []
-    if math.isinf(bound_ambient.hi):
-        floor = math.inf
-        conds.append(ConditionReport("dominate-defect", "needs-unknown-constant"))
-    else:
-        floor = c * bound_ambient.hi
-        conds.append(ConditionReport("dominate-defect", "satisfied", floor))
-    conds.insert(0, ConditionReport("stay-below", "satisfied", hi))
-    if f is None:
-        lo, lo_strict = floor, False
-        conds.append(ConditionReport("energy-gap", "assumed"))
-    elif math.isinf(bound_second.hi):
-        lo, lo_strict = math.inf, True
-        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
-    else:
-        mass_exp = 2.0 * (n - 2 - k) / (N * (n - 2.0))
-        rho = (orbit2 / orbit1) ** (2.0 / N) - 1.0
-        gap = (
-            rho
-            * sobolev_constant(N) ** (2.0 / (n - 2.0))
-            * c ** (n / (n - 2.0))
-            * f.peak_ratio**mass_exp
-            / (
-                orbit2 ** (4.0 / (N * (n - 2.0)))
-                * volume**mass_exp
-                * sobolev_constant(n) ** (n / (n - 2.0))
-            )
-        )
-        lo3 = bound_second.hi - gap
-        conds.append(ConditionReport("energy-gap", "satisfied", lo3))
-        lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
-    return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conds))
+    return _band_interval(
+        params, 2.0 * n / (n - 2.0), n * (n - 4.0) / (n - 2.0) ** 2, sobolev_constant(n),
+        bound_ambient.hi, bound_second, orbit1, orbit2, volume, f, gap_strict,
+    )
 
 
 def invariant_interval(params, bound_second, orbit1, orbit2, volume, f=None, *, gap_strict=True):
     """Distinct-energy interval built on the invariant sharp inequality.
 
-    Direct evaluation of the specialization crit = two_sharp,
-    P = K_N / orbit2^{2/N}, D = second invariant constant; needs n - k > 4.
+    generic_interval at crit = two_sharp, P = K_N / orbit2^{2/N} and
+    D = bound_second.hi, with c(crit) = N(N-4)/(N-2)^2; an infinite
+    bound_second.hi leaves dominate-defect unknown.  Needs n - k > 4.
     """
-    _check_family(orbit1, orbit2, volume)
     N = params.reduced_dim
     if N <= 4:
         raise PreconditionError("the invariant route needs n - k > 4, got %d" % N)
-    c = N * (N - 4.0) / (N - 2.0) ** 2
-    hi = bound_second.lo
-    conds = [ConditionReport("stay-below", "satisfied", hi)]
+    return _band_interval(
+        params, params.two_sharp, N * (N - 4.0) / (N - 2.0) ** 2,
+        sobolev_constant(N) / orbit2 ** (2.0 / N), bound_second.hi,
+        bound_second, orbit1, orbit2, volume, f, gap_strict,
+    )
+
+
+def _orbit_gap(params, bound_second, orbit1, orbit2, volume, scale=1.0):
+    """Orbit terms t_i = scale A_i^{2/N} / (K_N V^{2/N}) and the energy-gap
+    condition alpha >= bound_second.hi - (t2 - t1); its endpoint is inf
+    when bound_second.hi is unknown.
+
+    Returns (t1, t2, endpoint, condition report).
+    """
+    _check_family(params, orbit1, orbit2, volume)
+    N = params.reduced_dim
+    t1 = _volume_term(N, orbit1, volume) * scale
+    t2 = _volume_term(N, orbit2, volume) * scale
     if math.isinf(bound_second.hi):
-        conds.append(ConditionReport("dominate-defect", "needs-unknown-constant"))
-        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
-        return GuaranteedInterval(math.inf, hi, True, False, 2, tuple(conds))
-    floor = c * bound_second.hi
-    conds.append(ConditionReport("dominate-defect", "satisfied", floor))
-    if f is None:
-        lo, lo_strict = floor, False
-        conds.append(ConditionReport("energy-gap", "assumed"))
-    else:
-        rho = (orbit2 / orbit1) ** (2.0 / N) - 1.0
-        gap = (
-            rho
-            * orbit2 ** (2.0 / N)
-            * c ** (N / (N - 2.0))
-            * f.peak_ratio ** (2.0 / N)
-            / (sobolev_constant(N) * volume ** (2.0 / N))
-        )
-        lo3 = bound_second.hi - gap
-        conds.append(ConditionReport("energy-gap", "satisfied", lo3))
-        lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
-    return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conds))
+        return t1, t2, math.inf, ConditionReport("energy-gap", "needs-unknown-constant")
+    lo = _gap_lower(bound_second.hi, t1, t2)
+    return t1, t2, lo, ConditionReport("energy-gap", "satisfied", lo)
 
 
 def minf_interval(params, bound_second, orbit1, orbit2, volume, f, *, gap_strict=True):
@@ -406,23 +373,11 @@ def minf_interval(params, bound_second, orbit1, orbit2, volume, f, *, gap_strict
         gap = (A2^{2/N} - A1^{2/N}) / (K_N V^{2/N})
               * f_min / ( f_max^{2/two_sharp} f_avg^{2/N} ).
     """
-    _check_family(orbit1, orbit2, volume)
-    N = params.reduced_dim
-    if N < 3:
-        raise PreconditionError("need n - k >= 3")
+    ffac = f.f_min / (f.f_max ** (2.0 / params.two_sharp) * f.f_avg ** (2.0 / params.reduced_dim))
+    _, _, lo, gap = _orbit_gap(params, bound_second, orbit1, orbit2, volume, ffac)
     hi = bound_second.lo
-    conds = [ConditionReport("stay-below", "satisfied", hi)]
-    if math.isinf(bound_second.hi):
-        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
-        return GuaranteedInterval(math.inf, hi, True, False, 2, tuple(conds))
-    ffac = f.f_min / (f.f_max ** (2.0 / params.two_sharp) * f.f_avg ** (2.0 / N))
-    lo = _gap_lower(
-        bound_second.hi,
-        _orbit_term(N, orbit1, volume) * ffac,
-        _orbit_term(N, orbit2, volume) * ffac,
-    )
-    conds.append(ConditionReport("energy-gap", "satisfied", lo))
-    return GuaranteedInterval(lo, hi, gap_strict, False, 2, tuple(conds))
+    conds = (ConditionReport("stay-below", "satisfied", hi), gap)
+    return GuaranteedInterval(lo, hi, gap_strict or math.isinf(lo), False, 2, conds)
 
 
 def constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volume):
@@ -433,29 +388,19 @@ def constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volu
     solution alpha^{(n-2-k)/4}.  Both are closed at the lower endpoint
     and open at the upper endpoint min of the windows' lower ends.
     """
-    _check_family(orbit1, orbit2, volume)
-    N = params.reduced_dim
-    if N < 3:
-        raise PreconditionError("need n - k >= 3")
-    a1t = _orbit_term(N, orbit1, volume)
-    a2t = _orbit_term(N, orbit2, volume)
+    a1t, a2t, lo, gap = _orbit_gap(params, bound_second, orbit1, orbit2, volume)
     hi = min(bound_first.lo, bound_second.lo)
-    sep_ok = (
-        not math.isinf(bound_second.hi) and bound_second.hi - a2t < bound_first.lo - a1t
-    )
+    sep_ok = bound_second.hi - a2t < bound_first.lo - a1t
     conds = [
         ConditionReport("stay-below", "satisfied", hi),
         ConditionReport(
             "separation-window", "satisfied" if sep_ok else "unsatisfiable"
         ),
+        gap,
     ]
-    if math.isinf(bound_second.hi):
-        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
-        double = GuaranteedInterval(math.inf, hi, False, True, 2, tuple(conds))
-        return double, replace(double, count=3)
-    lo = _gap_lower(bound_second.hi, a1t, a2t)
-    conds.append(ConditionReport("energy-gap", "satisfied", lo))
     double = GuaranteedInterval(lo, hi, False, True, 2, tuple(conds))
+    if math.isinf(lo):
+        return double, replace(double, count=3)
     cs_ok = a2t < hi
     tconds = conds + [
         ConditionReport(
@@ -582,41 +527,12 @@ def f_ratio_condition(example, f, **params):
     cfg = example_configuration(example, **params)
     if f is None:
         raise PreconditionError("the peak-ratio condition needs an explicit weight profile")
-    n = cfg.params.n
-    a1 = cfg.first.orbit_volume
-    a2 = cfg.second.orbit_volume
-    if example == "sphere-quotients":
-        lhs = f.peak_ratio ** (2.0 / n)
-        b2hi = b0_quotient_sphere(n, cfg.inputs["a2"]).hi
-        rhs = (
-            (b2hi - n**2 * (n - 4.0) / (4.0 * (n - 2.0)))
-            * ((n - 2.0) ** 2 / (n * (n - 4.0))) ** (n / (n - 2.0))
-            * 4.0
-            * a2 ** (4.0 / (n * (n - 2.0)))
-            / (n * (n - 2.0))
-            / ((a2 / a1) ** (2.0 / n) - 1.0)
-        )
-    elif example == "cylinder-weighted":
-        t = cfg.inputs["t"]
-        lhs = f.peak_ratio ** (2.0 / n)
-        rhs = (
-            ((n - 2.0) ** 2 / 4.0 + 1.0 / (4.0 * t * t))
-            * sobolev_constant(n)
-            * a2 ** (4.0 / (n * (n - 2.0)))
-            * cfg.volume ** (2.0 / n)
-            * ((n - 2.0) ** 2 / (n * (n - 4.0))) ** (n / (n - 2.0))
-            / ((a2 / a1) ** (2.0 / n) - 1.0)
-        )
-    elif example == "triple-product":
-        m = n - 3  # reduced dimension
-        lhs = f.peak_ratio
-        rhs = ((a2 / a1) ** (2.0 / m) - 1.0) ** (-m / 2.0) * (
-            (m - 2.0) ** 2 / (m * (m - 4.0))
-        ) ** (m**2 / (2.0 * (m - 2.0)))
-    else:
+    ratio = _EXAMPLES[example].ratio
+    if ratio is None:
         raise PreconditionError(
             "example %r fixes a constant weight; no peak-ratio condition applies" % (example,)
         )
+    lhs, rhs = ratio(cfg, f)
     return FRatioCheck(example=example, lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
@@ -640,89 +556,35 @@ def _endpoint_flatness(f, required_order):
     return f.vanishing_order >= required_order
 
 
-def _require_peak_flat(example, params, f):
-    if f is not None and params.reduced_dim > 4 and f.laplacian_at_peak != 0.0:
-        raise PreconditionError(
-            "example %r requires a peak-flat weight (zero Laplacian at the maximum)" % (example,)
-        )
-
-
 def example_interval(example, f=None, **params):
     """Guaranteed multiplicity interval of one packaged example.
 
-    f applies to the weighted examples only (sphere-quotients,
-    cylinder-weighted, triple-product); None means any admissible
-    weight, i.e. one that is peak-flat to the documented order and
-    satisfies the example's peak-ratio condition.
+    f applies to the weighted examples only (those on the critical or
+    invariant route); None means any admissible weight, i.e. one that
+    is peak-flat to the documented order and satisfies the example's
+    peak-ratio condition.
     """
     cfg = example_configuration(example, **params)
+    recipe = _EXAMPLES[example]
     p = cfg.params
-    a1 = cfg.first.orbit_volume
-    a2 = cfg.second.orbit_volume
-    vol = cfg.volume
-
-    if example == "sphere-quotients":
-        _require_peak_flat(example, p, f)
-        base = critical_interval(
-            p,
-            b0_sphere(p.n),
-            b0_quotient_sphere(p.n, cfg.inputs["a2"]),
-            a1,
-            a2,
-            vol,
-            f,
-            gap_strict=False,
-        )
-        ceiling = existence_alpha_bound(p, cfg.second, f).ceiling
-        return _cap(base, ceiling, _endpoint_flatness(f, p.n - 3), "existence-ceiling")
-
-    if example == "cylinder-weighted":
-        _require_peak_flat(example, p, f)
-        window = b0_circle_sphere(cfg.inputs["t"], p.n)
-        base = critical_interval(p, window, window, a1, a2, vol, f, gap_strict=False)
-        ceiling = existence_alpha_bound(p, cfg.second, f).ceiling
-        return _cap(base, ceiling, _endpoint_flatness(f, p.n - 2), "existence-ceiling")
-
-    if example == "triple-product":
-        _require_peak_flat(example, p, f)
-        bound2 = b0_transfer_principal(cfg.second, b0_sphere(p.n - 3))
-        base = invariant_interval(p, bound2, a1, a2, vol, f, gap_strict=False)
-        out = _cap(
-            base,
-            existence_alpha_bound(p, cfg.second, f).ceiling,
-            False,
-            "existence-ceiling-second",
-        )
-        out = _cap(
-            out,
-            existence_alpha_bound(p, cfg.first, f).ceiling,
-            False,
-            "existence-ceiling-first",
-        )
-        return out
-
-    if f is not None:
-        raise PreconditionError("example %r fixes the constant weight f = 1" % (example,))
-
-    if example == "cylinder-triple":
-        t = cfg.inputs["t"]
-        bound1 = b0_circle_sphere(t / a1, p.n)
-        bound2 = b0_circle_sphere(t / a2, p.n)
-        _, triple = constant_f_intervals(p, bound1, bound2, a1, a2, vol)
+    family = (cfg.first.orbit_volume, cfg.second.orbit_volume, cfg.volume)
+    if recipe.route in ("double", "triple"):
+        if f is not None:
+            raise PreconditionError("example %r fixes the constant weight f = 1" % (example,))
+        double, triple = constant_f_intervals(p, *recipe.windows(cfg), *family)
+        if recipe.route == "double":
+            return double
         # the upper endpoint is attained: at alpha = hi the equation is the
         # scalar-curvature one and the same three solutions persist
         return replace(triple, hi_strict=False)
-
-    if example == "hopf":
-        bound1 = b0_lower_general(p, vol, cfg.first)
-        bound2 = b0_transfer_principal(cfg.second, b0_sphere(3))
-        double, _ = constant_f_intervals(p, bound1, bound2, a1, a2, vol)
-        return double
-
-    if example == "cylinder-overcritical":
-        bound1 = b0_lower_general(p, vol, cfg.first)
-        bound2 = b0_transfer_principal(cfg.second, b0_sphere(p.n - 1))
-        double, _ = constant_f_intervals(p, bound1, bound2, a1, a2, vol)
-        return double
-
-    raise PreconditionError("unknown example %r" % (example,))
+    bounds = [(existence_alpha_bound(p, getattr(cfg, a), f), label) for a, label in recipe.ceilings]
+    if not all(bound.flatness_ok for bound, _ in bounds):
+        raise PreconditionError(
+            "example %r requires a peak-flat weight (zero Laplacian at the maximum)" % (example,)
+        )
+    route = critical_interval if recipe.route == "critical" else invariant_interval
+    out = route(p, *recipe.windows(cfg), *family, f, gap_strict=False)
+    closed = recipe.flatness is not None and _endpoint_flatness(f, recipe.flatness(p.n))
+    for bound, label in bounds:
+        out = _cap(out, bound.ceiling, closed, label)
+    return out

@@ -73,10 +73,14 @@ class ExpansionConfig:
             raise PreconditionError("support radius delta must be positive")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise PreconditionError("alpha must be positive")
-        if not self.orbit_volume > 0.0:
-            raise PreconditionError("orbit volume must be positive")
-        if not self.f_peak > 0.0:
-            raise PreconditionError("peak value of f must be positive")
+        if not (math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0):
+            raise PreconditionError("orbit volume must be positive and finite")
+        if not (math.isfinite(self.f_peak) and self.f_peak > 0.0):
+            raise PreconditionError("peak value of f must be positive and finite")
+        if not math.isfinite(self.vh_quadratic_coeff):
+            raise PreconditionError("orbit-volume decay q must be finite")
+        if not math.isfinite(self.f_laplacian):
+            raise PreconditionError("Laplacian of f at the peak must be finite")
         d2 = self.delta * self.delta
         if self.vh_quadratic_coeff * d2 >= 2.0 * self.dim:
             raise PreconditionError("density not positive on [0, delta]: shrink delta")

@@ -6,7 +6,10 @@ parameters, and two group actions with orbit volumes orbit1 < orbit2,
 together with the data the bound machinery needs downstream: a lower
 bound for the scalar curvature of the relevant quotient and sign
 information on the Laplacian of the orbit-volume function at the
-distinguished orbit.
+distinguished orbit.  Everything the package knows about one example
+(defaults, builder, interval recipe, circle reduction and peak-ratio
+condition) sits in its record in _EXAMPLES; the other modules look the
+record up and never branch on an example's name.
 
 Hypothesis labels on an action:
 
@@ -22,9 +25,18 @@ Hypothesis labels on an action:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
-from .constants import EquationParams, sphere_volume
+from .best_constants import (
+    b0_circle_sphere,
+    b0_lower_general,
+    b0_quotient_sphere,
+    b0_sphere,
+    b0_transfer_principal,
+)
+from .constants import EquationParams, sobolev_constant, sphere_volume
 from .errors import PreconditionError
 
 __all__ = [
@@ -303,15 +315,21 @@ def _require(cond, message):
 
 
 def _int_like(x, name):
-    if int(x) != x or x < 1:
+    if not (math.isfinite(float(x)) and int(x) == x and x >= 1):
         raise PreconditionError("%s must be an integer >= 1, got %r" % (name, x))
     return int(x)
 
 
-def _sphere_quotients(n=5, a1=2, a2=4):
-    n = _int_like(n, "n")
-    a1 = _int_like(a1, "a1")
-    a2 = _int_like(a2, "a2")
+def _finite(x, name):
+    x = float(x)
+    _require(math.isfinite(x), "%s must be finite, got %r" % (name, x))
+    return x
+
+
+# Builders take validated inputs and return (manifold, params, first, second).
+
+
+def _sphere_rotations(n, a1, a2):
     _require(n >= 5 and n % 2 == 1, "odd dimension n >= 5 required so spheres admit free actions")
     _require(a1 < a2, "group orders must satisfy a1 < a2")
     mk = lambda name, a: GroupActionSpec(
@@ -322,20 +340,11 @@ def _sphere_quotients(n=5, a1=2, a2=4):
         quotient_scal_lower=float(n * (n - 1)),
         principal_constant_volume=True,
     )
-    return ExampleConfig(
-        example="sphere-quotients",
-        manifold=Sphere(n),
-        params=EquationParams(n=n, k=0),
-        first=mk("order-%d rotations" % a1, a1),
-        second=mk("order-%d rotations" % a2, a2),
-        inputs={"n": n, "a1": a1, "a2": a2},
-    )
+    first, second = mk("order-%d rotations" % a1, a1), mk("order-%d rotations" % a2, a2)
+    return Sphere(n), EquationParams(n=n, k=0), first, second
 
 
-def _cylinder_finite(example, n, t, a1, a2, n_min):
-    n = _int_like(n, "n")
-    a1 = _int_like(a1, "a1")
-    a2 = _int_like(a2, "a2")
+def _circle_rotations(n, t, a1, a2, n_min):
     _require(n >= n_min, "dimension n >= %d required" % n_min)
     _require(t > 0.0, "circle radius t must be positive")
     _require(a1 < a2, "rotation orders must satisfy a1 < a2")
@@ -347,29 +356,13 @@ def _cylinder_finite(example, n, t, a1, a2, n_min):
         quotient_scal_lower=float((n - 1) * (n - 2)),
         principal_constant_volume=True,
     )
-    return ExampleConfig(
-        example=example,
-        manifold=CircleTimesSphere(float(t), n),
-        params=EquationParams(n=n, k=0),
-        first=mk("order-%d circle rotations" % a1, a1),
-        second=mk("order-%d circle rotations" % a2, a2),
-        inputs={"n": n, "t": float(t), "a1": a1, "a2": a2},
-    )
+    first = mk("order-%d circle rotations" % a1, a1)
+    second = mk("order-%d circle rotations" % a2, a2)
+    return CircleTimesSphere(t, n), EquationParams(n=n, k=0), first, second
 
 
-def _cylinder_weighted(n=6, t=1.0, a1=1, a2=2):
-    return _cylinder_finite("cylinder-weighted", n, t, a1, a2, n_min=5)
-
-
-def _cylinder_triple(n=5, t=40.0, a1=1, a2=2):
-    return _cylinder_finite("cylinder-triple", n, t, a1, a2, n_min=3)
-
-
-def _triple_product(n=10, a=4.0, b=0.28):
-    n = _int_like(n, "n")
+def _circle_sphere_sphere(n, a, b):
     _require(n >= 10, "triple product needs n >= 10")
-    a = float(a)
-    b = float(b)
     _require(a > 0.0 and b > 0.0, "factor radii must be positive")
     orbit1 = 2.0 * math.pi**2
     orbit2 = 8.0 * math.pi**2 * a * b**2
@@ -394,18 +387,10 @@ def _triple_product(n=10, a=4.0, b=0.28):
         quotient_scal_lower=float((n - 3) * (n - 4)),
         principal_constant_volume=True,
     )
-    return ExampleConfig(
-        example="triple-product",
-        manifold=CircleSphereSphere(a, b, n),
-        params=EquationParams(n=n, k=3),
-        first=first,
-        second=second,
-        inputs={"n": n, "a": a, "b": b},
-    )
+    return CircleSphereSphere(a, b, n), EquationParams(n=n, k=3), first, second
 
 
-def _hopf(t=8.0):
-    t = float(t)
+def _fibre_rotation(t):
     _require(t > 1.0, "circle radius t > 1 required so the fiber orbits are the smaller ones")
     first = GroupActionSpec(
         name="diagonal rotation along the fibers",
@@ -424,20 +409,11 @@ def _hopf(t=8.0):
         quotient_scal_lower=6.0,
         principal_constant_volume=True,
     )
-    return ExampleConfig(
-        example="hopf",
-        manifold=CircleTimesSphere(t, 4),
-        params=EquationParams(n=4, k=1),
-        first=first,
-        second=second,
-        inputs={"t": t},
-    )
+    return CircleTimesSphere(t, 4), EquationParams(n=4, k=1), first, second
 
 
-def _cylinder_overcritical(n=5, t=8.0):
-    n = _int_like(n, "n")
+def _sphere_collapse(n, t):
     _require(n >= 4, "dimension n >= 4 required")
-    t = float(t)
     _require(t > 1.0, "circle radius t > 1 required so the sphere orbits are the smaller ones")
     first = GroupActionSpec(
         name="bi-spherical collapse of the sphere factor",
@@ -456,51 +432,160 @@ def _cylinder_overcritical(n=5, t=8.0):
         quotient_scal_lower=float((n - 1) * (n - 2)),
         principal_constant_volume=True,
     )
-    return ExampleConfig(
-        example="cylinder-overcritical",
-        manifold=CircleTimesSphere(t, n),
-        params=EquationParams(n=n, k=1),
-        first=first,
-        second=second,
-        inputs={"n": n, "t": t},
+    return CircleTimesSphere(t, n), EquationParams(n=n, k=1), first, second
+
+
+def _finite_circle(cfg, index):
+    """Reduction by the rotations of order a_index of S^1(t)."""
+    card = cfg.inputs["a%d" % index]
+    return 2.0 * math.pi * cfg.inputs["t"] / card, card * sphere_volume(cfg.params.n - 1), float(card)
+
+
+def _first_circle(cfg, index):
+    """Reduction by the first group along S^1(t)."""
+    _require(index == 1, "the second group forces functions constant along the circle")
+    return 2.0 * math.pi * cfg.inputs["t"], sphere_volume(cfg.params.n - 1), cfg.first.orbit_volume
+
+
+def _transferred_window(cfg):
+    """The second group's window: the round S^N constant of its quotient."""
+    return b0_transfer_principal(cfg.second, b0_sphere(cfg.params.reduced_dim))
+
+
+def _fibred_windows(cfg):
+    return b0_lower_general(cfg.params, cfg.volume, cfg.first), _transferred_window(cfg)
+
+
+def _quotient_ratio(cfg, f):
+    n = cfg.params.n
+    a1, a2 = cfg.first.orbit_volume, cfg.second.orbit_volume
+    rhs = (
+        (b0_quotient_sphere(n, cfg.inputs["a2"]).hi - n**2 * (n - 4.0) / (4.0 * (n - 2.0)))
+        * ((n - 2.0) ** 2 / (n * (n - 4.0))) ** (n / (n - 2.0))
+        * 4.0
+        * a2 ** (4.0 / (n * (n - 2.0)))
+        / (n * (n - 2.0))
+        / ((a2 / a1) ** (2.0 / n) - 1.0)
     )
+    return f.peak_ratio ** (2.0 / n), rhs
 
 
-_BUILDERS = {
-    "sphere-quotients": _sphere_quotients,
-    "cylinder-weighted": _cylinder_weighted,
-    "triple-product": _triple_product,
-    "cylinder-triple": _cylinder_triple,
-    "hopf": _hopf,
-    "cylinder-overcritical": _cylinder_overcritical,
+def _cylinder_ratio(cfg, f):
+    n, t = cfg.params.n, cfg.inputs["t"]
+    a1, a2 = cfg.first.orbit_volume, cfg.second.orbit_volume
+    rhs = (
+        ((n - 2.0) ** 2 / 4.0 + 1.0 / (4.0 * t * t))
+        * sobolev_constant(n)
+        * a2 ** (4.0 / (n * (n - 2.0)))
+        * cfg.volume ** (2.0 / n)
+        * ((n - 2.0) ** 2 / (n * (n - 4.0))) ** (n / (n - 2.0))
+        / ((a2 / a1) ** (2.0 / n) - 1.0)
+    )
+    return f.peak_ratio ** (2.0 / n), rhs
+
+
+def _product_ratio(cfg, f):
+    m = cfg.params.reduced_dim
+    a1, a2 = cfg.first.orbit_volume, cfg.second.orbit_volume
+    rhs = ((a2 / a1) ** (2.0 / m) - 1.0) ** (-m / 2.0) * (
+        (m - 2.0) ** 2 / (m * (m - 4.0))
+    ) ** (m**2 / (2.0 * (m - 2.0)))
+    return f.peak_ratio, rhs
+
+
+@dataclass(frozen=True)
+class _Example:
+    """Everything the package knows about one packaged example."""
+
+    defaults: dict  # an integer default marks an integer input
+    build: Callable  # validated inputs -> (manifold, params, first, second)
+    route: str  # "critical" | "invariant" (weighted), "double" | "triple" (f = 1)
+    windows: Callable  # cfg -> the route's ConstantBound arguments, in order
+    ceilings: tuple = ()  # (action attribute, condition label) per existence ceiling
+    flatness: Callable | None = None  # n -> weight vanishing order closing the ceilings
+    circle: Callable | None = None  # (cfg, index) -> (length, weight, orbit volume)
+    ratio: Callable | None = None  # (cfg, f) -> (lhs, rhs) of the peak-ratio condition
+
+
+_EXAMPLES = {
+    "sphere-quotients": _Example(
+        defaults={"n": 5, "a1": 2, "a2": 4},
+        build=_sphere_rotations,
+        route="critical",
+        windows=lambda cfg: (
+            b0_sphere(cfg.params.n),
+            b0_quotient_sphere(cfg.params.n, cfg.inputs["a2"]),
+        ),
+        ceilings=(("second", "existence-ceiling"),),
+        flatness=lambda n: n - 3,
+        ratio=_quotient_ratio,
+    ),
+    "cylinder-weighted": _Example(
+        defaults={"n": 6, "t": 1.0, "a1": 1, "a2": 2},
+        build=partial(_circle_rotations, n_min=5),
+        route="critical",
+        windows=lambda cfg: (b0_circle_sphere(cfg.inputs["t"], cfg.params.n),) * 2,
+        ceilings=(("second", "existence-ceiling"),),
+        flatness=lambda n: n - 2,
+        circle=_finite_circle,
+        ratio=_cylinder_ratio,
+    ),
+    "triple-product": _Example(
+        defaults={"n": 10, "a": 4.0, "b": 0.28},
+        build=_circle_sphere_sphere,
+        route="invariant",
+        windows=lambda cfg: (_transferred_window(cfg),),
+        ceilings=(("second", "existence-ceiling-second"), ("first", "existence-ceiling-first")),
+        ratio=_product_ratio,
+    ),
+    "cylinder-triple": _Example(
+        defaults={"n": 5, "t": 40.0, "a1": 1, "a2": 2},
+        build=partial(_circle_rotations, n_min=3),
+        route="triple",
+        windows=lambda cfg: tuple(
+            b0_circle_sphere(cfg.inputs["t"] / cfg.inputs[a], cfg.params.n) for a in ("a1", "a2")
+        ),
+        circle=_finite_circle,
+    ),
+    "hopf": _Example(
+        defaults={"t": 8.0},
+        build=_fibre_rotation,
+        route="double",
+        windows=_fibred_windows,
+        circle=_first_circle,
+    ),
+    "cylinder-overcritical": _Example(
+        defaults={"n": 5, "t": 8.0},
+        build=_sphere_collapse,
+        route="double",
+        windows=_fibred_windows,
+        circle=_first_circle,
+    ),
 }
 
-EXAMPLE_IDS = tuple(_BUILDERS)
+EXAMPLE_IDS = tuple(_EXAMPLES)
 
-EXAMPLE_DEFAULTS = {
-    "sphere-quotients": {"n": 5, "a1": 2, "a2": 4},
-    "cylinder-weighted": {"n": 6, "t": 1.0, "a1": 1, "a2": 2},
-    "triple-product": {"n": 10, "a": 4.0, "b": 0.28},
-    "cylinder-triple": {"n": 5, "t": 40.0, "a1": 1, "a2": 2},
-    "hopf": {"t": 8.0},
-    "cylinder-overcritical": {"n": 5, "t": 8.0},
-}
+EXAMPLE_DEFAULTS = {ex: dict(record.defaults) for ex, record in _EXAMPLES.items()}
 
 
 def example_configuration(example, **params):
     """Build one packaged configuration; parameters default per EXAMPLE_DEFAULTS."""
-    if example not in _BUILDERS:
+    if example not in _EXAMPLES:
         raise PreconditionError(
             "unknown example %r; available: %s" % (example, ", ".join(EXAMPLE_IDS))
         )
-    allowed = set(EXAMPLE_DEFAULTS[example])
-    extra = set(params) - allowed
+    record = _EXAMPLES[example]
+    extra = set(params) - set(record.defaults)
     if extra:
         raise PreconditionError(
             "example %r does not take parameter(s) %s; allowed: %s"
-            % (example, ", ".join(sorted(extra)), ", ".join(sorted(allowed)))
+            % (example, ", ".join(sorted(extra)), ", ".join(sorted(record.defaults)))
         )
-    return _BUILDERS[example](**params)
+    inputs = {
+        name: (_int_like if isinstance(default, int) else _finite)(params.get(name, default), name)
+        for name, default in record.defaults.items()
+    }
+    return ExampleConfig(example, *record.build(**inputs), inputs)
 
 
 def registry_rows():

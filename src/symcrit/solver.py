@@ -29,8 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constants import sphere_volume, sobolev_constant
+from .constants import sobolev_constant
 from .errors import ConvergenceError, PreconditionError
+from .geometry import _EXAMPLES
 
 __all__ = [
     "ReducedProblem",
@@ -152,43 +153,33 @@ class SolveConfig:
     oscillation_tol: float = 1e-7
     threads: int = field(default_factory=_default_threads)
 
+    def __post_init__(self):
+        if not self.starts:
+            raise PreconditionError("need at least one start label")
+        for label in self.starts:
+            if label not in ("constant", "random") and not (
+                label.startswith("cos") and label[3:].isdigit()
+            ):
+                raise PreconditionError(
+                    "unknown start label %r (known: constant, cos<mode>, random)" % (label,)
+                )
+
 
 def circle_reduction(config, index, alpha, grid=256, f_samples=None):
     """Reduced problem of one packaged example along its circle factor.
 
     index selects the group (1 or 2).  Only configurations whose
-    invariant functions may depend on the circle coordinate reduce; the
-    second group of hopf and cylinder-overcritical forces functions
-    constant along the circle and is rejected.
+    invariant functions may depend on the circle coordinate reduce; a
+    group that forces functions constant along the circle is rejected.
     """
     if index not in (1, 2):
         raise PreconditionError("index must be 1 or 2")
-    ex = config.example
-    n = config.params.n
-    t = config.inputs.get("t")
-    if ex in ("cylinder-weighted", "cylinder-triple"):
-        card = config.inputs["a%d" % index]
-        length = 2.0 * math.pi * t / card
-        weight = card * sphere_volume(n - 1)
-        orbit = float(card)
-    elif ex == "hopf":
-        if index == 2:
-            raise PreconditionError(
-                "the second hopf group forces functions constant along the circle"
-            )
-        length = 2.0 * math.pi * t
-        weight = sphere_volume(3)
-        orbit = config.first.orbit_volume
-    elif ex == "cylinder-overcritical":
-        if index == 2:
-            raise PreconditionError(
-                "the second group forces functions constant along the circle"
-            )
-        length = 2.0 * math.pi * t
-        weight = sphere_volume(n - 1)
-        orbit = config.first.orbit_volume
-    else:
-        raise PreconditionError("example %r has no circle factor to reduce along" % (ex,))
+    record = _EXAMPLES.get(config.example)
+    if record is None or record.circle is None:
+        raise PreconditionError(
+            "example %r has no circle factor to reduce along" % (config.example,)
+        )
+    length, weight, orbit = record.circle(config, index)
     if f_samples is None:
         f_samples = np.ones(int(grid))
     return ReducedProblem(
@@ -332,14 +323,12 @@ def _starts(problem, config):
     for idx, label in enumerate(config.starts):
         if label == "constant":
             u0 = np.full(problem.m, c)
-        elif label.startswith("cos"):
-            mode = int(label[3:])
-            u0 = c * (1.0 + 0.3 * np.cos(2.0 * math.pi * mode * s / problem.length))
         elif label == "random":
             rng = np.random.default_rng([config.seed, idx])
             u0 = c * (0.5 + rng.random(problem.m))
-        else:
-            raise PreconditionError("unknown start label %r" % (label,))
+        else:  # "cos<mode>", checked by SolveConfig
+            mode = int(label[3:])
+            u0 = c * (1.0 + 0.3 * np.cos(2.0 * math.pi * mode * s / problem.length))
         out.append((label, u0))
     return out
 
@@ -405,16 +394,14 @@ def _newton(problem, v, config):
         J[m - 1, 0] = -inv_h2
         tau = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
         tnorm = float(np.max(np.abs(tau)))
-        try:
-            if tnorm > 1e-13 * float(np.max(np.abs(v))):
-                border = sp.bmat(
-                    [[J.tocsr(), tau.reshape(-1, 1)], [tau.reshape(1, -1), None]],
-                    format="csc",
-                )
-                delta = spla.spsolve(border, np.append(-r, 0.0))[:m]
-            else:
-                delta = spla.spsolve(J.tocsc(), -r)
-        except RuntimeError:
+        # a singular system only warns and returns NaN, caught just below
+        if tnorm > 1e-13 * float(np.max(np.abs(v))):
+            border = sp.bmat(
+                [[J.tocsr(), tau.reshape(-1, 1)], [tau.reshape(1, -1), None]],
+                format="csc",
+            )
+            delta = spla.spsolve(border, np.append(-r, 0.0))[:m]
+        else:
             delta = spla.spsolve(J.tocsc(), -r)
         if not np.all(np.isfinite(delta)):
             return v, iters, rn, False

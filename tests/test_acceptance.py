@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 
+import direct_routes
 import numpy as np
 import pytest
 
@@ -173,10 +174,9 @@ def test_c3_generic_engine_equals_both_direct_routes():
         amb_lo = float(rng.uniform(0.1, 20.0))
         amb = ConstantBound(amb_lo, amb_lo + float(rng.uniform(0.0, 10.0)))
         ineq = GenericIneqParams(2.0 * n / (n - 2.0), sobolev_constant(n), amb.hi)
-        _same_endpoints(
-            generic_interval(params, ineq, sec, orbit1, orbit2, volume, f),
-            critical_interval(params, amb, sec, orbit1, orbit2, volume, f),
-        )
+        oracle = direct_routes.critical_interval(params, amb, sec, orbit1, orbit2, volume, f)
+        _same_endpoints(generic_interval(params, ineq, sec, orbit1, orbit2, volume, f), oracle)
+        _same_endpoints(critical_interval(params, amb, sec, orbit1, orbit2, volume, f), oracle)
 
         n2 = int(rng.integers(7, 13))
         params2 = EquationParams(n2, int(rng.integers(0, n2 - 4)))
@@ -184,10 +184,9 @@ def test_c3_generic_engine_equals_both_direct_routes():
         ineq2 = GenericIneqParams(
             params2.two_sharp, sobolev_constant(nred) / orbit2 ** (2.0 / nred), sec.hi
         )
-        _same_endpoints(
-            generic_interval(params2, ineq2, sec, orbit1, orbit2, volume, f),
-            invariant_interval(params2, sec, orbit1, orbit2, volume, f),
-        )
+        oracle = direct_routes.invariant_interval(params2, sec, orbit1, orbit2, volume, f)
+        _same_endpoints(generic_interval(params2, ineq2, sec, orbit1, orbit2, volume, f), oracle)
+        _same_endpoints(invariant_interval(params2, sec, orbit1, orbit2, volume, f), oracle)
 
 
 def test_c4_weighted_route_collapses_to_constant_route_bitwise():

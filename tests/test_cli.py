@@ -46,6 +46,40 @@ def test_exit_code_precondition(capsys):
     assert "precondition violated" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "example, flag",
+    [
+        ("cylinder-weighted", "--t"),
+        ("cylinder-triple", "--t"),
+        ("hopf", "--t"),
+        ("cylinder-overcritical", "--t"),
+        ("triple-product", "--a"),
+        ("triple-product", "--b"),
+        ("sphere-quotients", "--f-max"),
+        ("sphere-quotients", "--f-min"),
+        ("sphere-quotients", "--f-avg"),
+        ("sphere-quotients", "--f-laplacian"),
+        ("sphere-quotients", "--f-vanishing-order"),
+    ],
+)
+def test_interval_rejects_non_finite_float_flags(capsys, example, flag, value):
+    profile = ("--f-max", "1.2", "--f-min", "0.8", "--f-avg", "1.0")
+    extra = profile if flag.startswith("--f-") else ()
+    code = main(["interval", "--example", example, *extra, flag, value])
+    err = capsys.readouterr().err
+    if flag == "--f-vanishing-order" and value == "inf":
+        assert code == 0  # a weight flat to every order, like a constant one
+    else:
+        assert code == 2 and "precondition violated" in err
+        assert "NaN" not in err  # the message names the input, not an endpoint
+
+
+def test_solve_rejects_empty_start_list(capsys):
+    assert main(["solve", "--length", "6.2832", "--p", "5", "--alpha", "1.0", "--starts", ","]) == 2
+    assert "start label" in capsys.readouterr().err
+
+
 def test_exit_code_convergence_failure(capsys):
     code = main(
         [

@@ -1,5 +1,6 @@
 import math
 
+import direct_routes
 import pytest
 from hypothesis import given, strategies as st
 
@@ -164,7 +165,8 @@ def test_cylinder_overcritical_below_volume_threshold():
 
 
 # ---------------------------------------------------------------------------
-# generic engine vs the two direct evaluations
+# generic engine and the two sharp-inequality routes vs the direct
+# closed forms kept in tests/direct_routes.py
 
 
 def _random_family(rng):
@@ -205,9 +207,9 @@ def test_generic_engine_matches_ambient_route():
         f = None if trial % 5 == 0 else _random_profile(rng)
         crit = 2.0 * n / (n - 2.0)
         ineq = GenericIneqParams(crit, sobolev_constant(n), amb.hi)
-        via_engine = generic_interval(params, ineq, sec, orbit1, orbit2, volume, f)
-        direct = critical_interval(params, amb, sec, orbit1, orbit2, volume, f)
-        _assert_same_interval(via_engine, direct)
+        direct = direct_routes.critical_interval(params, amb, sec, orbit1, orbit2, volume, f)
+        _assert_same_interval(generic_interval(params, ineq, sec, orbit1, orbit2, volume, f), direct)
+        _assert_same_interval(critical_interval(params, amb, sec, orbit1, orbit2, volume, f), direct)
 
 
 def test_generic_engine_matches_invariant_route():
@@ -226,9 +228,9 @@ def test_generic_engine_matches_invariant_route():
         ineq = GenericIneqParams(
             params.two_sharp, sobolev_constant(N) / orbit2 ** (2.0 / N), sec.hi
         )
-        via_engine = generic_interval(params, ineq, sec, orbit1, orbit2, volume, f)
-        direct = invariant_interval(params, sec, orbit1, orbit2, volume, f)
-        _assert_same_interval(via_engine, direct)
+        direct = direct_routes.invariant_interval(params, sec, orbit1, orbit2, volume, f)
+        _assert_same_interval(generic_interval(params, ineq, sec, orbit1, orbit2, volume, f), direct)
+        _assert_same_interval(invariant_interval(params, sec, orbit1, orbit2, volume, f), direct)
 
 
 def test_minf_route_at_constant_weight_matches_constant_route():
@@ -270,6 +272,21 @@ def test_unbounded_window_gives_empty_interval():
     double, triple = constant_f_intervals(params, b0_sphere(6), open_bound, 1.0, 2.0, 10.0)
     assert double.empty and triple.empty
     assert triple.count == 3
+
+
+def test_unknown_defect_constant_with_assumed_weight_is_closed_and_empty():
+    # with f None both sharp-inequality routes follow generic_interval:
+    # an unknown D gives the floor inf, closed, and the gap stays assumed
+    params = EquationParams(6)
+    open_bound = ConstantBound(5.0)  # hi = inf
+    for iv in (
+        critical_interval(params, open_bound, ConstantBound(5.5, 6.0), 1.0, 2.0, 10.0, None),
+        invariant_interval(params, open_bound, 1.0, 2.0, 10.0, None),
+    ):
+        assert math.isinf(iv.lo) and not iv.lo_strict and iv.empty
+        assert [c.status for c in iv.conditions] == [
+            "satisfied", "needs-unknown-constant", "assumed",
+        ]
 
 
 def test_assumed_weight_keeps_the_floor():

@@ -165,6 +165,10 @@ def test_config_validation():
         _config(alpha=-1.0)
     with pytest.raises(PreconditionError):
         _config(orbit_volume=0.0)
+    for field in ("orbit_volume", "f_peak", "vh_quadratic_coeff", "f_laplacian"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                _config(**{field: value})
     with pytest.raises(PreconditionError):
         _config(dim=4, vh_quadratic_coeff=8.0)  # density sign flips on [0, 1]
     with pytest.raises(PreconditionError):

@@ -61,6 +61,7 @@ def test_defaults_cover_all_examples():
     for ex in EXAMPLE_IDS:
         cfg = example_configuration(ex)
         assert cfg.example == ex
+        assert cfg.inputs == EXAMPLE_DEFAULTS[ex]
         assert cfg.first.orbit_volume < cfg.second.orbit_volume
         assert cfg.volume > 0.0
 
@@ -137,6 +138,17 @@ def test_unknown_example_and_extra_params():
     with pytest.raises(PreconditionError) as err:
         example_configuration("hopf", n=4)
     assert "does not take" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "example, name",
+    [("sphere-quotients", "n"), ("cylinder-triple", "a1"), ("hopf", "t"), ("triple-product", "b")],
+)
+def test_non_finite_inputs_are_rejected_by_name(example, name, value):
+    with pytest.raises(PreconditionError) as err:
+        example_configuration(example, **{name: value})
+    assert str(err.value).startswith(name + " must be")
 
 
 def test_registry_is_json_serializable():

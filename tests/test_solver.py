@@ -227,6 +227,12 @@ def test_failed_solve_raises_with_partial_report():
     assert best.el_residual > 0.0
 
 
+@pytest.mark.parametrize("starts", [(), ("cos1", "sine"), ("cos",), ("cosx",)])
+def test_start_labels_are_checked_before_any_work(starts):
+    with pytest.raises(PreconditionError):
+        SolveConfig(starts=starts)
+
+
 # ---------------------------------------------------------------------------
 # packaged reductions
 
