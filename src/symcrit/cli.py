@@ -135,6 +135,8 @@ def _cmd_expansion(parser, args):
     if args.eps_min is not None or args.eps_max is not None:
         if args.eps_min is None or args.eps_max is None:
             parser.error("--eps-min and --eps-max must be given together")
+        if args.eps_count < 1:
+            raise PreconditionError("--eps-count must be at least 1, got %d" % args.eps_count)
         epsilons = tuple(np.geomspace(args.eps_max, args.eps_min, args.eps_count))
     else:
         epsilons = ()

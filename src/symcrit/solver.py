@@ -21,9 +21,8 @@ N = 2 (p+1)/(p-1) survives discretization exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,8 +80,10 @@ class ReducedProblem:
         f = f.copy()
         f.flags.writeable = False
         self.f_samples = f
-        if self.orbit_volume is not None and not self.orbit_volume > 0.0:
-            raise PreconditionError("orbit volume must be positive when given")
+        if self.orbit_volume is not None and not (
+            math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0
+        ):
+            raise PreconditionError("orbit volume must be positive and finite when given")
 
     @property
     def m(self):
@@ -133,14 +134,6 @@ class ReducedProblem:
         }
 
 
-def _default_threads():
-    raw = os.environ.get("SYMCRIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0
@@ -151,18 +144,30 @@ class SolveConfig:
     newton_tol: float = 1e-10
     positivity_floor: float = 1e-12
     oscillation_tol: float = 1e-7
-    threads: int = field(default_factory=_default_threads)
 
     def __post_init__(self):
         if not self.starts:
-            raise PreconditionError("need at least one start label")
+            raise PreconditionError("starts needs at least one start label")
         for label in self.starts:
             if label not in ("constant", "random") and not (
                 label.startswith("cos") and label[3:].isdigit()
             ):
                 raise PreconditionError(
-                    "unknown start label %r (known: constant, cos<mode>, random)" % (label,)
+                    "starts has an unknown start label %r (known: constant, cos<mode>, random)"
+                    % (label,)
                 )
+        for name in ("seed", "descent_max_iter", "newton_max_iter"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 0):
+                raise PreconditionError("%s must be an integer >= 0, got %r" % (name, value))
+        for name in ("descent_tol", "newton_tol", "positivity_floor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
+        if not (math.isfinite(self.oscillation_tol) and self.oscillation_tol >= 0.0):
+            raise PreconditionError(
+                "oscillation_tol must be finite and >= 0, got %r" % (self.oscillation_tol,)
+            )
 
 
 def circle_reduction(config, index, alpha, grid=256, f_samples=None):
@@ -368,10 +373,17 @@ def _descend(problem, u, config):
 
 
 def _newton(problem, v, config):
-    """Damped Newton for -v'' + alpha v = f v^p with a translation border."""
+    """Damped Newton for -v'' + alpha v = f v^p.
+
+    With constant f the equation is translation invariant and its
+    Jacobian is singular along tau = v', so the step is bordered with
+    tau.  A nonconstant f breaks that symmetry, and the border would
+    only keep Newton from converging quadratically.
+    """
     m, h = problem.m, problem.h
     floor = config.positivity_floor
     f = problem.f_samples
+    invariant = float(f.max() - f.min()) == 0.0
 
     def residual(x):
         return -_lap(x, h) + problem.alpha * x - f * x**problem.p
@@ -381,28 +393,21 @@ def _newton(problem, v, config):
     rn = float(np.max(np.abs(r)))
     iters = 0
     inv_h2 = 1.0 / (h * h)
+    off = np.full(m - 1, -inv_h2)
     for iters in range(1, config.newton_max_iter + 1):
         if rn <= config.newton_tol:
             return v, iters - 1, rn, True
         main = 2.0 * inv_h2 + problem.alpha - problem.p * f * v ** (problem.p - 1.0)
-        J = sp.diags(
-            [main, np.full(m - 1, -inv_h2), np.full(m - 1, -inv_h2)],
-            [0, 1, -1],
-            format="lil",
-        )
-        J[0, m - 1] = -inv_h2
-        J[m - 1, 0] = -inv_h2
+        J = sp.diags([main, off, off, off[:1], off[:1]], [0, 1, -1, m - 1, 1 - m], format="csc")
+        rhs = -r
         tau = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-        tnorm = float(np.max(np.abs(tau)))
-        # a singular system only warns and returns NaN, caught just below
-        if tnorm > 1e-13 * float(np.max(np.abs(v))):
-            border = sp.bmat(
-                [[J.tocsr(), tau.reshape(-1, 1)], [tau.reshape(1, -1), None]],
-                format="csc",
-            )
-            delta = spla.spsolve(border, np.append(-r, 0.0))[:m]
-        else:
-            delta = spla.spsolve(J.tocsc(), -r)
+        if invariant and float(np.max(np.abs(tau))) > 1e-13 * float(np.max(np.abs(v))):
+            J = sp.bmat([[J, tau.reshape(-1, 1)], [tau.reshape(1, -1), None]], format="csc")
+            rhs = np.append(rhs, 0.0)
+        # the natural order keeps the dense border column last; COLAMD moves it
+        # early and fills the LU far more.  A singular system only warns and
+        # returns NaN, caught below.
+        delta = spla.spsolve(J, rhs, permc_spec="NATURAL")[:m]
         if not np.all(np.isfinite(delta)):
             return v, iters, rn, False
         theta = 1.0
@@ -433,14 +438,7 @@ def minimize(problem, config=None):
     .best) when no start reaches the Newton tolerance.
     """
     config = config or SolveConfig()
-    starts = _starts(problem, config)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(
-                pool.map(lambda sl: _solve_one(problem, sl[0], sl[1], config), starts)
-            )
-    else:
-        results = [_solve_one(problem, label, u0, config) for label, u0 in starts]
+    results = [_solve_one(problem, label, u0, config) for label, u0 in _starts(problem, config)]
     converged = [(label, v, iters) for label, v, iters, rn, ok in results if ok]
     if not converged:
         label, v, iters, rn, _ = min(results, key=lambda r: r[3])

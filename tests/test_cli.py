@@ -80,6 +80,16 @@ def test_solve_rejects_empty_start_list(capsys):
     assert "start label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--newton-tol", "nan", "newton_tol"), ("--descent-tol", "-1", "descent_tol")],
+)
+def test_solve_rejects_bad_tolerances_before_any_work(capsys, flag, value, field):
+    argv = ["solve", "--length", "6.2832", "--p", "5", "--alpha", "0.3", "--grid", "64"]
+    assert main([*argv, "--starts", "constant", flag, value]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_exit_code_convergence_failure(capsys):
     code = main(
         [
@@ -171,6 +181,9 @@ def test_expansion_branches(capsys):
     assert main(["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0",
                  "--orbit-volume", "1.0", "--eps-max", "1e-4"]) == 1
     capsys.readouterr()
+    for count in ("0", "-1"):
+        assert main(["expansion", "--dim", "6", *args[:-1], count]) == 2
+        assert "--eps-count" in capsys.readouterr().err
 
 
 def test_canonical_json_handles_special_values():

@@ -227,10 +227,48 @@ def test_failed_solve_raises_with_partial_report():
     assert best.el_residual > 0.0
 
 
-@pytest.mark.parametrize("starts", [(), ("cos1", "sine"), ("cos",), ("cosx",)])
-def test_start_labels_are_checked_before_any_work(starts):
-    with pytest.raises(PreconditionError):
-        SolveConfig(starts=starts)
+_BAD_CONFIG_VALUES = {
+    "starts": [(), ("cos1", "sine"), ("cos",), ("cosx",)],
+    "descent_tol": [0.0, -1.0, math.nan, math.inf],
+    "newton_tol": [0.0, math.nan, math.inf],
+    "positivity_floor": [0.0, -1e-12, math.nan, math.inf],
+    "oscillation_tol": [-1e-7, math.nan, math.inf],
+    "seed": [-1, 0.5],
+    "descent_max_iter": [-1, 10.0],
+    "newton_max_iter": [-1, 2.5],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param(field, value, id="%s%d" % (field, i))
+        for field, values in _BAD_CONFIG_VALUES.items()
+        for i, value in enumerate(values)
+    ],
+)
+def test_start_labels_are_checked_before_any_work(field, value):
+    """Every SolveConfig field is checked when the config is built."""
+    with pytest.raises(PreconditionError, match=field):
+        SolveConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "m, amplitude, phase, alpha",
+    [
+        (96, 0.2, math.pi / 6.0, 0.05 + 19.5 * 0.025),
+        (128, 0.15, math.pi / 3.0, 0.05 + 17.5 * 0.025),
+    ],
+    ids=["m96", "m128"],
+)
+def test_newton_converges_with_a_nonconstant_weight(m, amplitude, phase, alpha):
+    # a translation border here would force every step orthogonal to u'
+    # and leave Newton stalled just above its tolerance
+    s = np.arange(m) * (2.0 * math.pi / m)
+    problem = _problem(alpha=alpha, m=m, f=1.0 + amplitude * np.cos(s - phase))
+    report = minimize(problem, SolveConfig(starts=("constant", "cos1")))
+    assert report.el_residual <= 1e-10
+    assert report.classification == "nonconstant"
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +336,8 @@ def test_problem_validation_and_grid():
         _problem(alpha=0.0)
     with pytest.raises(PreconditionError):
         _problem(p=1.0)
+    with pytest.raises(PreconditionError, match="orbit volume"):
+        ReducedProblem(2.0, 1.0, 1.0, 5.0, np.ones(64), orbit_volume=math.inf)
     problem = _problem(length=6.4, m=64)
     s = problem.grid()
     assert s.size == 64 and s[0] == 0.0
@@ -333,24 +373,3 @@ def test_report_json_shape():
     assert "u" not in d
     with_profile = report.to_json(include_profile=True)
     assert len(with_profile["u"]) == 64
-
-
-# ---------------------------------------------------------------------------
-# threading
-
-
-def test_thread_count_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("SYMCRIT_THREADS", "4")
-    assert SolveConfig().threads == 4
-    monkeypatch.setenv("SYMCRIT_THREADS", "garbage")
-    assert SolveConfig().threads == 1
-    monkeypatch.delenv("SYMCRIT_THREADS")
-    assert SolveConfig().threads == 1
-
-
-def test_threaded_solve_matches_serial():
-    problem = _problem(weight=2.0 * math.pi**2, alpha=0.3, p=5.0, m=96)
-    serial = minimize(problem, SolveConfig(starts=("constant", "cos1"), threads=1))
-    threaded = minimize(problem, SolveConfig(starts=("constant", "cos1"), threads=2))
-    assert serial.quotient_value == threaded.quotient_value
-    assert np.array_equal(serial.u, threaded.u)
