@@ -9,8 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .conditions import FProfile, example_interval
 from .errors import ConvergenceError, PreconditionError
 from .expansion import ExpansionConfig, fit_and_compare, log_branch_sign
@@ -19,6 +18,8 @@ from .jsonio import canonical_json, csv_text
 from .solver import ReducedProblem, SolveConfig, circle_reduction, minimize
 
 __all__ = ["main"]
+
+np = lazy_import("numpy")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -24,10 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-
+from ._lazy import lazy_import
 from .constants import sobolev_constant
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
@@ -51,6 +48,11 @@ __all__ = [
 
 MIN_GRID = 64
 
+np = lazy_import("numpy")
+# scipy.sparse.linalg, bound by the first Newton solve; a module global so that
+# perfbench/tracing.py can wrap solver.spla.spsolve by name
+spla = None
+
 
 @dataclass(eq=False)
 class ReducedProblem:
@@ -71,7 +73,7 @@ class ReducedProblem:
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise PreconditionError("alpha must be positive and finite")
         if not (math.isfinite(self.p) and self.p > 1.0):
-            raise PreconditionError("exponent p must be > 1")
+            raise PreconditionError("exponent p must be > 1 and finite")
         f = np.asarray(self.f_samples, dtype=float)
         if f.ndim != 1 or f.size < MIN_GRID:
             raise PreconditionError("f_samples must be a 1-d array with at least %d nodes" % MIN_GRID)
@@ -380,6 +382,11 @@ def _newton(problem, v, config):
     tau.  A nonconstant f breaks that symmetry, and the border would
     only keep Newton from converging quadratically.
     """
+    global spla
+    import scipy.sparse as sp
+
+    if spla is None:
+        import scipy.sparse.linalg as spla
     m, h = problem.m, problem.h
     floor = config.positivity_floor
     f = problem.f_samples

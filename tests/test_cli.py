@@ -90,6 +90,22 @@ def test_solve_rejects_bad_tolerances_before_any_work(capsys, flag, value, field
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--length", "6.2832", "--p", "inf", "--alpha", "0.3", "--grid", "64"],
+        ["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0",
+         "--eps-max", "nan", "--eps-min", "1e-6", "--eps-count", "3"],
+        ["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0",
+         "--curvature", "nan"],
+    ],
+    ids=["solve-p-inf", "expansion-eps-nan", "expansion-curvature-nan"],
+)
+def test_non_finite_flags_are_named_non_finite(capsys, argv):
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_exit_code_convergence_failure(capsys):
     code = main(
         [
@@ -197,3 +213,88 @@ def test_canonical_json_handles_special_values():
 def test_csv_text_cells():
     out = csv_text(["a", "b", "c", "d"], [[1.5, True, None, "x"]])
     assert out == "a,b,c,d\n1.5,true,,x"
+
+
+
+# One fresh interpreter per command: run it through `main`, then list the
+# loaded modules.  numpy is bound lazily, so "numpy" itself sits in
+# sys.modules from the start; a numpy.* submodule shows that it executed.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from symcrit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "newton_ran": sys.modules["symcrit.solver"].spla is not None}))
+"""
+
+
+def _cold_run(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    return set(result["modules"]), result["newton_ran"]
+
+
+def _under(modules, package):
+    return {m for m in modules if m == package or m.startswith(package + ".")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "--example", "hopf", "--t", "8"],
+        ["interval", "--example", "sphere-quotients", "--format", "csv"],
+        ["table"],
+        ["table", "--format", "json"],
+    ],
+)
+def test_interval_and_table_load_neither_numpy_nor_scipy(argv):
+    modules, _ = _cold_run(argv)
+    assert {m for m in modules if m.startswith("numpy.")} == set()
+    assert _under(modules, "scipy") == set()
+
+
+def test_solve_loads_no_quadrature():
+    modules, newton_ran = _cold_run(
+        ["solve", "--length", "6.2832", "--p", "5", "--alpha", "0.3", "--grid", "64",
+         "--starts", "constant"]
+    )
+    assert newton_ran
+    assert _under(modules, "scipy.integrate") == set()
+
+
+def test_expansion_runs_no_newton_solve():
+    # scipy.integrate itself imports scipy.sparse and scipy.sparse.linalg, so
+    # the check is that expansion never reaches the solver's linear algebra.
+    modules, newton_ran = _cold_run(
+        ["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0"]
+    )
+    assert "scipy.integrate" in modules
+    assert not newton_ran
+
+
+def test_package_import_loads_every_module():
+    # The benchmark's import probe reads the cumulative import time of these
+    # five modules from `python -X importtime -c "import symcrit; import
+    # symcrit.cli"` and fails when one is missing.  Deferring a symcrit
+    # module (a lazy __init__, per-subcommand imports in cli) would drop it
+    # from that line; the cost to defer is numpy's and scipy's, inside them.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, symcrit, symcrit.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    modules = set(json.loads(proc.stdout))
+    for name in ("symcrit", "symcrit.conditions", "symcrit.solver", "symcrit.expansion",
+                 "symcrit.cli"):
+        assert name in modules
+    assert {m for m in modules if m.startswith("numpy.")} == set()
+    assert _under(modules, "scipy") == set()
