@@ -39,8 +39,11 @@ _PARAM_FLAGS = (
 )
 
 
-def _add_example_params(sub):
-    sub.add_argument("--example", choices=EXAMPLE_IDS, required=True)
+_INTERVAL_COLUMNS = ("lo", "hi", "lo_strict", "hi_strict", "empty", "count")
+
+
+def _add_example_params(sub, required):
+    sub.add_argument("--example", choices=EXAMPLE_IDS, required=required)
     for name, typ, help_text in _PARAM_FLAGS:
         sub.add_argument("--%s" % name, type=typ, default=None, help=help_text)
 
@@ -76,17 +79,8 @@ def _cmd_interval(parser, args):
     f = _profile_from_args(parser, args)
     interval = example_interval(args.example, f=f, **_collect_params(args))
     if args.format == "csv":
-        header = ["example", "lo", "hi", "lo_strict", "hi_strict", "empty", "count"]
-        row = [
-            args.example,
-            interval.lo,
-            interval.hi,
-            interval.lo_strict,
-            interval.hi_strict,
-            interval.empty,
-            interval.count,
-        ]
-        print(csv_text(header, [row]))
+        row = [args.example] + [getattr(interval, c) for c in _INTERVAL_COLUMNS]
+        print(csv_text(["example", *_INTERVAL_COLUMNS], [row]))
     else:
         cfg = example_configuration(args.example, **_collect_params(args))
         print(canonical_json({"example": args.example, "inputs": cfg.inputs, "interval": interval.to_json()}))
@@ -166,16 +160,9 @@ def _cmd_table(parser, args):
         rows.append(
             [ex]
             + [EXAMPLE_DEFAULTS[ex].get(name) for name in names]
-            + [
-                interval.lo,
-                interval.hi,
-                interval.lo_strict,
-                interval.hi_strict,
-                interval.empty,
-                interval.count,
-            ]
+            + [getattr(interval, c) for c in _INTERVAL_COLUMNS]
         )
-    header = ["example", *names, "lo", "hi", "lo_strict", "hi_strict", "empty", "count"]
+    header = ["example", *names, *_INTERVAL_COLUMNS]
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         print(canonical_json(payload))
@@ -189,7 +176,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_int = sub.add_parser("interval", help="guaranteed multiplicity interval of an example")
-    _add_example_params(p_int)
+    _add_example_params(p_int, required=True)
     p_int.add_argument("--f-max", type=float, default=None)
     p_int.add_argument("--f-min", type=float, default=None)
     p_int.add_argument("--f-avg", type=float, default=None)
@@ -199,9 +186,7 @@ def build_parser():
     p_int.set_defaults(func=_cmd_interval)
 
     p_solve = sub.add_parser("solve", help="minimize the circle-reduced quotient")
-    p_solve.add_argument("--example", choices=EXAMPLE_IDS, default=None)
-    for name, typ, help_text in _PARAM_FLAGS:
-        p_solve.add_argument("--%s" % name, type=typ, default=None, help=help_text)
+    _add_example_params(p_solve, required=False)
     p_solve.add_argument("--index", type=int, choices=(1, 2), default=None)
     p_solve.add_argument("--length", type=float, default=None)
     p_solve.add_argument("--weight", type=float, default=1.0)

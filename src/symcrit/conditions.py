@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .best_constants import _curvature_term, _volume_term
-from .constants import sobolev_constant
+from .constants import _concentration_threshold, sobolev_constant
 from .errors import PreconditionError
 from .geometry import _EXAMPLES, example_configuration
 
@@ -159,13 +159,9 @@ class GuaranteedInterval:
         return 0.5 * (self.lo + self.hi)
 
     def contains(self, alpha):
-        if self.lo < alpha < self.hi:
-            return True
-        if alpha == self.lo and not self.lo_strict and alpha <= self.hi:
-            return not (alpha == self.hi and self.hi_strict)
-        if alpha == self.hi and not self.hi_strict and alpha >= self.lo:
-            return not (alpha == self.lo and self.lo_strict)
-        return False
+        return (self.lo < alpha or (alpha == self.lo and not self.lo_strict)) and (
+            alpha < self.hi or (alpha == self.hi and not self.hi_strict)
+        )
 
     def to_json(self):
         return {
@@ -200,7 +196,7 @@ def existence_threshold(params, orbit_volume, f_max=1.0):
         raise PreconditionError("orbit volume must be positive")
     if not f_max > 0.0:
         raise PreconditionError("max f must be positive")
-    return orbit_volume ** (2.0 / N) / (sobolev_constant(N) * f_max ** (2.0 / params.two_sharp))
+    return _concentration_threshold(orbit_volume, N, f_max)
 
 
 def existence_alpha_bound(params, action, f=None):
@@ -245,12 +241,11 @@ def _gap_lower(hi, term1, term2):
 
 
 def _merge_lo(floor, lo3, gap_strict):
-    """Combine  alpha >= floor  with  alpha > lo3  (strict per gap_strict)."""
-    if lo3 > floor:
-        return lo3, gap_strict
-    if lo3 == floor:
-        return floor, gap_strict
-    return floor, False
+    """Combine  alpha >= floor  with  alpha > lo3  (strict per gap_strict).
+
+    On a tie the value is floor's, and so is its sign of zero.
+    """
+    return (lo3, gap_strict) if lo3 > floor else (floor, gap_strict and lo3 == floor)
 
 
 def _band_interval(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_strict):

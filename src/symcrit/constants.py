@@ -48,6 +48,12 @@ def sobolev_constant(dim):
     return 4.0 / (n * (n - 2) * sphere_volume(n) ** (2.0 / n))
 
 
+def _concentration_threshold(orbit_volume, dim, f_max):
+    """A^{2/N} / (K_N f_max^{2/two_sharp}); callers validate the inputs."""
+    two_sharp = 2.0 * dim / (dim - 2.0)
+    return orbit_volume ** (2.0 / dim) / (sobolev_constant(dim) * f_max ** (2.0 / two_sharp))
+
+
 @dataclass(frozen=True)
 class ConstantBound:
     """Closed interval [lo, hi] certified to contain an unknown constant."""

@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass
 
 from ._lazy import lazy_import
-from .constants import sobolev_constant
+from .constants import _concentration_threshold
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
 
@@ -117,10 +117,7 @@ class ReducedProblem:
         n_int = round(N)
         if abs(N - n_int) > 1e-9 or n_int < 3:
             return None
-        fmax = float(self.f_samples.max())
-        return self.orbit_volume ** (2.0 / N) / (
-            sobolev_constant(n_int) * fmax ** (2.0 / self.two_sharp)
-        )
+        return _concentration_threshold(self.orbit_volume, n_int, float(self.f_samples.max()))
 
     def grid(self):
         return np.arange(self.m) * self.h

@@ -4,6 +4,7 @@ import direct_routes
 import pytest
 from hypothesis import given, strategies as st
 
+from symcrit import conditions
 from symcrit import (
     ConstantBound,
     EquationParams,
@@ -61,6 +62,38 @@ def test_interval_contains_respects_strictness():
     assert not iv.contains(2.5)
     closed = GuaranteedInterval(1.0, 2.0)
     assert closed.contains(1.0) and closed.contains(2.0)
+
+
+@given(
+    lo=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-4.0, 4.0),
+    hi=st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-4.0, 4.0),
+    lo_strict=st.booleans(),
+    hi_strict=st.booleans(),
+)
+def test_contains_agrees_with_empty_and_endpoint_strictness(lo, hi, lo_strict, hi_strict):
+    iv = GuaranteedInterval(lo, hi, lo_strict, hi_strict)
+    below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    mid = 0.5 * (lo + hi)
+    assert not iv.contains(below) and not iv.contains(above)
+    if iv.empty:
+        assert not any(iv.contains(a) for a in (lo, hi, mid))
+    else:
+        assert iv.contains(lo) == (not lo_strict)
+        assert iv.contains(hi) == (not hi_strict)
+        if lo < mid < hi:
+            assert iv.contains(mid)
+
+
+@given(
+    floor=st.sampled_from([-0.0, 0.0, math.inf]) | st.floats(-2.0, 2.0),
+    lo3=st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]) | st.floats(-2.0, 2.0),
+    gap_strict=st.booleans(),
+)
+def test_merge_lo_matches_the_oracle_and_keeps_the_floors_zero(floor, lo3, gap_strict):
+    got = conditions._merge_lo(floor, lo3, gap_strict)
+    want = direct_routes._merge_lo(floor, lo3, gap_strict)
+    assert got == want
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
 
 
 def test_interval_to_json_shape():

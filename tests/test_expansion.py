@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from symcrit import (
     ExpansionConfig,
@@ -13,6 +15,7 @@ from symcrit import (
     sphere_volume,
 )
 from symcrit import test_function as bubble  # name clashes with pytest collection
+from symcrit.cli import main
 
 
 def _config(**kw):
@@ -74,6 +77,56 @@ def test_quotient_against_trapezoid_rebuild():
     den = np.trapezoid(f * u ** cfg.two_sharp * rho, r)
     manual = num / den ** (2.0 / cfg.two_sharp)
     assert rayleigh_quotient(cfg, eps) == pytest.approx(manual, rel=1e-7)
+
+
+# Oracle: each integral as a sum of adaptive scipy quad calls on explicit
+# panels, halving toward r = 0 from sqrt(eps) and toward r = delta, at a
+# tolerance tighter than the rule under test.  Test-only, like the sphere
+# volume recursion in test_constants.py.
+def _tight_quotient(cfg, eps):
+    N, delta = cfg.dim, cfg.delta
+    power = 1.0 - N / 2.0
+    tail = (eps + delta * delta) ** power
+
+    def u(r):
+        return (eps + r * r) ** power - tail
+
+    def num(r):
+        du = 2.0 * power * r * (eps + r * r) ** (power - 1.0)
+        return (du * du + cfg.alpha * u(r) ** 2) * float(density(cfg, r))
+
+    def den(r):
+        weight = cfg.f_peak - cfg.f_laplacian * r * r / (2.0 * N)
+        return weight * u(r) ** cfg.two_sharp * float(density(cfg, r))
+
+    half = 0.5 * delta
+    left = [0.0] + [math.sqrt(eps) * 2.0**j for j in range(60) if math.sqrt(eps) * 2.0**j < half]
+    right = [delta - half * 2.0**-j for j in range(12)]
+    edges = left + right + [delta]
+
+    def integral(fn):
+        return math.fsum(
+            quad(fn, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+            for a, b in zip(edges, edges[1:])
+        )
+
+    return integral(num) / integral(den) ** (2.0 / cfg.two_sharp)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 7, 11])
+@pytest.mark.parametrize("delta", [0.3, 2.0])
+def test_quotient_against_tight_panel_reference(dim, delta):
+    # alternate flat / round and the other parameters across the grid, and
+    # span eps from delta^2 / 4 (the largest allowed) down to 1e-16 delta^2
+    curved = (dim + (delta > 1.0)) % 2 == 1
+    cfg = _config(
+        dim=dim, delta=delta, alpha=1.3, orbit_volume=0.7,
+        vh_quadratic_coeff=-1.0 if curved else 1.0, f_peak=1.1, f_laplacian=0.5,
+        curvature=0.5 if curved else None,
+    )
+    for eps in (delta * delta / 4.0, 1e-4 * delta * delta, 1e-10 * delta * delta,
+                1e-16 * delta * delta):
+        assert rayleigh_quotient(cfg, eps) == pytest.approx(_tight_quotient(cfg, eps), rel=1e-13)
 
 
 def test_quotient_scaling_invariances():
@@ -148,6 +201,19 @@ def test_dim_four_log_branch_both_signs():
     assert above.coeff == pytest.approx(0.75, rel=1e-15)
     assert above.consistent
     assert below.to_json()["consistent"] is True
+
+
+def test_dim_four_log_branch_at_tiny_eps(capsys):
+    # down to eps = 1e-16 delta^2 the samples must stay on the limit; the
+    # tight panel reference gives 10.2603986413 at both small eps
+    argv = ["expansion", "--dim", "4", "--delta", "2", "--alpha", "1.3", "--orbit-volume", "1",
+            "--q", "-1", "--f-laplacian", "0.5", "--eps-max", "4e-8", "--eps-min", "4e-16",
+            "--eps-count", "3"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["consistent"] is True
+    for sample in report["samples"][1:]:
+        assert sample["value"] == pytest.approx(10.2603986413, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

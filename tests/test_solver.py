@@ -305,9 +305,7 @@ def test_circle_reduction_orbit_volumes():
 def test_circle_reduction_threshold_matches_existence_threshold():
     for cfg, index in _reducible():
         red = circle_reduction(cfg, index, alpha=1.0, grid=64)
-        assert red.threshold == pytest.approx(
-            existence_threshold(cfg.params, red.orbit_volume), rel=1e-14
-        )
+        assert red.threshold == existence_threshold(cfg.params, red.orbit_volume)
 
 
 def test_circle_reduction_rejections():
