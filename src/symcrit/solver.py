@@ -16,6 +16,15 @@ Dirichlet term, nodal quadrature elsewhere.  The discrete
 Euler-Lagrange system of this discrete functional has the standard
 3-point Laplacian, so the identity  energy = Q^{N/2}  with
 N = 2 (p+1)/(p-1) survives discretization exactly.
+
+Each Newton step solves with the cyclic tridiagonal Jacobian J.  In the
+node order 0, m-1, 1, m-2, ... J has bandwidth 2, so one LAPACK band LU
+with partial pivoting (gbtrf) factors it.  With constant f, J is
+singular along the translation tau = v' at a solution, and the step is
+bordered with tau: a Schur complement (two band solves and one scalar),
+then one step of iterative refinement on the bordered residual, because
+block elimination alone loses accuracy as J approaches that singularity
+(Govaerts & Pryce 1990).
 """
 
 from __future__ import annotations
@@ -49,9 +58,6 @@ __all__ = [
 MIN_GRID = 64
 
 np = lazy_import("numpy")
-# scipy.sparse.linalg, bound by the first Newton solve; a module global so that
-# perfbench/tracing.py can wrap solver.spla.spsolve by name
-spla = None
 
 
 @dataclass(eq=False)
@@ -197,7 +203,10 @@ def circle_reduction(config, index, alpha, grid=256, f_samples=None):
 
 
 def _dirichlet(problem, u):
-    du = (np.roll(u, -1) - u) / problem.h
+    du = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=du[:-1])
+    du[-1] = u[0] - u[-1]
+    du /= problem.h
     return problem.weight * problem.h * float(np.dot(du, du))
 
 
@@ -223,7 +232,14 @@ def quotient_value(problem, u):
 
 
 def _lap(u, h):
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
+    # (u[i+1] - 2 u[i]) + u[i-1] on the circle, in that order of rounding
+    out = -2.0 * u
+    out[:-1] += u[1:]
+    out[-1] += u[0]
+    out[1:] += u[:-1]
+    out[0] += u[-1]
+    out /= h * h
+    return out
 
 
 def quotient_gradient(problem, u):
@@ -315,10 +331,6 @@ def constant_solution(problem, config=None):
     return _report(problem, np.full(problem.m, c), "closed-form", 0, config)
 
 
-def _normalize(problem, u):
-    return u / energy(problem, u) ** (1.0 / problem.two_sharp)
-
-
 def _starts(problem, config):
     s = problem.grid()
     fbar = float(problem.f_samples.mean())
@@ -337,17 +349,37 @@ def _starts(problem, config):
     return out
 
 
+def _evaluate(problem, x):
+    """x scaled to unit energy, with Q and grad Q at that point.
+
+    Q is scale-invariant, so Q(x) is Q at the scaled point, and
+    |x|^{q-2} x, computed once, serves the energy, the scale and the
+    gradient's weighted term.
+    """
+    h, w, q = problem.h, problem.weight, problem.two_sharp
+    fa = problem.f_samples * (np.abs(x) ** (q - 2.0) * x)
+    den = w * h * float(np.dot(fa, x))
+    if not 0.0 < den < math.inf:
+        raise PreconditionError("quotient undefined: f-weighted integral vanishes")
+    scale = den ** (-1.0 / q)
+    u = scale * x
+    qv = _dirichlet(problem, u) + problem.alpha * _mass2(problem, u)
+    g = -_lap(u, h)
+    g += problem.alpha * u
+    g -= (qv * scale ** (q - 1.0)) * fa
+    g *= 2.0 * w * h
+    return u, qv, g
+
+
 def _descend(problem, u, config):
     """Projected gradient descent on Q with BB steps and backtracking."""
     floor = config.positivity_floor
-    u = _normalize(problem, np.maximum(u, floor))
-    qv = quotient_value(problem, u)
-    g = quotient_gradient(problem, u)
+    u, qv, g = _evaluate(problem, np.maximum(u, floor))
     step = 1.0
     u_prev = g_prev = None
     scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
     for _ in range(config.descent_max_iter):
-        if float(np.max(np.abs(g))) <= config.descent_tol * scale * max(1.0, qv):
+        if float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, qv):
             break
         if u_prev is not None:
             dz = u - u_prev
@@ -358,67 +390,116 @@ def _descend(problem, u, config):
         gnorm2 = float(np.dot(g, g))
         trial_step = step
         for _ in range(30):
-            cand = _normalize(problem, np.maximum(u - trial_step * g, floor))
-            q_cand = quotient_value(problem, cand)
+            cand, q_cand, g_cand = _evaluate(problem, np.maximum(u - trial_step * g, floor))
             if q_cand <= qv - 1e-4 * trial_step * gnorm2:
                 break
             trial_step *= 0.5
         else:
             break  # no descent direction left at this resolution
         u_prev, g_prev = u, g
-        u, qv = cand, q_cand
-        g = quotient_gradient(problem, u)
+        u, qv, g = cand, q_cand, g_cand
     return u
 
 
-def _newton(problem, v, config):
-    """Damped Newton for -v'' + alpha v = f v^p.
+def _fold_order(m):
+    """Nodes in the order 0, m-1, 1, m-2, ...
 
-    With constant f the equation is translation invariant and its
-    Jacobian is singular along tau = v', so the step is bordered with
-    tau.  A nonconstant f breaks that symmetry, and the border would
-    only keep Newton from converging quadratically.
+    Cyclic neighbours sit at most two places apart in it, so a cyclic
+    3-point stencil has bandwidth 2 there, for even and odd m.
     """
-    global spla
-    import scipy.sparse as sp
+    order = np.empty(m, dtype=np.intp)
+    order[0::2] = np.arange((m + 1) // 2)
+    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
+    return order
 
-    if spla is None:
-        import scipy.sparse.linalg as spla
+
+def _fold_band(m, h):
+    """The couplings -1/h^2 of the cyclic Laplacian, in gbtrf band storage.
+
+    Returns the fold order and a (7, m) array holding entry (i, j) of the
+    folded matrix at row 4 + i - j; row 4, the diagonal, is left zero and
+    rows 0-1 are gbtrf's room for pivoting fill-in.
+    """
+    order = _fold_order(m)
+    pos = np.empty(m, dtype=np.intp)
+    pos[order] = np.arange(m)
+    right = np.concatenate((pos[1:], pos[:1]))  # position of node i + 1
+    band = np.zeros((7, m), order="F")
+    band[4 + pos - right, right] = -1.0 / (h * h)
+    band[4 + right - pos, pos] = -1.0 / (h * h)
+    return order, band
+
+
+def _residual(problem, x):
+    return -_lap(x, problem.h) + problem.alpha * x - problem.f_samples * x**problem.p
+
+
+def _newton_step(problem, v, r):
+    """Newton step delta solving J delta = -r at v; None on a zero pivot.
+
+    With constant f the equation is translation invariant and J is
+    singular along tau = v' at a solution, so the step is bordered with
+    tau: [J tau; tau' 0] [delta; mu] = [-r; 0].  A nonconstant f breaks
+    that symmetry, and the border would only keep Newton from
+    converging quadratically.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     m, h = problem.m, problem.h
-    floor = config.positivity_floor
     f = problem.f_samples
-    invariant = float(f.max() - f.min()) == 0.0
+    order, band = _fold_band(m, h)
+    diag = problem.alpha - problem.p * f * v ** (problem.p - 1.0)
+    band[4] = (diag + 2.0 / (h * h))[order]
+    lu, piv, info = dgbtrf(band, 2, 2, overwrite_ab=1)
+    if info != 0:
+        return None
 
-    def residual(x):
-        return -_lap(x, h) + problem.alpha * x - f * x**problem.p
+    def solve(*rhs):
+        folded = dgbtrs(lu, 2, 2, np.column_stack(rhs)[order], piv)[0]
+        x = np.empty_like(folded)
+        x[order] = folded
+        return x.T
 
+    if float(f.max() - f.min()) == 0.0:
+        tau = np.empty(m)
+        np.subtract(v[2:], v[:-2], out=tau[1:-1])
+        tau[0] = v[1] - v[-1]
+        tau[-1] = v[0] - v[-2]
+        tau /= 2.0 * h
+        if float(np.abs(tau).max()) > 1e-13 * float(np.abs(v).max()):
+            # block elimination, then one refinement step on the bordered
+            # residual with the same factorization
+            y, z = solve(-r, tau)
+            tz = float(np.dot(tau, z))
+            mu = float(np.dot(tau, y)) / tz
+            delta = y - mu * z
+            c = solve(-r - (-_lap(delta, h) + diag * delta + mu * tau))[0]
+            dmu = (float(np.dot(tau, c)) + float(np.dot(tau, delta))) / tz
+            return delta + (c - dmu * z)
+    return solve(-r)[0]
+
+
+def _newton(problem, v, config):
+    """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step.
+
+    A zero pivot or a non-finite step ends the iteration unconverged.
+    """
+    floor = config.positivity_floor
     v = np.maximum(v, floor)
-    r = residual(v)
-    rn = float(np.max(np.abs(r)))
+    r = _residual(problem, v)
+    rn = float(np.abs(r).max())
     iters = 0
-    inv_h2 = 1.0 / (h * h)
-    off = np.full(m - 1, -inv_h2)
     for iters in range(1, config.newton_max_iter + 1):
         if rn <= config.newton_tol:
             return v, iters - 1, rn, True
-        main = 2.0 * inv_h2 + problem.alpha - problem.p * f * v ** (problem.p - 1.0)
-        J = sp.diags([main, off, off, off[:1], off[:1]], [0, 1, -1, m - 1, 1 - m], format="csc")
-        rhs = -r
-        tau = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-        if invariant and float(np.max(np.abs(tau))) > 1e-13 * float(np.max(np.abs(v))):
-            J = sp.bmat([[J, tau.reshape(-1, 1)], [tau.reshape(1, -1), None]], format="csc")
-            rhs = np.append(rhs, 0.0)
-        # the natural order keeps the dense border column last; COLAMD moves it
-        # early and fills the LU far more.  A singular system only warns and
-        # returns NaN, caught below.
-        delta = spla.spsolve(J, rhs, permc_spec="NATURAL")[:m]
-        if not np.all(np.isfinite(delta)):
+        delta = _newton_step(problem, v, r)
+        if delta is None or not np.all(np.isfinite(delta)):
             return v, iters, rn, False
         theta = 1.0
         while theta > 1e-6:
             cand = np.maximum(v + theta * delta, floor)
-            rc = residual(cand)
-            rcn = float(np.max(np.abs(rc)))
+            rc = _residual(problem, cand)
+            rcn = float(np.abs(rc).max())
             if rcn <= (1.0 - 1e-4 * theta) * rn:
                 v, r, rn = cand, rc, rcn
                 break

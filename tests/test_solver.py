@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import sparse_newton
 
 from symcrit import (
     ConvergenceError,
@@ -15,12 +17,14 @@ from symcrit import (
     energy,
     energy_separation,
     example_configuration,
+    example_interval,
     existence_threshold,
     minimize,
     proof_chain_diagnostics,
     quotient_gradient,
     quotient_value,
 )
+from symcrit import solver
 
 # 1-D ground state of -u'' + u = u^5 on the line: u = 3^{1/4} sech^{1/2}(2s),
 # with int u^6 = 3^{3/2} pi / 4, so the limiting quotient is
@@ -41,6 +45,127 @@ def _fd_gradient(problem, u, eps=1e-5):
         dn[i] -= eps
         g[i] = (quotient_value(problem, up) - quotient_value(problem, dn)) / (2.0 * eps)
     return g
+
+
+# ---------------------------------------------------------------------------
+# kernels and the fused descent evaluation
+
+
+@pytest.mark.parametrize("m", [64, 97])
+def test_periodic_differences_equal_the_roll_formulas(m):
+    rng = np.random.default_rng(m)
+    problem = _problem(length=float(rng.uniform(3.0, 20.0)), weight=float(rng.uniform(0.5, 3.0)), m=m)
+    u = rng.uniform(0.5, 2.0, m)
+    h = problem.h
+    lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
+    du = (np.roll(u, -1) - u) / h
+    assert np.array_equal(solver._lap(u, h), lap)
+    assert solver._dirichlet(problem, u) == problem.weight * h * float(np.dot(du, du))
+
+
+@pytest.mark.parametrize("m", [64, 97])
+def test_fused_evaluation_matches_quotient_and_gradient(m):
+    rng = np.random.default_rng(100 + m)
+    for _ in range(10):
+        problem = ReducedProblem(
+            length=float(rng.uniform(3.0, 20.0)),
+            weight=float(rng.uniform(0.5, 3.0)),
+            alpha=float(rng.uniform(0.1, 2.0)),
+            p=float(rng.choice([5.0, 3.0, 7.0 / 3.0])),
+            f_samples=rng.uniform(0.5, 2.0, m),
+        )
+        x = float(rng.uniform(0.1, 10.0)) * rng.uniform(0.5, 2.0, m)
+        u, q, g = solver._evaluate(problem, x)
+        normalized = x / energy(problem, x) ** (1.0 / problem.two_sharp)
+        g_ref = quotient_gradient(problem, normalized)
+        assert float(np.max(np.abs(u - normalized))) <= 1e-13 * float(np.max(normalized))
+        assert q == pytest.approx(quotient_value(problem, normalized), rel=1e-13)
+        assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
+
+
+# ---------------------------------------------------------------------------
+# the banded Newton step
+
+
+@pytest.mark.parametrize("m", [64, 65, 1024, 1025, 4096])
+def test_fold_order_has_bandwidth_two(m):
+    order = solver._fold_order(m)
+    assert sorted(order) == list(range(m))
+    pos = np.empty(m, dtype=int)
+    pos[order] = np.arange(m)
+    right = pos[(np.arange(m) + 1) % m]
+    assert int(np.max(np.abs(pos - right))) == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_solution(m):
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=m)
+    return problem, minimize(problem, SolveConfig(starts=("cos1",))).u
+
+
+def _near_converged_triple(m, noise=1e-3):
+    problem, u = _triple_solution(m)
+    return problem, u * (1.0 + noise * np.random.default_rng(6).standard_normal(m))
+
+
+def _cos_iterate(m, f=None):
+    problem = _problem(alpha=0.4, m=m, f=f)
+    c = 0.4 ** 0.25
+    noise = np.random.default_rng(m).standard_normal(m)
+    return problem, c * (1.0 + 0.3 * np.cos(problem.grid()) + 1e-2 * noise)
+
+
+# The far-from-converged cos iterates stay at small m: at m = 1024 the
+# bordered system has condition number 4.7e5 there, and the sparse oracle
+# itself is 6.6e-12 from a dense LU solve (the banded step 1.8e-12).  The
+# near-converged c6 iterate agrees to 1e-15 at m = 1024.
+@pytest.mark.parametrize(
+    "case", ["constant-m64", "constant-m65", "triple-m1024", "weighted-m64", "weighted-m65"]
+)
+def test_banded_newton_step_matches_the_sparse_oracle(case):
+    kind, m = case.split("-m")
+    m = int(m)
+    if kind == "triple":
+        problem, v = _near_converged_triple(m)
+    elif kind == "weighted":
+        s = np.arange(m) * (2.0 * math.pi / m)
+        problem, v = _cos_iterate(m, f=1.0 + 0.15 * np.cos(s))
+    else:
+        problem, v = _cos_iterate(m)
+    r = solver._residual(problem, v)
+    delta = solver._newton_step(problem, v, r)
+    ref = sparse_newton.newton_step(problem, v, r)
+    assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("noise", [1e-3, 1e-9])
+def test_bordered_step_residual_is_at_rounding_level(noise):
+    # Near a solution J is singular along tau, and block elimination alone
+    # leaves a bordered residual near 4e-14 |r| at 1e-9 noise; the refinement
+    # step brings it to rounding level
+    problem, v = _near_converged_triple(4096, noise)
+    h = problem.h
+    r = solver._residual(problem, v)
+    delta = solver._newton_step(problem, v, r)
+    tau = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
+    diag = problem.alpha - problem.p * v ** (problem.p - 1.0)
+    j_delta = -(np.roll(delta, -1) - 2.0 * delta + np.roll(delta, 1)) / (h * h) + diag * delta
+    mu = float(np.dot(tau, -r - j_delta)) / float(np.dot(tau, tau))
+    assert float(np.max(np.abs(r + j_delta + mu * tau))) <= 1e-14 * float(np.max(np.abs(r)))
+    assert abs(float(np.dot(tau, delta))) <= 1e-14 * float(np.linalg.norm(tau) * np.linalg.norm(delta))
+
+
+def test_zero_pivot_ends_newton_unconverged():
+    # h = 1 and alpha - p v^{p-1} = -2 leave J = -(cycle adjacency), singular
+    # for m divisible by 4; its band LU runs in exact arithmetic and meets a
+    # zero pivot
+    problem = _problem(length=64.0, alpha=3.0, p=5.0, m=64)
+    v = np.ones(64)
+    assert solver._newton_step(problem, v, solver._residual(problem, v)) is None
+    _, iters, rn, ok = solver._newton(problem, v, SolveConfig())
+    assert (iters, ok) == (1, False)
+    assert rn == 2.0
 
 
 # ---------------------------------------------------------------------------
