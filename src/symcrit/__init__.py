@@ -1,150 +1,25 @@
 """Multiplicity intervals and symmetry-reduced solvers for
 Delta u + alpha u = f u^p on compact manifolds with isometry actions."""
 
-from .best_constants import (
-    b0_circle_sphere,
-    b0_lower_general,
-    b0_quotient_sphere,
-    b0_sphere,
-    b0_transfer_principal,
-)
-from .conditions import (
-    ConditionReport,
-    ExistenceBound,
-    FProfile,
-    FRatioCheck,
-    GenericIneqParams,
-    GuaranteedInterval,
-    OrderingReport,
-    OrderingVerdict,
-    constant_f_intervals,
-    critical_interval,
-    energy_ordering_check,
-    example_interval,
-    existence_alpha_bound,
-    existence_threshold,
-    f_ratio_condition,
-    generic_interval,
-    invariant_interval,
-    minf_interval,
-)
-from .constants import ConstantBound, EquationParams, sobolev_constant, sphere_volume
-from .errors import ConvergenceError, PreconditionError
-from .expansion import (
-    ExpansionConfig,
-    ExpansionReport,
-    LogBranchReport,
-    density,
-    fit_and_compare,
-    log_branch_sign,
-    rayleigh_quotient,
-    test_function,
-)
-from .geometry import (
-    EXAMPLE_DEFAULTS,
-    EXAMPLE_IDS,
-    CircleSphereSphere,
-    CircleTimesSphere,
-    ExampleConfig,
-    GroupActionSpec,
-    OrbitVolumeLaplacian,
-    QuotientSphere,
-    Sphere,
-    example_configuration,
-    registry_rows,
-)
-from .jsonio import canonical_json, csv_text
-from .solver import (
-    BoundCheck,
-    ReducedProblem,
-    SeparationReport,
-    SolveConfig,
-    SolveReport,
-    circle_reduction,
-    constant_solution,
-    energy,
-    energy_separation,
-    el_residual,
-    minimize,
-    proof_chain_diagnostics,
-    quotient_gradient,
-    quotient_value,
-)
+from .errors import *
+from .constants import *
+from .geometry import *
+from .best_constants import *
+from .conditions import *
+from .solver import *
+from .expansion import *
+from .jsonio import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "PreconditionError",
-    "ConvergenceError",
-    # constants
-    "ConstantBound",
-    "EquationParams",
-    "sphere_volume",
-    "sobolev_constant",
-    # geometry
-    "Sphere",
-    "CircleTimesSphere",
-    "CircleSphereSphere",
-    "QuotientSphere",
-    "OrbitVolumeLaplacian",
-    "GroupActionSpec",
-    "ExampleConfig",
-    "EXAMPLE_IDS",
-    "EXAMPLE_DEFAULTS",
-    "example_configuration",
-    "registry_rows",
-    # best constants
-    "b0_sphere",
-    "b0_circle_sphere",
-    "b0_quotient_sphere",
-    "b0_lower_general",
-    "b0_transfer_principal",
-    # conditions
-    "FProfile",
-    "GenericIneqParams",
-    "ConditionReport",
-    "GuaranteedInterval",
-    "ExistenceBound",
-    "FRatioCheck",
-    "OrderingVerdict",
-    "OrderingReport",
-    "existence_threshold",
-    "existence_alpha_bound",
-    "generic_interval",
-    "critical_interval",
-    "invariant_interval",
-    "minf_interval",
-    "constant_f_intervals",
-    "energy_ordering_check",
-    "f_ratio_condition",
-    "example_interval",
-    # solver
-    "ReducedProblem",
-    "SolveConfig",
-    "SolveReport",
-    "BoundCheck",
-    "SeparationReport",
-    "circle_reduction",
-    "quotient_value",
-    "quotient_gradient",
-    "energy",
-    "el_residual",
-    "constant_solution",
-    "minimize",
-    "proof_chain_diagnostics",
-    "energy_separation",
-    # expansion
-    "ExpansionConfig",
-    "ExpansionReport",
-    "LogBranchReport",
-    "test_function",
-    "density",
-    "rayleigh_quotient",
-    "fit_and_compare",
-    "log_branch_sign",
-    # serialization
-    "canonical_json",
-    "csv_text",
-]
+__all__ = (
+    ["__version__"]
+    + errors.__all__
+    + constants.__all__
+    + geometry.__all__
+    + best_constants.__all__
+    + conditions.__all__
+    + solver.__all__
+    + expansion.__all__
+    + jsonio.__all__
+)

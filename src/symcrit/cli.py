@@ -12,7 +12,7 @@ import sys
 from ._lazy import lazy_import
 from .conditions import FProfile, example_interval
 from .errors import ConvergenceError, PreconditionError
-from .expansion import ExpansionConfig, fit_and_compare, log_branch_sign
+from .expansion import _EPS_COUNT, ExpansionConfig, fit_and_compare, log_branch_sign
 from .geometry import EXAMPLE_DEFAULTS, EXAMPLE_IDS, example_configuration
 from .jsonio import canonical_json, csv_text
 from .solver import ReducedProblem, SolveConfig, circle_reduction, minimize
@@ -37,6 +37,17 @@ _PARAM_FLAGS = (
     ("a1", int, "first rotation order"),
     ("a2", int, "second rotation order"),
 )
+_PARAM_NAMES = tuple(name for name, _, _ in _PARAM_FLAGS)
+
+# flags that set a config field with a default, each with the field it sets
+_SOLVE_CONFIG_FLAGS = {
+    "seed": "seed",
+    "max_descent": "descent_max_iter",
+    "max_newton": "newton_max_iter",
+    "descent_tol": "descent_tol",
+    "newton_tol": "newton_tol",
+}
+_EXPANSION_CONFIG_FLAGS = {"q": "vh_quadratic_coeff", "f_peak": "f_peak", "f_laplacian": "f_laplacian"}
 
 
 _INTERVAL_COLUMNS = ("lo", "hi", "lo_strict", "hi_strict", "empty", "count")
@@ -48,12 +59,17 @@ def _add_example_params(sub, required):
         sub.add_argument("--%s" % name, type=typ, default=None, help=help_text)
 
 
-def _collect_params(args):
-    return {
-        name: getattr(args, name)
-        for name, _, _ in _PARAM_FLAGS
-        if getattr(args, name) is not None
-    }
+def _collect_params(args, names=_PARAM_NAMES):
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _config_fields(args, flags):
+    return {flags[name]: value for name, value in _collect_params(args, flags).items()}
+
+
+def _refuse(parser, args, names, reason):
+    for name in _collect_params(args, names):
+        parser.error("--%s %s" % (name.replace("_", "-"), reason))
 
 
 def _profile_from_args(parser, args):
@@ -83,12 +99,13 @@ def _cmd_interval(parser, args):
         print(csv_text(["example", *_INTERVAL_COLUMNS], [row]))
     else:
         cfg = example_configuration(args.example, **_collect_params(args))
-        print(canonical_json({"example": args.example, "inputs": cfg.inputs, "interval": interval.to_json()}))
+        print(canonical_json({"example": args.example, "inputs": cfg.inputs, "interval": interval}))
     return 0
 
 
 def _cmd_solve(parser, args):
     if args.example is not None:
+        _refuse(parser, args, ("length", "p", "weight", "orbit_volume"), "is not allowed with --example")
         if args.index is None:
             parser.error("--index is required with --example")
         cfg = example_configuration(args.example, **_collect_params(args))
@@ -100,69 +117,60 @@ def _cmd_solve(parser, args):
             f_samples=np.full(args.grid, args.f_value),
         )
     else:
+        _refuse(parser, args, ("index", *_PARAM_NAMES), "requires --example")
         if args.length is None or args.p is None:
             parser.error("either --example or both --length and --p are required")
         problem = ReducedProblem(
             length=args.length,
-            weight=args.weight,
+            weight=1.0 if args.weight is None else args.weight,
             alpha=args.alpha,
             p=args.p,
             f_samples=np.full(args.grid, args.f_value),
             orbit_volume=args.orbit_volume,
         )
-    kwargs = {}
+    config = _config_fields(args, _SOLVE_CONFIG_FLAGS)
     if args.starts is not None:
-        kwargs["starts"] = tuple(s for s in args.starts.split(",") if s)
-    config = SolveConfig(
-        seed=args.seed,
-        descent_max_iter=args.max_descent,
-        descent_tol=args.descent_tol,
-        newton_max_iter=args.max_newton,
-        newton_tol=args.newton_tol,
-        **kwargs,
-    )
-    report = minimize(problem, config)
+        config["starts"] = tuple(s for s in args.starts.split(",") if s)
+    report = minimize(problem, SolveConfig(**config))
     print(canonical_json(report.to_json(include_profile=args.profile)))
     return 0
 
 
 def _cmd_expansion(parser, args):
+    fields = _config_fields(args, _EXPANSION_CONFIG_FLAGS)
     if args.eps_min is not None or args.eps_max is not None:
         if args.eps_min is None or args.eps_max is None:
             parser.error("--eps-min and --eps-max must be given together")
-        if args.eps_count < 1:
-            raise PreconditionError("--eps-count must be at least 1, got %d" % args.eps_count)
-        epsilons = tuple(np.geomspace(args.eps_max, args.eps_min, args.eps_count))
-    else:
-        epsilons = ()
+        count = _EPS_COUNT if args.eps_count is None else args.eps_count
+        if count < 1:
+            raise PreconditionError("--eps-count must be at least 1, got %d" % count)
+        fields["epsilons"] = tuple(np.geomspace(args.eps_max, args.eps_min, count))
+    elif args.eps_count is not None:
+        parser.error("--eps-count requires --eps-min and --eps-max")
     config = ExpansionConfig(
         dim=args.dim,
         delta=args.delta,
         alpha=args.alpha,
         orbit_volume=args.orbit_volume,
-        vh_quadratic_coeff=args.q,
         curvature=args.curvature,
-        f_peak=args.f_peak,
-        f_laplacian=args.f_laplacian,
-        epsilons=epsilons,
+        **fields,
     )
     report = log_branch_sign(config) if args.dim == 4 else fit_and_compare(config)
-    print(canonical_json(report.to_json()))
+    print(canonical_json(report))
     return 0
 
 
 def _cmd_table(parser, args):
     ids = [args.example] if args.example else list(EXAMPLE_IDS)
     rows = []
-    names = [name for name, _, _ in _PARAM_FLAGS]
     for ex in ids:
         interval = example_interval(ex)
         rows.append(
             [ex]
-            + [EXAMPLE_DEFAULTS[ex].get(name) for name in names]
+            + [EXAMPLE_DEFAULTS[ex].get(name) for name in _PARAM_NAMES]
             + [getattr(interval, c) for c in _INTERVAL_COLUMNS]
         )
-    header = ["example", *names, *_INTERVAL_COLUMNS]
+    header = ["example", *_PARAM_NAMES, *_INTERVAL_COLUMNS]
     if args.format == "json":
         payload = [dict(zip(header, row)) for row in rows]
         print(canonical_json(payload))
@@ -189,21 +197,21 @@ def build_parser():
     _add_example_params(p_solve, required=False)
     p_solve.add_argument("--index", type=int, choices=(1, 2), default=None)
     p_solve.add_argument("--length", type=float, default=None)
-    p_solve.add_argument("--weight", type=float, default=1.0)
+    p_solve.add_argument("--weight", type=float, default=None)
     p_solve.add_argument("--p", type=float, default=None)
     p_solve.add_argument("--alpha", type=float, required=True)
     p_solve.add_argument("--grid", type=int, default=256)
     p_solve.add_argument("--f-value", type=float, default=1.0)
     p_solve.add_argument("--orbit-volume", type=float, default=None)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=int, default=None)
     p_solve.add_argument(
         "--starts", type=str, default=None,
-        help="comma-separated start labels (default: constant,cos1,cos2,cos3,random)",
+        help="comma-separated start labels (default: %s)" % ",".join(SolveConfig.starts),
     )
-    p_solve.add_argument("--max-descent", type=int, default=2000)
-    p_solve.add_argument("--max-newton", type=int, default=50)
-    p_solve.add_argument("--descent-tol", type=float, default=1e-6)
-    p_solve.add_argument("--newton-tol", type=float, default=1e-10)
+    p_solve.add_argument("--max-descent", type=int, default=None)
+    p_solve.add_argument("--max-newton", type=int, default=None)
+    p_solve.add_argument("--descent-tol", type=float, default=None)
+    p_solve.add_argument("--newton-tol", type=float, default=None)
     p_solve.add_argument("--profile", action="store_true", help="include the solution samples")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -212,13 +220,13 @@ def build_parser():
     p_exp.add_argument("--delta", type=float, required=True)
     p_exp.add_argument("--alpha", type=float, required=True)
     p_exp.add_argument("--orbit-volume", type=float, required=True)
-    p_exp.add_argument("--q", type=float, default=0.0, help="relative orbit-volume decay")
+    p_exp.add_argument("--q", type=float, default=None, help="relative orbit-volume decay")
     p_exp.add_argument("--curvature", type=float, default=None)
-    p_exp.add_argument("--f-peak", type=float, default=1.0)
-    p_exp.add_argument("--f-laplacian", type=float, default=0.0)
+    p_exp.add_argument("--f-peak", type=float, default=None)
+    p_exp.add_argument("--f-laplacian", type=float, default=None)
     p_exp.add_argument("--eps-min", type=float, default=None)
     p_exp.add_argument("--eps-max", type=float, default=None)
-    p_exp.add_argument("--eps-count", type=int, default=7)
+    p_exp.add_argument("--eps-count", type=int, default=None)
     p_exp.set_defaults(func=_cmd_expansion)
 
     p_table = sub.add_parser("table", help="intervals of all packaged examples at defaults")

@@ -171,7 +171,7 @@ class GuaranteedInterval:
             "hi_strict": self.hi_strict,
             "empty": self.empty,
             "count": self.count,
-            "conditions": [c.to_json() for c in self.conditions],
+            "conditions": list(self.conditions),
         }
 
 
@@ -420,15 +420,6 @@ class OrderingVerdict:
     rhs: float | None
     separated: bool | None
 
-    def to_json(self):
-        return {
-            "small": self.small,
-            "large": self.large,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "separated": self.separated,
-        }
-
 
 @dataclass(frozen=True)
 class OrderingReport:
@@ -438,9 +429,6 @@ class OrderingReport:
     @property
     def all_separated(self):
         return all(v.separated for v in self.pairs)
-
-    def to_json(self):
-        return {"alpha": self.alpha, "pairs": [v.to_json() for v in self.pairs]}
 
 
 def energy_ordering_check(params, groups, alpha, bound_ambient, volume, f=None):
@@ -507,9 +495,6 @@ class FRatioCheck:
     lhs: float
     rhs: float
     holds: bool
-
-    def to_json(self):
-        return {"example": self.example, "lhs": self.lhs, "rhs": self.rhs, "holds": self.holds}
 
 
 def f_ratio_condition(example, f, **params):

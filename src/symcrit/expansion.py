@@ -47,6 +47,7 @@ np = lazy_import("numpy")
 _GAUSS_NODES = 20  # Gauss-Legendre points per panel
 _GRADING = 3.0  # width ratio of neighbouring panels
 _RIGHT_PANELS = 8  # panels shrinking toward the upper endpoint
+_EPS_COUNT = 7  # eps samples when none are given
 
 
 def test_function(eps, delta, dim, r):
@@ -99,7 +100,7 @@ class ExpansionConfig:
             if math.sqrt(self.curvature) * self.delta >= math.pi:
                 raise PreconditionError("delta exceeds the injectivity scale of the curvature")
         if not self.epsilons:
-            eps = tuple(np.geomspace(1e-3 * d2, 1e-6 * d2, 7))
+            eps = tuple(np.geomspace(1e-3 * d2, 1e-6 * d2, _EPS_COUNT))
             object.__setattr__(self, "epsilons", eps)
         eps = tuple(float(e) for e in self.epsilons)
         if any(not (math.isfinite(e) and e > 0.0) for e in eps):

@@ -38,6 +38,7 @@ from .best_constants import (
 )
 from .constants import EquationParams, sobolev_constant, sphere_volume
 from .errors import PreconditionError
+from .jsonio import clean
 
 __all__ = [
     "Sphere",
@@ -232,17 +233,6 @@ class GroupActionSpec:
         if not math.isfinite(self.quotient_scal_lower):
             raise PreconditionError("quotient scalar curvature bound must be finite")
 
-    def to_json(self):
-        return {
-            "name": self.name,
-            "k": self.k,
-            "orbit_volume": self.orbit_volume,
-            "hypothesis": self.hypothesis,
-            "quotient_scal_lower": self.quotient_scal_lower,
-            "principal_constant_volume": self.principal_constant_volume,
-            "vh_laplacian": self.vh_laplacian.to_json(),
-        }
-
 
 def oneill_scal_lower(total_dim, k, sect_lower):
     """Scalar curvature lower bound for the base of a Riemannian submersion.
@@ -299,12 +289,12 @@ class ExampleConfig:
     def to_json(self):
         return {
             "example": self.example,
-            "manifold": self.manifold.to_json(),
+            "manifold": self.manifold,
             "n": self.params.n,
             "k": self.params.k,
             "volume": self.volume,
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
+            "first": self.first,
+            "second": self.second,
             "inputs": dict(self.inputs),
         }
 
@@ -590,4 +580,4 @@ def example_configuration(example, **params):
 
 def registry_rows():
     """JSON-serializable description of every packaged example at defaults."""
-    return [example_configuration(ex).to_json() for ex in EXAMPLE_IDS]
+    return clean([example_configuration(ex) for ex in EXAMPLE_IDS])

@@ -1,11 +1,14 @@
-"""Stable serialization helpers for the command line interface.
+"""Stable serialization of symcrit's records.
 
 JSON output is canonical: keys sorted, two-space indent, non-finite
-floats replaced by None before encoding.  Parsing a canonical string
-and re-encoding it reproduces it byte for byte.  CSV output always
-uses '.' as the decimal separator via Python float repr.
+floats replaced by None before encoding.  A record becomes JSON through
+its to_json method when it has one, else as the dict of its dataclass
+fields.  Parsing a canonical string and re-encoding it reproduces it
+byte for byte.  CSV output always uses '.' as the decimal separator via
+Python float repr.
 """
 
+import dataclasses
 import json
 import math
 
@@ -13,7 +16,7 @@ __all__ = ["canonical_json", "clean", "csv_text"]
 
 
 def clean(obj):
-    """Recursively replace non-finite floats by None for JSON transport."""
+    """JSON-ready copy of obj: non-finite floats become None, records dicts."""
     if type(obj).__module__ == "numpy":
         obj = obj.item()
     if isinstance(obj, float):
@@ -22,6 +25,10 @@ def clean(obj):
         return {k: clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [clean(v) for v in obj]
+    if hasattr(obj, "to_json"):
+        return clean(obj.to_json())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: clean(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 

@@ -243,14 +243,14 @@ def _lap(u, h):
 
 
 def quotient_gradient(problem, u):
-    """Gradient of quotient_value with respect to the nodal values."""
-    u = np.asarray(u, dtype=float)
-    h, w, q = problem.h, problem.weight, problem.two_sharp
-    den = energy(problem, u)
-    num = _dirichlet(problem, u) + problem.alpha * _mass2(problem, u)
-    gnum = 2.0 * w * h * (-_lap(u, h) + problem.alpha * u)
-    gden = q * w * h * problem.f_samples * np.abs(u) ** (q - 2.0) * u
-    return (gnum - (2.0 / q) * (num / den) * gden) / den ** (2.0 / q)
+    """Gradient of quotient_value with respect to the nodal values.
+
+    Q is scale-invariant, so grad Q(x) = s grad Q(s x), with s x the
+    unit-energy point where the descent's _evaluate works.
+    """
+    x = np.asarray(u, dtype=float)
+    g = _evaluate(problem, x)[2]
+    return energy(problem, x) ** (-1.0 / problem.two_sharp) * g
 
 
 def el_residual(problem, u):
@@ -305,7 +305,7 @@ class SolveReport:
 
     def to_json(self, include_profile=False):
         d = {
-            "problem": self.problem.to_json(),
+            "problem": self.problem,
             "quotient_value": self.quotient_value,
             "energy": self.energy,
             "el_residual": self.el_residual,
@@ -549,15 +549,6 @@ class BoundCheck:
     value: float | None = None
     holds: bool | None = None
 
-    def to_json(self):
-        return {
-            "label": self.label,
-            "status": self.status,
-            "bound": self.bound,
-            "value": self.value,
-            "holds": self.holds,
-        }
-
 
 def proof_chain_diagnostics(report, ineq=None, rel_slack=1e-9):
     """A-priori mass bounds the solution must satisfy.
@@ -619,17 +610,6 @@ class SeparationReport:
     lower: str | None
     a_below_threshold: bool | None
     b_below_threshold: bool | None
-
-    def to_json(self):
-        return {
-            "energy_a": self.energy_a,
-            "energy_b": self.energy_b,
-            "rel_gap": self.rel_gap,
-            "distinct": self.distinct,
-            "lower": self.lower,
-            "a_below_threshold": self.a_below_threshold,
-            "b_below_threshold": self.b_below_threshold,
-        }
 
 
 def energy_separation(a, b, rel_tol=1e-10):

@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from symcrit import canonical_json, csv_text
+from symcrit import (
+    ExpansionConfig,
+    SolveConfig,
+    canonical_json,
+    cli,
+    constant_solution,
+    csv_text,
+    fit_and_compare,
+)
 from symcrit.cli import main
 
 
@@ -183,6 +191,36 @@ def test_solve_requires_a_problem(capsys):
     assert main(["solve", "--alpha", "1.0"]) == 1
     assert main(["solve", "--example", "hopf", "--alpha", "1.0"]) == 1  # no index
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve", "--example", "cylinder-triple", "--index", "1", "--alpha", "2.18", "--grid", "128",
+          "--p", "3", "--length", "1", "--orbit-volume", "5"], "--length"),
+        (["solve", "--length", "6.283", "--p", "5", "--alpha", "0.3", "--grid", "128",
+          "--n", "7", "--t", "3", "--index", "2"], "--index"),
+        (["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0",
+          "--eps-count", "3"], "--eps-count"),
+        (["solve", "--example", "hopf", "--index", "1", "--alpha", "1.0", "--weight", "2"], "--weight"),
+        (["solve", "--length", "6.283", "--p", "5", "--alpha", "0.3", "--a1", "3"], "--a1"),
+    ],
+    ids=["example-with-direct-flags", "direct-with-example-flags", "lone-eps-count",
+         "example-with-weight", "direct-with-a1"],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_unset_flags_leave_the_config_defaults(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "minimize", lambda problem, config: seen.append(config) or constant_solution(problem))
+    monkeypatch.setattr(cli, "fit_and_compare", lambda config: seen.append(config) or fit_and_compare(config))
+    assert main(["solve", "--length", "6.283", "--p", "5", "--alpha", "0.3", "--grid", "64"]) == 0
+    assert main(["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0"]) == 0
+    capsys.readouterr()
+    assert seen == [SolveConfig(), ExpansionConfig(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0)]
 
 
 def test_expansion_branches(capsys):

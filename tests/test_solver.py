@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import quotient_oracle
 import sparse_newton
 
 from symcrit import (
@@ -77,10 +78,28 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
         x = float(rng.uniform(0.1, 10.0)) * rng.uniform(0.5, 2.0, m)
         u, q, g = solver._evaluate(problem, x)
         normalized = x / energy(problem, x) ** (1.0 / problem.two_sharp)
-        g_ref = quotient_gradient(problem, normalized)
+        g_ref = quotient_oracle.quotient_gradient(problem, normalized)
         assert float(np.max(np.abs(u - normalized))) <= 1e-13 * float(np.max(normalized))
         assert q == pytest.approx(quotient_value(problem, normalized), rel=1e-13)
         assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
+
+
+@pytest.mark.parametrize("m", [64, 97, 1024, 4096])
+@pytest.mark.parametrize("p", [5.0, 3.0, 5.0 / 3.0, 7.0 / 3.0])
+def test_quotient_gradient_is_the_scaled_fused_gradient(m, p):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        problem = ReducedProblem(
+            length=float(rng.uniform(3.0, 20.0)),
+            weight=float(rng.uniform(0.5, 3.0)),
+            alpha=float(rng.uniform(0.1, 2.0)),
+            p=p,
+            f_samples=rng.uniform(0.5, 2.0, m),
+        )
+        x = float(rng.uniform(0.01, 100.0)) * rng.uniform(0.5, 2.0, m)
+        g = quotient_gradient(problem, x)
+        g_ref = quotient_oracle.quotient_gradient(problem, x)
+        assert float(np.max(np.abs(g - g_ref))) <= 1e-14 * float(np.max(np.abs(g_ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +231,11 @@ def test_quotient_rejects_vanishing_denominator():
     problem = _problem(m=64)
     with pytest.raises(PreconditionError):
         quotient_value(problem, np.zeros(64))
+
+
+def test_quotient_gradient_rejects_vanishing_denominator():
+    with pytest.raises(PreconditionError):
+        quotient_gradient(_problem(m=64), np.zeros(64))
 
 
 # ---------------------------------------------------------------------------
