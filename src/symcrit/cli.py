@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 violated precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ._lazy import lazy_import
@@ -191,7 +192,7 @@ def build_parser():
     p_int.add_argument("--f-laplacian", type=float, default=None)
     p_int.add_argument("--f-vanishing-order", type=float, default=None)
     p_int.add_argument("--format", choices=("json", "csv"), default="json")
-    p_int.set_defaults(func=_cmd_interval)
+    p_int.set_defaults(func=functools.partial(_cmd_interval, p_int))
 
     p_solve = sub.add_parser("solve", help="minimize the circle-reduced quotient")
     _add_example_params(p_solve, required=False)
@@ -213,7 +214,7 @@ def build_parser():
     p_solve.add_argument("--descent-tol", type=float, default=None)
     p_solve.add_argument("--newton-tol", type=float, default=None)
     p_solve.add_argument("--profile", action="store_true", help="include the solution samples")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=functools.partial(_cmd_solve, p_solve))
 
     p_exp = sub.add_parser("expansion", help="concentration expansion of the quotient")
     p_exp.add_argument("--dim", type=int, required=True)
@@ -227,12 +228,12 @@ def build_parser():
     p_exp.add_argument("--eps-min", type=float, default=None)
     p_exp.add_argument("--eps-max", type=float, default=None)
     p_exp.add_argument("--eps-count", type=int, default=None)
-    p_exp.set_defaults(func=_cmd_expansion)
+    p_exp.set_defaults(func=functools.partial(_cmd_expansion, p_exp))
 
     p_table = sub.add_parser("table", help="intervals of all packaged examples at defaults")
     p_table.add_argument("--example", choices=EXAMPLE_IDS, default=None)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.set_defaults(func=_cmd_table)
+    p_table.set_defaults(func=functools.partial(_cmd_table, p_table))
 
     return parser
 
@@ -241,7 +242,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(parser, args)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     except PreconditionError as exc:

@@ -560,6 +560,11 @@ EXAMPLE_DEFAULTS = {ex: dict(record.defaults) for ex, record in _EXAMPLES.items(
 
 def example_configuration(example, **params):
     """Build one packaged configuration; parameters default per EXAMPLE_DEFAULTS."""
+    if not isinstance(example, str):
+        raise PreconditionError(
+            "example must be an example id (one of: %s), got a %s"
+            % (", ".join(EXAMPLE_IDS), type(example).__name__)
+        )
     if example not in _EXAMPLES:
         raise PreconditionError(
             "unknown example %r; available: %s" % (example, ", ".join(EXAMPLE_IDS))

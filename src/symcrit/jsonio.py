@@ -18,7 +18,7 @@ __all__ = ["canonical_json", "clean", "csv_text"]
 def clean(obj):
     """JSON-ready copy of obj: non-finite floats become None, records dicts."""
     if type(obj).__module__ == "numpy":
-        obj = obj.item()
+        obj = obj.tolist()  # a Python scalar, or nested lists for an array
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):

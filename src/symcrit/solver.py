@@ -17,6 +17,11 @@ Euler-Lagrange system of this discrete functional has the standard
 3-point Laplacian, so the identity  energy = Q^{N/2}  with
 N = 2 (p+1)/(p-1) survives discretization exactly.
 
+The descent takes its gradient in the H^1 inner product
+<(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
+iteration count does not grow with m; one real FFT pair applies the
+inverse of that circulant operator.
+
 Each Newton step solves with the cyclic tridiagonal Jacobian J.  In the
 node order 0, m-1, 1, m-2, ... J has bandwidth 2, so one LAPACK band LU
 with partial pivoting (gbtrf) factors it.  With constant f, J is
@@ -372,32 +377,49 @@ def _evaluate(problem, x):
 
 
 def _descend(problem, u, config):
-    """Projected gradient descent on Q with BB steps and backtracking."""
+    """Projected H^1 gradient descent on Q with BB steps and backtracking.
+
+    The direction is the gradient in the inner product <P ., .> with
+    P = -Delta_h + alpha, the one Q's numerator defines: d = P^{-1} g.
+    The cyclic Laplacian is circulant, so P^{-1} is one real FFT pair
+    times fixed symbols, and the iteration count no longer grows with
+    the conditioning of -Delta_h, O(m^2) (Neuberger 1997).  The
+    Barzilai-Borwein step |<du, dg>| / <dg, dd> is taken in the same
+    metric (Barzilai & Borwein 1988).  The stopping test is on g itself.
+    """
     floor = config.positivity_floor
+    m, h = problem.m, problem.h
+    sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
+    symbol = 1.0 / ((4.0 / (h * h)) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
+
+    def precondition(g):
+        return np.fft.irfft(np.fft.rfft(g) * symbol, m)
+
     u, qv, g = _evaluate(problem, np.maximum(u, floor))
+    d = precondition(g)
     step = 1.0
-    u_prev = g_prev = None
-    scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
+    u_prev = g_prev = d_prev = None
+    scale = 2.0 * problem.weight * h  # gradient per unit EL residual
     for _ in range(config.descent_max_iter):
         if float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, qv):
             break
         if u_prev is not None:
-            dz = u - u_prev
             dg = g - g_prev
-            denom = float(np.dot(dg, dg))
-            step = abs(float(np.dot(dz, dg))) / denom if denom > 0.0 else 1.0
+            denom = float(np.dot(dg, d - d_prev))
+            step = abs(float(np.dot(u - u_prev, dg))) / denom if denom > 0.0 else 1.0
             step = min(max(step, 1e-12), 1e3)
-        gnorm2 = float(np.dot(g, g))
+        slope = float(np.dot(g, d))
         trial_step = step
         for _ in range(30):
-            cand, q_cand, g_cand = _evaluate(problem, np.maximum(u - trial_step * g, floor))
-            if q_cand <= qv - 1e-4 * trial_step * gnorm2:
+            cand, q_cand, g_cand = _evaluate(problem, np.maximum(u - trial_step * d, floor))
+            if q_cand <= qv - 1e-4 * trial_step * slope:
                 break
             trial_step *= 0.5
         else:
             break  # no descent direction left at this resolution
-        u_prev, g_prev = u, g
+        u_prev, g_prev, d_prev = u, g, d
         u, qv, g = cand, q_cand, g_cand
+        d = precondition(g)
     return u
 
 
@@ -482,13 +504,18 @@ def _newton_step(problem, v, r):
 def _newton(problem, v, config):
     """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step.
 
-    A zero pivot or a non-finite step ends the iteration unconverged.
+    A zero pivot or a non-finite step ends the iteration unconverged,
+    and so do two consecutive steps accepted only with theta < 1/8:
+    such a start sits by a saddle whose null modes the border does not
+    remove (e.g. the relative positions of several bumps), where damped
+    Newton would grind to its cap.
     """
     floor = config.positivity_floor
     v = np.maximum(v, floor)
     r = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
+    short_steps = 0
     for iters in range(1, config.newton_max_iter + 1):
         if rn <= config.newton_tol:
             return v, iters - 1, rn, True
@@ -506,6 +533,9 @@ def _newton(problem, v, config):
             theta *= 0.5
         else:
             return v, iters, rn, False
+        short_steps = short_steps + 1 if theta < 0.125 else 0
+        if short_steps == 2:
+            return v, iters, rn, rn <= config.newton_tol
     return v, iters, rn, rn <= config.newton_tol
 
 

@@ -213,6 +213,22 @@ def test_flags_that_would_be_ignored_are_usage_errors(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "--example", "hopf", "--f-max", "2.0"],
+        ["solve", "--alpha", "1.0"],
+        ["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0",
+         "--eps-max", "1e-4"],
+        ["table", "--format", "xml"],
+    ],
+    ids=["interval", "solve", "expansion", "table"],
+)
+def test_usage_errors_print_the_subcommand_usage(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: symcrit %s " % argv[0])
+
+
 def test_unset_flags_leave_the_config_defaults(monkeypatch, capsys):
     seen = []
     monkeypatch.setattr(cli, "minimize", lambda problem, config: seen.append(config) or constant_solution(problem))
@@ -243,6 +259,7 @@ def test_expansion_branches(capsys):
 def test_canonical_json_handles_special_values():
     assert canonical_json({"x": math.inf}) == '{\n  "x": null\n}'
     assert canonical_json({"v": np.float64(1.5)}) == '{\n  "v": 1.5\n}'
+    assert json.loads(canonical_json({"u": np.array([1.5, np.nan, -np.inf])})) == {"u": [1.5, None, None]}
     text = canonical_json({"b": 2.0, "a": [1, {"z": None}]})
     assert json.loads(text) == {"b": 2.0, "a": [1, {"z": None}]}
     assert canonical_json(json.loads(text)) == text

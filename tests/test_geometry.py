@@ -12,6 +12,7 @@ from symcrit import (
     Sphere,
     canonical_json,
     example_configuration,
+    example_interval,
     registry_rows,
     sphere_volume,
 )
@@ -138,6 +139,16 @@ def test_unknown_example_and_extra_params():
     with pytest.raises(PreconditionError) as err:
         example_configuration("hopf", n=4)
     assert "does not take" in str(err.value)
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval])
+@pytest.mark.parametrize(
+    "example", [example_configuration("hopf"), {"example": "hopf"}], ids=["config", "dict"]
+)
+def test_example_must_be_given_by_its_id(build, example):
+    with pytest.raises(PreconditionError) as err:
+        build(example)
+    assert "example id" in str(err.value) and "hopf" in str(err.value)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -363,6 +363,41 @@ def test_energy_separation_rejects_mismatched_equations():
 
 
 # ---------------------------------------------------------------------------
+# iteration counts of the descent and of Newton
+
+
+@pytest.mark.parametrize("alpha", [0.2462, 0.2525])
+def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha):
+    # the Euclidean descent ran into its 2000-iteration cap here (2155 and
+    # 2124 evaluations); the H^1 direction meets the stopping test early
+    problem = _problem(alpha=alpha)
+    config = SolveConfig(starts=("cos1",))
+    (_, u0), = solver._starts(problem, config)
+    calls = []
+    evaluate = solver._evaluate
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
+    u = solver._descend(problem, u0, config)
+    assert len(calls) <= 100 < config.descent_max_iter
+    _, q, g = evaluate(problem, u)
+    scale = 2.0 * problem.weight * problem.h
+    assert float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, q)
+
+
+def test_newton_leaves_a_stagnating_saddle_start_early():
+    # cos3 descends to near the symmetric three-bump saddle, whose relative
+    # bump positions are null modes of J besides the bordered translation
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
+    config = SolveConfig()
+    u0 = dict(solver._starts(problem, config))["cos3"]
+    _, _, iters, _, ok = solver._solve_one(problem, "cos3", u0, config)
+    assert not ok and iters <= 5
+    report = minimize(problem, config)
+    assert report.classification == "nonconstant"
+    assert report.quotient_value == pytest.approx(19.01756946164605, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
 # convergence failure carries the best partial result
 
 

@@ -150,15 +150,19 @@ def test_record_json_round_trips_byte_for_byte(record):
     st.floats(allow_nan=True, allow_infinity=True),
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
 )
-def test_reports_with_any_floats_round_trip(bound, value, holds):
+def test_reports_with_any_floats_round_trip(bound, value, holds, samples):
+    u = np.array(samples, dtype=float)
     record = [
         BoundCheck("mass", "checked", bound, value, holds),
         ConditionReport("stay-below", "satisfied", value),
         SeparationReport(bound, value, math.nan, holds, None, holds, None),
+        {"u": u, "grid": u.reshape(-1, 1), "sum": u.sum(), "count": np.int64(u.size), "ok": np.bool_(holds)},
     ]
     text = canonical_json(record)
     assert canonical_json(json.loads(text)) == text
+    assert json.loads(text)[3]["u"] == [x if math.isfinite(x) else None for x in samples]
 
 
 # The dicts their hand-written to_json methods gave, before jsonio.clean
