@@ -204,7 +204,7 @@ def build_parser():
     p_solve.add_argument("--grid", type=int, default=256)
     p_solve.add_argument("--f-value", type=float, default=1.0)
     p_solve.add_argument("--orbit-volume", type=float, default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--seed", type=int, default=None, help="seed of the opt-in `random` start")
     p_solve.add_argument(
         "--starts", type=str, default=None,
         help="comma-separated start labels (default: %s)" % ",".join(SolveConfig.starts),

@@ -30,6 +30,12 @@ bordered with tau: a Schur complement (two band solves and one scalar),
 then one step of iterative refinement on the bordered residual, because
 block elimination alone loses accuracy as J approaches that singularity
 (Govaerts & Pryce 1990).
+
+Every report carries a second-order certificate: the Morse index of the
+solution, the number of negative eigenvalues of J, counted by Sturm
+bisection and one Schur complement (see _morse_counts).  A positive
+solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a constrained local
+minimizer of Q has index exactly 1; a larger index marks a saddle.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._lazy import lazy_import
 from .constants import _concentration_threshold
@@ -61,6 +68,21 @@ __all__ = [
 ]
 
 MIN_GRID = 64
+
+# Eigenvalues of J within ZERO_MODE_TOL * max(1, alpha) of 0 count as zero
+# modes.  J's low eigenvalues scale with alpha, because f v^{p-1} is of
+# order alpha at a solution; the Sturm count resolves eigenvalues to about
+# eps |J| = eps 4/h^2, under 1e-8 for h >= 4e-4, and a Newton residual of
+# 1e-10 moves them far less than the tolerance.  A coarse grid breaks the
+# translation symmetry of a constant-f problem: its translation eigenvalue
+# is 0.0175 at m = 512 on cylinder-triple and 1.3e-12 at m = 2048, so it
+# counts as a zero mode only on a resolving grid.
+ZERO_MODE_TOL = 1e-6
+
+# Converged starts whose quotients lie within this many ulps of the least
+# one, with the same classification, reached the same solution: starts that
+# converge to one solution differ by 0-3 ulps.
+TIE_ULPS = 4
 
 np = lazy_import("numpy")
 
@@ -146,8 +168,8 @@ class ReducedProblem:
 
 @dataclass(frozen=True)
 class SolveConfig:
-    seed: int = 0
-    starts: tuple = ("constant", "cos1", "cos2", "cos3", "random")
+    seed: int = 0  # of the opt-in "random" start
+    starts: tuple = ("constant", "cos1")
     descent_max_iter: int = 2000
     descent_tol: float = 1e-6
     newton_max_iter: int = 50
@@ -272,10 +294,46 @@ def _classify(u, tol):
     return "nonconstant" if (hi - lo) > tol * hi else "constant"
 
 
-def _report(problem, u, label, iters, config):
+def _morse_counts(problem, v):
+    """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f v^{p-1}).
+
+    The index counts eigenvalues of J below -tol, the zero modes those in
+    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  In node order
+    J is cyclic tridiagonal, J = [[T, w], [w', c]] with T plain
+    tridiagonal, and by Haynsworth's inertia additivity J - s has as many
+    negative eigenvalues as T - s, counted by Sturm bisection (dstebz),
+    plus one if the Schur complement c - s - w' (T - s)^{-1} w is negative
+    (one dgtsv solve).
+    """
+    from scipy.linalg.lapack import dgtsv, dstebz
+
+    m, h = problem.m, problem.h
+    off = -1.0 / (h * h)
+    diag = 2.0 / (h * h) + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
+    t, e = diag[:-1], np.full(m - 2, off)
+    w = np.zeros((m - 1, 1))
+    w[0, 0] = w[-1, 0] = off  # the corner J[0, m-1] and the subdiagonal J[m-2, m-1]
+
+    def below(shift):
+        # eigenvalues of T in (-inf, shift]; dstebz clips the interval to
+        # T's Gershgorin bounds, and the huge tolerance stops its bisection
+        # at the two Sturm counts
+        n = dstebz(t, e, 1, -math.inf, shift, 0, 0, 1e300, b"B")[0]
+        x, info = dgtsv(e, t - shift, e, w)[3:]
+        if info:  # shift is an eigenvalue of T to working precision: widen the band by 1 %
+            return below(1.01 * shift)
+        return n + int(diag[-1] - shift - off * (x[0, 0] + x[-1, 0]) < 0.0)
+
+    tol = ZERO_MODE_TOL * max(1.0, problem.alpha)
+    index = below(-tol)
+    return index, below(tol) - index
+
+
+def _report(problem, u, label, iters, config, winning_starts=(), descent_capped=()):
     u = np.asarray(u, dtype=float)
     q = quotient_value(problem, u)
     thr = problem.threshold
+    morse_index, zero_modes = _morse_counts(problem, u)
     return SolveReport(
         problem=problem,
         u=u,
@@ -287,11 +345,28 @@ def _report(problem, u, label, iters, config):
         start_label=label,
         threshold=thr,
         below_threshold=None if thr is None else q < thr,
+        winning_starts=winning_starts,
+        descent_capped=descent_capped,
+        morse_index=morse_index,
+        zero_modes=zero_modes,
     )
 
 
 @dataclass(eq=False)
 class SolveReport:
+    """One solution with how it was obtained and its Morse certificate.
+
+    winning_starts: the converged starts that reached this solution (same
+    classification, quotient within TIE_ULPS ulps of the least); the
+    earliest is start_label.  Empty for the closed form and for the best
+    partial result of a ConvergenceError.
+    descent_capped: the starts whose descent used all of descent_max_iter
+    without meeting its stopping test.
+    morse_index, zero_modes: eigenvalues of the Newton Jacobian J below
+    -tol and within [-tol, tol] (tol = ZERO_MODE_TOL * max(1, alpha)).
+    A minimizer of Q has index 1; a larger index marks a saddle.
+    """
+
     problem: ReducedProblem
     u: np.ndarray
     quotient_value: float
@@ -302,6 +377,10 @@ class SolveReport:
     start_label: str
     threshold: float | None
     below_threshold: bool | None
+    winning_starts: tuple
+    descent_capped: tuple
+    morse_index: int
+    zero_modes: int
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).copy()
@@ -319,6 +398,10 @@ class SolveReport:
             "start_label": self.start_label,
             "threshold": self.threshold,
             "below_threshold": self.below_threshold,
+            "winning_starts": self.winning_starts,
+            "descent_capped": self.descent_capped,
+            "morse_index": self.morse_index,
+            "zero_modes": self.zero_modes,
         }
         if include_profile:
             d["s"] = list(self.problem.grid())
@@ -386,6 +469,9 @@ def _descend(problem, u, config):
     the conditioning of -Delta_h, O(m^2) (Neuberger 1997).  The
     Barzilai-Borwein step |<du, dg>| / <dg, dd> is taken in the same
     metric (Barzilai & Borwein 1988).  The stopping test is on g itself.
+
+    Returns the last iterate and whether the descent used all of
+    descent_max_iter without meeting its stopping test.
     """
     floor = config.positivity_floor
     m, h = problem.m, problem.h
@@ -400,9 +486,13 @@ def _descend(problem, u, config):
     step = 1.0
     u_prev = g_prev = d_prev = None
     scale = 2.0 * problem.weight * h  # gradient per unit EL residual
+
+    def stationary():
+        return float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, qv)
+
     for _ in range(config.descent_max_iter):
-        if float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, qv):
-            break
+        if stationary():
+            return u, False
         if u_prev is not None:
             dg = g - g_prev
             denom = float(np.dot(dg, d - d_prev))
@@ -416,11 +506,11 @@ def _descend(problem, u, config):
                 break
             trial_step *= 0.5
         else:
-            break  # no descent direction left at this resolution
+            return u, False  # no descent direction left at this resolution
         u_prev, g_prev, d_prev = u, g, d
         u, qv, g = cand, q_cand, g_cand
         d = precondition(g)
-    return u
+    return u, not stationary()
 
 
 def _fold_order(m):
@@ -539,36 +629,54 @@ def _newton(problem, v, config):
     return v, iters, rn, rn <= config.newton_tol
 
 
+class _StartResult(NamedTuple):
+    label: str
+    v: np.ndarray
+    iters: int
+    residual: float
+    converged: bool
+    descent_capped: bool
+
+
 def _solve_one(problem, label, u0, config):
-    u = _descend(problem, u0, config)
+    u, capped = _descend(problem, u0, config)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = _newton(problem, v, config)
-    return label, v, iters, rn, ok
+    return _StartResult(label, v, iters, rn, ok, capped)
 
 
 def minimize(problem, config=None):
     """Multi-start minimization of the quotient; returns the best solution.
+
+    The converged start with the least quotient wins.  Starts that reached
+    the same solution (same classification, quotient within TIE_ULPS ulps)
+    are reported as winning_starts, and the earliest of them gives the
+    report, so rounding noise between them does not pick the label.
 
     Raises ConvergenceError (with the best partial result attached as
     .best) when no start reaches the Newton tolerance.
     """
     config = config or SolveConfig()
     results = [_solve_one(problem, label, u0, config) for label, u0 in _starts(problem, config)]
-    converged = [(label, v, iters) for label, v, iters, rn, ok in results if ok]
+    capped = tuple(r.label for r in results if r.descent_capped)
+    converged = [r for r in results if r.converged]
     if not converged:
-        label, v, iters, rn, _ = min(results, key=lambda r: r[3])
-        best = _report(problem, v, label, iters, config)
+        best = min(results, key=lambda r: r.residual)
         raise ConvergenceError(
-            "no start reached the Newton tolerance (best residual %.3e from %r)" % (rn, label),
-            best=best,
+            "no start reached the Newton tolerance (best residual %.3e from %r)"
+            % (best.residual, best.label),
+            best=_report(problem, best.v, best.label, best.iters, config, descent_capped=capped),
         )
-    # deterministic pick: smallest quotient, ties to the earlier start
     scored = [
-        (quotient_value(problem, v), idx, label, v, iters)
-        for idx, (label, v, iters) in enumerate(converged)
+        (quotient_value(problem, r.v), _classify(r.v, config.oscillation_tol), r) for r in converged
     ]
-    _, _, label, v, iters = min(scored, key=lambda r: (r[0], r[1]))
-    return _report(problem, v, label, iters, config)
+    q_min, kind, _ = min(scored, key=lambda s: s[0])  # the first of equal minima
+    tied = [r for q, c, r in scored if c == kind and q - q_min <= TIE_ULPS * math.ulp(q_min)]
+    first = tied[0]
+    return _report(
+        problem, first.v, first.label, first.iters, config,
+        winning_starts=tuple(r.label for r in tied), descent_capped=capped,
+    )
 
 
 @dataclass(frozen=True)

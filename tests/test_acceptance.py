@@ -280,6 +280,16 @@ def test_c5_solver_recovery_identity_gradient_bifurcation(sweep_runs, recovery_r
     boundary = 0.5 * float(SWEEP_ALPHAS[first - 1] + SWEEP_ALPHAS[first])
     assert abs(boundary - 0.25) <= step
 
+    # (e) second-order certificate: every winner has Morse index 1, and the
+    # constant solution's index goes from 1 to 3 as alpha crosses
+    # lambda_1,h / (p - 1), where the one-bump branch bifurcates from it
+    h = 2.0 * math.pi / 96
+    crossing = (4.0 / (h * h)) * math.sin(math.pi / 96) ** 2 / 4.0
+    for rep in sweep_runs["runs"] + [recovered]:
+        assert rep.morse_index == 1
+    for rep in sweep_runs["runs"]:
+        assert constant_solution(rep.problem).morse_index == (1 if rep.problem.alpha < crossing else 3)
+
     total = sweep_runs["elapsed"] + recovery_run["elapsed"] + (time.perf_counter() - t0)
     assert total < 10.0
 
@@ -320,6 +330,7 @@ def test_c6_energy_ordering_and_threshold(triple_runs):
     assert first.quotient_value < first.threshold
     for rep in (first, second):
         assert rep.energy == pytest.approx(rep.quotient_value**2.5, rel=1e-8)
+        assert rep.morse_index == 1  # a minimizer, not a saddle
 
     assert triple_runs["elapsed"] + (time.perf_counter() - t0) < 30.0
 

@@ -293,7 +293,8 @@ def _cold_run(argv):
     result = json.loads(proc.stdout)
     assert result["code"] == 0
     modules = set(result["modules"])
-    # scipy.linalg is imported by the Newton step only
+    # scipy.linalg is imported by the solver only: the Newton step and the
+    # Morse count of the report
     return modules, "scipy.linalg" in modules
 
 
@@ -317,23 +318,23 @@ def test_interval_and_table_load_neither_numpy_nor_scipy(argv):
 
 
 def test_solve_loads_no_quadrature():
-    # the cos1 start needs Newton steps; the constant start alone lands on the
-    # closed-form constant, where Newton takes no step and imports nothing
-    modules, newton_ran = _cold_run(
+    # the cos1 start needs Newton steps, and every report's Morse count loads
+    # scipy.linalg.lapack
+    modules, solver_ran = _cold_run(
         ["solve", "--length", "6.2832", "--p", "5", "--alpha", "0.3", "--grid", "64",
          "--starts", "constant,cos1"]
     )
-    assert newton_ran
+    assert solver_ran
     assert _under(modules, "scipy.sparse") == set()
     assert _under(modules, "scipy.integrate") == set()
 
 
 def test_expansion_runs_no_newton_solve():
-    modules, newton_ran = _cold_run(
+    modules, solver_ran = _cold_run(
         ["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0"]
     )
     assert _under(modules, "scipy") == set()
-    assert not newton_ran
+    assert not solver_ran
 
 
 def test_package_import_loads_every_module():

@@ -376,8 +376,9 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     calls = []
     evaluate = solver._evaluate
     monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
-    u = solver._descend(problem, u0, config)
+    u, capped = solver._descend(problem, u0, config)
     assert len(calls) <= 100 < config.descent_max_iter
+    assert not capped
     _, q, g = evaluate(problem, u)
     scale = 2.0 * problem.weight * problem.h
     assert float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, q)
@@ -388,11 +389,11 @@ def test_newton_leaves_a_stagnating_saddle_start_early():
     # bump positions are null modes of J besides the bordered translation
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
-    config = SolveConfig()
-    u0 = dict(solver._starts(problem, config))["cos3"]
-    _, _, iters, _, ok = solver._solve_one(problem, "cos3", u0, config)
-    assert not ok and iters <= 5
-    report = minimize(problem, config)
+    config = SolveConfig(starts=("cos3",))
+    (_, u0), = solver._starts(problem, config)
+    run = solver._solve_one(problem, "cos3", u0, config)
+    assert not run.converged and run.iters <= 5
+    report = minimize(problem)
     assert report.classification == "nonconstant"
     assert report.quotient_value == pytest.approx(19.01756946164605, rel=1e-14)
 
@@ -409,6 +410,28 @@ def test_failed_solve_raises_with_partial_report():
     best = err.value.best
     assert best.start_label == "cos1"
     assert best.el_residual > 0.0
+    assert best.winning_starts == () and best.descent_capped == ("cos1",)
+
+
+def test_convergence_error_best_carries_the_morse_certificate():
+    # cos3 alone descends to the symmetric three-bump saddle of index 2's
+    # problem, where Newton stagnates; its index and its three near-zero modes
+    # (the bumps' positions) say which critical point it is
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=2048)
+    with pytest.raises(ConvergenceError) as err:
+        minimize(problem, SolveConfig(starts=("cos3",)))
+    best = err.value.best
+    assert best.quotient_value == pytest.approx(29.5709, abs=1e-4)
+    assert (best.morse_index, best.zero_modes) == (3, 3)
+
+
+def test_a_capped_descent_is_reported():
+    problem = _problem(alpha=0.3)
+    capped = minimize(problem, SolveConfig(descent_max_iter=5))
+    assert capped.descent_capped == ("cos1",)  # the constant start is stationary at once
+    assert capped.el_residual <= 1e-10
+    assert minimize(problem).descent_capped == ()
 
 
 _BAD_CONFIG_VALUES = {
@@ -453,6 +476,110 @@ def test_newton_converges_with_a_nonconstant_weight(m, amplitude, phase, alpha):
     report = minimize(problem, SolveConfig(starts=("constant", "cos1")))
     assert report.el_residual <= 1e-10
     assert report.classification == "nonconstant"
+
+
+# ---------------------------------------------------------------------------
+# the starts and the Morse certificate
+
+FIVE_STARTS = ("constant", "cos1", "cos2", "cos3", "random")
+
+
+def test_starts_that_reach_one_solution_all_win_and_the_earliest_is_named():
+    # below the bifurcation constant and cos1 both reach the constant; above
+    # it cos1 and random reach the one-bump minimizer, 0-3 ulps apart
+    below = minimize(_problem(alpha=0.1))
+    assert below.winning_starts == ("constant", "cos1") and below.start_label == "constant"
+    above = minimize(_problem(alpha=0.3), SolveConfig(starts=FIVE_STARTS))
+    assert above.winning_starts == ("cos1", "random") and above.start_label == "cos1"
+
+
+def _dense_morse_counts(problem, v):
+    h = problem.h
+    jac = np.diag(2.0 / (h * h) + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0))
+    jac -= (np.eye(problem.m, k=1) + np.eye(problem.m, k=-1) + np.eye(problem.m, k=problem.m - 1)
+            + np.eye(problem.m, k=1 - problem.m)) / (h * h)
+    eig = np.linalg.eigvalsh(jac)
+    tol = solver.ZERO_MODE_TOL * max(1.0, problem.alpha)
+    return int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol))
+
+
+@pytest.mark.parametrize("m", [64, 97])
+def test_morse_counts_match_dense_eigenvalues(m):
+    s = np.arange(m) * (2.0 * math.pi / m)
+    rng = np.random.default_rng(m)
+    cases = [
+        (_problem(alpha=0.3, m=m), minimize(_problem(alpha=0.3, m=m)).u),
+        (_problem(alpha=0.3, m=m), constant_solution(_problem(alpha=0.3, m=m)).u),
+        (_problem(alpha=0.1, m=m), constant_solution(_problem(alpha=0.1, m=m)).u),
+    ]
+    weighted = _problem(alpha=0.5, m=m, f=1.0 + 0.15 * np.cos(s - 1.0))
+    cases.append((weighted, minimize(weighted).u))
+    for alpha in (0.2, 1.5, 40.0):
+        cases.append((_problem(alpha=alpha, m=m), alpha ** 0.25 * rng.uniform(0.5, 1.5, m)))
+    seen = set()
+    for problem, v in cases:
+        counts = solver._morse_counts(problem, v)
+        assert counts == _dense_morse_counts(problem, v)
+        seen.add(counts)
+    assert len(seen) >= 4  # the cases span several indices and zero-mode counts
+
+
+def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monkeypatch):
+    # dgtsv reports a zero pivot when the shift is an eigenvalue of T in
+    # floating point; the count is then taken at a shift 1 % further from 0
+    import scipy.linalg.lapack as lapack
+
+    problem = _problem(alpha=0.3)
+    v = minimize(problem).u
+    expected = solver._morse_counts(problem, v)
+    dgtsv, shifts = lapack.dgtsv, []
+
+    def singular_once(dl, d, du, b):
+        shifts.append(float(d[0]))
+        out = dgtsv(dl, d, du, b)
+        return out[:4] + ((1,) if len(shifts) == 1 else out[4:])
+
+    monkeypatch.setattr(lapack, "dgtsv", singular_once)
+    assert solver._morse_counts(problem, v) == expected
+    tol = solver.ZERO_MODE_TOL  # alpha < 1
+    assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3)
+
+
+def _two_versus_five_problems():
+    for m in (96, 256):
+        for alpha in np.linspace(0.05, 0.55, 21):
+            yield "flat m%d alpha%.3f" % (m, alpha), _problem(alpha=float(alpha), m=m)
+    s = np.arange(96) * (2.0 * math.pi / 96)
+    for amplitude in (0.1, 0.15, 0.2):
+        for phase in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi):
+            for alpha in (0.15, 0.3, 0.5):
+                f = 1.0 + amplitude * np.cos(s - phase)
+                yield "weight %g %g alpha%g" % (amplitude, phase, alpha), _problem(alpha=alpha, f=f)
+    config = example_configuration("cylinder-triple")
+    alpha = example_interval("cylinder-triple").midpoint
+    for index in (1, 2):
+        for m in (256, 512, 1024):
+            yield "c6 index%d m%d" % (index, m), circle_reduction(config, index, alpha, grid=m)
+
+
+def test_two_default_starts_find_the_five_start_minimum():
+    # At the bifurcation point of the m = 256 model, alpha = 0.25 lies 1.2e-5
+    # above lambda_1,h / (p - 1): the bifurcated one-bump branch is 7.6e-10
+    # below the constant, only random finds it, and the two-start winner is
+    # the constant, whose Morse index 3 flags it as a saddle.
+    mismatches = []
+    for name, problem in _two_versus_five_problems():
+        two = minimize(problem)
+        five = minimize(problem, SolveConfig(starts=FIVE_STARTS))
+        if name == "flat m256 alpha0.250":
+            assert (two.classification, two.morse_index) == ("constant", 3)
+            assert (five.classification, five.morse_index) == ("nonconstant", 1)
+            assert five.quotient_value < two.quotient_value
+            continue
+        rel = abs(two.quotient_value - five.quotient_value) / five.quotient_value
+        if rel > 1e-9 or two.classification != five.classification or two.morse_index != 1:
+            mismatches.append((name, rel, two.classification, five.classification, two.morse_index))
+    assert mismatches == []
 
 
 # ---------------------------------------------------------------------------

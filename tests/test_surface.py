@@ -43,6 +43,7 @@ from symcrit import (
     geometry,
     jsonio,
     log_branch_sign,
+    minimize,
     proof_chain_diagnostics,
     solver,
 )
@@ -163,6 +164,25 @@ def test_reports_with_any_floats_round_trip(bound, value, holds, samples):
     text = canonical_json(record)
     assert canonical_json(json.loads(text)) == text
     assert json.loads(text)[3]["u"] == [x if math.isfinite(x) else None for x in samples]
+
+
+def test_solve_report_json_adds_the_certificate_fields():
+    problem = ReducedProblem(
+        length=2.0 * math.pi, weight=1.0, alpha=0.3, p=5.0, f_samples=np.ones(64), orbit_volume=1.0
+    )
+    text = canonical_json(minimize(problem, SolveConfig(descent_max_iter=5)))
+    assert canonical_json(json.loads(text)) == text
+    d = json.loads(text)
+    assert set(d) == {
+        "problem", "quotient_value", "energy", "el_residual", "classification",
+        "newton_iterations", "start_label", "threshold", "below_threshold",
+        "winning_starts", "descent_capped", "morse_index", "zero_modes",
+    }
+    assert d["winning_starts"] == ["cos1"] and d["start_label"] == "cos1"
+    assert d["descent_capped"] == ["cos1"]
+    assert d["morse_index"] == 1 and d["zero_modes"] == 1  # the translation mode
+    closed = clean(constant_solution(problem))
+    assert (closed["winning_starts"], closed["descent_capped"], closed["morse_index"]) == ([], [], 3)
 
 
 # The dicts their hand-written to_json methods gave, before jsonio.clean
