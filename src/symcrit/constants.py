@@ -106,9 +106,6 @@ class ConstantBound:
             raise PreconditionError("shift offset must be finite, got %r" % (offset,))
         return ConstantBound(self.lo + s, self.hi + s)
 
-    def to_json(self):
-        return {"lo": self.lo, "hi": None if math.isinf(self.hi) else self.hi}
-
     def __repr__(self):
         hi = "inf" if math.isinf(self.hi) else repr(self.hi)
         return "ConstantBound(%r, %s)" % (self.lo, hi)

@@ -22,14 +22,14 @@ The descent takes its gradient in the H^1 inner product
 iteration count does not grow with m; one real FFT pair applies the
 inverse of that circulant operator.
 
-Each Newton step solves with the cyclic tridiagonal Jacobian J.  In the
-node order 0, m-1, 1, m-2, ... J has bandwidth 2, so one LAPACK band LU
-with partial pivoting (gbtrf) factors it.  With constant f, J is
-singular along the translation tau = v' at a solution, and the step is
-bordered with tau: a Schur complement (two band solves and one scalar),
-then one step of iterative refinement on the bordered residual, because
-block elimination alone loses accuracy as J approaches that singularity
-(Govaerts & Pryce 1990).
+Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
+open at the node where |v'| is largest (see _cut): the rest of J is a
+plain tridiagonal block T, so one LAPACK tridiagonal solve (gtsv) with T
+and a Schur complement for the cut node give the step.  With constant f,
+J is singular along the translation tau = v' at a solution, and the step
+is bordered with tau; the Schur system is then 2x2 (Govaerts & Pryce
+1990).  The cut keeps T away from that singularity, since tau is largest
+at the cut node.
 
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted by Sturm
@@ -40,6 +40,7 @@ minimizer of Q has index exactly 1; a larger index marks a saddle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -83,6 +84,18 @@ ZERO_MODE_TOL = 1e-6
 # one, with the same classification, reached the same solution: starts that
 # converge to one solution differ by 0-3 ulps.
 TIE_ULPS = 4
+
+# Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.
+POSITIVITY_FLOOR = 1e-12
+
+# A solution whose range max - min exceeds OSCILLATION_TOL * max is nonconstant.
+OSCILLATION_TOL = 1e-7
+
+# Relative slack of proof_chain_diagnostics' mass bounds, for rounding.
+MASS_BOUND_SLACK = 1e-9
+
+# energy_separation calls two energies distinct above this relative gap.
+ENERGY_GAP_TOL = 1e-10
 
 np = lazy_import("numpy")
 
@@ -174,14 +187,14 @@ class SolveConfig:
     descent_tol: float = 1e-6
     newton_max_iter: int = 50
     newton_tol: float = 1e-10
-    positivity_floor: float = 1e-12
-    oscillation_tol: float = 1e-7
 
     def __post_init__(self):
+        if isinstance(self.starts, str):
+            raise PreconditionError("starts must be a tuple of labels, got %r" % (self.starts,))
         if not self.starts:
             raise PreconditionError("starts needs at least one start label")
         for label in self.starts:
-            if label not in ("constant", "random") and not (
+            if not isinstance(label, str) or label not in ("constant", "random") and not (
                 label.startswith("cos") and label[3:].isdigit()
             ):
                 raise PreconditionError(
@@ -192,14 +205,10 @@ class SolveConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 0):
                 raise PreconditionError("%s must be an integer >= 0, got %r" % (name, value))
-        for name in ("descent_tol", "newton_tol", "positivity_floor"):
+        for name in ("descent_tol", "newton_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
-        if not (math.isfinite(self.oscillation_tol) and self.oscillation_tol >= 0.0):
-            raise PreconditionError(
-                "oscillation_tol must be finite and >= 0, got %r" % (self.oscillation_tol,)
-            )
 
 
 def circle_reduction(config, index, alpha, grid=256, f_samples=None):
@@ -280,39 +289,61 @@ def quotient_gradient(problem, u):
     return energy(problem, x) ** (-1.0 / problem.two_sharp) * g
 
 
-def el_residual(problem, u):
-    """sup | -u'' + alpha u - f u^p | on the nodes."""
-    u = np.asarray(u, dtype=float)
-    r = -_lap(u, problem.h) + problem.alpha * u - problem.f_samples * np.abs(u) ** (
+def _residual(problem, u):
+    return -_lap(u, problem.h) + problem.alpha * u - problem.f_samples * np.abs(u) ** (
         problem.p - 1.0
     ) * u
-    return float(np.max(np.abs(r)))
 
 
-def _classify(u, tol):
+def el_residual(problem, u):
+    """sup | -u'' + alpha u - f u^p | on the nodes."""
+    return float(np.max(np.abs(_residual(problem, np.asarray(u, dtype=float)))))
+
+
+def _classify(u):
     lo, hi = float(u.min()), float(u.max())
-    return "nonconstant" if (hi - lo) > tol * hi else "constant"
+    return "nonconstant" if (hi - lo) > OSCILLATION_TOL * hi else "constant"
+
+
+def _cut(problem, v):
+    """J = -Delta_h + diag(alpha - p f v^{p-1}) cut open at k = argmax |tau|.
+
+    tau = v' is formed once, by central differences.  Returns the ring
+    order k+1, ..., m-1, 0, ..., k, J's diagonal and tau in that order, and
+    the coupling -1/h^2.  In the ring order J = [[T, w], [w', c]]: T is
+    plain tridiagonal and w holds the coupling in its first and last
+    entries.  T's eigenvalues interlace
+    J's; cutting where tau, J's null direction at a constant-f solution,
+    is largest keeps T well away from singular.
+    """
+    m, h = problem.m, problem.h
+    tau = np.empty(m)
+    np.subtract(v[2:], v[:-2], out=tau[1:-1])
+    tau[0] = v[1] - v[-1]
+    tau[-1] = v[0] - v[-2]
+    tau /= 2.0 * h
+    order = np.roll(np.arange(m), -1 - int(np.argmax(np.abs(tau))))
+    diag = 2.0 / (h * h) + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
+    return order, diag[order], tau[order], -1.0 / (h * h)
 
 
 def _morse_counts(problem, v):
     """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f v^{p-1}).
 
     The index counts eigenvalues of J below -tol, the zero modes those in
-    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  In node order
-    J is cyclic tridiagonal, J = [[T, w], [w', c]] with T plain
-    tridiagonal, and by Haynsworth's inertia additivity J - s has as many
-    negative eigenvalues as T - s, counted by Sturm bisection (dstebz),
-    plus one if the Schur complement c - s - w' (T - s)^{-1} w is negative
-    (one dgtsv solve).
+    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  Cut open
+    (_cut), J = [[T, w], [w', c]] with T plain tridiagonal, and by
+    Haynsworth's inertia additivity J - s has as many negative
+    eigenvalues as T - s, counted by Sturm bisection (dstebz), plus one
+    if the Schur complement c - s - w' (T - s)^{-1} w is negative (one
+    dgtsv solve).  The inertia does not depend on where J is cut.
     """
     from scipy.linalg.lapack import dgtsv, dstebz
 
-    m, h = problem.m, problem.h
-    off = -1.0 / (h * h)
-    diag = 2.0 / (h * h) + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
-    t, e = diag[:-1], np.full(m - 2, off)
-    w = np.zeros((m - 1, 1))
-    w[0, 0] = w[-1, 0] = off  # the corner J[0, m-1] and the subdiagonal J[m-2, m-1]
+    _, diag, _, off = _cut(problem, v)
+    t, e = diag[:-1], np.full(problem.m - 2, off)
+    w = np.zeros((problem.m - 1, 1))
+    w[0, 0] = w[-1, 0] = off
 
     def below(shift):
         # eigenvalues of T in (-inf, shift]; dstebz clips the interval to
@@ -329,7 +360,7 @@ def _morse_counts(problem, v):
     return index, below(tol) - index
 
 
-def _report(problem, u, label, iters, config, winning_starts=(), descent_capped=()):
+def _report(problem, u, label, iters, winning_starts=(), descent_capped=()):
     u = np.asarray(u, dtype=float)
     q = quotient_value(problem, u)
     thr = problem.threshold
@@ -340,7 +371,7 @@ def _report(problem, u, label, iters, config, winning_starts=(), descent_capped=
         quotient_value=q,
         energy=energy(problem, u),
         el_residual=el_residual(problem, u),
-        classification=_classify(u, config.oscillation_tol),
+        classification=_classify(u),
         newton_iterations=iters,
         start_label=label,
         threshold=thr,
@@ -388,35 +419,20 @@ class SolveReport:
         self.u = u
 
     def to_json(self, include_profile=False):
-        d = {
-            "problem": self.problem,
-            "quotient_value": self.quotient_value,
-            "energy": self.energy,
-            "el_residual": self.el_residual,
-            "classification": self.classification,
-            "newton_iterations": self.newton_iterations,
-            "start_label": self.start_label,
-            "threshold": self.threshold,
-            "below_threshold": self.below_threshold,
-            "winning_starts": self.winning_starts,
-            "descent_capped": self.descent_capped,
-            "morse_index": self.morse_index,
-            "zero_modes": self.zero_modes,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "u"}
         if include_profile:
             d["s"] = list(self.problem.grid())
             d["u"] = list(self.u)
         return d
 
 
-def constant_solution(problem, config=None):
+def constant_solution(problem):
     """Closed-form constant solution (alpha/f)^{1/(p-1)}; needs constant f."""
-    config = config or SolveConfig()
     f = problem.f_samples
     if float(f.max() - f.min()) != 0.0:
         raise PreconditionError("the constant solution needs a constant weight f")
     c = (problem.alpha / float(f[0])) ** (1.0 / (problem.p - 1.0))
-    return _report(problem, np.full(problem.m, c), "closed-form", 0, config)
+    return _report(problem, np.full(problem.m, c), "closed-form", 0)
 
 
 def _starts(problem, config):
@@ -473,7 +489,7 @@ def _descend(problem, u, config):
     Returns the last iterate and whether the descent used all of
     descent_max_iter without meeting its stopping test.
     """
-    floor = config.positivity_floor
+    floor = POSITIVITY_FLOOR
     m, h = problem.m, problem.h
     sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
     symbol = 1.0 / ((4.0 / (h * h)) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
@@ -513,82 +529,51 @@ def _descend(problem, u, config):
     return u, not stationary()
 
 
-def _fold_order(m):
-    """Nodes in the order 0, m-1, 1, m-2, ...
-
-    Cyclic neighbours sit at most two places apart in it, so a cyclic
-    3-point stencil has bandwidth 2 there, for even and odd m.
-    """
-    order = np.empty(m, dtype=np.intp)
-    order[0::2] = np.arange((m + 1) // 2)
-    order[1::2] = np.arange(m - 1, (m - 1) // 2, -1)
-    return order
-
-
-def _fold_band(m, h):
-    """The couplings -1/h^2 of the cyclic Laplacian, in gbtrf band storage.
-
-    Returns the fold order and a (7, m) array holding entry (i, j) of the
-    folded matrix at row 4 + i - j; row 4, the diagonal, is left zero and
-    rows 0-1 are gbtrf's room for pivoting fill-in.
-    """
-    order = _fold_order(m)
-    pos = np.empty(m, dtype=np.intp)
-    pos[order] = np.arange(m)
-    right = np.concatenate((pos[1:], pos[:1]))  # position of node i + 1
-    band = np.zeros((7, m), order="F")
-    band[4 + pos - right, right] = -1.0 / (h * h)
-    band[4 + right - pos, pos] = -1.0 / (h * h)
-    return order, band
-
-
-def _residual(problem, x):
-    return -_lap(x, problem.h) + problem.alpha * x - problem.f_samples * x**problem.p
-
-
 def _newton_step(problem, v, r):
-    """Newton step delta solving J delta = -r at v; None on a zero pivot.
+    """Newton step delta solving J delta = -r at v; None on a zero pivot of T.
 
-    With constant f the equation is translation invariant and J is
-    singular along tau = v' at a solution, so the step is bordered with
-    tau: [J tau; tau' 0] [delta; mu] = [-r; 0].  A nonconstant f breaks
-    that symmetry, and the border would only keep Newton from
-    converging quadratically.
+    With J cut open at node k (_cut), one gtsv solve with T gives the
+    columns [b_T, w] (and tau_T) of T^{-1}, and a Schur system for the
+    cut node closes the step.  With constant f the equation is
+    translation invariant and J is singular along tau = v' at a solution,
+    so the step is bordered with tau: [J tau; tau' 0] [delta; mu] =
+    [-r; 0], and the Schur system is the symmetric 2x2 one in
+    (delta_k, mu).  A nonconstant f breaks that symmetry, and the border
+    would only keep Newton from converging quadratically.  A zero Schur
+    pivot leaves the step non-finite, which _newton rejects.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.linalg.lapack import dgtsv
 
-    m, h = problem.m, problem.h
-    f = problem.f_samples
-    order, band = _fold_band(m, h)
-    diag = problem.alpha - problem.p * f * v ** (problem.p - 1.0)
-    band[4] = (diag + 2.0 / (h * h))[order]
-    lu, piv, info = dgbtrf(band, 2, 2, overwrite_ab=1)
-    if info != 0:
+    m, f = problem.m, problem.f_samples
+    order, diag, t, off = _cut(problem, v)
+    bordered = float(f.max() - f.min()) == 0.0 and np.abs(t).max() > 1e-13 * np.abs(v).max()
+    b = -r[order]
+    rhs = np.zeros((m - 1, 3 if bordered else 2), order="F")
+    rhs[:, 0] = b[:-1]
+    rhs[0, 1] = rhs[-1, 1] = off  # w
+    if bordered:
+        rhs[:, 2] = t[:-1]
+    e = np.full(m - 2, off)
+    x, info = dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
+    if info:
         return None
-
-    def solve(*rhs):
-        folded = dgbtrs(lu, 2, 2, np.column_stack(rhs)[order], piv)[0]
-        x = np.empty_like(folded)
-        x[order] = folded
-        return x.T
-
-    if float(f.max() - f.min()) == 0.0:
-        tau = np.empty(m)
-        np.subtract(v[2:], v[:-2], out=tau[1:-1])
-        tau[0] = v[1] - v[-1]
-        tau[-1] = v[0] - v[-2]
-        tau /= 2.0 * h
-        if float(np.abs(tau).max()) > 1e-13 * float(np.abs(v).max()):
-            # block elimination, then one refinement step on the bordered
-            # residual with the same factorization
-            y, z = solve(-r, tau)
-            tz = float(np.dot(tau, z))
-            mu = float(np.dot(tau, y)) / tz
-            delta = y - mu * z
-            c = solve(-r - (-_lap(delta, h) + diag * delta + mu * tau))[0]
-            dmu = (float(np.dot(tau, c)) + float(np.dot(tau, delta))) / tz
-            return delta + (c - dmu * z)
-    return solve(-r)[0]
+    wx = off * (x[0] + x[-1])  # w' T^{-1} [b_T, w, tau_T]
+    s = diag[-1] - wx[1]
+    if bordered:
+        tx = t[:-1] @ x
+        c = t[-1] - wx[2]  # = t[-1] - tx[1], as T is symmetric
+        det = -s * tx[2] - c * c
+        gk, gm = b[-1] - wx[0], -tx[0]
+        dk = (-tx[2] * gk - c * gm) / det
+        mu = (s * gm - c * gk) / det
+        y = x[:, 0] - dk * x[:, 1] - mu * x[:, 2]
+    else:
+        dk = (b[-1] - wx[0]) / s
+        y = x[:, 0] - dk * x[:, 1]
+    delta = np.empty(m)
+    delta[order[:-1]] = y
+    delta[order[-1]] = dk
+    return delta
 
 
 def _newton(problem, v, config):
@@ -600,8 +585,7 @@ def _newton(problem, v, config):
     remove (e.g. the relative positions of several bumps), where damped
     Newton would grind to its cap.
     """
-    floor = config.positivity_floor
-    v = np.maximum(v, floor)
+    v = np.maximum(v, POSITIVITY_FLOOR)
     r = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
@@ -614,7 +598,7 @@ def _newton(problem, v, config):
             return v, iters, rn, False
         theta = 1.0
         while theta > 1e-6:
-            cand = np.maximum(v + theta * delta, floor)
+            cand = np.maximum(v + theta * delta, POSITIVITY_FLOOR)
             rc = _residual(problem, cand)
             rcn = float(np.abs(rc).max())
             if rcn <= (1.0 - 1e-4 * theta) * rn:
@@ -665,16 +649,14 @@ def minimize(problem, config=None):
         raise ConvergenceError(
             "no start reached the Newton tolerance (best residual %.3e from %r)"
             % (best.residual, best.label),
-            best=_report(problem, best.v, best.label, best.iters, config, descent_capped=capped),
+            best=_report(problem, best.v, best.label, best.iters, descent_capped=capped),
         )
-    scored = [
-        (quotient_value(problem, r.v), _classify(r.v, config.oscillation_tol), r) for r in converged
-    ]
+    scored = [(quotient_value(problem, r.v), _classify(r.v), r) for r in converged]
     q_min, kind, _ = min(scored, key=lambda s: s[0])  # the first of equal minima
     tied = [r for q, c, r in scored if c == kind and q - q_min <= TIE_ULPS * math.ulp(q_min)]
     first = tied[0]
     return _report(
-        problem, first.v, first.label, first.iters, config,
+        problem, first.v, first.label, first.iters,
         winning_starts=tuple(r.label for r in tied), descent_capped=capped,
     )
 
@@ -688,7 +670,7 @@ class BoundCheck:
     holds: bool | None = None
 
 
-def proof_chain_diagnostics(report, ineq=None, rel_slack=1e-9):
+def proof_chain_diagnostics(report, ineq=None):
     """A-priori mass bounds the solution must satisfy.
 
     mass-via-min-f:  int u^2 <= Q^{(N-2)/2} (int f)^{2/N} / min f,
@@ -713,7 +695,7 @@ def proof_chain_diagnostics(report, ineq=None, rel_slack=1e-9):
             "checked",
             bound,
             mass,
-            mass <= bound * (1.0 + rel_slack),
+            mass <= bound * (1.0 + MASS_BOUND_SLACK),
         )
     )
     if ineq is not None:
@@ -731,7 +713,7 @@ def proof_chain_diagnostics(report, ineq=None, rel_slack=1e-9):
                     "checked",
                     bound,
                     mass,
-                    mass <= bound * (1.0 + rel_slack),
+                    mass <= bound * (1.0 + MASS_BOUND_SLACK),
                 )
             )
         else:
@@ -750,7 +732,7 @@ class SeparationReport:
     b_below_threshold: bool | None
 
 
-def energy_separation(a, b, rel_tol=1e-10):
+def energy_separation(a, b):
     """Compare the energies of two solve reports of the same equation."""
     if a.problem.alpha != b.problem.alpha:
         raise PreconditionError("the reports solve different equations (alpha differs)")
@@ -758,7 +740,7 @@ def energy_separation(a, b, rel_tol=1e-10):
         raise PreconditionError("the reports solve different equations (p differs)")
     ea, eb = a.energy, b.energy
     gap = abs(ea - eb) / max(abs(ea), abs(eb))
-    distinct = gap > rel_tol
+    distinct = gap > ENERGY_GAP_TOL
     lower = None
     if distinct:
         lower = "a" if ea < eb else "b"

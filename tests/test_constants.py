@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from symcrit import ConstantBound, EquationParams, PreconditionError, sobolev_constant, sphere_volume
+from symcrit import (
+    ConstantBound,
+    EquationParams,
+    PreconditionError,
+    clean,
+    sobolev_constant,
+    sphere_volume,
+)
 
 
 # Oracle: omega_N = omega_{N-1} * int_0^pi sin^{N-1}, starting from
@@ -80,8 +87,8 @@ def test_bound_validation():
 
 
 def test_bound_json_maps_infinity_to_null():
-    assert ConstantBound(1.5).to_json() == {"lo": 1.5, "hi": None}
-    assert ConstantBound(1.5, 2.0).to_json() == {"lo": 1.5, "hi": 2.0}
+    assert clean(ConstantBound(1.5)) == {"lo": 1.5, "hi": None}
+    assert clean(ConstantBound(1.5, 2.0)) == {"lo": 1.5, "hi": 2.0}
 
 
 _bounds = st.tuples(
