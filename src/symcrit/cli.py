@@ -16,7 +16,7 @@ from .errors import ConvergenceError, PreconditionError
 from .expansion import _EPS_COUNT, ExpansionConfig, fit_and_compare, log_branch_sign
 from .geometry import EXAMPLE_DEFAULTS, EXAMPLE_IDS, example_configuration
 from .jsonio import canonical_json, csv_text
-from .solver import ReducedProblem, SolveConfig, circle_reduction, minimize
+from .solver import ReducedProblem, SolveConfig, _check_grid, circle_reduction, minimize
 
 __all__ = ["main"]
 
@@ -105,6 +105,7 @@ def _cmd_interval(parser, args):
 
 
 def _cmd_solve(parser, args):
+    f_samples = np.full(_check_grid(args.grid), args.f_value)
     if args.example is not None:
         _refuse(parser, args, ("length", "p", "weight", "orbit_volume"), "is not allowed with --example")
         if args.index is None:
@@ -115,7 +116,7 @@ def _cmd_solve(parser, args):
             args.index,
             args.alpha,
             grid=args.grid,
-            f_samples=np.full(args.grid, args.f_value),
+            f_samples=f_samples,
         )
     else:
         _refuse(parser, args, ("index", *_PARAM_NAMES), "requires --example")
@@ -126,7 +127,7 @@ def _cmd_solve(parser, args):
             weight=1.0 if args.weight is None else args.weight,
             alpha=args.alpha,
             p=args.p,
-            f_samples=np.full(args.grid, args.f_value),
+            f_samples=f_samples,
             orbit_volume=args.orbit_volume,
         )
     config = _config_fields(args, _SOLVE_CONFIG_FLAGS)

@@ -20,7 +20,10 @@ N = 2 (p+1)/(p-1) survives discretization exactly.
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
 iteration count does not grow with m; one real FFT pair applies the
-inverse of that circulant operator.
+inverse of that circulant operator.  The descent runs coarse to fine, on
+the grid halved while it stays even and at least DESCENT_FLOOR = 512
+nodes (see _solve_one), so the fine grids, whose steps cost the most,
+take a handful of steps.  Newton runs on the problem's own grid only.
 
 Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
 open at the node where |v'| is largest (see _cut): the rest of J is a
@@ -84,6 +87,14 @@ ZERO_MODE_TOL = 1e-6
 # one, with the same classification, reached the same solution: starts that
 # converge to one solution differ by 0-3 ulps.
 TIE_ULPS = 4
+
+# The descent starts on the grid halved while it stays even and at least this
+# many nodes (see _solve_one).  Measured on cylinder-triple: one descent
+# evaluation costs 31-41 us at 128 to 1024 nodes, per-call overhead, against
+# 84 us at 4096, so levels below 512 save little; a floor of 256 ran the six
+# fine-grid benchmark solves 4-6 % faster in-process, but it would also send
+# every 512-node solve through the hierarchy and move its output.
+DESCENT_FLOOR = 512
 
 # Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.
 POSITIVITY_FLOOR = 1e-12
@@ -211,6 +222,13 @@ class SolveConfig:
                 raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
 
 
+def _check_grid(grid):
+    """grid as an int; a PreconditionError unless it is an integer >= MIN_GRID."""
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral) or grid < MIN_GRID:
+        raise PreconditionError("grid must be an integer >= %d, got %r" % (MIN_GRID, grid))
+    return int(grid)
+
+
 def circle_reduction(config, index, alpha, grid=256, f_samples=None):
     """Reduced problem of one packaged example along its circle factor.
 
@@ -226,8 +244,9 @@ def circle_reduction(config, index, alpha, grid=256, f_samples=None):
             "example %r has no circle factor to reduce along" % (config.example,)
         )
     length, weight, orbit = record.circle(config, index)
+    grid = _check_grid(grid)
     if f_samples is None:
-        f_samples = np.ones(int(grid))
+        f_samples = np.ones(grid)
     return ReducedProblem(
         length=length,
         weight=weight,
@@ -392,7 +411,8 @@ class SolveReport:
     earliest is start_label.  Empty for the closed form and for the best
     partial result of a ConvergenceError.
     descent_capped: the starts whose descent used all of descent_max_iter
-    without meeting its stopping test.
+    without meeting its stopping test on the finest grid level (see
+    _solve_one), whose iterate Newton starts from.
     morse_index, zero_modes: eigenvalues of the Newton Jacobian J below
     -tol and within [-tol, tol] (tol = ZERO_MODE_TOL * max(1, alpha)).
     A minimizer of Q has index 1; a larger index marks a saddle.
@@ -622,8 +642,34 @@ class _StartResult(NamedTuple):
     descent_capped: bool
 
 
+def _prolong(u):
+    """Periodic linear interpolation onto the grid of twice as many nodes."""
+    fine = np.empty(2 * u.size)
+    fine[::2] = u
+    fine[1::2] = 0.5 * (u + np.roll(u, -1))
+    return fine
+
+
 def _solve_one(problem, label, u0, config):
-    u, capped = _descend(problem, u0, config)
+    """Descent from u0 on a grid hierarchy, then Newton on the problem's grid.
+
+    While the grid is even and its half has at least DESCENT_FLOOR nodes,
+    the start and f are restricted to the half grid by injection; every
+    grid below 1024 nodes thus descends on itself alone.  The descent runs
+    to its stopping test on the coarsest grid and again on each finer one,
+    from the periodic linear interpolant of the coarser result (nested
+    iteration, Brandt 1977).  The H^1 descent takes about as many steps on
+    any grid, so the cheap coarse grids take them and the fine grids a
+    handful.  descent_capped is the finest level's, whose iterate Newton
+    starts from.
+    """
+    levels = [problem]
+    while levels[-1].m % 2 == 0 and levels[-1].m // 2 >= DESCENT_FLOOR:
+        levels.append(dataclasses.replace(levels[-1], f_samples=levels[-1].f_samples[::2]))
+    coarsest, *finer = reversed(levels)
+    u, capped = _descend(coarsest, u0[:: 2 ** (len(levels) - 1)], config)
+    for level in finer:
+        u, capped = _descend(level, _prolong(u), config)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = _newton(problem, v, config)
     return _StartResult(label, v, iters, rn, ok, capped)

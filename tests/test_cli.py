@@ -114,6 +114,17 @@ def test_non_finite_flags_are_named_non_finite(capsys, argv):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "problem",
+    [["--example", "cylinder-triple", "--index", "1"], ["--length", "6.283", "--p", "5"]],
+    ids=["example", "explicit"],
+)
+@pytest.mark.parametrize("grid", ["-5", "0", "63"])
+def test_solve_rejects_a_grid_below_the_minimum(capsys, problem, grid):
+    assert main(["solve", *problem, "--alpha", "2.18", "--grid", grid]) == 2
+    assert "precondition violated: grid must be an integer >= 64" in capsys.readouterr().err
+
+
 def test_exit_code_convergence_failure(capsys):
     code = main(
         [

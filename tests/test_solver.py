@@ -26,6 +26,7 @@ from symcrit import (
     quotient_value,
 )
 from symcrit import solver
+from symcrit.solver import MIN_GRID
 
 # 1-D ground state of -u'' + u = u^5 on the line: u = 3^{1/4} sech^{1/2}(2s),
 # with int u^6 = 3^{3/2} pi / 4, so the limiting quotient is
@@ -432,6 +433,48 @@ def test_newton_leaves_a_stagnating_saddle_start_early():
 
 
 # ---------------------------------------------------------------------------
+# the descent's grid hierarchy
+
+
+def _descent_levels(monkeypatch, m):
+    """Grid sizes of the cos1 start's descent evaluations in order, with its result."""
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=m)
+    config = SolveConfig(starts=("cos1",))
+    (_, u0), = solver._starts(problem, config)
+    sizes = []
+    evaluate = solver._evaluate
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: sizes.append(pr.m) or evaluate(pr, x))
+    run = solver._solve_one(problem, "cos1", u0, config)
+    monkeypatch.setattr(solver, "_evaluate", evaluate)
+    return problem, config, u0, sizes, run
+
+
+def test_a_fine_grid_descends_from_the_coarsest_level_up(monkeypatch):
+    _, _, _, sizes, run = _descent_levels(monkeypatch, 4096)
+    levels = [m for i, m in enumerate(sizes) if i == 0 or m != sizes[i - 1]]
+    assert levels == [512, 1024, 2048, 4096]
+    assert sizes.count(4096) <= 20  # the one-level descent made 178
+    assert run.converged and not run.descent_capped
+
+
+@pytest.mark.parametrize("m", [256, 512, 768])
+def test_a_grid_below_1024_descends_on_itself_alone(monkeypatch, m):
+    problem, config, u0, sizes, run = _descent_levels(monkeypatch, m)
+    assert set(sizes) == {m}
+    u, capped = solver._descend(problem, u0, config)
+    v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
+    v, iters, rn, ok = solver._newton(problem, v, config)
+    assert np.array_equal(run.v, v)
+    assert (run.iters, run.residual, run.converged, run.descent_capped) == (iters, rn, ok, capped)
+
+
+def test_prolongation_interpolates_periodically():
+    u = np.array([1.0, 3.0, 2.0, 6.0])
+    assert solver._prolong(u).tolist() == [1.0, 2.0, 3.0, 2.5, 2.0, 4.0, 6.0, 3.5]
+
+
+# ---------------------------------------------------------------------------
 # convergence failure carries the best partial result
 
 
@@ -449,20 +492,42 @@ def test_failed_solve_raises_with_partial_report():
 def test_convergence_error_best_carries_the_morse_certificate():
     # cos3 alone descends to the symmetric three-bump saddle of index 2's
     # problem, where Newton stagnates; its index and its three near-zero modes
-    # (the bumps' positions) say which critical point it is
+    # (the bumps' positions) say which critical point it is.  m = 512 descends
+    # on its own grid only.
     alpha = example_interval("cylinder-triple").midpoint
-    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=2048)
+    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
     with pytest.raises(ConvergenceError) as err:
         minimize(problem, SolveConfig(starts=("cos3",)))
     best = err.value.best
-    assert best.quotient_value == pytest.approx(29.5709, abs=1e-4)
+    assert best.quotient_value == pytest.approx(29.5123, abs=1e-4)
     assert (best.morse_index, best.zero_modes) == (3, 3)
+
+
+def test_a_coarse_grid_descent_leaves_the_three_bump_saddle():
+    # on its own grid the cos3 start of m = 2048 stalled by the three-bump
+    # saddle (Q = 29.5709, index 3) and raised; descending from m = 512 up,
+    # it reaches the minimizer
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=2048)
+    report = minimize(problem, SolveConfig(starts=("cos3",)))
+    assert (report.morse_index, report.zero_modes) == (1, 1)
+    assert report.quotient_value == pytest.approx(19.0553, abs=1e-4)
 
 
 def test_a_capped_descent_is_reported():
     problem = _problem(alpha=0.3)
     capped = minimize(problem, SolveConfig(descent_max_iter=5))
     assert capped.descent_capped == ("cos1",)  # the constant start is stationary at once
+    assert capped.el_residual <= 1e-10
+    assert minimize(problem).descent_capped == ()
+
+
+def test_a_capped_finest_level_is_reported():
+    # m = 1024 descends on 512 nodes, then on 1024; descent_capped is the
+    # finest level's, whose iterate Newton starts from
+    problem = _problem(alpha=0.3, m=1024)
+    capped = minimize(problem, SolveConfig(descent_max_iter=5))
+    assert capped.descent_capped == ("cos1",)
     assert capped.el_residual <= 1e-10
     assert minimize(problem).descent_capped == ()
 
@@ -648,6 +713,20 @@ def test_circle_reduction_threshold_matches_existence_threshold():
     for cfg, index in _reducible():
         red = circle_reduction(cfg, index, alpha=1.0, grid=64)
         assert red.threshold == existence_threshold(cfg.params, red.orbit_volume)
+
+
+@pytest.mark.parametrize("grid", [-3, 0, MIN_GRID - 1, 2.7e3, 1024.0, "512", True, None])
+def test_circle_reduction_rejects_a_bad_grid(grid):
+    cfg = example_configuration("cylinder-triple")
+    with pytest.raises(PreconditionError, match="grid"):
+        circle_reduction(cfg, 1, 1.0, grid=grid)
+    with pytest.raises(PreconditionError, match="grid"):
+        circle_reduction(cfg, 1, 1.0, grid=grid, f_samples=np.ones(MIN_GRID))
+
+
+def test_circle_reduction_takes_any_integer_grid():
+    cfg = example_configuration("cylinder-triple")
+    assert circle_reduction(cfg, 1, 1.0, grid=np.int64(MIN_GRID)).m == MIN_GRID
 
 
 def test_circle_reduction_rejections():
