@@ -208,7 +208,8 @@ def build_parser():
     p_solve.add_argument("--seed", type=int, default=None, help="seed of the opt-in `random` start")
     p_solve.add_argument(
         "--starts", type=str, default=None,
-        help="comma-separated start labels (default: %s)" % ",".join(SolveConfig.starts),
+        help="comma-separated start labels, from constant, soliton, cos<mode>, random (default: %s)"
+        % ",".join(SolveConfig.starts),
     )
     p_solve.add_argument("--max-descent", type=int, default=None)
     p_solve.add_argument("--max-newton", type=int, default=None)

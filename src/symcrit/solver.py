@@ -20,10 +20,11 @@ N = 2 (p+1)/(p-1) survives discretization exactly.
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
 iteration count does not grow with m; one real FFT pair applies the
-inverse of that circulant operator.  The descent runs coarse to fine, on
-the grid halved while it stays even and at least DESCENT_FLOOR = 512
-nodes (see _solve_one), so the fine grids, whose steps cost the most,
-take a handful of steps.  Newton runs on the problem's own grid only.
+inverse of that circulant operator.  The default nonconstant start is
+the line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with
+A^{p-1} = (p+1) alpha / (2 f), centred where f peaks: on a long circle
+(sqrt(alpha) length >> 1) it is the minimizer up to O(e^{-sqrt(alpha)
+length}), so the descent takes a handful of steps before Newton.
 
 Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
 open at the node where |v'| is largest (see _cut): the rest of J is a
@@ -87,14 +88,6 @@ ZERO_MODE_TOL = 1e-6
 # one, with the same classification, reached the same solution: starts that
 # converge to one solution differ by 0-3 ulps.
 TIE_ULPS = 4
-
-# The descent starts on the grid halved while it stays even and at least this
-# many nodes (see _solve_one).  Measured on cylinder-triple: one descent
-# evaluation costs 31-41 us at 128 to 1024 nodes, per-call overhead, against
-# 84 us at 4096, so levels below 512 save little; a floor of 256 ran the six
-# fine-grid benchmark solves 4-6 % faster in-process, but it would also send
-# every 512-node solve through the hierarchy and move its output.
-DESCENT_FLOOR = 512
 
 # Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.
 POSITIVITY_FLOOR = 1e-12
@@ -193,7 +186,7 @@ class ReducedProblem:
 @dataclass(frozen=True)
 class SolveConfig:
     seed: int = 0  # of the opt-in "random" start
-    starts: tuple = ("constant", "cos1")
+    starts: tuple = ("constant", "soliton")
     descent_max_iter: int = 2000
     descent_tol: float = 1e-6
     newton_max_iter: int = 50
@@ -205,11 +198,11 @@ class SolveConfig:
         if not self.starts:
             raise PreconditionError("starts needs at least one start label")
         for label in self.starts:
-            if not isinstance(label, str) or label not in ("constant", "random") and not (
+            if not isinstance(label, str) or label not in ("constant", "soliton", "random") and not (
                 label.startswith("cos") and label[3:].isdigit()
             ):
                 raise PreconditionError(
-                    "starts has an unknown start label %r (known: constant, cos<mode>, random)"
+                    "starts has an unknown start label %r (known: constant, soliton, cos<mode>, random)"
                     % (label,)
                 )
         for name in ("seed", "descent_max_iter", "newton_max_iter"):
@@ -247,6 +240,8 @@ def circle_reduction(config, index, alpha, grid=256, f_samples=None):
     grid = _check_grid(grid)
     if f_samples is None:
         f_samples = np.ones(grid)
+    elif np.size(f_samples) != grid:
+        raise PreconditionError("grid %d disagrees with the %d f_samples" % (grid, np.size(f_samples)))
     return ReducedProblem(
         length=length,
         weight=weight,
@@ -411,8 +406,7 @@ class SolveReport:
     earliest is start_label.  Empty for the closed form and for the best
     partial result of a ConvergenceError.
     descent_capped: the starts whose descent used all of descent_max_iter
-    without meeting its stopping test on the finest grid level (see
-    _solve_one), whose iterate Newton starts from.
+    without meeting its stopping test.
     morse_index, zero_modes: eigenvalues of the Newton Jacobian J below
     -tol and within [-tol, tol] (tol = ZERO_MODE_TOL * max(1, alpha)).
     A minimizer of Q has index 1; a larger index marks a saddle.
@@ -455,6 +449,18 @@ def constant_solution(problem):
     return _report(problem, np.full(problem.m, c), "closed-form", 0)
 
 
+def _soliton(problem):
+    """Line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2) at the first node k where f peaks.
+
+    A^{p-1} = (p+1) alpha / (2 f_k), and x = (s - s_k + L/2) mod L - L/2.
+    """
+    m, p, k = problem.m, problem.p, int(np.argmax(problem.f_samples))
+    x = ((np.arange(m) - k + m // 2) % m - m // 2) * problem.h
+    e = np.exp(-0.5 * (p - 1.0) * math.sqrt(problem.alpha) * np.abs(x))
+    amplitude = ((p + 1.0) * problem.alpha / (2.0 * float(problem.f_samples[k]))) ** (1.0 / (p - 1.0))
+    return amplitude * (2.0 * e / (1.0 + e * e)) ** (2.0 / (p - 1.0))  # sech, without cosh's overflow
+
+
 def _starts(problem, config):
     s = problem.grid()
     fbar = float(problem.f_samples.mean())
@@ -463,6 +469,8 @@ def _starts(problem, config):
     for idx, label in enumerate(config.starts):
         if label == "constant":
             u0 = np.full(problem.m, c)
+        elif label == "soliton":
+            u0 = _soliton(problem)
         elif label == "random":
             rng = np.random.default_rng([config.seed, idx])
             u0 = c * (0.5 + rng.random(problem.m))
@@ -599,19 +607,30 @@ def _newton_step(problem, v, r):
 def _newton(problem, v, config):
     """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step.
 
+    It has converged once the residual's max norm is at most max(newton_tol,
+    eps |J|_inf |v|_inf), |J|_inf <= 4/h^2 + alpha + p max f max v^{p-1}; the
+    second term is the residual's rounding level, which passes 1e-10 on fine
+    grids (m >= 2048 on cylinder-weighted).
     A zero pivot or a non-finite step ends the iteration unconverged,
     and so do two consecutive steps accepted only with theta < 1/8:
     such a start sits by a saddle whose null modes the border does not
     remove (e.g. the relative positions of several bumps), where damped
     Newton would grind to its cap.
     """
+    f_max = float(problem.f_samples.max())
+
+    def converged(v, rn):
+        v_max = float(v.max())
+        jac = 4.0 / problem.h**2 + problem.alpha + problem.p * f_max * v_max ** (problem.p - 1.0)
+        return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
+
     v = np.maximum(v, POSITIVITY_FLOOR)
     r = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
     for iters in range(1, config.newton_max_iter + 1):
-        if rn <= config.newton_tol:
+        if converged(v, rn):
             return v, iters - 1, rn, True
         delta = _newton_step(problem, v, r)
         if delta is None or not np.all(np.isfinite(delta)):
@@ -629,8 +648,8 @@ def _newton(problem, v, config):
             return v, iters, rn, False
         short_steps = short_steps + 1 if theta < 0.125 else 0
         if short_steps == 2:
-            return v, iters, rn, rn <= config.newton_tol
-    return v, iters, rn, rn <= config.newton_tol
+            break
+    return v, iters, rn, converged(v, rn)
 
 
 class _StartResult(NamedTuple):
@@ -642,34 +661,9 @@ class _StartResult(NamedTuple):
     descent_capped: bool
 
 
-def _prolong(u):
-    """Periodic linear interpolation onto the grid of twice as many nodes."""
-    fine = np.empty(2 * u.size)
-    fine[::2] = u
-    fine[1::2] = 0.5 * (u + np.roll(u, -1))
-    return fine
-
-
 def _solve_one(problem, label, u0, config):
-    """Descent from u0 on a grid hierarchy, then Newton on the problem's grid.
-
-    While the grid is even and its half has at least DESCENT_FLOOR nodes,
-    the start and f are restricted to the half grid by injection; every
-    grid below 1024 nodes thus descends on itself alone.  The descent runs
-    to its stopping test on the coarsest grid and again on each finer one,
-    from the periodic linear interpolant of the coarser result (nested
-    iteration, Brandt 1977).  The H^1 descent takes about as many steps on
-    any grid, so the cheap coarse grids take them and the fine grids a
-    handful.  descent_capped is the finest level's, whose iterate Newton
-    starts from.
-    """
-    levels = [problem]
-    while levels[-1].m % 2 == 0 and levels[-1].m // 2 >= DESCENT_FLOOR:
-        levels.append(dataclasses.replace(levels[-1], f_samples=levels[-1].f_samples[::2]))
-    coarsest, *finer = reversed(levels)
-    u, capped = _descend(coarsest, u0[:: 2 ** (len(levels) - 1)], config)
-    for level in finer:
-        u, capped = _descend(level, _prolong(u), config)
+    """Descent from u0, then Newton from its rescaled result."""
+    u, capped = _descend(problem, u0, config)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = _newton(problem, v, config)
     return _StartResult(label, v, iters, rn, ok, capped)

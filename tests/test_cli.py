@@ -185,6 +185,25 @@ def test_solve_reports_threshold_comparison(capsys):
     assert "u" not in payload
 
 
+def test_solve_takes_the_soliton_start_alone(capsys):
+    code = main(
+        [
+            "solve", "--example", "cylinder-triple", "--index", "1",
+            "--alpha", "2.18", "--grid", "512", "--starts", "soliton",
+        ]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["start_label"] == "soliton" and payload["winning_starts"] == ["soliton"]
+    assert (payload["classification"], payload["morse_index"]) == ("nonconstant", 1)
+
+
+def test_solve_help_lists_the_start_labels(capsys):
+    assert main(["solve", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "labels, from constant, soliton, cos<mode>, random (default: constant,soliton)" in help_text
+
+
 def test_solve_profile_includes_samples(capsys):
     code = main(
         [

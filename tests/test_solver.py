@@ -432,36 +432,60 @@ def test_newton_leaves_a_stagnating_saddle_start_early():
     assert report.quotient_value == pytest.approx(19.01756946164605, rel=1e-14)
 
 
+def test_newton_stops_at_the_residual_rounding_floor():
+    # On fine grids the residual of cylinder-weighted's index-1 minimizer
+    # cannot get below 1e-10 in floating point (1.7e-10 at m = 2048); an
+    # absolute test judged every start unconverged and returned the constant
+    # saddle (Q = 20.8333, index 3).  Newton converges at
+    # max(newton_tol, eps |J|_inf |v|_inf) instead.
+    cfg = example_configuration("cylinder-weighted")
+    alpha = example_interval("cylinder-weighted").midpoint
+    quotients = []
+    for m in (2048, 4096, 8192):
+        report = minimize(circle_reduction(cfg, 1, alpha, grid=m))
+        problem, v = report.problem, report.u
+        jac = 4.0 / problem.h**2 + alpha + problem.p * problem.f_samples.max() * v.max() ** (problem.p - 1.0)
+        assert SolveConfig().newton_tol < report.el_residual <= math.ulp(1.0) * jac * v.max()
+        assert (report.classification, report.morse_index) == ("nonconstant", 1)
+        assert report.quotient_value == pytest.approx(17.61268, abs=1e-5)
+        quotients.append(report.quotient_value)
+    # second order in h: the quotient differences shrink by 4 per halving
+    assert 3.9 < (quotients[1] - quotients[0]) / (quotients[2] - quotients[1]) < 4.1
+
+
 # ---------------------------------------------------------------------------
-# the descent's grid hierarchy
+# the soliton start
 
 
-def _descent_levels(monkeypatch, m):
-    """Grid sizes of the cos1 start's descent evaluations in order, with its result."""
+def _counted_solve(monkeypatch, index, m, config=None):
+    """Solve of cylinder-triple at c6's alpha, with the grid size of each _evaluate call."""
     alpha = example_interval("cylinder-triple").midpoint
-    problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=m)
-    config = SolveConfig(starts=("cos1",))
-    (_, u0), = solver._starts(problem, config)
-    sizes = []
+    problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
+    calls = []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: sizes.append(pr.m) or evaluate(pr, x))
-    run = solver._solve_one(problem, "cos1", u0, config)
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(pr.m) or evaluate(pr, x))
+    report = minimize(problem, config)
     monkeypatch.setattr(solver, "_evaluate", evaluate)
-    return problem, config, u0, sizes, run
+    return problem, report, calls
 
 
-def test_a_fine_grid_descends_from_the_coarsest_level_up(monkeypatch):
-    _, _, _, sizes, run = _descent_levels(monkeypatch, 4096)
-    levels = [m for i, m in enumerate(sizes) if i == 0 or m != sizes[i - 1]]
-    assert levels == [512, 1024, 2048, 4096]
-    assert sizes.count(4096) <= 20  # the one-level descent made 178
-    assert run.converged and not run.descent_capped
+@pytest.mark.parametrize(
+    "index, m", [(1, m) for m in (1024, 2048, 4096, 8192, 16384)] + [(2, m) for m in (512, 1024, 2048, 4096, 8192)]
+)
+def test_the_soliton_start_descends_in_a_handful_of_evaluations(monkeypatch, index, m):
+    # a cos1 start makes more than 100 on each of these problems
+    _, report, calls = _counted_solve(monkeypatch, index, m)
+    assert len(calls) <= 12
+    assert (report.start_label, report.classification, report.morse_index) == ("soliton", "nonconstant", 1)
 
 
-@pytest.mark.parametrize("m", [256, 512, 768])
-def test_a_grid_below_1024_descends_on_itself_alone(monkeypatch, m):
-    problem, config, u0, sizes, run = _descent_levels(monkeypatch, m)
-    assert set(sizes) == {m}
+@pytest.mark.parametrize("m", [256, 512, 768, 1024, 2048, 4096])
+def test_every_grid_descends_on_itself_alone(monkeypatch, m):
+    config = SolveConfig(starts=("soliton",))
+    problem, _, calls = _counted_solve(monkeypatch, 1, m, config)
+    assert set(calls) == {m}
+    (label, u0), = solver._starts(problem, config)
+    run = solver._solve_one(problem, label, u0, config)
     u, capped = solver._descend(problem, u0, config)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = solver._newton(problem, v, config)
@@ -469,9 +493,25 @@ def test_a_grid_below_1024_descends_on_itself_alone(monkeypatch, m):
     assert (run.iters, run.residual, run.converged, run.descent_capped) == (iters, rn, ok, capped)
 
 
-def test_prolongation_interpolates_periodically():
-    u = np.array([1.0, 3.0, 2.0, 6.0])
-    assert solver._prolong(u).tolist() == [1.0, 2.0, 3.0, 2.5, 2.0, 4.0, 6.0, 3.5]
+@pytest.mark.parametrize("phase", [0.0, 1.0, math.pi, 5.5])
+def test_the_soliton_start_peaks_where_the_weight_does(phase):
+    m = 256
+    s = np.arange(m) * (2.0 * math.pi / m)
+    f = 1.0 + 0.15 * np.cos(s - phase)
+    problem = _problem(alpha=3.0, m=m, f=f)
+    (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
+    k = int(np.argmax(f))
+    assert int(np.argmax(u0)) == k
+    # the line soliton's amplitude, A^{p-1} = (p+1) alpha / (2 f_k), and its
+    # evenness about s_k in the periodic distance
+    assert u0[k] == pytest.approx((6.0 * 3.0 / (2.0 * f[k])) ** 0.25, rel=1e-15)
+    assert np.array_equal(np.roll(u0, -k)[1:], np.roll(u0, -k)[:0:-1])
+
+
+def test_the_soliton_start_of_a_constant_weight_peaks_where_cos1_does():
+    problem = _problem(alpha=0.3, m=128)
+    starts = dict(solver._starts(problem, SolveConfig(starts=("soliton", "cos1"))))
+    assert int(np.argmax(starts["soliton"])) == int(np.argmax(starts["cos1"])) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +532,7 @@ def test_failed_solve_raises_with_partial_report():
 def test_convergence_error_best_carries_the_morse_certificate():
     # cos3 alone descends to the symmetric three-bump saddle of index 2's
     # problem, where Newton stagnates; its index and its three near-zero modes
-    # (the bumps' positions) say which critical point it is.  m = 512 descends
-    # on its own grid only.
+    # (the bumps' positions) say which critical point it is
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
     with pytest.raises(ConvergenceError) as err:
@@ -503,31 +542,30 @@ def test_convergence_error_best_carries_the_morse_certificate():
     assert (best.morse_index, best.zero_modes) == (3, 3)
 
 
-def test_a_coarse_grid_descent_leaves_the_three_bump_saddle():
-    # on its own grid the cos3 start of m = 2048 stalled by the three-bump
-    # saddle (Q = 29.5709, index 3) and raised; descending from m = 512 up,
-    # it reaches the minimizer
+def test_a_cos3_start_at_2048_stalls_by_the_three_bump_saddle():
+    # descending on its own grid, the opt-in cos3 start of m = 2048 stalls by
+    # the symmetric three-bump saddle, as at m = 512
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=2048)
-    report = minimize(problem, SolveConfig(starts=("cos3",)))
-    assert (report.morse_index, report.zero_modes) == (1, 1)
-    assert report.quotient_value == pytest.approx(19.0553, abs=1e-4)
+    with pytest.raises(ConvergenceError) as err:
+        minimize(problem, SolveConfig(starts=("cos3",)))
+    best = err.value.best
+    assert best.morse_index == 3
+    assert best.quotient_value == pytest.approx(29.5709, abs=1e-4)
 
 
 def test_a_capped_descent_is_reported():
     problem = _problem(alpha=0.3)
     capped = minimize(problem, SolveConfig(descent_max_iter=5))
-    assert capped.descent_capped == ("cos1",)  # the constant start is stationary at once
+    assert capped.descent_capped == ("soliton",)  # the constant start is stationary at once
     assert capped.el_residual <= 1e-10
     assert minimize(problem).descent_capped == ()
 
 
 def test_a_capped_finest_level_is_reported():
-    # m = 1024 descends on 512 nodes, then on 1024; descent_capped is the
-    # finest level's, whose iterate Newton starts from
     problem = _problem(alpha=0.3, m=1024)
     capped = minimize(problem, SolveConfig(descent_max_iter=5))
-    assert capped.descent_capped == ("cos1",)
+    assert capped.descent_capped == ("soliton",)
     assert capped.el_residual <= 1e-10
     assert minimize(problem).descent_capped == ()
 
@@ -556,6 +594,12 @@ def test_start_labels_are_checked_before_any_work(field, value):
         SolveConfig(**{field: value})
 
 
+def test_an_unknown_start_label_error_lists_the_known_ones():
+    with pytest.raises(PreconditionError, match="known: constant, soliton, cos<mode>, random"):
+        SolveConfig(starts=("sine",))
+    assert SolveConfig().starts == ("constant", "soliton")
+
+
 @pytest.mark.parametrize(
     "m, amplitude, phase, alpha",
     [
@@ -581,10 +625,10 @@ FIVE_STARTS = ("constant", "cos1", "cos2", "cos3", "random")
 
 
 def test_starts_that_reach_one_solution_all_win_and_the_earliest_is_named():
-    # below the bifurcation constant and cos1 both reach the constant; above
-    # it cos1 and random reach the one-bump minimizer, 0-3 ulps apart
+    # below the bifurcation constant and soliton both reach the constant;
+    # above it cos1 and random reach the one-bump minimizer, 0-3 ulps apart
     below = minimize(_problem(alpha=0.1))
-    assert below.winning_starts == ("constant", "cos1") and below.start_label == "constant"
+    assert below.winning_starts == ("constant", "soliton") and below.start_label == "constant"
     above = minimize(_problem(alpha=0.3), SolveConfig(starts=FIVE_STARTS))
     assert above.winning_starts == ("cos1", "random") and above.start_label == "cos1"
 
@@ -666,7 +710,7 @@ def test_two_default_starts_find_the_five_start_minimum():
     mismatches = []
     for name, problem in _two_versus_five_problems():
         two = minimize(problem)
-        five = minimize(problem, SolveConfig(starts=FIVE_STARTS))
+        five = minimize(problem, SolveConfig(starts=FIVE_STARTS + ("soliton",)))
         if name == "flat m256 alpha0.250":
             assert (two.classification, two.morse_index) == ("constant", 3)
             assert (five.classification, five.morse_index) == ("nonconstant", 1)
@@ -722,6 +766,13 @@ def test_circle_reduction_rejects_a_bad_grid(grid):
         circle_reduction(cfg, 1, 1.0, grid=grid)
     with pytest.raises(PreconditionError, match="grid"):
         circle_reduction(cfg, 1, 1.0, grid=grid, f_samples=np.ones(MIN_GRID))
+
+
+def test_circle_reduction_rejects_f_samples_of_another_size():
+    cfg = example_configuration("cylinder-triple")
+    with pytest.raises(PreconditionError, match="grid 4096 disagrees with the 512 f_samples"):
+        circle_reduction(cfg, 1, 2.18, grid=4096, f_samples=np.ones(512))
+    assert circle_reduction(cfg, 1, 2.18, grid=512, f_samples=np.ones(512)).m == 512
 
 
 def test_circle_reduction_takes_any_integer_grid():

@@ -178,8 +178,8 @@ def test_solve_report_json_adds_the_certificate_fields():
         "newton_iterations", "start_label", "threshold", "below_threshold",
         "winning_starts", "descent_capped", "morse_index", "zero_modes",
     }
-    assert d["winning_starts"] == ["cos1"] and d["start_label"] == "cos1"
-    assert d["descent_capped"] == ["cos1"]
+    assert d["winning_starts"] == ["soliton"] and d["start_label"] == "soliton"
+    assert d["descent_capped"] == ["soliton"]
     assert d["morse_index"] == 1 and d["zero_modes"] == 1  # the translation mode
     closed = clean(constant_solution(problem))
     assert (closed["winning_starts"], closed["descent_capped"], closed["morse_index"]) == ([], [], 3)
