@@ -161,50 +161,64 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(_GAUSS_NODES)
 
 
-def quad(fn, a, b, scale):
-    """int_a^b fn by Gauss-Legendre on panels graded geometrically at both ends.
+def quad(fn, a, b, scales):
+    """int_a^b fn for a batch of scales, one graded Gauss-Legendre rule each.
 
-    Toward a the edges are a + scale _GRADING^j, which resolves a peak of width
-    scale at a; toward b, where u^{two_sharp} has an algebraic singularity,
-    _RIGHT_PANELS panels shrink by _GRADING.  fn is called once, on all nodes;
-    perfbench/tracing.py wraps this function by name.
+    Row i of the rule has edges a + scales[i] _GRADING^j toward a, which
+    resolve a peak of width scales[i] at a, and toward b, where u^{two_sharp}
+    has an algebraic singularity, _RIGHT_PANELS panels shrinking by _GRADING.
+    All rows share one (rows, panels) edge array: a row that needs fewer inner
+    panels than the widest is padded with zero-width panels at a, which add
+    exactly 0 where fn is finite at a.  fn is called once, on the nodes of
+    every row (shape (rows, nodes per panel, panels)), and may stack several
+    integrands on leading axes; the result has fn's leading shape and one
+    integral per row.  perfbench/tracing.py wraps this function by name.
     """
+    scales = np.asarray(scales, dtype=float)
     half = 0.5 * (b - a)
-    inner = np.arange(max(0, math.ceil(math.log(half / scale, _GRADING))))
-    outer = np.arange(_RIGHT_PANELS)
-    edges = np.concatenate(([a], a + scale * _GRADING**inner, b - half * _GRADING**-outer, [b]))
+    counts = np.array([max(0, math.ceil(math.log(half / s, _GRADING))) for s in scales.tolist()], dtype=int)
+    width = counts.max(initial=0)
+    j = np.arange(-1, width) - (width - counts)[:, None]  # index of the inner edges, < 0 at a
+    edges = np.full((len(scales), width + _RIGHT_PANELS + 2), float(b))
+    edges[:, : width + 1] = np.where(j < 0, a, a + scales[:, None] * _GRADING**j)
+    edges[:, width + 1 : -1] = b - half * _GRADING ** -np.arange(_RIGHT_PANELS)
     x, w = _gauss_legendre()
-    mid, rad = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    return float(rad @ (w @ fn(mid + rad * x[:, None])))
+    mid, rad = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
+    panels = w @ fn(mid[:, None, :] + rad[:, None, :] * x[:, None])  # (..., rows, panels)
+    return (panels[..., None, :] @ rad[..., None])[..., 0, 0]
 
 
 def rayleigh_quotient(config, eps):
-    """I(u_eps) by graded Gauss-Legendre quadrature."""
-    if not eps > 0.0:
+    """I(u_eps) by graded Gauss-Legendre quadrature, at one eps or at each of a 1-d sequence.
+
+    Like a ufunc: a float for a number, an array for a sequence.  Every
+    sample goes through one quad call, on the numerator and denominator
+    integrands stacked together.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if eps.ndim > 1:
+        raise PreconditionError("eps must be a number or a 1-d sequence")
+    if not np.all(eps > 0.0):
         raise PreconditionError("eps must be positive")
+    samples = np.atleast_1d(eps)
     N = config.dim
     delta = config.delta
     power = 1.0 - N / 2.0
-    tail = (eps + delta * delta) ** power
-    root = math.sqrt(eps)
+    e = samples[:, None, None]
+    tail = (e + delta * delta) ** power
 
-    def u(r):
-        return (eps + r * r) ** power - tail
+    def integrands(r):
+        s = e + r * r
+        u = s**power - tail
+        du = 2.0 * power * r * s ** (power - 1.0)
+        rho = density(config, r)
+        return np.stack(((du**2 + config.alpha * u**2) * rho, _weight(config, r) * u**config.two_sharp * rho))
 
-    def du(r):
-        return 2.0 * power * r * (eps + r * r) ** (power - 1.0)
-
-    def num_int(r):
-        return (du(r) ** 2 + config.alpha * u(r) ** 2) * density(config, r)
-
-    def den_int(r):
-        return _weight(config, r) * u(r) ** config.two_sharp * density(config, r)
-
-    num = quad(num_int, 0.0, delta, root)
-    den = quad(den_int, 0.0, delta, root)
-    if not den > 0.0:
+    num, den = quad(integrands, 0.0, delta, np.sqrt(samples))
+    if not np.all(den > 0.0):
         raise PreconditionError("degenerate test function: zero denominator")
-    return num / den ** (2.0 / config.two_sharp)
+    values = num / den ** (2.0 / config.two_sharp)
+    return float(values[0]) if eps.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -239,7 +253,7 @@ def fit_and_compare(config):
         raise PreconditionError("the linear model needs dim >= 5")
     if len(config.epsilons) < 2:
         raise PreconditionError("need at least two eps samples to fit")
-    samples = tuple((e, rayleigh_quotient(config, e)) for e in config.epsilons)
+    samples = tuple(zip(config.epsilons, rayleigh_quotient(config, config.epsilons).tolist()))
     slopes = tuple(
         (v1 - v2) / (e1 - e2)
         for (e1, v1), (e2, v2) in zip(samples, samples[1:])
@@ -282,7 +296,7 @@ def log_branch_sign(config):
     if config.dim != 4:
         raise PreconditionError("the logarithmic branch exists only in dimension 4")
     coeff = (config.scal + 3.0 * config.vh_quadratic_coeff - 6.0 * config.alpha) / 8.0
-    samples = tuple((e, rayleigh_quotient(config, e)) for e in config.epsilons)
+    samples = tuple(zip(config.epsilons, rayleigh_quotient(config, config.epsilons).tolist()))
     limit = config.predicted_limit
     ok = True
     for e, v in samples[-2:]:

@@ -84,9 +84,11 @@ MIN_GRID = 64
 # counts as a zero mode only on a resolving grid.
 ZERO_MODE_TOL = 1e-6
 
-# Converged starts whose quotients lie within this many ulps of the least
-# one, with the same classification, reached the same solution: starts that
-# converge to one solution differ by 0-3 ulps.
+# Converged starts whose quotients lie within max(TIE_ULPS, ceil(sqrt(m)))
+# ulps of the least one, with the same classification, reached the same
+# solution.  Q is a ratio of m-term sums, whose rounding grows like sqrt(m)
+# ulps: starts that converge to one solution differ by 0-3 ulps on coarse
+# grids, and by 35 on cylinder-weighted's constant at m = 8192.
 TIE_ULPS = 4
 
 # Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.
@@ -402,9 +404,9 @@ class SolveReport:
     """One solution with how it was obtained and its Morse certificate.
 
     winning_starts: the converged starts that reached this solution (same
-    classification, quotient within TIE_ULPS ulps of the least); the
-    earliest is start_label.  Empty for the closed form and for the best
-    partial result of a ConvergenceError.
+    classification, quotient within max(TIE_ULPS, ceil(sqrt(m))) ulps of
+    the least); the earliest is start_label.  Empty for the closed form and
+    for the best partial result of a ConvergenceError.
     descent_capped: the starts whose descent used all of descent_max_iter
     without meeting its stopping test.
     morse_index, zero_modes: eigenvalues of the Newton Jacobian J below
@@ -673,9 +675,10 @@ def minimize(problem, config=None):
     """Multi-start minimization of the quotient; returns the best solution.
 
     The converged start with the least quotient wins.  Starts that reached
-    the same solution (same classification, quotient within TIE_ULPS ulps)
-    are reported as winning_starts, and the earliest of them gives the
-    report, so rounding noise between them does not pick the label.
+    the same solution (same classification, quotient within
+    max(TIE_ULPS, ceil(sqrt(m))) ulps) are reported as winning_starts, and
+    the earliest of them gives the report, so rounding noise between them
+    does not pick the label.
 
     Raises ConvergenceError (with the best partial result attached as
     .best) when no start reaches the Newton tolerance.
@@ -693,7 +696,8 @@ def minimize(problem, config=None):
         )
     scored = [(quotient_value(problem, r.v), _classify(r.v), r) for r in converged]
     q_min, kind, _ = min(scored, key=lambda s: s[0])  # the first of equal minima
-    tied = [r for q, c, r in scored if c == kind and q - q_min <= TIE_ULPS * math.ulp(q_min)]
+    tie = max(TIE_ULPS, math.ceil(math.sqrt(problem.m))) * math.ulp(q_min)
+    tied = [r for q, c, r in scored if c == kind and q - q_min <= tie]
     first = tied[0]
     return _report(
         problem, first.v, first.label, first.iters,

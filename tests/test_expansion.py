@@ -14,6 +14,7 @@ from symcrit import (
     rayleigh_quotient,
     sphere_volume,
 )
+from symcrit import expansion
 from symcrit import test_function as bubble  # name clashes with pytest collection
 from symcrit.cli import main
 
@@ -151,6 +152,56 @@ def test_quotient_is_affine_in_alpha():
 
 
 # ---------------------------------------------------------------------------
+# one batched quadrature for many eps
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("curvature", [None, 0.5])
+def test_batch_equals_the_scalar_call_at_each_eps(dim, curvature):
+    # eps over ten decades: the rows of the large eps need fewer inner panels
+    # than the smallest and are padded with zero-width panels at r = 0
+    cfg = _config(dim=dim, delta=0.8, alpha=1.3, vh_quadratic_coeff=0.5, f_laplacian=0.4,
+                  curvature=curvature)
+    eps = np.geomspace(0.16, 1.6e-11, 9)
+    batch = rayleigh_quotient(cfg, eps)
+    assert isinstance(batch, np.ndarray) and batch.shape == (9,)
+    for e, value in zip(eps, batch):
+        single = rayleigh_quotient(cfg, float(e))
+        assert isinstance(single, float)
+        assert value == pytest.approx(single, rel=1e-15, abs=0.0)
+    assert rayleigh_quotient(cfg, list(eps[:1])).shape == (1,)
+
+
+def test_a_fit_makes_one_quadrature_call(monkeypatch):
+    calls = []  # integrand evaluations of each quad call
+    quad_ = expansion.quad
+
+    def counted(fn, *args):
+        calls.append(0)
+
+        def integrand(r):
+            calls[-1] += 1
+            return fn(r)
+
+        return quad_(integrand, *args)
+
+    monkeypatch.setattr(expansion, "quad", counted)
+    report = fit_and_compare(_config(dim=6))
+    assert calls == [1] and len(report.samples) == 7
+    calls.clear()
+    log_branch_sign(_config(dim=4))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan])
+def test_a_non_positive_eps_in_a_sequence_is_rejected(bad):
+    with pytest.raises(PreconditionError):
+        rayleigh_quotient(_config(dim=6), [1e-3, bad, 1e-5])
+    with pytest.raises(PreconditionError):
+        rayleigh_quotient(_config(dim=6), [[1e-3, 1e-4]])  # not 1-d
+
+
+# ---------------------------------------------------------------------------
 # the linear model in dimension >= 5
 
 
@@ -179,6 +230,23 @@ def test_curved_model_shifts_the_slope():
     report = fit_and_compare(cfg)
     assert report.fitted_c1 == pytest.approx(report.predicted_c1, rel=5e-2)
     assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-4)
+
+
+def test_fit_error_near_a_cancelling_c1_shrinks_with_eps():
+    # 5 alpha and scal = 30 curvature nearly cancel in c1 = (5 alpha - scal) / 12,
+    # so the secant fit's relative error, of order eps_min / |c1|, is large at
+    # the default eps (outside a 10 % band) and shrinks tenfold per decade of eps
+    kw = dict(dim=6, alpha=1.0373, curvature=0.1728)
+    default = _config(**kw).epsilons
+    errors = []
+    for scale in (1.0, 0.1, 0.01):
+        report = fit_and_compare(_config(epsilons=tuple(scale * e for e in default), **kw))
+        assert report.predicted_c1 == pytest.approx((5.0 * 1.0373 - 30.0 * 0.1728) / 12.0, rel=1e-12)
+        errors.append(abs(report.fitted_c1 / report.predicted_c1 - 1.0))
+    assert 0.15 < errors[0] < 0.25
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 9.0 < coarse / fine < 11.0
+    assert errors[-1] < 2.5e-3
 
 
 def test_weight_curvature_enters_for_dim_above_four():

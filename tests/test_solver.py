@@ -633,6 +633,18 @@ def test_starts_that_reach_one_solution_all_win_and_the_earliest_is_named():
     assert above.winning_starts == ("cos1", "random") and above.start_label == "cos1"
 
 
+@pytest.mark.parametrize("m", [2048, 4096, 8192])
+def test_starts_that_reach_one_solution_tie_on_fine_grids(m):
+    # cylinder-weighted index 2 has the constant as its minimizer; the soliton
+    # start's nearly constant result has a quotient 2, 3 and 35 ulps below the
+    # exact constant's at these grids, within sqrt(m) ulps of Q's rounding
+    cfg = example_configuration("cylinder-weighted")
+    report = minimize(circle_reduction(cfg, 2, example_interval("cylinder-weighted").midpoint, grid=m))
+    assert report.classification == "constant"
+    assert report.start_label == "constant" and report.winning_starts == ("constant", "soliton")
+    assert report.el_residual < 1e-12
+
+
 def _dense_morse_counts(problem, v):
     h = problem.h
     jac = np.diag(2.0 / (h * h) + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0))
