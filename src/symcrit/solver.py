@@ -50,7 +50,7 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._lazy import lazy_import
+from ._lazy import flapack, lazy_import
 from .constants import _concentration_threshold
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
@@ -352,9 +352,12 @@ def _morse_counts(problem, v):
     Haynsworth's inertia additivity J - s has as many negative
     eigenvalues as T - s, counted by Sturm bisection (dstebz), plus one
     if the Schur complement c - s - w' (T - s)^{-1} w is negative (one
-    dgtsv solve).  The inertia does not depend on where J is cut.
+    dgtsv solve).  The inertia does not depend on where J is cut.  Both
+    routines come from scipy's LAPACK extension, loaded by itself
+    (_lazy.flapack), not through scipy.linalg's package.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    lapack = flapack()
+    dgtsv, dstebz = lapack.dgtsv, lapack.dstebz
 
     _, diag, _, off = _cut(problem, v)
     t, e = diag[:-1], np.full(problem.m - 2, off)
@@ -570,10 +573,9 @@ def _newton_step(problem, v, r):
     [-r; 0], and the Schur system is the symmetric 2x2 one in
     (delta_k, mu).  A nonconstant f breaks that symmetry, and the border
     would only keep Newton from converging quadratically.  A zero Schur
-    pivot leaves the step non-finite, which _newton rejects.
+    pivot leaves the step non-finite, which _newton rejects.  dgtsv comes
+    from scipy's LAPACK extension, loaded by itself (_lazy.flapack).
     """
-    from scipy.linalg.lapack import dgtsv
-
     m, f = problem.m, problem.f_samples
     order, diag, t, off = _cut(problem, v)
     bordered = float(f.max() - f.min()) == 0.0 and np.abs(t).max() > 1e-13 * np.abs(v).max()
@@ -584,7 +586,7 @@ def _newton_step(problem, v, r):
     if bordered:
         rhs[:, 2] = t[:-1]
     e = np.full(m - 2, off)
-    x, info = dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
+    x, info = flapack().dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
     if info:
         return None
     wx = off * (x[0] + x[-1])  # w' T^{-1} [b_T, w, tau_T]

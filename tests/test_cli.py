@@ -323,9 +323,9 @@ def _cold_run(argv):
     result = json.loads(proc.stdout)
     assert result["code"] == 0
     modules = set(result["modules"])
-    # scipy.linalg is imported by the solver only: the Newton step and the
-    # Morse count of the report
-    return modules, "scipy.linalg" in modules
+    # scipy's LAPACK extension is loaded by the solver only: the Newton step
+    # and the Morse count of the report
+    return modules, "scipy.linalg._flapack" in modules
 
 
 def _under(modules, package):
@@ -349,7 +349,8 @@ def test_interval_and_table_load_neither_numpy_nor_scipy(argv):
 
 def test_solve_loads_no_quadrature():
     # the cos1 start needs Newton steps, and every report's Morse count loads
-    # scipy.linalg.lapack
+    # scipy's LAPACK extension by itself, without scipy.linalg's package and
+    # so without scipy._lib and the numpy.f2py it pulls in
     modules, solver_ran = _cold_run(
         ["solve", "--length", "6.2832", "--p", "5", "--alpha", "0.3", "--grid", "64",
          "--starts", "constant,cos1"]
@@ -357,6 +358,9 @@ def test_solve_loads_no_quadrature():
     assert solver_ran
     assert _under(modules, "scipy.sparse") == set()
     assert _under(modules, "scipy.integrate") == set()
+    assert _under(modules, "scipy.linalg.lapack") == set()
+    assert _under(modules, "scipy._lib") == set()
+    assert _under(modules, "numpy.f2py") == set()
 
 
 def test_expansion_runs_no_newton_solve():

@@ -1,5 +1,8 @@
 import functools
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from symcrit import (
     quotient_gradient,
     quotient_value,
 )
-from symcrit import solver
+from symcrit import _lazy, solver
 from symcrit.solver import MIN_GRID
 
 # 1-D ground state of -u'' + u = u^5 on the line: u = 3^{1/4} sech^{1/2}(2s),
@@ -679,11 +682,10 @@ def test_morse_counts_match_dense_eigenvalues(m):
 def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monkeypatch):
     # dgtsv reports a zero pivot when the shift is an eigenvalue of T in
     # floating point; the count is then taken at a shift 1 % further from 0
-    import scipy.linalg.lapack as lapack
-
     problem = _problem(alpha=0.3)
     v = minimize(problem).u
     expected = solver._morse_counts(problem, v)
+    lapack = _lazy.flapack()  # the module the solver takes dgtsv from
     dgtsv, shifts = lapack.dgtsv, []
 
     def singular_once(dl, d, du, b):
@@ -695,6 +697,67 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
     assert solver._morse_counts(problem, v) == expected
     tol = solver.ZERO_MODE_TOL  # alpha < 1
     assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3)
+
+
+# One fresh interpreter per route to scipy's LAPACK wrappers, so that no
+# earlier import of scipy.linalg in the test process decides the route: the
+# extension loaded by itself, or scipy.linalg.lapack when the file lookup
+# finds nothing.  It prints the route, then Newton steps (bordered for
+# constant f, plain for a weighted f) and Morse counts at m = 64 and 4096.
+_ROUTE_PROBE = """
+import json, sys
+import numpy as np
+from symcrit import _lazy, solver
+if sys.argv[1] == "fallback":
+    _lazy._flapack_file = lambda: None
+route = _lazy.flapack().__name__
+results = []
+for m in (64, 4096):
+    s = np.arange(m) * (2.0 * np.pi / m)
+    v = 0.4 ** 0.25 * (1.0 + 0.3 * np.cos(s) + 1e-2 * np.random.default_rng(m).standard_normal(m))
+    for f in (np.ones(m), 1.0 + 0.15 * np.cos(s)):
+        problem = solver.ReducedProblem(length=2.0 * np.pi, weight=1.0, alpha=0.4, p=5.0, f_samples=f)
+        delta = solver._newton_step(problem, v, solver._residual(problem, v))
+        results.append([delta.tobytes().hex(), solver._morse_counts(problem, v)])
+print(json.dumps({"route": route, "results": results}))
+"""
+
+
+def _route_results(route):
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROUTE_PROBE, route], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+def test_direct_and_fallback_lapack_routes_agree_bitwise():
+    direct, fallback = _route_results("direct"), _route_results("fallback")
+    assert direct["route"] == "scipy.linalg._flapack"
+    assert fallback["route"] == "scipy.linalg.lapack"
+    assert len(direct["results"]) == 4
+    assert direct["results"] == fallback["results"]
+
+
+# The extension initialises numpy's C API as it loads.  Loaded while numpy
+# is still an unexecuted lazy module, it would leave numpy half-initialised,
+# and the later `import scipy.linalg` would fail with an AttributeError.
+_LATE_SCIPY_PROBE = """
+import sys
+from symcrit import _lazy, solver
+assert "numpy._core" not in sys.modules  # numpy is bound but not executed
+lapack = _lazy.flapack()
+assert lapack.__name__ == "scipy.linalg._flapack" and "scipy.linalg" not in sys.modules
+import scipy.linalg
+print(scipy.linalg.lapack.dgtsv is lapack.dgtsv)
+"""
+
+
+def test_scipy_linalg_imported_after_the_direct_load_reuses_its_extension():
+    proc = subprocess.run(
+        [sys.executable, "-c", _LATE_SCIPY_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def _two_versus_five_problems():
