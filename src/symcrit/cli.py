@@ -41,13 +41,7 @@ _PARAM_FLAGS = (
 _PARAM_NAMES = tuple(name for name, _, _ in _PARAM_FLAGS)
 
 # flags that set a config field with a default, each with the field it sets
-_SOLVE_CONFIG_FLAGS = {
-    "seed": "seed",
-    "max_descent": "descent_max_iter",
-    "max_newton": "newton_max_iter",
-    "descent_tol": "descent_tol",
-    "newton_tol": "newton_tol",
-}
+_SOLVE_CONFIG_FLAGS = {"seed": "seed", "newton_tol": "newton_tol"}
 _EXPANSION_CONFIG_FLAGS = {"q": "vh_quadratic_coeff", "f_peak": "f_peak", "f_laplacian": "f_laplacian"}
 
 
@@ -211,9 +205,6 @@ def build_parser():
         help="comma-separated start labels, from constant, soliton, cos<mode>, random (default: %s)"
         % ",".join(SolveConfig.starts),
     )
-    p_solve.add_argument("--max-descent", type=int, default=None)
-    p_solve.add_argument("--max-newton", type=int, default=None)
-    p_solve.add_argument("--descent-tol", type=float, default=None)
     p_solve.add_argument("--newton-tol", type=float, default=None)
     p_solve.add_argument("--profile", action="store_true", help="include the solution samples")
     p_solve.set_defaults(func=functools.partial(_cmd_solve, p_solve))

@@ -248,6 +248,21 @@ def _merge_lo(floor, lo3, gap_strict):
     return (lo3, gap_strict) if lo3 > floor else (floor, gap_strict and lo3 == floor)
 
 
+def _energy_gap(params, crit, c, P, rho, orbit2, volume, f):
+    """gap of the condition alpha > bound_second.hi - gap for the band
+    inequality (crit, P), with c = c(crit); it is linear in rho = (A2/A1)^{2/N} - 1."""
+    N = params.reduced_dim
+    mass_exp = (crit - 2.0) * (params.n - 2 - params.k) / (2.0 * N)
+    return (
+        rho
+        * orbit2 ** ((2.0 - crit) / N)
+        * sobolev_constant(N) ** ((crit - 2.0) / 2.0)
+        * c ** (crit / 2.0)
+        * f.peak_ratio**mass_exp
+        / (volume**mass_exp * P ** (crit / 2.0))
+    )
+
+
 def _band_interval(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_strict):
     """The interval of generic_interval for the band inequality (crit, P, D).
 
@@ -257,7 +272,6 @@ def _band_interval(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, 
     constant.
     """
     _check_family(params, orbit1, orbit2, volume)
-    N = params.reduced_dim
     hi = bound_second.lo
     if math.isinf(D):
         floor = math.inf
@@ -273,17 +287,8 @@ def _band_interval(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, 
         lo, lo_strict = math.inf, True
         conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
     else:
-        mass_exp = (crit - 2.0) * (params.n - 2 - params.k) / (2.0 * N)
-        rho = (orbit2 / orbit1) ** (2.0 / N) - 1.0
-        gap = (
-            rho
-            * orbit2 ** ((2.0 - crit) / N)
-            * sobolev_constant(N) ** ((crit - 2.0) / 2.0)
-            * c ** (crit / 2.0)
-            * f.peak_ratio**mass_exp
-            / (volume**mass_exp * P ** (crit / 2.0))
-        )
-        lo3 = bound_second.hi - gap
+        rho = (orbit2 / orbit1) ** (2.0 / params.reduced_dim) - 1.0
+        lo3 = bound_second.hi - _energy_gap(params, crit, c, P, rho, orbit2, volume, f)
         conds.append(ConditionReport("energy-gap", "satisfied", lo3))
         lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
     return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conds))
@@ -308,6 +313,11 @@ def generic_interval(params, ineq, bound_second, orbit1, orbit2, volume, f=None,
     )
 
 
+def _ambient_band(n):
+    """(crit, c(crit), P) of the ambient sharp inequality: 2n/(n-2), n(n-4)/(n-2)^2, K_n."""
+    return 2.0 * n / (n - 2.0), n * (n - 4.0) / (n - 2.0) ** 2, sobolev_constant(n)
+
+
 def critical_interval(
     params, bound_ambient, bound_second, orbit1, orbit2, volume, f=None, *, gap_strict=True
 ):
@@ -321,8 +331,7 @@ def critical_interval(
     if n <= 4:
         raise PreconditionError("the ambient route needs n > 4, got n=%d" % n)
     return _band_interval(
-        params, 2.0 * n / (n - 2.0), n * (n - 4.0) / (n - 2.0) ** 2, sobolev_constant(n),
-        bound_ambient.hi, bound_second, orbit1, orbit2, volume, f, gap_strict,
+        params, *_ambient_band(n), bound_ambient.hi, bound_second, orbit1, orbit2, volume, f, gap_strict,
     )
 
 
@@ -440,9 +449,12 @@ def energy_ordering_check(params, groups, alpha, bound_ambient, volume, f=None):
         n(n-4)/(n-2)^2 * ambient_hi  <=  alpha  <=  min_i lower_i.
 
     For a pair with orbit volumes a < b the smaller-orbit energy is
-    strictly below the larger one when (b/a)^{2/N} > 1 + (B_b - alpha) C_b.
+    strictly below the larger one when lhs = (b/a)^{2/N} exceeds
+    rhs = 1 + (B_b - alpha) (lhs - 1) / gap, with gap critical_interval's
+    for the pair: that is, when alpha > B_b - gap.  (lhs - 1) / gap is
+    1 / gap at rho = 1, finite even where lhs rounds to 1.
     """
-    n, k, N = params.n, params.k, params.reduced_dim
+    n, N = params.n, params.reduced_dim
     if n <= 4:
         raise PreconditionError("the pairwise comparison needs n > 4")
     if len(groups) < 2:
@@ -453,15 +465,13 @@ def energy_ordering_check(params, groups, alpha, bound_ambient, volume, f=None):
         f = FProfile.constant()
     if math.isinf(bound_ambient.hi):
         raise PreconditionError("the admissibility window needs a finite ambient upper bound")
-    floor = n * (n - 4.0) / (n - 2.0) ** 2 * bound_ambient.hi
+    crit, c, P = _ambient_band(n)
+    floor = c * bound_ambient.hi
     ceiling = min(b.lo for _, b in groups)
     if not (floor <= alpha <= ceiling):
         raise PreconditionError(
             "alpha=%r outside the admissibility window [%r, %r]" % (alpha, floor, ceiling)
         )
-    f_int = f.f_avg * volume
-    mass_exp = 2.0 * (n - 2 - k) / (N * (n - 2.0))
-    cinv = ((n - 2.0) ** 2 / (n * (n - 4.0))) ** (n / (n - 2.0))
     verdicts = []
     for i in range(len(groups)):
         for j in range(len(groups)):
@@ -475,14 +485,7 @@ def energy_ordering_check(params, groups, alpha, bound_ambient, volume, f=None):
             if math.isinf(bound_large.hi):
                 verdicts.append(OrderingVerdict(i, j, lhs, None, None))
                 continue
-            c_large = (
-                sobolev_constant(n) ** (n / (n - 2.0))
-                * sobolev_constant(N) ** (-2.0 / (n - 2.0))
-                * a_large ** (4.0 / (N * (n - 2.0)))
-                * cinv
-                * (f_int / f.f_max) ** mass_exp
-            )
-            rhs = 1.0 + (bound_large.hi - alpha) * c_large
+            rhs = 1.0 + (bound_large.hi - alpha) / _energy_gap(params, crit, c, P, 1.0, a_large, volume, f)
             verdicts.append(OrderingVerdict(i, j, lhs, rhs, lhs > rhs))
     return OrderingReport(alpha=alpha, pairs=tuple(verdicts))
 

@@ -319,18 +319,36 @@ def _finite(x, name):
 # Builders take validated inputs and return (manifold, params, first, second).
 
 
-def _sphere_rotations(n, a1, a2):
-    _require(n >= 5 and n % 2 == 1, "odd dimension n >= 5 required so spheres admit free actions")
-    _require(a1 < a2, "group orders must satisfy a1 < a2")
-    mk = lambda name, a: GroupActionSpec(
+def _finite_rotations(name, a, quotient_scal_lower):
+    """A free action of a finite group of order a: its orbits are a points."""
+    return GroupActionSpec(
         name=name,
         k=0,
         orbit_volume=float(a),
         hypothesis="finite-principal",
-        quotient_scal_lower=float(n * (n - 1)),
+        quotient_scal_lower=quotient_scal_lower,
         principal_constant_volume=True,
     )
-    first, second = mk("order-%d rotations" % a1, a1), mk("order-%d rotations" % a2, a2)
+
+
+def _circle_factor_rotations(n, t):
+    """Rotations of the circle factor of S^1(t) x S^{n-1}; the quotient is S^{n-1}."""
+    return GroupActionSpec(
+        name="rotations of the circle factor",
+        k=1,
+        orbit_volume=2.0 * math.pi * t,
+        hypothesis="principal-suborbits",
+        quotient_scal_lower=float((n - 1) * (n - 2)),
+        principal_constant_volume=True,
+    )
+
+
+def _sphere_rotations(n, a1, a2):
+    _require(n >= 5 and n % 2 == 1, "odd dimension n >= 5 required so spheres admit free actions")
+    _require(a1 < a2, "group orders must satisfy a1 < a2")
+    scal = float(n * (n - 1))
+    first = _finite_rotations("order-%d rotations" % a1, a1, scal)
+    second = _finite_rotations("order-%d rotations" % a2, a2, scal)
     return Sphere(n), EquationParams(n=n, k=0), first, second
 
 
@@ -338,16 +356,9 @@ def _circle_rotations(n, t, a1, a2, n_min):
     _require(n >= n_min, "dimension n >= %d required" % n_min)
     _require(t > 0.0, "circle radius t must be positive")
     _require(a1 < a2, "rotation orders must satisfy a1 < a2")
-    mk = lambda name, a: GroupActionSpec(
-        name=name,
-        k=0,
-        orbit_volume=float(a),
-        hypothesis="finite-principal",
-        quotient_scal_lower=float((n - 1) * (n - 2)),
-        principal_constant_volume=True,
-    )
-    first = mk("order-%d circle rotations" % a1, a1)
-    second = mk("order-%d circle rotations" % a2, a2)
+    scal = float((n - 1) * (n - 2))
+    first = _finite_rotations("order-%d circle rotations" % a1, a1, scal)
+    second = _finite_rotations("order-%d circle rotations" % a2, a2, scal)
     return CircleTimesSphere(t, n), EquationParams(n=n, k=0), first, second
 
 
@@ -391,15 +402,7 @@ def _fibre_rotation(t):
         quotient_scal_lower=8.0,
         principal_constant_volume=True,
     )
-    second = GroupActionSpec(
-        name="rotations of the circle factor",
-        k=1,
-        orbit_volume=2.0 * math.pi * t,
-        hypothesis="principal-suborbits",
-        quotient_scal_lower=6.0,
-        principal_constant_volume=True,
-    )
-    return CircleTimesSphere(t, 4), EquationParams(n=4, k=1), first, second
+    return CircleTimesSphere(t, 4), EquationParams(n=4, k=1), first, _circle_factor_rotations(4, t)
 
 
 def _sphere_collapse(n, t):
@@ -414,15 +417,7 @@ def _sphere_collapse(n, t):
         principal_constant_volume=False,
         vh_laplacian=OrbitVolumeLaplacian("nonnegative"),
     )
-    second = GroupActionSpec(
-        name="rotations of the circle factor",
-        k=1,
-        orbit_volume=2.0 * math.pi * t,
-        hypothesis="principal-suborbits",
-        quotient_scal_lower=float((n - 1) * (n - 2)),
-        principal_constant_volume=True,
-    )
-    return CircleTimesSphere(t, n), EquationParams(n=n, k=1), first, second
+    return CircleTimesSphere(t, n), EquationParams(n=n, k=1), first, _circle_factor_rotations(n, t)
 
 
 def _finite_circle(cfg, index):

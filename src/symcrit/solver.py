@@ -91,6 +91,15 @@ ZERO_MODE_TOL = 1e-6
 # grids, and by 35 on cylinder-weighted's constant at m = 8192.
 TIE_ULPS = 4
 
+# The descent stops at an EL residual of about DESCENT_TOL, where Newton takes over.
+DESCENT_TOL = 1e-6
+
+# A guard only: the H^1 descent meets DESCENT_TOL within 100 evaluations, even at the bifurcation.
+DESCENT_MAX_ITER = 2000
+
+# A guard only: from the descent's output Newton converges, or stagnates, within a few steps.
+NEWTON_MAX_ITER = 50
+
 # Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.
 POSITIVITY_FLOOR = 1e-12
 
@@ -189,9 +198,6 @@ class ReducedProblem:
 class SolveConfig:
     seed: int = 0  # of the opt-in "random" start
     starts: tuple = ("constant", "soliton")
-    descent_max_iter: int = 2000
-    descent_tol: float = 1e-6
-    newton_max_iter: int = 50
     newton_tol: float = 1e-10
 
     def __post_init__(self):
@@ -207,14 +213,10 @@ class SolveConfig:
                     "starts has an unknown start label %r (known: constant, soliton, cos<mode>, random)"
                     % (label,)
                 )
-        for name in ("seed", "descent_max_iter", "newton_max_iter"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 0):
-                raise PreconditionError("%s must be an integer >= 0, got %r" % (name, value))
-        for name in ("descent_tol", "newton_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise PreconditionError("%s must be positive and finite, got %r" % (name, value))
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise PreconditionError("seed must be an integer >= 0, got %r" % (self.seed,))
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
+            raise PreconditionError("newton_tol must be positive and finite, got %r" % (self.newton_tol,))
 
 
 def _check_grid(grid):
@@ -410,8 +412,8 @@ class SolveReport:
     classification, quotient within max(TIE_ULPS, ceil(sqrt(m))) ulps of
     the least); the earliest is start_label.  Empty for the closed form and
     for the best partial result of a ConvergenceError.
-    descent_capped: the starts whose descent used all of descent_max_iter
-    without meeting its stopping test.
+    descent_capped: the starts whose descent used all of DESCENT_MAX_ITER
+    iterations without meeting its stopping test (DESCENT_TOL).
     morse_index, zero_modes: eigenvalues of the Newton Jacobian J below
     -tol and within [-tol, tol] (tol = ZERO_MODE_TOL * max(1, alpha)).
     A minimizer of Q has index 1; a larger index marks a saddle.
@@ -508,7 +510,7 @@ def _evaluate(problem, x):
     return u, qv, g
 
 
-def _descend(problem, u, config):
+def _descend(problem, u):
     """Projected H^1 gradient descent on Q with BB steps and backtracking.
 
     The direction is the gradient in the inner product <P ., .> with
@@ -517,10 +519,11 @@ def _descend(problem, u, config):
     times fixed symbols, and the iteration count no longer grows with
     the conditioning of -Delta_h, O(m^2) (Neuberger 1997).  The
     Barzilai-Borwein step |<du, dg>| / <dg, dd> is taken in the same
-    metric (Barzilai & Borwein 1988).  The stopping test is on g itself.
+    metric (Barzilai & Borwein 1988).  The stopping test is on g itself,
+    at DESCENT_TOL.
 
     Returns the last iterate and whether the descent used all of
-    descent_max_iter without meeting its stopping test.
+    DESCENT_MAX_ITER iterations without meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
     m, h = problem.m, problem.h
@@ -537,9 +540,9 @@ def _descend(problem, u, config):
     scale = 2.0 * problem.weight * h  # gradient per unit EL residual
 
     def stationary():
-        return float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, qv)
+        return float(np.abs(g).max()) <= DESCENT_TOL * scale * max(1.0, qv)
 
-    for _ in range(config.descent_max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         if stationary():
             return u, False
         if u_prev is not None:
@@ -615,11 +618,12 @@ def _newton(problem, v, config):
     eps |J|_inf |v|_inf), |J|_inf <= 4/h^2 + alpha + p max f max v^{p-1}; the
     second term is the residual's rounding level, which passes 1e-10 on fine
     grids (m >= 2048 on cylinder-weighted).
-    A zero pivot or a non-finite step ends the iteration unconverged,
-    and so do two consecutive steps accepted only with theta < 1/8:
-    such a start sits by a saddle whose null modes the border does not
-    remove (e.g. the relative positions of several bumps), where damped
-    Newton would grind to its cap.
+    A zero pivot or a non-finite step ends the iteration unconverged.
+    It also ends after NEWTON_MAX_ITER steps, and after two consecutive
+    steps accepted only with theta < 1/8: such a start sits by a saddle
+    whose null modes the border does not remove (e.g. the relative
+    positions of several bumps), where damped Newton would grind to its
+    cap.
     """
     f_max = float(problem.f_samples.max())
 
@@ -633,7 +637,7 @@ def _newton(problem, v, config):
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
-    for iters in range(1, config.newton_max_iter + 1):
+    for iters in range(1, NEWTON_MAX_ITER + 1):
         if converged(v, rn):
             return v, iters - 1, rn, True
         delta = _newton_step(problem, v, r)
@@ -667,7 +671,7 @@ class _StartResult(NamedTuple):
 
 def _solve_one(problem, label, u0, config):
     """Descent from u0, then Newton from its rescaled result."""
-    u, capped = _descend(problem, u0, config)
+    u, capped = _descend(problem, u0)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = _newton(problem, v, config)
     return _StartResult(label, v, iters, rn, ok, capped)

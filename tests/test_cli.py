@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -90,7 +91,7 @@ def test_solve_rejects_empty_start_list(capsys):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--newton-tol", "nan", "newton_tol"), ("--descent-tol", "-1", "descent_tol")],
+    [("--newton-tol", "nan", "newton_tol")],
 )
 def test_solve_rejects_bad_tolerances_before_any_work(capsys, flag, value, field):
     argv = ["solve", "--length", "6.2832", "--p", "5", "--alpha", "0.3", "--grid", "64"]
@@ -126,10 +127,11 @@ def test_solve_rejects_a_grid_below_the_minimum(capsys, problem, grid):
 
 
 def test_exit_code_convergence_failure(capsys):
+    # the opt-in cos3 start stalls by the symmetric three-bump saddle
     code = main(
         [
-            "solve", "--length", "6.2832", "--p", "5", "--alpha", "1.0",
-            "--starts", "cos1", "--max-descent", "0", "--max-newton", "1",
+            "solve", "--example", "cylinder-triple", "--index", "2",
+            "--alpha", "2.1801896756736916", "--grid", "512", "--starts", "cos3",
         ]
     )
     assert code == 3
@@ -267,6 +269,14 @@ def test_unset_flags_leave_the_config_defaults(monkeypatch, capsys):
     assert main(["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0"]) == 0
     capsys.readouterr()
     assert seen == [SolveConfig(), ExpansionConfig(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0)]
+
+
+def test_the_descent_and_newton_caps_are_no_solve_flags(capsys):
+    assert [f.name for f in dataclasses.fields(SolveConfig)] == ["seed", "starts", "newton_tol"]
+    argv = ["solve", "--length", "6.283", "--p", "5", "--alpha", "0.3", "--grid", "64"]
+    for flag in ("--descent-tol", "--max-descent", "--max-newton"):
+        assert main([*argv, flag, "1"]) == 1
+        assert "unrecognized arguments: %s 1" % flag in capsys.readouterr().err
 
 
 def test_expansion_branches(capsys):

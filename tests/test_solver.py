@@ -413,12 +413,12 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     calls = []
     evaluate = solver._evaluate
     monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
-    u, capped = solver._descend(problem, u0, config)
-    assert len(calls) <= 100 < config.descent_max_iter
+    u, capped = solver._descend(problem, u0)
+    assert len(calls) <= 100 < solver.DESCENT_MAX_ITER
     assert not capped
     _, q, g = evaluate(problem, u)
     scale = 2.0 * problem.weight * problem.h
-    assert float(np.abs(g).max()) <= config.descent_tol * scale * max(1.0, q)
+    assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
 
 
 def test_newton_leaves_a_stagnating_saddle_start_early():
@@ -489,7 +489,7 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     assert set(calls) == {m}
     (label, u0), = solver._starts(problem, config)
     run = solver._solve_one(problem, label, u0, config)
-    u, capped = solver._descend(problem, u0, config)
+    u, capped = solver._descend(problem, u0)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = solver._newton(problem, v, config)
     assert np.array_equal(run.v, v)
@@ -521,11 +521,12 @@ def test_the_soliton_start_of_a_constant_weight_peaks_where_cos1_does():
 # convergence failure carries the best partial result
 
 
-def test_failed_solve_raises_with_partial_report():
+def test_failed_solve_raises_with_partial_report(monkeypatch):
     problem = _problem(m=64, alpha=1.0)
-    config = SolveConfig(starts=("cos1",), descent_max_iter=0, newton_max_iter=1)
+    monkeypatch.setattr(solver, "DESCENT_MAX_ITER", 0)
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as err:
-        minimize(problem, config)
+        minimize(problem, SolveConfig(starts=("cos1",)))
     best = err.value.best
     assert best.start_label == "cos1"
     assert best.el_residual > 0.0
@@ -557,29 +558,21 @@ def test_a_cos3_start_at_2048_stalls_by_the_three_bump_saddle():
     assert best.quotient_value == pytest.approx(29.5709, abs=1e-4)
 
 
-def test_a_capped_descent_is_reported():
-    problem = _problem(alpha=0.3)
-    capped = minimize(problem, SolveConfig(descent_max_iter=5))
-    assert capped.descent_capped == ("soliton",)  # the constant start is stationary at once
-    assert capped.el_residual <= 1e-10
-    assert minimize(problem).descent_capped == ()
-
-
-def test_a_capped_finest_level_is_reported():
-    problem = _problem(alpha=0.3, m=1024)
-    capped = minimize(problem, SolveConfig(descent_max_iter=5))
-    assert capped.descent_capped == ("soliton",)
-    assert capped.el_residual <= 1e-10
-    assert minimize(problem).descent_capped == ()
+def test_a_capped_descent_is_reported(monkeypatch):
+    for m in (96, 1024):
+        problem = _problem(alpha=0.3, m=m)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "DESCENT_MAX_ITER", 5)
+            capped = minimize(problem)
+        assert capped.descent_capped == ("soliton",)  # the constant start is stationary at once
+        assert capped.el_residual <= 1e-10
+        assert minimize(problem).descent_capped == ()
 
 
 _BAD_CONFIG_VALUES = {
     "starts": [(), ("cos1", "sine"), ("cos",), ("cosx",), "cos1", (1,)],
-    "descent_tol": [0.0, -1.0, math.nan, math.inf],
     "newton_tol": [0.0, math.nan, math.inf],
     "seed": [-1, 0.5],
-    "descent_max_iter": [-1, 10.0],
-    "newton_max_iter": [-1, 2.5],
 }
 
 

@@ -166,11 +166,12 @@ def test_reports_with_any_floats_round_trip(bound, value, holds, samples):
     assert json.loads(text)[3]["u"] == [x if math.isfinite(x) else None for x in samples]
 
 
-def test_solve_report_json_adds_the_certificate_fields():
+def test_solve_report_json_adds_the_certificate_fields(monkeypatch):
     problem = ReducedProblem(
         length=2.0 * math.pi, weight=1.0, alpha=0.3, p=5.0, f_samples=np.ones(64), orbit_volume=1.0
     )
-    text = canonical_json(minimize(problem, SolveConfig(descent_max_iter=5)))
+    monkeypatch.setattr(solver, "DESCENT_MAX_ITER", 5)
+    text = canonical_json(minimize(problem))
     assert canonical_json(json.loads(text)) == text
     d = json.loads(text)
     assert set(d) == {
