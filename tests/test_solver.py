@@ -558,15 +558,23 @@ def test_a_cos3_start_at_2048_stalls_by_the_three_bump_saddle():
     assert best.quotient_value == pytest.approx(29.5709, abs=1e-4)
 
 
+def _assert_a_capped_descent_is_reported(monkeypatch, m):
+    problem = _problem(alpha=0.3, m=m)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "DESCENT_MAX_ITER", 5)
+        capped = minimize(problem)
+    assert capped.descent_capped == ("soliton",)  # the constant start is stationary at once
+    assert capped.el_residual <= 1e-10
+    assert minimize(problem).descent_capped == ()
+
+
 def test_a_capped_descent_is_reported(monkeypatch):
-    for m in (96, 1024):
-        problem = _problem(alpha=0.3, m=m)
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "DESCENT_MAX_ITER", 5)
-            capped = minimize(problem)
-        assert capped.descent_capped == ("soliton",)  # the constant start is stationary at once
-        assert capped.el_residual <= 1e-10
-        assert minimize(problem).descent_capped == ()
+    _assert_a_capped_descent_is_reported(monkeypatch, 96)
+
+
+def test_a_capped_finest_level_is_reported(monkeypatch):
+    # the same cap on a fine grid, where the soliton start needs many steps
+    _assert_a_capped_descent_is_reported(monkeypatch, 1024)
 
 
 _BAD_CONFIG_VALUES = {
