@@ -40,8 +40,7 @@ _PARAM_FLAGS = (
 )
 _PARAM_NAMES = tuple(name for name, _, _ in _PARAM_FLAGS)
 
-# flags that set a config field with a default, each with the field it sets
-_SOLVE_CONFIG_FLAGS = {"seed": "seed", "newton_tol": "newton_tol"}
+# expansion flags that set an ExpansionConfig field, each with the field it sets
 _EXPANSION_CONFIG_FLAGS = {"q": "vh_quadratic_coeff", "f_peak": "f_peak", "f_laplacian": "f_laplacian"}
 
 
@@ -124,7 +123,7 @@ def _cmd_solve(parser, args):
             f_samples=f_samples,
             orbit_volume=args.orbit_volume,
         )
-    config = _config_fields(args, _SOLVE_CONFIG_FLAGS)
+    config = _collect_params(args, ("seed", "newton_tol"))
     if args.starts is not None:
         config["starts"] = tuple(s for s in args.starts.split(",") if s)
     report = minimize(problem, SolveConfig(**config))

@@ -15,7 +15,8 @@ Discretization on m uniform nodes: forward differences for the
 Dirichlet term, nodal quadrature elsewhere.  The discrete
 Euler-Lagrange system of this discrete functional has the standard
 3-point Laplacian, so the identity  energy = Q^{N/2}  with
-N = 2 (p+1)/(p-1) survives discretization exactly.
+N = 2 (p+1)/(p-1) survives discretization exactly.  _stencil holds that
+operator's coefficients, its Fourier symbol and its norm, once.
 
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
@@ -29,7 +30,8 @@ length}), so the descent takes a handful of steps before Newton.
 Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
 open at the node where |v'| is largest (see _cut): the rest of J is a
 plain tridiagonal block T, so one LAPACK tridiagonal solve (gtsv) with T
-and a Schur complement for the cut node give the step.  With constant f,
+and a Schur complement for the cut node give the step.  That solve,
+_cut_solve, is shared with the Morse count.  With constant f,
 J is singular along the translation tau = v' at a solution, and the step
 is bordered with tau; the Schur system is then 2x2 (Govaerts & Pryce
 1990).  The cut keeps T away from that singularity, since tau is largest
@@ -100,8 +102,11 @@ DESCENT_MAX_ITER = 2000
 # A guard only: from the descent's output Newton converges, or stagnates, within a few steps.
 NEWTON_MAX_ITER = 50
 
-# Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.
-POSITIVITY_FLOOR = 1e-12
+# Descent and Newton iterates are clipped to nodal values >= POSITIVITY_FLOOR.  The
+# clamp's kink adds up to floor/h^2 to the residual, 2e-46 at m = 16384, far below
+# newton_tol, and floor^{p+1} stays a normal double for p <= 5, clear of subnormal
+# arithmetic; at 1e-12 the kink stalled Newton on fine grids.
+POSITIVITY_FLOOR = 1e-50
 
 # A solution whose range max - min exceeds OSCILLATION_TOL * max is nonconstant.
 OSCILLATION_TOL = 1e-7
@@ -256,7 +261,20 @@ def circle_reduction(config, index, alpha, grid=256, f_samples=None):
     )
 
 
+def _stencil(h):
+    """-Delta_h's 3-point stencil on the circle: (diagonal d, off-diagonal off) = (2/h^2, -1/h^2).
+
+    -Delta_h is circulant, so its eigenvalue at Fourier mode k is its
+    symbol (d - 2 off) sin^2(pi k / m), and its inf-norm is d - 2 off =
+    4/h^2.  The other operator formulas read this one: J's tridiagonal
+    (_cut), the descent's symbol of P^{-1} (_descend) and Newton's
+    rounding level (_newton).
+    """
+    return 2.0 / (h * h), -1.0 / (h * h)
+
+
 def _dirichlet(problem, u):
+    """w int |u'|^2 by forward differences; its gradient is 2 w h (-Delta_h) u, _stencil's operator."""
     du = np.empty_like(u)
     np.subtract(u[1:], u[:-1], out=du[:-1])
     du[-1] = u[0] - u[-1]
@@ -286,7 +304,7 @@ def quotient_value(problem, u):
 
 
 def _lap(u, h):
-    # (u[i+1] - 2 u[i]) + u[i-1] on the circle, in that order of rounding
+    """Delta_h u, _stencil's operator negated: ((u[i+1] - 2 u[i]) + u[i-1]) / h^2, rounded in that order."""
     out = -2.0 * u
     out[:-1] += u[1:]
     out[-1] += u[0]
@@ -328,21 +346,38 @@ def _cut(problem, v):
 
     tau = v' is formed once, by central differences.  Returns the ring
     order k+1, ..., m-1, 0, ..., k, J's diagonal and tau in that order, and
-    the coupling -1/h^2.  In the ring order J = [[T, w], [w', c]]: T is
-    plain tridiagonal and w holds the coupling in its first and last
+    the coupling off of _stencil.  In the ring order J = [[T, w], [w', c]]:
+    T is plain tridiagonal and w holds the coupling in its first and last
     entries.  T's eigenvalues interlace
     J's; cutting where tau, J's null direction at a constant-f solution,
     is largest keeps T well away from singular.
     """
     m, h = problem.m, problem.h
+    d, off = _stencil(h)
     tau = np.empty(m)
     np.subtract(v[2:], v[:-2], out=tau[1:-1])
     tau[0] = v[1] - v[-1]
     tau[-1] = v[0] - v[-2]
     tau /= 2.0 * h
     order = np.roll(np.arange(m), -1 - int(np.argmax(np.abs(tau))))
-    diag = 2.0 / (h * h) + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
-    return order, diag[order], tau[order], -1.0 / (h * h)
+    diag = d + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
+    return order, diag[order], tau[order], off
+
+
+def _cut_solve(diag, off, shift, *cols):
+    """(T - shift)^{-1} [cols, w] and w' times it, for J cut open by _cut; None on a zero pivot.
+
+    T has the diagonal diag[:-1] and the off-diagonal off, and w holds off
+    in its first and last entries, so w' x = off (x[0] + x[-1]): the cut
+    node's Schur term.  One LAPACK tridiagonal solve (dgtsv) takes every
+    column; it comes from scipy's LAPACK extension, loaded by itself
+    (_lazy.flapack), not through scipy.linalg's package.
+    """
+    w = np.zeros(diag.size - 1)
+    w[0] = w[-1] = off
+    e = np.full(diag.size - 2, off)
+    x, info = flapack().dgtsv(e, diag[:-1] - shift, e, np.column_stack(cols + (w,)), overwrite_b=1)[3:]
+    return None if info else (x, off * (x[0] + x[-1]))
 
 
 def _morse_counts(problem, v):
@@ -354,27 +389,21 @@ def _morse_counts(problem, v):
     Haynsworth's inertia additivity J - s has as many negative
     eigenvalues as T - s, counted by Sturm bisection (dstebz), plus one
     if the Schur complement c - s - w' (T - s)^{-1} w is negative (one
-    dgtsv solve).  The inertia does not depend on where J is cut.  Both
-    routines come from scipy's LAPACK extension, loaded by itself
-    (_lazy.flapack), not through scipy.linalg's package.
+    _cut_solve).  The inertia does not depend on where J is cut.  dstebz
+    comes from scipy's LAPACK extension, loaded by itself (_lazy.flapack).
     """
-    lapack = flapack()
-    dgtsv, dstebz = lapack.dgtsv, lapack.dstebz
-
     _, diag, _, off = _cut(problem, v)
     t, e = diag[:-1], np.full(problem.m - 2, off)
-    w = np.zeros((problem.m - 1, 1))
-    w[0, 0] = w[-1, 0] = off
 
     def below(shift):
         # eigenvalues of T in (-inf, shift]; dstebz clips the interval to
         # T's Gershgorin bounds, and the huge tolerance stops its bisection
         # at the two Sturm counts
-        n = dstebz(t, e, 1, -math.inf, shift, 0, 0, 1e300, b"B")[0]
-        x, info = dgtsv(e, t - shift, e, w)[3:]
-        if info:  # shift is an eigenvalue of T to working precision: widen the band by 1 %
+        n = flapack().dstebz(t, e, 1, -math.inf, shift, 0, 0, 1e300, b"B")[0]
+        solved = _cut_solve(diag, off, shift)
+        if solved is None:  # shift is an eigenvalue of T to working precision: widen the band by 1 %
             return below(1.01 * shift)
-        return n + int(diag[-1] - shift - off * (x[0, 0] + x[-1, 0]) < 0.0)
+        return n + int(diag[-1] - shift - solved[1][0] < 0.0)
 
     tol = ZERO_MODE_TOL * max(1.0, problem.alpha)
     index = below(-tol)
@@ -527,8 +556,9 @@ def _descend(problem, u):
     """
     floor = POSITIVITY_FLOOR
     m, h = problem.m, problem.h
+    d, off = _stencil(h)
     sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
-    symbol = 1.0 / ((4.0 / (h * h)) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
+    symbol = 1.0 / ((d - 2.0 * off) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
 
     def precondition(g):
         return np.fft.irfft(np.fft.rfft(g) * symbol, m)
@@ -568,43 +598,36 @@ def _descend(problem, u):
 def _newton_step(problem, v, r):
     """Newton step delta solving J delta = -r at v; None on a zero pivot of T.
 
-    With J cut open at node k (_cut), one gtsv solve with T gives the
-    columns [b_T, w] (and tau_T) of T^{-1}, and a Schur system for the
-    cut node closes the step.  With constant f the equation is
+    With J cut open at node k (_cut), one _cut_solve gives T^{-1} b_T
+    (and T^{-1} tau_T) beside T^{-1} w, and a Schur system for the cut
+    node closes the step.  With constant f the equation is
     translation invariant and J is singular along tau = v' at a solution,
     so the step is bordered with tau: [J tau; tau' 0] [delta; mu] =
     [-r; 0], and the Schur system is the symmetric 2x2 one in
     (delta_k, mu).  A nonconstant f breaks that symmetry, and the border
     would only keep Newton from converging quadratically.  A zero Schur
-    pivot leaves the step non-finite, which _newton rejects.  dgtsv comes
-    from scipy's LAPACK extension, loaded by itself (_lazy.flapack).
+    pivot leaves the step non-finite, which _newton rejects.
     """
     m, f = problem.m, problem.f_samples
     order, diag, t, off = _cut(problem, v)
     bordered = float(f.max() - f.min()) == 0.0 and np.abs(t).max() > 1e-13 * np.abs(v).max()
     b = -r[order]
-    rhs = np.zeros((m - 1, 3 if bordered else 2), order="F")
-    rhs[:, 0] = b[:-1]
-    rhs[0, 1] = rhs[-1, 1] = off  # w
-    if bordered:
-        rhs[:, 2] = t[:-1]
-    e = np.full(m - 2, off)
-    x, info = flapack().dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
-    if info:
+    solved = _cut_solve(diag, off, 0.0, b[:-1], *((t[:-1],) if bordered else ()))
+    if solved is None:
         return None
-    wx = off * (x[0] + x[-1])  # w' T^{-1} [b_T, w, tau_T]
-    s = diag[-1] - wx[1]
+    x, wx = solved  # T^{-1} [b_T, (tau_T,) w] and w' times it
+    s = diag[-1] - wx[-1]
     if bordered:
         tx = t[:-1] @ x
-        c = t[-1] - wx[2]  # = t[-1] - tx[1], as T is symmetric
-        det = -s * tx[2] - c * c
+        c = t[-1] - wx[1]  # = t[-1] - tx[2], as T is symmetric
+        det = -s * tx[1] - c * c
         gk, gm = b[-1] - wx[0], -tx[0]
-        dk = (-tx[2] * gk - c * gm) / det
+        dk = (-tx[1] * gk - c * gm) / det
         mu = (s * gm - c * gk) / det
-        y = x[:, 0] - dk * x[:, 1] - mu * x[:, 2]
+        y = x[:, 0] - dk * x[:, -1] - mu * x[:, 1]
     else:
         dk = (b[-1] - wx[0]) / s
-        y = x[:, 0] - dk * x[:, 1]
+        y = x[:, 0] - dk * x[:, -1]
     delta = np.empty(m)
     delta[order[:-1]] = y
     delta[order[-1]] = dk
@@ -615,7 +638,8 @@ def _newton(problem, v, config):
     """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step.
 
     It has converged once the residual's max norm is at most max(newton_tol,
-    eps |J|_inf |v|_inf), |J|_inf <= 4/h^2 + alpha + p max f max v^{p-1}; the
+    eps |J|_inf |v|_inf), |J|_inf <= |-Delta_h|_inf + alpha + p max f max v^{p-1}
+    with -Delta_h's norm d - 2 off from _stencil; the
     second term is the residual's rounding level, which passes 1e-10 on fine
     grids (m >= 2048 on cylinder-weighted).
     A zero pivot or a non-finite step ends the iteration unconverged.
@@ -626,10 +650,11 @@ def _newton(problem, v, config):
     cap.
     """
     f_max = float(problem.f_samples.max())
+    d, off = _stencil(problem.h)
 
     def converged(v, rn):
         v_max = float(v.max())
-        jac = 4.0 / problem.h**2 + problem.alpha + problem.p * f_max * v_max ** (problem.p - 1.0)
+        jac = d - 2.0 * off + problem.alpha + problem.p * f_max * v_max ** (problem.p - 1.0)
         return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
 
     v = np.maximum(v, POSITIVITY_FLOOR)

@@ -69,6 +69,32 @@ def test_periodic_differences_equal_the_roll_formulas(m):
 
 
 @pytest.mark.parametrize("m", [64, 97])
+def test_the_operator_pieces_agree_with_one_stencil(m):
+    # _lap, the descent's symbol, Newton's norm bound and the cut Jacobian
+    # all read solver._stencil; a piece that drifts from it fails here
+    rng = np.random.default_rng(m)
+    problem = _problem(length=float(rng.uniform(3.0, 20.0)), alpha=0.7, m=m,
+                       f=rng.uniform(0.5, 1.5, m))
+    h = problem.h
+    d, off = solver._stencil(h)
+    assert (d, off) == (2.0 / (h * h), -1.0 / (h * h)) and d - 2.0 * off == 4.0 / (h * h)
+    neg_lap = -np.column_stack([solver._lap(col, h) for col in np.eye(m)])
+    symbol = (d - 2.0 * off) * np.sin(math.pi * np.arange(m) / m) ** 2
+    assert np.linalg.eigvalsh(neg_lap) == pytest.approx(np.sort(symbol), abs=1e-12 * d)
+    assert np.abs(neg_lap).sum(axis=1).max() == pytest.approx(d - 2.0 * off, rel=1e-15)
+
+    v = rng.uniform(0.5, 2.0, m)
+    dense = neg_lap.copy()  # J, with its diagonal rounded in _cut's order
+    potential = problem.p * problem.f_samples * v ** (problem.p - 1.0)
+    np.fill_diagonal(dense, np.diag(neg_lap) + problem.alpha - potential)
+    order, diag, _, coupling = solver._cut(problem, v)
+    ring = dense[np.ix_(order, order)]
+    cut = np.diag(diag) + coupling * (np.eye(m, k=1) + np.eye(m, k=-1))
+    cut[0, -1] = cut[-1, 0] = coupling  # w's first entry; its last is the band's
+    assert np.array_equal(ring, cut)
+
+
+@pytest.mark.parametrize("m", [64, 97])
 def test_fused_evaluation_matches_quotient_and_gradient(m):
     rng = np.random.default_rng(100 + m)
     for _ in range(10):
@@ -473,7 +499,8 @@ def _counted_solve(monkeypatch, index, m, config=None):
 
 
 @pytest.mark.parametrize(
-    "index, m", [(1, m) for m in (1024, 2048, 4096, 8192, 16384)] + [(2, m) for m in (512, 1024, 2048, 4096, 8192)]
+    "index, m",
+    [(1, m) for m in (1024, 2048, 4096, 8192, 16384)] + [(2, m) for m in (512, 1024, 2048, 4096, 8192, 16384)],
 )
 def test_the_soliton_start_descends_in_a_handful_of_evaluations(monkeypatch, index, m):
     # a cos1 start makes more than 100 on each of these problems
@@ -546,16 +573,25 @@ def test_convergence_error_best_carries_the_morse_certificate():
     assert (best.morse_index, best.zero_modes) == (3, 3)
 
 
-def test_a_cos3_start_at_2048_stalls_by_the_three_bump_saddle():
-    # descending on its own grid, the opt-in cos3 start of m = 2048 stalls by
-    # the symmetric three-bump saddle, as at m = 512
+def test_a_cos3_start_at_2048_converges_to_the_three_bump_saddle():
+    # on a resolving grid the opt-in cos3 start's Newton converges to the
+    # symmetric three-bump saddle; its three near-zero modes are the bumps'
+    # positions, which the translation border alone does not remove
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=2048)
-    with pytest.raises(ConvergenceError) as err:
-        minimize(problem, SolveConfig(starts=("cos3",)))
-    best = err.value.best
-    assert best.morse_index == 3
-    assert best.quotient_value == pytest.approx(29.5709, abs=1e-4)
+    report = minimize(problem, SolveConfig(starts=("cos3",)))
+    assert report.classification == "nonconstant" and report.el_residual <= 1e-10
+    assert (report.morse_index, report.zero_modes) == (3, 3)
+    assert report.quotient_value == pytest.approx(29.5709200274, abs=1e-9)
+
+
+def test_index_2_at_16384_returns_the_minimizer():
+    # the positivity floor's kink, up to floor / h^2 in the residual, once
+    # stalled the soliton start's Newton here, and the constant (index 69) won
+    alpha = example_interval("cylinder-triple").midpoint
+    report = minimize(circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=16384))
+    assert report.classification == "nonconstant" and report.el_residual <= 1e-10
+    assert report.morse_index == 1 and report.below_threshold is True
 
 
 def _assert_a_capped_descent_is_reported(monkeypatch, m):
@@ -689,9 +725,9 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
     lapack = _lazy.flapack()  # the module the solver takes dgtsv from
     dgtsv, shifts = lapack.dgtsv, []
 
-    def singular_once(dl, d, du, b):
+    def singular_once(dl, d, du, b, **kwargs):
         shifts.append(float(d[0]))
-        out = dgtsv(dl, d, du, b)
+        out = dgtsv(dl, d, du, b, **kwargs)
         return out[:4] + ((1,) if len(shifts) == 1 else out[4:])
 
     monkeypatch.setattr(lapack, "dgtsv", singular_once)
