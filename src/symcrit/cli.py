@@ -202,7 +202,7 @@ def build_parser():
     p_solve.add_argument(
         "--starts", type=str, default=None,
         help="comma-separated start labels, from constant, soliton, cos<mode>, random (default: %s)"
-        % ",".join(SolveConfig.starts),
+        % ",".join(SolveConfig().starts),
     )
     p_solve.add_argument("--newton-tol", type=float, default=None)
     p_solve.add_argument("--profile", action="store_true", help="include the solution samples")

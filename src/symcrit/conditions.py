@@ -25,7 +25,7 @@ constants for which it is known to hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .best_constants import _curvature_term, _volume_term
 from .constants import _concentration_threshold, sobolev_constant
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FProfile:
     """Scalar data of the positive weight f at and around its peak.
 
@@ -93,7 +93,7 @@ class FProfile:
         return self.f_max / self.f_avg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericIneqParams:
     """Constants (crit, P, D) of one valid band inequality; see module docstring."""
 
@@ -115,7 +115,7 @@ class GenericIneqParams:
         return self.crit * (4.0 - self.crit) / 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     label: str
     status: str  # "satisfied" | "unsatisfiable" | "needs-unknown-constant" | "assumed"
@@ -128,7 +128,7 @@ class ConditionReport:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuaranteedInterval:
     """Alpha interval on which the advertised conclusion is guaranteed.
 
@@ -175,7 +175,7 @@ class GuaranteedInterval:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExistenceBound:
     """Ceiling below which an invariant minimizing solution exists."""
 
@@ -392,6 +392,11 @@ def constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volu
     solution alpha^{(n-2-k)/4}.  Both are closed at the lower endpoint
     and open at the upper endpoint min of the windows' lower ends.
     """
+    return _constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volume, True)
+
+
+def _constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volume, triple_hi_strict):
+    """constant_f_intervals, with triple open or closed at its upper endpoint."""
     a1t, a2t, lo, gap = _orbit_gap(params, bound_second, orbit1, orbit2, volume)
     hi = min(bound_first.lo, bound_second.lo)
     sep_ok = bound_second.hi - a2t < bound_first.lo - a1t
@@ -404,18 +409,18 @@ def constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volu
     ]
     double = GuaranteedInterval(lo, hi, False, True, 2, tuple(conds))
     if math.isinf(lo):
-        return double, replace(double, count=3)
+        return double, GuaranteedInterval(lo, hi, False, triple_hi_strict, 3, tuple(conds))
     cs_ok = a2t < hi
     tconds = conds + [
         ConditionReport(
             "constant-dominated", "satisfied" if cs_ok else "unsatisfiable", a2t
         )
     ]
-    triple = GuaranteedInterval(max(lo, a2t), hi, False, True, 3, tuple(tconds))
+    triple = GuaranteedInterval(max(lo, a2t), hi, False, triple_hi_strict, 3, tuple(tconds))
     return double, triple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderingVerdict:
     """Outcome of one pairwise energy comparison.
 
@@ -430,7 +435,7 @@ class OrderingVerdict:
     separated: bool | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderingReport:
     alpha: float
     pairs: tuple
@@ -490,7 +495,7 @@ def energy_ordering_check(params, groups, alpha, bound_ambient, volume, f=None):
     return OrderingReport(alpha=alpha, pairs=tuple(verdicts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FRatioCheck:
     """Displayed peak-ratio condition of a packaged example."""
 
@@ -519,15 +524,17 @@ def f_ratio_condition(example, f, **params):
     return FRatioCheck(example=example, lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
-def _cap(interval, ceiling, closed, label):
-    """Intersect with an existence ceiling alpha <= / < ceiling."""
-    conds = interval.conditions + (
-        ConditionReport(label, "satisfied", ceiling),
-    )
+def _cap(interval, bounds, closed):
+    """Intersect with the existence ceilings alpha <= / < ceiling of the
+    (ExistenceBound, condition label) pairs in bounds."""
+    conds = list(interval.conditions)
     hi, hi_strict = interval.hi, interval.hi_strict
-    if ceiling < hi or (ceiling == hi and not closed and not hi_strict):
-        hi, hi_strict = ceiling, not closed
-    return replace(interval, hi=hi, hi_strict=hi_strict, conditions=conds)
+    for bound, label in bounds:
+        ceiling = bound.ceiling
+        conds.append(ConditionReport(label, "satisfied", ceiling))
+        if ceiling < hi or (ceiling == hi and not closed and not hi_strict):
+            hi, hi_strict = ceiling, not closed
+    return GuaranteedInterval(interval.lo, hi, interval.lo_strict, hi_strict, interval.count, tuple(conds))
 
 
 def _endpoint_flatness(f, required_order):
@@ -554,12 +561,10 @@ def example_interval(example, f=None, **params):
     if recipe.route in ("double", "triple"):
         if f is not None:
             raise PreconditionError("example %r fixes the constant weight f = 1" % (example,))
-        double, triple = constant_f_intervals(p, *recipe.windows(cfg), *family)
-        if recipe.route == "double":
-            return double
-        # the upper endpoint is attained: at alpha = hi the equation is the
-        # scalar-curvature one and the same three solutions persist
-        return replace(triple, hi_strict=False)
+        # triple's upper endpoint is attained: at alpha = hi the equation is
+        # the scalar-curvature one and the same three solutions persist
+        double, triple = _constant_f_intervals(p, *recipe.windows(cfg), *family, False)
+        return double if recipe.route == "double" else triple
     bounds = [(existence_alpha_bound(p, getattr(cfg, a), f), label) for a, label in recipe.ceilings]
     if not all(bound.flatness_ok for bound, _ in bounds):
         raise PreconditionError(
@@ -568,6 +573,4 @@ def example_interval(example, f=None, **params):
     route = critical_interval if recipe.route == "critical" else invariant_interval
     out = route(p, *recipe.windows(cfg), *family, f, gap_strict=False)
     closed = recipe.flatness is not None and _endpoint_flatness(f, recipe.flatness(p.n))
-    for bound, label in bounds:
-        out = _cap(out, bound.ceiling, closed, label)
-    return out
+    return _cap(out, bounds, closed)

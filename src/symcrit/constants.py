@@ -54,7 +54,7 @@ def _concentration_threshold(orbit_volume, dim, f_max):
     return orbit_volume ** (2.0 / dim) / (sobolev_constant(dim) * f_max ** (2.0 / two_sharp))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantBound:
     """Closed interval [lo, hi] certified to contain an unknown constant."""
 
@@ -111,7 +111,7 @@ class ConstantBound:
         return "ConstantBound(%r, %s)" % (self.lo, hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquationParams:
     """Parameters of  Delta u + alpha u = f u^p  on an n-manifold.
 

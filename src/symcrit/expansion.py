@@ -60,7 +60,7 @@ def test_function(eps, delta, dim, r):
     return np.where(r <= delta, np.maximum(val, 0.0), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionConfig:
     dim: int
     delta: float
@@ -221,7 +221,7 @@ def rayleigh_quotient(config, eps):
     return float(values[0]) if eps.ndim == 0 else values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionReport:
     config: ExpansionConfig
     samples: tuple  # ((eps, value), ...) in decreasing eps
@@ -272,7 +272,7 @@ def fit_and_compare(config):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogBranchReport:
     config: ExpansionConfig
     coeff: float

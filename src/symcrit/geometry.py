@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .best_constants import (
@@ -59,7 +59,7 @@ __all__ = [
 HYPOTHESIS_KINDS = ("finite-principal", "principal-suborbits", "volume-peaked-suborbits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sphere:
     """Round sphere S^n of the given radius."""
 
@@ -86,7 +86,7 @@ class Sphere:
         return {"kind": "sphere", "n": self.n, "radius": self.radius}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleTimesSphere:
     """Product S^1(t) x S^{n-1} with the product metric; dimension n."""
 
@@ -113,7 +113,7 @@ class CircleTimesSphere:
         return {"kind": "circle-sphere", "t": self.t, "n": self.n}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CircleSphereSphere:
     """Product S^1(a) x S^2(b) x S^{n-3}; dimension n."""
 
@@ -142,7 +142,7 @@ class CircleSphereSphere:
         return {"kind": "circle-sphere-sphere", "a": self.a, "b": self.b, "n": self.n}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuotientSphere:
     """Quotient S^n / Gamma by a free isometric action of a finite group."""
 
@@ -169,7 +169,7 @@ class QuotientSphere:
         return {"kind": "quotient-sphere", "n": self.n, "order": self.order}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitVolumeLaplacian:
     """What is known about the Laplacian of the orbit-volume function
     at the distinguished orbit (geometer's sign convention)."""
@@ -196,7 +196,7 @@ class OrbitVolumeLaplacian:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupActionSpec:
     """Data of one isometry-group action entering the estimates.
 
@@ -212,7 +212,7 @@ class GroupActionSpec:
     hypothesis: str
     quotient_scal_lower: float
     principal_constant_volume: bool = False
-    vh_laplacian: OrbitVolumeLaplacian = field(default_factory=OrbitVolumeLaplacian)
+    vh_laplacian: OrbitVolumeLaplacian = OrbitVolumeLaplacian()  # frozen, so one instance is shared
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 0:
@@ -264,7 +264,7 @@ def product_scal_lower(base_scal, r1, r2):
     return float(base_scal) + float(r1) * (float(r1) - 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExampleConfig:
     """One packaged configuration: manifold, parameters, two actions."""
 
@@ -478,7 +478,7 @@ def _product_ratio(cfg, f):
     return f.peak_ratio, rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Example:
     """Everything the package knows about one packaged example."""
 

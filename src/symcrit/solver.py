@@ -120,7 +120,7 @@ ENERGY_GAP_TOL = 1e-10
 np = lazy_import("numpy")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ReducedProblem:
     """One circle-reduced equation -u'' + alpha u = f u^p."""
 
@@ -199,7 +199,7 @@ class ReducedProblem:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveConfig:
     seed: int = 0  # of the opt-in "random" start
     starts: tuple = ("constant", "soliton")
@@ -433,7 +433,7 @@ def _report(problem, u, label, iters, winning_starts=(), descent_capped=()):
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SolveReport:
     """One solution with how it was obtained and its Morse certificate.
 
@@ -736,7 +736,7 @@ def minimize(problem, config=None):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundCheck:
     label: str
     status: str  # "checked" | "not-applicable"
@@ -796,7 +796,7 @@ def proof_chain_diagnostics(report, ineq=None):
     return checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparationReport:
     energy_a: float
     energy_b: float

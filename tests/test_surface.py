@@ -1,9 +1,11 @@
 """The public surface: which names `symcrit` exports, and how every record
 becomes canonical JSON."""
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -145,6 +147,23 @@ def test_record_json_round_trips_byte_for_byte(record):
     text = canonical_json(record)
     assert canonical_json(json.loads(text)) == text
     assert canonical_json(clean(record)) == text
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_slotted_and_survive_pickle_and_deepcopy(record):
+    assert not hasattr(record, "__dict__")
+    text = canonical_json(record)
+    assert canonical_json(pickle.loads(pickle.dumps(record))) == text
+    assert canonical_json(copy.deepcopy(record)) == text
+
+
+def test_every_dataclass_in_the_package_is_slotted():
+    classes = [
+        obj for module in MODULES for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    ]
+    assert geometry._Example in classes
+    assert [cls.__name__ for cls in classes if "__slots__" not in vars(cls)] == []
 
 
 @given(
