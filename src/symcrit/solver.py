@@ -21,11 +21,12 @@ operator's coefficients, its Fourier symbol and its norm, once.
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
 iteration count does not grow with m; one real FFT pair applies the
-inverse of that circulant operator.  The default nonconstant start is
-the line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with
-A^{p-1} = (p+1) alpha / (2 f), centred where f peaks: on a long circle
-(sqrt(alpha) length >> 1) it is the minimizer up to O(e^{-sqrt(alpha)
-length}), so the descent takes a handful of steps before Newton.
+inverse of that circulant operator, once per step the descent takes.
+The default nonconstant start is the line soliton
+A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
+(2 f), centred where f peaks: on a long circle (sqrt(alpha) length >> 1)
+it is the minimizer up to O(e^{-sqrt(alpha) length}), so the descent
+takes a handful of steps before Newton.
 
 Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
 open at the node where |v'| is largest (see _cut): the rest of J is a
@@ -42,6 +43,8 @@ solution, the number of negative eigenvalues of J, counted by Sturm
 bisection and one Schur complement (see _morse_counts).  A positive
 solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a constrained local
 minimizer of Q has index exactly 1; a larger index marks a saddle.
+A report's quotient and residual are the ones minimize ranked the starts
+by and Newton stopped at, not a second computation.
 """
 
 from __future__ import annotations
@@ -120,6 +123,11 @@ ENERGY_GAP_TOL = 1e-10
 np = lazy_import("numpy")
 
 
+def _reduce_by_fields(self):
+    """Pickle and copy a record through its constructor, so __post_init__ freezes its arrays again."""
+    return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+
 @dataclass(eq=False, slots=True)
 class ReducedProblem:
     """One circle-reduced equation -u'' + alpha u = f u^p."""
@@ -152,6 +160,8 @@ class ReducedProblem:
             math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0
         ):
             raise PreconditionError("orbit volume must be positive and finite when given")
+
+    __reduce__ = _reduce_by_fields
 
     @property
     def m(self):
@@ -336,6 +346,11 @@ def el_residual(problem, u):
     return float(np.max(np.abs(_residual(problem, np.asarray(u, dtype=float)))))
 
 
+def _constant_weight(problem):
+    f = problem.f_samples
+    return float(f.max() - f.min()) == 0.0
+
+
 def _classify(u):
     lo, hi = float(u.min()), float(u.max())
     return "nonconstant" if (hi - lo) > OSCILLATION_TOL * hi else "constant"
@@ -373,10 +388,13 @@ def _cut_solve(diag, off, shift, *cols):
     column; it comes from scipy's LAPACK extension, loaded by itself
     (_lazy.flapack), not through scipy.linalg's package.
     """
-    w = np.zeros(diag.size - 1)
-    w[0] = w[-1] = off
-    e = np.full(diag.size - 2, off)
-    x, info = flapack().dgtsv(e, diag[:-1] - shift, e, np.column_stack(cols + (w,)), overwrite_b=1)[3:]
+    n = diag.size - 1
+    b = np.zeros((n, len(cols) + 1), order="F")  # in dgtsv's column order, so f2py passes it uncopied
+    for j, col in enumerate(cols):
+        b[:, j] = col
+    b[0, -1] = b[-1, -1] = off
+    e = np.full(n - 1, off)
+    x, info = flapack().dgtsv(e, diag[:-1] - shift, e, b, overwrite_b=1)[3:]
     return None if info else (x, off * (x[0] + x[-1]))
 
 
@@ -410,9 +428,8 @@ def _morse_counts(problem, v):
     return index, below(tol) - index
 
 
-def _report(problem, u, label, iters, winning_starts=(), descent_capped=()):
-    u = np.asarray(u, dtype=float)
-    q = quotient_value(problem, u)
+def _report(problem, u, q, residual, label, iters, winning_starts=(), descent_capped=()):
+    """The report of solution u, whose quotient_value q and el_residual its caller has computed."""
     thr = problem.threshold
     morse_index, zero_modes = _morse_counts(problem, u)
     return SolveReport(
@@ -420,7 +437,7 @@ def _report(problem, u, label, iters, winning_starts=(), descent_capped=()):
         u=u,
         quotient_value=q,
         energy=energy(problem, u),
-        el_residual=el_residual(problem, u),
+        el_residual=residual,
         classification=_classify(u),
         newton_iterations=iters,
         start_label=label,
@@ -468,6 +485,8 @@ class SolveReport:
         u.flags.writeable = False
         self.u = u
 
+    __reduce__ = _reduce_by_fields
+
     def to_json(self, include_profile=False):
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "u"}
         if include_profile:
@@ -478,11 +497,10 @@ class SolveReport:
 
 def constant_solution(problem):
     """Closed-form constant solution (alpha/f)^{1/(p-1)}; needs constant f."""
-    f = problem.f_samples
-    if float(f.max() - f.min()) != 0.0:
+    if not _constant_weight(problem):
         raise PreconditionError("the constant solution needs a constant weight f")
-    c = (problem.alpha / float(f[0])) ** (1.0 / (problem.p - 1.0))
-    return _report(problem, np.full(problem.m, c), "closed-form", 0)
+    u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
+    return _report(problem, u, quotient_value(problem, u), el_residual(problem, u), "closed-form", 0)
 
 
 def _soliton(problem):
@@ -521,11 +539,14 @@ def _evaluate(problem, x):
     """x scaled to unit energy, with Q and grad Q at that point.
 
     Q is scale-invariant, so Q(x) is Q at the scaled point, and
-    |x|^{q-2} x, computed once, serves the energy, the scale and the
-    gradient's weighted term.
+    f |x|^{q-2} x, computed once and in place, serves the energy, the scale
+    and the gradient's weighted term.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
-    fa = problem.f_samples * (np.abs(x) ** (q - 2.0) * x)
+    fa = np.abs(x)
+    fa **= q - 2.0
+    fa *= x
+    fa *= problem.f_samples
     den = w * h * float(np.dot(fa, x))
     if not 0.0 < den < math.inf:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
@@ -551,30 +572,31 @@ def _descend(problem, u):
     metric (Barzilai & Borwein 1988).  The stopping test is on g itself,
     at DESCENT_TOL.
 
-    Returns the last iterate and whether the descent used all of
-    DESCENT_MAX_ITER iterations without meeting its stopping test.
+    P^{-1} is applied, and its symbol built, only once the stopping test
+    has failed: an iterate that passes it, such as the constant start on a
+    constant f, needs no direction, so a descent of k steps applies P^{-1}
+    k times.
+
+    Returns the last iterate, its quotient, and whether the descent used
+    all of DESCENT_MAX_ITER iterations without meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
     m, h = problem.m, problem.h
-    d, off = _stencil(h)
-    sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
-    symbol = 1.0 / ((d - 2.0 * off) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
-
-    def precondition(g):
-        return np.fft.irfft(np.fft.rfft(g) * symbol, m)
-
     u, qv, g = _evaluate(problem, np.maximum(u, floor))
-    d = precondition(g)
-    step = 1.0
-    u_prev = g_prev = d_prev = None
     scale = 2.0 * problem.weight * h  # gradient per unit EL residual
 
     def stationary():
         return float(np.abs(g).max()) <= DESCENT_TOL * scale * max(1.0, qv)
 
+    if stationary():
+        return u, qv, False
+    d, off = _stencil(h)
+    sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
+    symbol = 1.0 / ((d - 2.0 * off) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
+    step = 1.0
+    u_prev = g_prev = d_prev = None
     for _ in range(DESCENT_MAX_ITER):
-        if stationary():
-            return u, False
+        d = np.fft.irfft(np.fft.rfft(g) * symbol, m)
         if u_prev is not None:
             dg = g - g_prev
             denom = float(np.dot(dg, d - d_prev))
@@ -588,14 +610,15 @@ def _descend(problem, u):
                 break
             trial_step *= 0.5
         else:
-            return u, False  # no descent direction left at this resolution
+            return u, qv, False  # no descent direction left at this resolution
         u_prev, g_prev, d_prev = u, g, d
         u, qv, g = cand, q_cand, g_cand
-        d = precondition(g)
-    return u, not stationary()
+        if stationary():
+            return u, qv, False
+    return u, qv, True
 
 
-def _newton_step(problem, v, r):
+def _newton_step(problem, v, r, constant_f):
     """Newton step delta solving J delta = -r at v; None on a zero pivot of T.
 
     With J cut open at node k (_cut), one _cut_solve gives T^{-1} b_T
@@ -606,11 +629,12 @@ def _newton_step(problem, v, r):
     [-r; 0], and the Schur system is the symmetric 2x2 one in
     (delta_k, mu).  A nonconstant f breaks that symmetry, and the border
     would only keep Newton from converging quadratically.  A zero Schur
-    pivot leaves the step non-finite, which _newton rejects.
+    pivot leaves the step non-finite, which _newton rejects.  constant_f
+    is _constant_weight(problem), which _newton tests once per start.
     """
-    m, f = problem.m, problem.f_samples
+    m = problem.m
     order, diag, t, off = _cut(problem, v)
-    bordered = float(f.max() - f.min()) == 0.0 and np.abs(t).max() > 1e-13 * np.abs(v).max()
+    bordered = constant_f and np.abs(t).max() > 1e-13 * np.abs(v).max()
     b = -r[order]
     solved = _cut_solve(diag, off, 0.0, b[:-1], *((t[:-1],) if bordered else ()))
     if solved is None:
@@ -650,6 +674,7 @@ def _newton(problem, v, config):
     cap.
     """
     f_max = float(problem.f_samples.max())
+    constant_f = _constant_weight(problem)
     d, off = _stencil(problem.h)
 
     def converged(v, rn):
@@ -665,7 +690,7 @@ def _newton(problem, v, config):
     for iters in range(1, NEWTON_MAX_ITER + 1):
         if converged(v, rn):
             return v, iters - 1, rn, True
-        delta = _newton_step(problem, v, r)
+        delta = _newton_step(problem, v, r, constant_f)
         if delta is None or not np.all(np.isfinite(delta)):
             return v, iters, rn, False
         theta = 1.0
@@ -695,9 +720,14 @@ class _StartResult(NamedTuple):
 
 
 def _solve_one(problem, label, u0, config):
-    """Descent from u0, then Newton from its rescaled result."""
-    u, capped = _descend(problem, u0)
-    v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
+    """Descent from u0, then Newton from its rescaled result.
+
+    The descent's qv is the numerator of quotient_value(u), so qv / energy^{2/q}
+    is that quotient without a second pass over u.
+    """
+    u, qv, capped = _descend(problem, u0)
+    quotient = qv / energy(problem, u) ** (2.0 / problem.two_sharp)
+    v = quotient ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = _newton(problem, v, config)
     return _StartResult(label, v, iters, rn, ok, capped)
 
@@ -723,16 +753,19 @@ def minimize(problem, config=None):
         raise ConvergenceError(
             "no start reached the Newton tolerance (best residual %.3e from %r)"
             % (best.residual, best.label),
-            best=_report(problem, best.v, best.label, best.iters, descent_capped=capped),
+            best=_report(
+                problem, best.v, quotient_value(problem, best.v), best.residual, best.label, best.iters,
+                descent_capped=capped,
+            ),
         )
     scored = [(quotient_value(problem, r.v), _classify(r.v), r) for r in converged]
     q_min, kind, _ = min(scored, key=lambda s: s[0])  # the first of equal minima
     tie = max(TIE_ULPS, math.ceil(math.sqrt(problem.m))) * math.ulp(q_min)
-    tied = [r for q, c, r in scored if c == kind and q - q_min <= tie]
-    first = tied[0]
+    tied = [(q, r) for q, c, r in scored if c == kind and q - q_min <= tie]
+    q, first = tied[0]
     return _report(
-        problem, first.v, first.label, first.iters,
-        winning_starts=tuple(r.label for r in tied), descent_capped=capped,
+        problem, first.v, q, first.residual, first.label, first.iters,
+        winning_starts=tuple(r.label for _, r in tied), descent_capped=capped,
     )
 
 

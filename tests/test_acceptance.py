@@ -45,6 +45,9 @@ from symcrit import (
     sphere_volume,
 )
 
+# An in-place kernel that starts producing inf or NaN fails a gate, not quietly.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _tight(x):
     return pytest.approx(x, rel=1e-12, abs=0.0)

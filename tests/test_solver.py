@@ -31,6 +31,9 @@ from symcrit import (
 from symcrit import _lazy, solver
 from symcrit.solver import MIN_GRID
 
+# An in-place kernel that starts producing inf or NaN fails here, not quietly.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # 1-D ground state of -u'' + u = u^5 on the line: u = 3^{1/4} sech^{1/2}(2s),
 # with int u^6 = 3^{3/2} pi / 4, so the limiting quotient is
 SOLITON_QUOTIENT = 3.0 * math.pi ** (2.0 / 3.0) / 2.0 ** (4.0 / 3.0)
@@ -173,7 +176,7 @@ def test_newton_step_matches_the_sparse_oracle(case):
     else:
         problem, v = _cos_iterate(m)
     r = solver._residual(problem, v)
-    delta = solver._newton_step(problem, v, r)
+    delta = solver._newton_step(problem, v, r, solver._constant_weight(problem))
     ref = sparse_newton.newton_step(problem, v, r)
     assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
@@ -202,7 +205,7 @@ def test_bordered_step_residual_is_at_rounding_level(noise):
     # largest, stays well conditioned
     problem, v = _near_converged_triple(4096, noise)
     r = solver._residual(problem, v)
-    delta = solver._newton_step(problem, v, r)
+    delta = solver._newton_step(problem, v, r, solver._constant_weight(problem))
     assert max(_bordered_residual(problem, v, r, delta)) <= 1e-14
 
 
@@ -230,7 +233,7 @@ def test_newton_step_is_accurate_wherever_the_peak_sits(case):
     for shift in _peak_shifts(m, v0):
         v = np.roll(v0, shift)
         r = solver._residual(problem, v)
-        delta = solver._newton_step(problem, v, r)
+        delta = solver._newton_step(problem, v, r, solver._constant_weight(problem))
         ref = sparse_newton.newton_step(problem, v, r)
         assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
         if kind == "triple":
@@ -244,7 +247,7 @@ def test_zero_pivot_ends_newton_unconverged():
     # zero pivot
     problem = _problem(length=64.0, alpha=3.0, p=5.0, m=64)
     v = np.ones(64)
-    assert solver._newton_step(problem, v, solver._residual(problem, v)) is None
+    assert solver._newton_step(problem, v, solver._residual(problem, v), True) is None
     _, iters, rn, ok = solver._newton(problem, v, SolveConfig())
     assert (iters, ok) == (1, False)
     assert rn == 2.0
@@ -439,12 +442,80 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     calls = []
     evaluate = solver._evaluate
     monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
-    u, capped = solver._descend(problem, u0)
+    u, _, capped = solver._descend(problem, u0)
     assert len(calls) <= 100 < solver.DESCENT_MAX_ITER
     assert not capped
     _, q, g = evaluate(problem, u)
     scale = 2.0 * problem.weight * problem.h
     assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
+
+
+def _counted_rfft_descent(monkeypatch, problem, u0, cap=solver.DESCENT_MAX_ITER):
+    """(rfft calls, capped) of one descent from u0 with DESCENT_MAX_ITER = cap."""
+    calls = []
+    rfft = np.fft.rfft
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "DESCENT_MAX_ITER", cap)
+        patch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        capped = solver._descend(problem, u0)[2]
+    return len(calls), capped
+
+
+def test_the_descent_applies_p_inverse_once_per_accepted_step(monkeypatch):
+    # a start that passes the stopping test needs no direction
+    problem = _problem(alpha=0.3)
+    (_, u0), = solver._starts(problem, SolveConfig(starts=("constant",)))
+    assert _counted_rfft_descent(monkeypatch, problem, u0) == (0, False)
+    # a capped descent accepts a step in each of its DESCENT_MAX_ITER iterations
+    (_, u0), = solver._starts(problem, SolveConfig(starts=("cos1",)))
+    for cap in (1, 2, 5):
+        assert _counted_rfft_descent(monkeypatch, problem, u0, cap) == (cap, True)
+    # a descent that meets its stopping test after k steps: capped at k - 1
+    # it is one step short of the test
+    k, capped = _counted_rfft_descent(monkeypatch, problem, u0)
+    assert not capped and k > 5
+    assert _counted_rfft_descent(monkeypatch, problem, u0, k) == (k, False)
+    assert _counted_rfft_descent(monkeypatch, problem, u0, k - 1) == (k - 1, True)
+
+
+def test_rescaling_by_the_descent_numerator_is_quotient_value_bitwise():
+    # _solve_one rescales by qv / energy^{2/q}, bitwise quotient_value(u)
+    problem = _problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(np.arange(128) * (2.0 * math.pi / 128)))
+    (_, u0), = solver._starts(problem, SolveConfig(starts=("cos1",)))
+    u, qv, _ = solver._descend(problem, u0)
+    assert qv / energy(problem, u) ** (2.0 / problem.two_sharp) == quotient_value(problem, u)
+
+
+def _assert_fields_are_their_recomputation(report):
+    problem, u = report.problem, report.u
+    assert report.quotient_value == quotient_value(problem, u)
+    assert report.energy == energy(problem, u)
+    assert report.el_residual == el_residual(problem, u)
+    assert report.classification == solver._classify(u)
+    assert (report.morse_index, report.zero_modes) == solver._morse_counts(problem, u)
+
+
+@pytest.mark.parametrize(
+    "case", ["model-m96-a0.15", "model-m96-a0.4", "model-m256-a0.15", "model-m256-a0.4", "triple-m1024"]
+)
+def test_report_fields_equal_their_recomputation_from_u(case):
+    # minimize hands _report the quotient it ranked the starts by and
+    # Newton's last residual instead of computing them again
+    if case.startswith("model"):
+        m, alpha = case.split("-")[1:]
+        problem = _problem(alpha=float(alpha[1:]), m=int(m[1:]))
+    else:
+        alpha = example_interval("cylinder-triple").midpoint
+        problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=1024)
+    _assert_fields_are_their_recomputation(minimize(problem))
+
+
+def test_convergence_error_best_fields_equal_their_recomputation_from_u():
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
+    with pytest.raises(ConvergenceError) as err:
+        minimize(problem, SolveConfig(starts=("cos3",)))
+    _assert_fields_are_their_recomputation(err.value.best)
 
 
 def test_newton_leaves_a_stagnating_saddle_start_early():
@@ -516,7 +587,7 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     assert set(calls) == {m}
     (label, u0), = solver._starts(problem, config)
     run = solver._solve_one(problem, label, u0, config)
-    u, capped = solver._descend(problem, u0)
+    u, _, capped = solver._descend(problem, u0)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
     v, iters, rn, ok = solver._newton(problem, v, config)
     assert np.array_equal(run.v, v)
@@ -754,7 +825,7 @@ for m in (64, 4096):
     v = 0.4 ** 0.25 * (1.0 + 0.3 * np.cos(s) + 1e-2 * np.random.default_rng(m).standard_normal(m))
     for f in (np.ones(m), 1.0 + 0.15 * np.cos(s)):
         problem = solver.ReducedProblem(length=2.0 * np.pi, weight=1.0, alpha=0.4, p=5.0, f_samples=f)
-        delta = solver._newton_step(problem, v, solver._residual(problem, v))
+        delta = solver._newton_step(problem, v, solver._residual(problem, v), solver._constant_weight(problem))
         results.append([delta.tobytes().hex(), solver._morse_counts(problem, v)])
 print(json.dumps({"route": route, "results": results}))
 """

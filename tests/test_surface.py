@@ -157,6 +157,26 @@ def test_records_are_slotted_and_survive_pickle_and_deepcopy(record):
     assert canonical_json(copy.deepcopy(record)) == text
 
 
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_round_trips_keep_the_solver_arrays_read_only(round_trip):
+    # __post_init__ freezes u and f_samples; the round trips go through it too
+    report = constant_solution(
+        ReducedProblem(length=2.0 * math.pi, weight=1.0, alpha=0.3, p=5.0, f_samples=np.ones(64))
+    )
+    copied, problem = round_trip(report), round_trip(report.problem)
+    for array, original in (
+        (copied.u, report.u),
+        (copied.problem.f_samples, report.problem.f_samples),
+        (problem.f_samples, report.problem.f_samples),
+    ):
+        assert not array.flags.writeable
+        assert np.array_equal(array, original)
+
+
 def test_every_dataclass_in_the_package_is_slotted():
     classes = [
         obj for module in MODULES for obj in vars(module).values()
