@@ -96,8 +96,20 @@ ZERO_MODE_TOL = 1e-6
 # grids, and by 35 on cylinder-weighted's constant at m = 8192.
 TIE_ULPS = 4
 
-# The descent stops at an EL residual of about DESCENT_TOL, where Newton takes over.
-DESCENT_TOL = 1e-6
+# The descent stops at an EL residual of about DESCENT_TOL, where Newton takes over:
+# from there Newton takes at most 2 steps on cylinder-triple at m = 512-16384.  At
+# 1e-3 Newton starts the opt-in cos3 start outside the three-bump saddle's basin and
+# ends near the constant (index 65 at m = 512, 69 at 2048) instead of at that saddle.
+DESCENT_TOL = 1e-4
+
+# With a nonconstant f, Newton has no border, and its basin along the translation of
+# a bump narrows as f flattens, while the descent's gradient along it, of order
+# (max f - min f) times the offset, falls under the tolerance: so the descent stops
+# at WEIGHTED_DESCENT_TOL instead.  At DESCENT_TOL, some default solves on
+# f = 1 + a (cos(s - phi) + 0.4 cos(2 s - psi)) with a = 3e-3 to 3e-2 raise
+# ConvergenceError, and on f = 1 + a cos(s - phi) with a = 5e-6 to 5e-4 the
+# constant start's saddle wins.
+WEIGHTED_DESCENT_TOL = 1e-6
 
 # A guard only: the H^1 descent meets DESCENT_TOL within 100 evaluations, even at the bifurcation.
 DESCENT_MAX_ITER = 2000
@@ -459,7 +471,8 @@ class SolveReport:
     the least); the earliest is start_label.  Empty for the closed form and
     for the best partial result of a ConvergenceError.
     descent_capped: the starts whose descent used all of DESCENT_MAX_ITER
-    iterations without meeting its stopping test (DESCENT_TOL).
+    iterations without meeting its stopping test (DESCENT_TOL, or
+    WEIGHTED_DESCENT_TOL for a nonconstant f).
     morse_index, zero_modes: eigenvalues of the Newton Jacobian J below
     -tol and within [-tol, tol] (tol = ZERO_MODE_TOL * max(1, alpha)).
     A minimizer of Q has index 1; a larger index marks a saddle.
@@ -569,8 +582,13 @@ def _descend(problem, u):
     times fixed symbols, and the iteration count no longer grows with
     the conditioning of -Delta_h, O(m^2) (Neuberger 1997).  The
     Barzilai-Borwein step |<du, dg>| / <dg, dd> is taken in the same
-    metric (Barzilai & Borwein 1988).  The stopping test is on g itself,
-    at DESCENT_TOL.
+    metric (Barzilai & Borwein 1988).  The first trial step is 1/(2 w h),
+    g's scale per unit EL residual: from the unit-energy point u,
+    u - P^{-1} g / (2 w h) = lambda P^{-1}(f u^{q-1}) is the Picard iterate
+    of the Euler-Lagrange equation, so that step rarely backtracks.  The
+    stopping test is on g itself, at DESCENT_TOL for a constant f, whose
+    Newton step is bordered along the translation, and at
+    WEIGHTED_DESCENT_TOL otherwise.
 
     P^{-1} is applied, and its symbol built, only once the stopping test
     has failed: an iterate that passes it, such as the constant start on a
@@ -584,16 +602,17 @@ def _descend(problem, u):
     m, h = problem.m, problem.h
     u, qv, g = _evaluate(problem, np.maximum(u, floor))
     scale = 2.0 * problem.weight * h  # gradient per unit EL residual
+    tol = DESCENT_TOL if _constant_weight(problem) else WEIGHTED_DESCENT_TOL
 
     def stationary():
-        return float(np.abs(g).max()) <= DESCENT_TOL * scale * max(1.0, qv)
+        return float(np.abs(g).max()) <= tol * scale * max(1.0, qv)
 
     if stationary():
         return u, qv, False
     d, off = _stencil(h)
     sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
     symbol = 1.0 / ((d - 2.0 * off) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
-    step = 1.0
+    step = 1.0 / scale
     u_prev = g_prev = d_prev = None
     for _ in range(DESCENT_MAX_ITER):
         d = np.fft.irfft(np.fft.rfft(g) * symbol, m)
