@@ -7,8 +7,8 @@ module attribute lookup.
 
 `flapack()` returns scipy's compiled LAPACK wrappers, the extension
 `scipy/linalg/_flapack<EXTENSION_SUFFIX>`, loaded by itself.  The solver
-needs two routines from it, `dgtsv` and `dstebz`; `import
-scipy.linalg.lapack` would reach them only through scipy.linalg's
+needs four routines from it, `dgtsv`, `dstebz`, `dpttrf` and `dpttrs`;
+`import scipy.linalg.lapack` would reach them only through scipy.linalg's
 package, which costs a cold `solve` about 0.3 s and 24 MB of memory
 (scipy._lib's array-API layer alone pulls in numpy.f2py).  This relies on
 a private part of scipy, the file's place in its package.  Where a scipy

@@ -20,8 +20,10 @@ operator's coefficients, its Fourier symbol and its norm, once.
 
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
-iteration count does not grow with m; one real FFT pair applies the
-inverse of that circulant operator, once per step the descent takes.
+iteration count does not grow with m.  That operator P is cut open at
+one node like J below; its tridiagonal block is factored once (LAPACK's
+Cholesky pttrf), and each step the descent takes costs one O(m)
+solve (pttrs) and a scalar Schur closure (see _p_inverse).
 The default nonconstant start is the line soliton
 A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
 (2 f), centred where f peaks: on a long circle (sqrt(alpha) length >> 1)
@@ -111,7 +113,11 @@ DESCENT_TOL = 1e-4
 # constant start's saddle wins.
 WEIGHTED_DESCENT_TOL = 1e-6
 
-# A guard only: the H^1 descent meets DESCENT_TOL within 100 evaluations, even at the bifurcation.
+# Not only a guard: the H^1 descent meets its tolerance within 100 evaluations on the
+# model problem at its bifurcation, but on a nearly constant weight it crawls.  The cos1
+# start on f = 1 + 1e-3 cos(s - 1), alpha = 1.5, m = 128 uses all 2000 steps and raises
+# ConvergenceError, and with 5e-3 cos(s - 2), alpha = 1.3 it takes about 1500
+# evaluations (ROADMAP item 20).
 DESCENT_MAX_ITER = 2000
 
 # A guard only: from the descent's output Newton converges, or stagnates, within a few steps.
@@ -289,18 +295,24 @@ def _stencil(h):
     -Delta_h is circulant, so its eigenvalue at Fourier mode k is its
     symbol (d - 2 off) sin^2(pi k / m), and its inf-norm is d - 2 off =
     4/h^2.  The other operator formulas read this one: J's tridiagonal
-    (_cut), the descent's symbol of P^{-1} (_descend) and Newton's
-    rounding level (_newton).
+    (_cut), the descent's factored P = -Delta_h + alpha (_p_inverse) and
+    Newton's rounding level (_newton).
     """
     return 2.0 / (h * h), -1.0 / (h * h)
 
 
-def _dirichlet(problem, u):
-    """w int |u'|^2 by forward differences; its gradient is 2 w h (-Delta_h) u, _stencil's operator."""
+def _differences(u, h):
+    """Forward differences (u[i+1] - u[i]) / h on the circle."""
     du = np.empty_like(u)
     np.subtract(u[1:], u[:-1], out=du[:-1])
     du[-1] = u[0] - u[-1]
-    du /= problem.h
+    du /= h
+    return du
+
+
+def _dirichlet(problem, u):
+    """w int |u'|^2 by forward differences; its gradient is 2 w h (-Delta_h) u, _stencil's operator."""
+    du = _differences(u, problem.h)
     return problem.weight * problem.h * float(np.dot(du, du))
 
 
@@ -553,7 +565,9 @@ def _evaluate(problem, x):
 
     Q is scale-invariant, so Q(x) is Q at the scaled point, and
     f |x|^{q-2} x, computed once and in place, serves the energy, the scale
-    and the gradient's weighted term.
+    and the gradient's weighted term.  The forward differences du serve
+    both Q's numerator, bitwise _dirichlet's, and -Delta_h u =
+    (du[i-1] - du[i]) / h.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
     fa = np.abs(x)
@@ -565,43 +579,79 @@ def _evaluate(problem, x):
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
     scale = den ** (-1.0 / q)
     u = scale * x
-    qv = _dirichlet(problem, u) + problem.alpha * _mass2(problem, u)
-    g = -_lap(u, h)
+    du = _differences(u, h)
+    qv = w * h * float(np.dot(du, du)) + problem.alpha * _mass2(problem, u)
+    g = np.empty_like(u)
+    np.subtract(du[:-1], du[1:], out=g[1:])
+    g[0] = du[-1] - du[0]
+    g /= h
     g += problem.alpha * u
     g -= (qv * scale ** (q - 1.0)) * fa
     g *= 2.0 * w * h
     return u, qv, g
 
 
+def _p_inverse(problem):
+    """x = P^{-1} g for P = -Delta_h + alpha, as a function of g, factored once.
+
+    P is _stencil's circulant, and every node is alike; cut open at node 0,
+    P = [[c, w'], [w, T]] with c = d + alpha, T plain tridiagonal and w
+    holding off in its first and last entries, as J in _cut.  T is
+    positive definite (every principal block of P is), so LAPACK factors it
+    once (dpttrf, Golub & Van Loan 4.3.6); z = T^{-1} w and the cut node's
+    Schur scalar s = c - w' z > 0 come with the factor.  Each application
+    takes one dpttrs column y = T^{-1} g[1:] and closes it:
+    x[0] = (g[0] - w' y) / s and x[1:] = y - x[0] z, that is
+    x = [0, y] + x[0] [1, -z].  Both routines come from scipy's LAPACK
+    extension, loaded by itself (_lazy.flapack).
+    """
+    m, alpha = problem.m, problem.alpha
+    d, off = _stencil(problem.h)
+    lapack = flapack()
+    # T is diagonally dominant, so no pivot of dpttrf can vanish
+    diag, sub = lapack.dpttrf(np.full(m - 1, d + alpha), np.full(m - 2, off))[:2]
+    w = np.zeros(m - 1)
+    w[0] = w[-1] = off  # w' y = off (y[0] + y[-1]), as in _cut_solve
+    z = lapack.dpttrs(diag, sub, w)[0]
+    s = d + alpha - off * (z[0] + z[-1])
+    closure = np.append(1.0, -z)
+
+    def solve(g):
+        y = lapack.dpttrs(diag, sub, g[1:])[0]
+        x = ((g[0] - off * (y[0] + y[-1])) / s) * closure
+        x[1:] += y
+        return x
+
+    return solve
+
+
 def _descend(problem, u):
     """Projected H^1 gradient descent on Q with BB steps and backtracking.
 
     The direction is the gradient in the inner product <P ., .> with
-    P = -Delta_h + alpha, the one Q's numerator defines: d = P^{-1} g.
-    The cyclic Laplacian is circulant, so P^{-1} is one real FFT pair
-    times fixed symbols, and the iteration count no longer grows with
-    the conditioning of -Delta_h, O(m^2) (Neuberger 1997).  The
-    Barzilai-Borwein step |<du, dg>| / <dg, dd> is taken in the same
-    metric (Barzilai & Borwein 1988).  The first trial step is 1/(2 w h),
-    g's scale per unit EL residual: from the unit-energy point u,
-    u - P^{-1} g / (2 w h) = lambda P^{-1}(f u^{q-1}) is the Picard iterate
-    of the Euler-Lagrange equation, so that step rarely backtracks.  The
-    stopping test is on g itself, at DESCENT_TOL for a constant f, whose
-    Newton step is bordered along the translation, and at
-    WEIGHTED_DESCENT_TOL otherwise.
+    P = -Delta_h + alpha, the one Q's numerator defines: d = P^{-1} g,
+    applied by _p_inverse's factored solve in O(m).  The iteration count
+    no longer grows with the conditioning of -Delta_h, O(m^2) (Neuberger
+    1997).  The Barzilai-Borwein step |<du, dg>| / <dg, dd> is taken in
+    the same metric (Barzilai & Borwein 1988).  The first trial step is
+    1/(2 w h), g's scale per unit EL residual: from the unit-energy point
+    u, u - P^{-1} g / (2 w h) = lambda P^{-1}(f u^{q-1}) is the Picard
+    iterate of the Euler-Lagrange equation, so that step rarely
+    backtracks.  The stopping test is on g itself, at DESCENT_TOL for a
+    constant f, whose Newton step is bordered along the translation, and
+    at WEIGHTED_DESCENT_TOL otherwise.
 
-    P^{-1} is applied, and its symbol built, only once the stopping test
-    has failed: an iterate that passes it, such as the constant start on a
-    constant f, needs no direction, so a descent of k steps applies P^{-1}
-    k times.
+    P is factored only once the stopping test has failed, and P^{-1}
+    applied once per step taken: an iterate that passes the test, such as
+    the constant start on a constant f, needs no direction, so a descent
+    of k steps applies P^{-1} k times.
 
     Returns the last iterate, its quotient, and whether the descent used
     all of DESCENT_MAX_ITER iterations without meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
-    m, h = problem.m, problem.h
     u, qv, g = _evaluate(problem, np.maximum(u, floor))
-    scale = 2.0 * problem.weight * h  # gradient per unit EL residual
+    scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
     tol = DESCENT_TOL if _constant_weight(problem) else WEIGHTED_DESCENT_TOL
 
     def stationary():
@@ -609,13 +659,11 @@ def _descend(problem, u):
 
     if stationary():
         return u, qv, False
-    d, off = _stencil(h)
-    sin2 = np.sin(math.pi / m * np.arange(m // 2 + 1)) ** 2
-    symbol = 1.0 / ((d - 2.0 * off) * sin2 + problem.alpha)  # of P^{-1}, per rfft mode
+    p_inverse = _p_inverse(problem)
     step = 1.0 / scale
     u_prev = g_prev = d_prev = None
     for _ in range(DESCENT_MAX_ITER):
-        d = np.fft.irfft(np.fft.rfft(g) * symbol, m)
+        d = p_inverse(g)
         if u_prev is not None:
             dg = g - g_prev
             denom = float(np.dot(dg, d - d_prev))

@@ -360,7 +360,8 @@ def test_interval_and_table_load_neither_numpy_nor_scipy(argv):
 def test_solve_loads_no_quadrature():
     # the cos1 start needs Newton steps, and every report's Morse count loads
     # scipy's LAPACK extension by itself, without scipy.linalg's package and
-    # so without scipy._lib and the numpy.f2py it pulls in
+    # so without scipy._lib and the numpy.f2py it pulls in; the descent
+    # applies P^{-1} with that extension too, so numpy.fft stays unloaded
     modules, solver_ran = _cold_run(
         ["solve", "--length", "6.2832", "--p", "5", "--alpha", "0.3", "--grid", "64",
          "--starts", "constant,cos1"]
@@ -371,6 +372,7 @@ def test_solve_loads_no_quadrature():
     assert _under(modules, "scipy.linalg.lapack") == set()
     assert _under(modules, "scipy._lib") == set()
     assert _under(modules, "numpy.f2py") == set()
+    assert _under(modules, "numpy.fft") == set()
 
 
 def test_expansion_runs_no_newton_solve():

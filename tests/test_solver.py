@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import circulant_oracle
 import numpy as np
 import pytest
 import quotient_oracle
@@ -73,8 +74,9 @@ def test_periodic_differences_equal_the_roll_formulas(m):
 
 @pytest.mark.parametrize("m", [64, 97])
 def test_the_operator_pieces_agree_with_one_stencil(m):
-    # _lap, the descent's symbol, Newton's norm bound and the cut Jacobian
-    # all read solver._stencil; a piece that drifts from it fails here
+    # _lap, Newton's norm bound and the cut Jacobian all read
+    # solver._stencil; a piece that drifts from it fails here (the descent's
+    # P^{-1}, which reads it too, in test_the_descent_p_inverse_inverts_the_circulant_p)
     rng = np.random.default_rng(m)
     problem = _problem(length=float(rng.uniform(3.0, 20.0)), alpha=0.7, m=m,
                        f=rng.uniform(0.5, 1.5, m))
@@ -115,6 +117,8 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
         assert float(np.max(np.abs(u - normalized))) <= 1e-13 * float(np.max(normalized))
         assert q == pytest.approx(quotient_value(problem, normalized), rel=1e-13)
         assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
+        # the numerator shares the gradient's differences and stays quotient_value's, bitwise
+        assert q == solver._dirichlet(problem, u) + problem.alpha * solver._mass2(problem, u)
 
 
 @pytest.mark.parametrize("m", [64, 97, 1024, 4096])
@@ -133,6 +137,31 @@ def test_quotient_gradient_is_the_scaled_fused_gradient(m, p):
         g = quotient_gradient(problem, x)
         g_ref = quotient_oracle.quotient_gradient(problem, x)
         assert float(np.max(np.abs(g - g_ref))) <= 1e-14 * float(np.max(np.abs(g_ref)))
+
+
+@pytest.mark.parametrize("m", [64, 97, 1024, 16384])
+@pytest.mark.parametrize("alpha", [0.05, 2.25, 40.0])
+def test_the_descent_p_inverse_inverts_the_circulant_p(m, alpha):
+    rng = np.random.default_rng(m)
+    length = float(rng.uniform(3.0, 20.0))
+    problem = _problem(length=length, alpha=alpha, m=m)
+    h, eps = problem.h, math.ulp(1.0)
+    norm = 4.0 / (h * h) + alpha  # |P|_inf
+    solve = solver._p_inverse(problem)
+    s = problem.grid() * (2.0 * math.pi / length)
+    rough, smooth = rng.standard_normal(m), np.exp(np.cos(s - 1.0)) + 0.3 * np.sin(3.0 * s)
+    for g in (rough, smooth):
+        before = g.copy()
+        x = solve(g)
+        assert np.array_equal(g, before)
+        # backward stable: P x gives back g to eps |P| |x|, counting the
+        # rounding of applying P here
+        px = (2.0 / (h * h) + alpha) * x - (np.roll(x, 1) + np.roll(x, -1)) / (h * h)
+        assert float(np.abs(px - g).max()) <= 4.0 * eps * norm * float(np.abs(x).max())
+    # both solves are backward stable, so they agree to eps times P's
+    # condition number |P| / alpha
+    x_ref = circulant_oracle.p_inverse(h, alpha, smooth)
+    assert float(np.abs(x - x_ref).max()) <= 4.0 * eps * (norm / alpha) * float(np.abs(x).max())
 
 
 # ---------------------------------------------------------------------------
@@ -450,32 +479,55 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
 
 
-def _counted_rfft_descent(monkeypatch, problem, u0, cap=solver.DESCENT_MAX_ITER):
-    """(rfft calls, capped) of one descent from u0 with DESCENT_MAX_ITER = cap."""
-    calls = []
-    rfft = np.fft.rfft
+def test_the_descent_cap_binds_on_a_nearly_constant_weight():
+    # DESCENT_MAX_ITER is reached here, and the report says so (ROADMAP item 20)
+    m = 128
+    f = 1.0 + 1e-3 * np.cos(np.arange(m) * (2.0 * math.pi / m) - 1.0)
+    problem = _problem(alpha=1.5, m=m, f=f)
+    with pytest.raises(ConvergenceError) as err:
+        minimize(problem, SolveConfig(starts=("cos1",)))
+    assert err.value.best.descent_capped == ("cos1",)
+
+
+def _count_p_inverse(patch, applications, factors):
+    """Count each application of the descent's P^{-1} and each factorization (dpttrf) of P."""
+    p_inverse, lapack = solver._p_inverse, _lazy.flapack()
+    dpttrf = lapack.dpttrf
+
+    def counted(problem):
+        solve = p_inverse(problem)
+        return lambda g: applications.append(1) or solve(g)
+
+    patch.setattr(solver, "_p_inverse", counted)
+    patch.setattr(lapack, "dpttrf", lambda *a, **k: factors.append(1) or dpttrf(*a, **k))
+
+
+def _counted_p_inverse_descent(monkeypatch, problem, u0, cap=solver.DESCENT_MAX_ITER):
+    """(P^{-1} applications, capped) of one descent from u0 with DESCENT_MAX_ITER = cap."""
+    applications, factors = [], []
     with monkeypatch.context() as patch:
         patch.setattr(solver, "DESCENT_MAX_ITER", cap)
-        patch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+        _count_p_inverse(patch, applications, factors)
         capped = solver._descend(problem, u0)[2]
-    return len(calls), capped
+    assert len(factors) == (1 if applications else 0)  # P is factored once, and only if used
+    return len(applications), capped
 
 
 def test_the_descent_applies_p_inverse_once_per_accepted_step(monkeypatch):
     # a start that passes the stopping test needs no direction
     problem = _problem(alpha=0.3)
     (_, u0), = solver._starts(problem, SolveConfig(starts=("constant",)))
-    assert _counted_rfft_descent(monkeypatch, problem, u0) == (0, False)
+    assert _counted_p_inverse_descent(monkeypatch, problem, u0) == (0, False)
     # a capped descent accepts a step in each of its DESCENT_MAX_ITER iterations
     (_, u0), = solver._starts(problem, SolveConfig(starts=("cos1",)))
     for cap in (1, 2, 5):
-        assert _counted_rfft_descent(monkeypatch, problem, u0, cap) == (cap, True)
+        assert _counted_p_inverse_descent(monkeypatch, problem, u0, cap) == (cap, True)
     # a descent that meets its stopping test after k steps: capped at k - 1
     # it is one step short of the test
-    k, capped = _counted_rfft_descent(monkeypatch, problem, u0)
+    k, capped = _counted_p_inverse_descent(monkeypatch, problem, u0)
     assert not capped and k > 5
-    assert _counted_rfft_descent(monkeypatch, problem, u0, k) == (k, False)
-    assert _counted_rfft_descent(monkeypatch, problem, u0, k - 1) == (k - 1, True)
+    assert _counted_p_inverse_descent(monkeypatch, problem, u0, k) == (k, False)
+    assert _counted_p_inverse_descent(monkeypatch, problem, u0, k - 1) == (k - 1, True)
 
 
 def test_rescaling_by_the_descent_numerator_is_quotient_value_bitwise():
@@ -585,16 +637,17 @@ def test_the_soliton_start_descends_in_a_handful_of_evaluations(monkeypatch, ind
 def test_the_first_descent_step_needs_no_backtrack(monkeypatch, m):
     # The first trial step 1/(2 w h) is the Picard step, which the Armijo
     # test accepts: every _evaluate after the initial one is a step taken,
-    # one per application of P^{-1} (one irfft).
+    # one per application of P^{-1}.
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=m)
     (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
-    evaluations, inverses = [], []
-    evaluate, irfft = solver._evaluate, np.fft.irfft
+    evaluations, inverses, factors = [], [], []
+    evaluate = solver._evaluate
     monkeypatch.setattr(solver, "_evaluate", lambda pr, x: evaluations.append(1) or evaluate(pr, x))
-    monkeypatch.setattr(np.fft, "irfft", lambda *a: inverses.append(1) or irfft(*a))
+    _count_p_inverse(monkeypatch, inverses, factors)
     solver._descend(problem, u0)
     assert inverses and len(evaluations) == len(inverses) + 1
+    assert len(factors) == 1
 
 
 @pytest.mark.parametrize("m", [256, 512, 768, 1024, 2048, 4096])
@@ -828,7 +881,8 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
 # earlier import of scipy.linalg in the test process decides the route: the
 # extension loaded by itself, or scipy.linalg.lapack when the file lookup
 # finds nothing.  It prints the route, then Newton steps (bordered for
-# constant f, plain for a weighted f) and Morse counts at m = 64 and 4096.
+# constant f, plain for a weighted f), Morse counts and the descent's
+# P^{-1} at m = 64 and 4096.
 _ROUTE_PROBE = """
 import json, sys
 import numpy as np
@@ -843,7 +897,8 @@ for m in (64, 4096):
     for f in (np.ones(m), 1.0 + 0.15 * np.cos(s)):
         problem = solver.ReducedProblem(length=2.0 * np.pi, weight=1.0, alpha=0.4, p=5.0, f_samples=f)
         delta = solver._newton_step(problem, v, solver._residual(problem, v), solver._constant_weight(problem))
-        results.append([delta.tobytes().hex(), solver._morse_counts(problem, v)])
+        direction = solver._p_inverse(problem)(v)
+        results.append([delta.tobytes().hex(), solver._morse_counts(problem, v), direction.tobytes().hex()])
 print(json.dumps({"route": route, "results": results}))
 """
 
