@@ -72,11 +72,22 @@ def _volume_term(N, orbit_volume, volume):
     return orbit_volume ** (2.0 / N) / (sobolev_constant(N) * volume ** (2.0 / N))
 
 
+def _concentration_ceiling(N, scal, q):
+    """(N-2)/(4 (N-1)) (scal + 3 q): the alpha below which test functions
+    concentrating on a minimal orbit push the quotient under its threshold.
+
+    scal is the quotient's scalar curvature at the orbit and q the
+    Laplacian of the orbit-volume function there over the orbit volume.
+    """
+    return (N - 2) / (4.0 * (N - 1)) * (scal + 3.0 * q)
+
+
 def _curvature_term(params, action):
-    """(n-2-k)/(4 (n-1-k)) (S_quotient + 3 lap(v_H)/A) from certified lower bounds."""
-    coeff = (params.n - 2 - params.k) / (4.0 * (params.n - 1 - params.k))
-    return coeff * (
-        action.quotient_scal_lower + 3.0 * action.vh_laplacian.lower() / action.orbit_volume
+    """The concentration ceiling from certified lower bounds of S_quotient and lap(v_H)."""
+    return _concentration_ceiling(
+        params.reduced_dim,
+        action.quotient_scal_lower,
+        action.vh_laplacian.lower() / action.orbit_volume,
     )
 
 

@@ -181,7 +181,6 @@ class ExistenceBound:
 
     ceiling: float
     flatness_ok: bool
-    strict: bool = True
 
 
 def existence_threshold(params, orbit_volume, f_max=1.0):
@@ -217,7 +216,7 @@ def existence_alpha_bound(params, action, f=None):
     flat = True
     if f is not None and N > 4:
         flat = f.laplacian_at_peak == 0.0
-    return ExistenceBound(ceiling=_curvature_term(params, action), flatness_ok=flat, strict=True)
+    return ExistenceBound(ceiling=_curvature_term(params, action), flatness_ok=flat)
 
 
 def _check_family(params, orbit1, orbit2, volume):

@@ -77,34 +77,8 @@ class ConstantBound:
     def exact(cls, value):
         return cls(value, value)
 
-    @property
-    def is_exact(self):
-        return self.lo == self.hi
-
     def contains(self, x):
         return self.lo <= x <= self.hi
-
-    def max_with(self, other):
-        """Interval guaranteed to contain max(x, y) for x in self, y in other."""
-        return ConstantBound(max(self.lo, other.lo), max(self.hi, other.hi))
-
-    def min_with(self, other):
-        """Interval guaranteed to contain min(x, y) for x in self, y in other."""
-        return ConstantBound(min(self.lo, other.lo), min(self.hi, other.hi))
-
-    def scale(self, factor):
-        """Interval for factor * x; the factor must be positive and finite."""
-        c = float(factor)
-        if not (math.isfinite(c) and c > 0.0):
-            raise PreconditionError("scaling factor must be positive and finite, got %r" % (factor,))
-        return ConstantBound(self.lo * c, self.hi * c)
-
-    def shift(self, offset):
-        """Interval for x + offset; the offset must be finite."""
-        s = float(offset)
-        if not math.isfinite(s):
-            raise PreconditionError("shift offset must be finite, got %r" % (offset,))
-        return ConstantBound(self.lo + s, self.hi + s)
 
     def __repr__(self):
         hi = "inf" if math.isinf(self.hi) else repr(self.hi)
@@ -119,12 +93,11 @@ class EquationParams:
     p = two_sharp - 1 with two_sharp = 2 (n - k) / (n - 2 - k).  k = 0 is
     the plain critical case; k > 0 is overcritical for the ambient
     dimension but critical for the reduced one, reduced_dim = n - k.
-    alpha is optional because interval computations quantify over it.
+    alpha is left out: interval computations quantify over it.
     """
 
     n: int
     k: int = 0
-    alpha: float | None = None
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 3:
@@ -137,11 +110,6 @@ class EquationParams:
             raise PreconditionError(
                 "need n - k > 2 for a finite exponent, got n=%d k=%d" % (self.n, self.k)
             )
-        if self.alpha is not None:
-            a = float(self.alpha)
-            if not (math.isfinite(a) and a > 0.0):
-                raise PreconditionError("alpha must be positive and finite, got %r" % (self.alpha,))
-            object.__setattr__(self, "alpha", a)
 
     @property
     def reduced_dim(self):

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from ._lazy import lazy_import
+from .best_constants import _concentration_ceiling
 from .constants import _concentration_threshold, sphere_volume
 from .errors import PreconditionError
 
@@ -35,7 +36,6 @@ __all__ = [
     "ExpansionConfig",
     "ExpansionReport",
     "LogBranchReport",
-    "test_function",
     "density",
     "rayleigh_quotient",
     "fit_and_compare",
@@ -48,16 +48,6 @@ _GAUSS_NODES = 20  # Gauss-Legendre points per panel
 _GRADING = 3.0  # width ratio of neighbouring panels
 _RIGHT_PANELS = 8  # panels shrinking toward the upper endpoint
 _EPS_COUNT = 7  # eps samples when none are given
-
-
-def test_function(eps, delta, dim, r):
-    """Truncated bubble, zero outside [0, delta]."""
-    if not eps > 0.0:
-        raise PreconditionError("eps must be positive")
-    power = 1.0 - dim / 2.0
-    r = np.asarray(r, dtype=float)
-    val = (eps + r * r) ** power - (eps + delta * delta) ** power
-    return np.where(r <= delta, np.maximum(val, 0.0), 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,15 +118,17 @@ class ExpansionConfig:
 
     @property
     def predicted_c1(self):
-        """First-order coefficient of the eps-expansion; needs dim >= 5."""
+        """First-order coefficient of the eps-expansion; needs dim >= 5.
+
+        c1 = (4 (N-1)/(N-2) (alpha - ceiling) + (N-4) lap f / (2 f)) / (N (N-4)).
+        """
         N = self.dim
         if N == 4:
             raise PreconditionError("dim 4 has a logarithmic branch; use log_branch_sign")
+        ceiling = _concentration_ceiling(N, self.scal, self.vh_quadratic_coeff)
         return (
-            4.0 * (N - 1.0) * self.alpha / (N - 2.0)
+            4.0 * (N - 1.0) / (N - 2.0) * (self.alpha - ceiling)
             + (N - 4.0) * self.f_laplacian / (2.0 * self.f_peak)
-            - 3.0 * self.vh_quadratic_coeff
-            - self.scal
         ) / (N * (N - 4.0))
 
 
@@ -290,12 +282,13 @@ class LogBranchReport:
 def log_branch_sign(config):
     """Dim-4 check: sign of I - limit matches the eps ln(eps) model.
 
-    coeff = (scal + 3 q - 6 alpha) / 8; since ln(eps) < 0 for small eps,
-    I - limit and coeff must have opposite signs near zero.
+    coeff = 3 (ceiling - alpha) / 4 = (scal + 3 q - 6 alpha) / 8; since
+    ln(eps) < 0 for small eps, I - limit and coeff must have opposite signs
+    near zero.
     """
     if config.dim != 4:
         raise PreconditionError("the logarithmic branch exists only in dimension 4")
-    coeff = (config.scal + 3.0 * config.vh_quadratic_coeff - 6.0 * config.alpha) / 8.0
+    coeff = 0.75 * (_concentration_ceiling(4, config.scal, config.vh_quadratic_coeff) - config.alpha)
     samples = tuple(zip(config.epsilons, rayleigh_quotient(config, config.epsilons).tolist()))
     limit = config.predicted_limit
     ok = True

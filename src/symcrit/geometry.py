@@ -38,21 +38,17 @@ from .best_constants import (
 )
 from .constants import EquationParams, sobolev_constant, sphere_volume
 from .errors import PreconditionError
-from .jsonio import clean
 
 __all__ = [
     "Sphere",
     "CircleTimesSphere",
     "CircleSphereSphere",
-    "QuotientSphere",
     "OrbitVolumeLaplacian",
     "GroupActionSpec",
     "ExampleConfig",
     "EXAMPLE_IDS",
     "EXAMPLE_DEFAULTS",
     "example_configuration",
-    "registry_rows",
-    "oneill_scal_lower",
     "product_scal_lower",
 ]
 
@@ -82,9 +78,6 @@ class Sphere:
     def volume(self):
         return self.radius**self.n * sphere_volume(self.n)
 
-    def to_json(self):
-        return {"kind": "sphere", "n": self.n, "radius": self.radius}
-
 
 @dataclass(frozen=True, slots=True)
 class CircleTimesSphere:
@@ -108,9 +101,6 @@ class CircleTimesSphere:
     @property
     def volume(self):
         return 2.0 * math.pi * self.t * sphere_volume(self.n - 1)
-
-    def to_json(self):
-        return {"kind": "circle-sphere", "t": self.t, "n": self.n}
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,36 +128,6 @@ class CircleSphereSphere:
     def volume(self):
         return 2.0 * math.pi * self.a * 4.0 * math.pi * self.b**2 * sphere_volume(self.n - 3)
 
-    def to_json(self):
-        return {"kind": "circle-sphere-sphere", "a": self.a, "b": self.b, "n": self.n}
-
-
-@dataclass(frozen=True, slots=True)
-class QuotientSphere:
-    """Quotient S^n / Gamma by a free isometric action of a finite group."""
-
-    n: int
-    order: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise PreconditionError("quotient sphere dimension must be an integer >= 2")
-        if int(self.order) != self.order or self.order < 1:
-            raise PreconditionError("group order must be an integer >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "order", int(self.order))
-
-    @property
-    def dim(self):
-        return self.n
-
-    @property
-    def volume(self):
-        return sphere_volume(self.n) / self.order
-
-    def to_json(self):
-        return {"kind": "quotient-sphere", "n": self.n, "order": self.order}
-
 
 @dataclass(frozen=True, slots=True)
 class OrbitVolumeLaplacian:
@@ -188,12 +148,6 @@ class OrbitVolumeLaplacian:
     def lower(self):
         """Certified lower bound usable in curvature-type estimates."""
         return self.value if self.kind == "value" else 0.0
-
-    def to_json(self):
-        d = {"kind": self.kind}
-        if self.kind == "value":
-            d["value"] = self.value
-        return d
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,20 +188,6 @@ class GroupActionSpec:
             raise PreconditionError("quotient scalar curvature bound must be finite")
 
 
-def oneill_scal_lower(total_dim, k, sect_lower):
-    """Scalar curvature lower bound for the base of a Riemannian submersion.
-
-    Horizontal sectional curvatures do not decrease under a submersion,
-    so a base of dimension m = total_dim - k with totally geodesic fibers
-    over a total space of sectional curvature >= sect_lower satisfies
-    scal >= sect_lower * m (m - 1).
-    """
-    if int(total_dim) != total_dim or int(k) != k or not (0 <= k < total_dim):
-        raise PreconditionError("need integer dimensions with 0 <= k < total_dim")
-    m = int(total_dim) - int(k)
-    return float(sect_lower) * m * (m - 1)
-
-
 def product_scal_lower(base_scal, r1, r2):
     """Quotient scalar curvature bound for bi-spherical reductions.
 
@@ -285,18 +225,6 @@ class ExampleConfig:
     @property
     def volume(self):
         return self.manifold.volume
-
-    def to_json(self):
-        return {
-            "example": self.example,
-            "manifold": self.manifold,
-            "n": self.params.n,
-            "k": self.params.k,
-            "volume": self.volume,
-            "first": self.first,
-            "second": self.second,
-            "inputs": dict(self.inputs),
-        }
 
 
 def _require(cond, message):
@@ -577,7 +505,3 @@ def example_configuration(example, **params):
     }
     return ExampleConfig(example, *record.build(**inputs), inputs)
 
-
-def registry_rows():
-    """JSON-serializable description of every packaged example at defaults."""
-    return clean([example_configuration(ex) for ex in EXAMPLE_IDS])

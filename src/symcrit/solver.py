@@ -91,13 +91,6 @@ MIN_GRID = 64
 # counts as a zero mode only on a resolving grid.
 ZERO_MODE_TOL = 1e-6
 
-# Converged starts whose quotients lie within max(TIE_ULPS, ceil(sqrt(m)))
-# ulps of the least one, with the same classification, reached the same
-# solution.  Q is a ratio of m-term sums, whose rounding grows like sqrt(m)
-# ulps: starts that converge to one solution differ by 0-3 ulps on coarse
-# grids, and by 35 on cylinder-weighted's constant at m = 8192.
-TIE_ULPS = 4
-
 # The descent stops at an EL residual of about DESCENT_TOL, where Newton takes over:
 # from there Newton takes at most 2 steps on cylinder-triple at m = 512-16384.  At
 # 1e-3 Newton starts the opt-in cos3 start outside the three-bump saddle's basin and
@@ -479,9 +472,9 @@ class SolveReport:
     """One solution with how it was obtained and its Morse certificate.
 
     winning_starts: the converged starts that reached this solution (same
-    classification, quotient within max(TIE_ULPS, ceil(sqrt(m))) ulps of
-    the least); the earliest is start_label.  Empty for the closed form and
-    for the best partial result of a ConvergenceError.
+    classification, quotient within ceil(sqrt(m)) ulps of the least); the
+    earliest is start_label.  Empty for the closed form and for the best
+    partial result of a ConvergenceError.
     descent_capped: the starts whose descent used all of DESCENT_MAX_ITER
     iterations without meeting its stopping test (DESCENT_TOL, or
     WEIGHTED_DESCENT_TOL for a nonconstant f).
@@ -803,10 +796,12 @@ def minimize(problem, config=None):
     """Multi-start minimization of the quotient; returns the best solution.
 
     The converged start with the least quotient wins.  Starts that reached
-    the same solution (same classification, quotient within
-    max(TIE_ULPS, ceil(sqrt(m))) ulps) are reported as winning_starts, and
-    the earliest of them gives the report, so rounding noise between them
-    does not pick the label.
+    the same solution (same classification, quotient within ceil(sqrt(m))
+    ulps) are reported as winning_starts, and the earliest of them gives
+    the report, so rounding noise between them does not pick the label.
+    Q is a ratio of m-term sums, whose rounding grows like sqrt(m) ulps:
+    starts that converge to one solution differ by 0-3 ulps on coarse
+    grids, and by 35 on cylinder-weighted's constant at m = 8192.
 
     Raises ConvergenceError (with the best partial result attached as
     .best) when no start reaches the Newton tolerance.
@@ -827,7 +822,7 @@ def minimize(problem, config=None):
         )
     scored = [(quotient_value(problem, r.v), _classify(r.v), r) for r in converged]
     q_min, kind, _ = min(scored, key=lambda s: s[0])  # the first of equal minima
-    tie = max(TIE_ULPS, math.ceil(math.sqrt(problem.m))) * math.ulp(q_min)
+    tie = math.ceil(math.sqrt(problem.m)) * math.ulp(q_min)
     tied = [(q, r) for q, c, r in scored if c == kind and q - q_min <= tie]
     q, first = tied[0]
     return _report(

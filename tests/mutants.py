@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Mutation check of the tests: each listed source mutant must fail its test.
+
+    python3 tests/mutants.py
+
+A mutant is a file, an exact text in it, the text's replacement and the id
+of the test that must kill it.  For each mutant the runner copies the tree
+to a temporary directory, applies the replacement there and runs only the
+named test; the mutant is killed when that test fails.  First it checks
+that every text occurs exactly once, so a refactor cannot retire a mutant
+silently, and that every named test passes on an unmutated copy.  Exits 1
+when a text is not found exactly once, a named test fails unmutated, or a
+mutant survives.  Pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOLVER = "src/symcrit/solver.py"
+CEILING = "src/symcrit/best_constants.py"
+
+MUTANTS = [
+    # (file, exact text, replacement, test id)
+    (CEILING, "return (N - 2) / (4.0 * (N - 1)) *", "return (N - 2) / (4.0 * (N - 1)) * (1.0 + 1e-9) *",
+     "tests/test_acceptance.py::test_c2_all_examples_match_closed_forms"),
+    (CEILING, "(scal + 3.0 * q)", "(scal + 2.9 * q)",
+     "tests/test_acceptance.py::test_c8_expansion_fit_matches_prediction"),
+    (SOLVER, "\nZERO_MODE_TOL = 1e-6\n", "\nZERO_MODE_TOL = 1e-4\n",
+     "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
+    (SOLVER, "(2.0 * float(problem.f_samples[k]))", "(2.2 * float(problem.f_samples[k]))",
+     "tests/test_solver.py::test_the_soliton_start_peaks_where_the_weight_does"),
+    (SOLVER, "\nDESCENT_TOL = 1e-4\n", "\nDESCENT_TOL = 1e-3\n",
+     "tests/test_cli.py::test_exit_code_convergence_failure"),
+    (SOLVER, "\nMASS_BOUND_SLACK = 1e-9\n", "\nMASS_BOUND_SLACK = 1e-3\n",
+     "tests/test_solver.py::test_min_f_mass_bound_is_tight_on_constants"),
+    (SOLVER, "\nOSCILLATION_TOL = 1e-7\n", "\nOSCILLATION_TOL = 1e-4\n",
+     "tests/test_solver.py::test_classify_resolves_a_relative_range_of_1e_5_but_not_1e_9"),
+    (SOLVER, "\nENERGY_GAP_TOL = 1e-10\n", "\nENERGY_GAP_TOL = 1e-2\n",
+     "tests/test_solver.py::test_energy_separation_orders_reports"),
+    (SOLVER, "else q < thr,", "else q <= thr * (1 + 1e-3),",
+     "tests/test_solver.py::test_below_threshold_is_strict_at_a_relative_offset_of_1e_4"),
+]
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")
+
+
+def _pytest(tree, test_ids):
+    """Exit code of pytest run on test_ids inside tree, against tree's own src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *test_ids]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def _copy(scratch, name):
+    tree = os.path.join(scratch, name)
+    shutil.copytree(ROOT, tree, ignore=_SKIP)
+    return tree
+
+
+def main():
+    t0 = time.perf_counter()
+    failures = []
+    for path, text, _, _ in MUTANTS:
+        with open(os.path.join(ROOT, path)) as fh:
+            count = fh.read().count(text)
+        if count != 1:
+            failures.append("%s: %r found %d times, not once" % (path, text, count))
+    if failures:
+        print("\n".join(failures))
+        return 1
+    with tempfile.TemporaryDirectory(prefix="symcrit-mutants-") as scratch:
+        tests = sorted({test_id for *_, test_id in MUTANTS})
+        if _pytest(_copy(scratch, "clean"), tests) != 0:
+            print("a named test fails on the unmutated tree: %s" % " ".join(tests))
+            return 1
+        for i, (path, text, replacement, test_id) in enumerate(MUTANTS):
+            tree = _copy(scratch, "mutant%d" % i)
+            target = os.path.join(tree, path)
+            with open(target) as fh:
+                source = fh.read()
+            with open(target, "w") as fh:
+                fh.write(source.replace(text, replacement))
+            killed = _pytest(tree, [test_id]) != 0
+            print("  %-8s %s: %r -> %r" % ("killed" if killed else "SURVIVED", path, text.strip(), replacement.strip()))
+            if not killed:
+                failures.append(test_id)
+            shutil.rmtree(tree)
+    print("%d of %d mutants killed in %.1f s" % (len(MUTANTS) - len(failures), len(MUTANTS), time.perf_counter() - t0))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,7 @@ def test_round_sphere_exact():
     assert b0_sphere(3) == ConstantBound.exact(0.75)
     assert b0_sphere(4) == ConstantBound.exact(2.0)
     assert b0_sphere(5) == ConstantBound.exact(3.75)
-    assert b0_sphere(9).is_exact
+    assert b0_sphere(9) == ConstantBound.exact(15.75)
     with pytest.raises(PreconditionError):
         b0_sphere(2)
 

@@ -171,6 +171,26 @@ def test_table_json_roundtrip(capsys):
     assert canonical_json(rows) == out.rstrip("\n")
 
 
+# `symcrit table --format json` as the interval engine prints it: columns
+# example, n, t, a, b, a1, a2, lo, hi, lo_strict, hi_strict, empty, count
+_TABLE = [
+    ("sphere-quotients", 5, None, None, None, 2, 4, 2.0833333333333335, 3.75, False, False, False, 2),
+    ("cylinder-weighted", 6, 1.0, None, None, 1, 2, 3.1875, 4.0, False, False, False, 2),
+    ("triple-product", 10, None, 4.0, 0.28, None, None, 7.35, 7.814625850340136, False, True, False, 2),
+    ("cylinder-triple", 5, 40.0, None, None, 1, 2, 2.110379351347383, 2.25, False, False, False, 3),
+    ("hopf", None, 8.0, None, None, None, None, 0.1875000000000001, 0.75, False, True, False, 2),
+    ("cylinder-overcritical", 5, 8.0, None, None, None, None, 0.707106781186547, 1.0, False, True, False, 2),
+]
+
+
+def test_table_json_is_pinned_byte_for_byte(capsys):
+    # an endpoint that moves by one ulp changes the text
+    header = "example n t a b a1 a2 lo hi lo_strict hi_strict empty count".split()
+    expected = json.dumps([dict(zip(header, row)) for row in _TABLE], sort_keys=True, indent=2)
+    assert main(["table", "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_solve_reports_threshold_comparison(capsys):
     code = main(
         [

@@ -429,7 +429,7 @@ def test_existence_alpha_bound_spots():
     cfg = example_configuration("sphere-quotients")  # n = 5
     b = existence_alpha_bound(cfg.params, cfg.second)
     assert b.ceiling == pytest.approx(5.0 * 3.0 / 4.0, rel=REL)
-    assert b.flatness_ok and b.strict
+    assert b.flatness_ok
     # a curved peak is flagged, not rejected, at this level
     bad = FProfile(2.0, 1.0, 1.5, 2.0, laplacian_at_peak=-1.0)
     assert not existence_alpha_bound(cfg.params, cfg.second, bad).flatness_ok

@@ -6,16 +6,19 @@ import pytest
 from scipy.integrate import quad
 
 from symcrit import (
+    EquationParams,
     ExpansionConfig,
+    GroupActionSpec,
+    OrbitVolumeLaplacian,
     PreconditionError,
     density,
+    existence_alpha_bound,
     fit_and_compare,
     log_branch_sign,
     rayleigh_quotient,
     sphere_volume,
 )
 from symcrit import expansion
-from symcrit import test_function as bubble  # name clashes with pytest collection
 from symcrit.cli import main
 
 
@@ -26,19 +29,7 @@ def _config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# the bubble itself
-
-
-def test_bubble_spot_value_and_support():
-    assert bubble(1.0, 1.0, 6, 0.0) == 0.75  # 1 - 2^{-2}
-    r = np.array([0.0, 0.5, 1.0, 1.5])
-    vals = bubble(0.01, 1.0, 6, r)
-    assert vals[2] == 0.0  # vanishes at the cutoff
-    assert vals[3] == 0.0  # and beyond it
-    assert np.all(vals >= 0.0)
-    assert vals[0] > vals[1] > 0.0
-    with pytest.raises(PreconditionError):
-        bubble(0.0, 1.0, 6, r)
+# the density
 
 
 def test_density_round_area_element_series():
@@ -70,7 +61,7 @@ def test_quotient_against_trapezoid_rebuild():
     )
     eps = 0.2
     r = np.linspace(0.0, 1.0, 200001)
-    u = bubble(eps, 1.0, 5, r)
+    u = (eps + r * r) ** -1.5 - (eps + 1.0) ** -1.5  # the truncated bubble on [0, delta]
     du = (2.0 - 5.0) * r * (eps + r * r) ** (-5.0 / 2.0)
     rho = density(cfg, r)
     f = 1.2 - 0.4 * r * r / 10.0
@@ -255,6 +246,40 @@ def test_weight_curvature_enters_for_dim_above_four():
     assert cfg.predicted_c1 - bare.predicted_c1 == pytest.approx(
         (6.0 - 4.0) * 3.0 / (2.0 * 1.0) / (6.0 * 2.0), rel=1e-13
     )
+
+
+# ---------------------------------------------------------------------------
+# the existence ceiling is where the expansion changes sign
+
+
+def _first_order_term(cfg):
+    """c1 for N >= 5; for N = 4, -coeff, the sign of I - limit = coeff eps ln(eps)."""
+    return -log_branch_sign(cfg).coeff if cfg.dim == 4 else cfg.predicted_c1
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+def test_the_first_order_term_has_the_sign_of_alpha_minus_the_ceiling(dim):
+    # peak-flat weight: (N-2)/(4 (N-1)) (scal + 3 q) is the only zero
+    kw = dict(dim=dim, curvature=0.3, vh_quadratic_coeff=0.5)
+    ceiling = (dim - 2.0) * (dim * (dim - 1.0) * 0.3 + 1.5) / (4.0 * (dim - 1.0))
+    assert _first_order_term(_config(alpha=ceiling, **kw)) == pytest.approx(0.0, abs=1e-14 * ceiling)
+    assert _first_order_term(_config(alpha=0.9 * ceiling, **kw)) < 0.0
+    assert _first_order_term(_config(alpha=1.1 * ceiling, **kw)) > 0.0
+
+
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("value", [-0.5, 2.0])
+def test_the_ceiling_reads_the_orbit_volume_laplacian_as_q_times_the_orbit_volume(n, value):
+    # the geometer's lap(v_H) at a peak of v_H is + q A: existence_alpha_bound's
+    # ceiling is the zero of the expansion built with q = value / A
+    area, scal = 2.0 * math.pi, 30.0
+    action = GroupActionSpec("circle", 1, area, "volume-peaked-suborbits", scal,
+                             vh_laplacian=OrbitVolumeLaplacian("value", value))
+    ceiling = existence_alpha_bound(EquationParams(n, 1), action).ceiling
+    N = n - 1
+    kw = dict(dim=N, orbit_volume=area, curvature=scal / (N * (N - 1.0)), vh_quadratic_coeff=value / area)
+    assert _first_order_term(_config(alpha=ceiling, **kw)) == pytest.approx(0.0, abs=1e-14 * ceiling)
+    assert _first_order_term(_config(alpha=1.1 * ceiling, **kw)) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,12 @@ from symcrit import (
     CircleSphereSphere,
     CircleTimesSphere,
     PreconditionError,
-    QuotientSphere,
     Sphere,
-    canonical_json,
     example_configuration,
     example_interval,
-    registry_rows,
     sphere_volume,
 )
-from symcrit.geometry import oneill_scal_lower, product_scal_lower
+from symcrit.geometry import product_scal_lower
 
 
 def test_manifold_volumes():
@@ -28,7 +25,6 @@ def test_manifold_volumes():
     assert CircleSphereSphere(4.0, 0.5, 10).volume == pytest.approx(
         8.0 * math.pi * math.pi * sphere_volume(7), rel=1e-15
     )
-    assert QuotientSphere(5, 4).volume == pytest.approx(math.pi**3 / 4.0, rel=1e-15)
 
 
 def test_manifold_validation():
@@ -40,21 +36,14 @@ def test_manifold_validation():
         CircleTimesSphere(-1.0, 5)
     with pytest.raises(PreconditionError):
         CircleTimesSphere(1.0, 2)
-    with pytest.raises(PreconditionError):
-        QuotientSphere(5, 0)
 
 
 def test_scal_lower_helpers():
-    # totally geodesic submersion over sect >= 1: scal >= m(m-1)
-    assert oneill_scal_lower(5, 1, 1.0) == 12.0
-    assert oneill_scal_lower(5, 0, 1.0) == 20.0
     # collapsed bi-spherical block at r1 = n-2, r2 = 2
     assert product_scal_lower(0.0, 3, 2) == 6.0
     assert product_scal_lower(2.0 / 0.25, 4, 4) == 8.0 + 12.0
     with pytest.raises(PreconditionError):
         product_scal_lower(0.0, 1, 2)
-    with pytest.raises(PreconditionError):
-        oneill_scal_lower(5, 5, 1.0)
 
 
 def test_defaults_cover_all_examples():
@@ -160,10 +149,3 @@ def test_non_finite_inputs_are_rejected_by_name(example, name, value):
     with pytest.raises(PreconditionError) as err:
         example_configuration(example, **{name: value})
     assert str(err.value).startswith(name + " must be")
-
-
-def test_registry_is_json_serializable():
-    rows = registry_rows()
-    assert len(rows) == len(EXAMPLE_IDS)
-    text = canonical_json(rows)
-    assert all(ex in text for ex in EXAMPLE_IDS)

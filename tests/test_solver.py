@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -28,6 +29,7 @@ from symcrit import (
     proof_chain_diagnostics,
     quotient_gradient,
     quotient_value,
+    sobolev_constant,
 )
 from symcrit import _lazy, solver
 from symcrit.solver import MIN_GRID
@@ -424,6 +426,10 @@ def test_min_f_mass_bound_is_tight_on_constants():
     (check,) = proof_chain_diagnostics(report)
     assert check.holds
     assert abs(check.value - check.bound) <= 1e-9 * check.bound
+    # so a quotient 1e-6 too low puts the mass 5e-7 over its bound, past the slack
+    low = dataclasses.replace(report, quotient_value=report.quotient_value * (1.0 - 1e-6))
+    (check,) = proof_chain_diagnostics(low)
+    assert not check.holds
 
 
 def test_band_bound_reports_not_applicable_below_its_floor():
@@ -447,6 +453,9 @@ def test_energy_separation_orders_reports():
     assert 0.0 < sep.rel_gap <= 1.0
     same = energy_separation(a, a)
     assert not same.distinct and same.lower is None
+    # a relative gap of 1e-3 is resolved
+    near = energy_separation(a, constant_solution(_problem(length=4.004, weight=1.0, alpha=0.5)))
+    assert near.distinct and near.lower == "a"
 
 
 def test_energy_separation_rejects_mismatched_equations():
@@ -1089,6 +1098,24 @@ def test_problem_validation_and_grid():
     assert s.size == 64 and s[0] == 0.0
     assert s[1] == pytest.approx(0.1, rel=1e-15)
     assert problem.two_sharp == 6.0 and problem.reduced_dim == 3.0
+
+
+@pytest.mark.parametrize("offset, below", [(1e-4, True), (-1e-4, False)])
+def test_below_threshold_is_strict_at_a_relative_offset_of_1e_4(offset, below):
+    # threshold = A^{2/3} / K_3 at p = 5 and f = 1: choose A to put it at Q (1 + offset)
+    q = constant_solution(_problem(alpha=0.7)).quotient_value
+    area = (q * (1.0 + offset) * sobolev_constant(3)) ** 1.5
+    problem = ReducedProblem(length=2.0 * math.pi, weight=1.0, alpha=0.7, p=5.0, f_samples=np.ones(96),
+                             orbit_volume=area)
+    report = constant_solution(problem)
+    assert report.threshold == pytest.approx(q * (1.0 + offset), rel=1e-12)
+    assert report.below_threshold is below
+
+
+def test_classify_resolves_a_relative_range_of_1e_5_but_not_1e_9():
+    s = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
+    assert solver._classify(1.0 + 5e-6 * np.cos(s)) == "nonconstant"
+    assert solver._classify(1.0 + 5e-10 * np.cos(s)) == "constant"
 
 
 def test_threshold_requires_integer_dimension_and_orbit():

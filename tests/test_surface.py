@@ -26,7 +26,6 @@ from symcrit import (
     OrbitVolumeLaplacian,
     OrderingReport,
     OrderingVerdict,
-    QuotientSphere,
     ReducedProblem,
     SeparationReport,
     SolveConfig,
@@ -50,34 +49,31 @@ from symcrit import (
     solver,
 )
 
-# The names `symcrit` exported before its `__all__` was built from the
-# modules' lists.
-EARLIER_NAMES = [
-    "__version__", "PreconditionError", "ConvergenceError", "ConstantBound", "EquationParams",
-    "sphere_volume", "sobolev_constant", "Sphere", "CircleTimesSphere", "CircleSphereSphere",
-    "QuotientSphere", "OrbitVolumeLaplacian", "GroupActionSpec", "ExampleConfig", "EXAMPLE_IDS",
-    "EXAMPLE_DEFAULTS", "example_configuration", "registry_rows", "b0_sphere", "b0_circle_sphere",
-    "b0_quotient_sphere", "b0_lower_general", "b0_transfer_principal", "FProfile",
-    "GenericIneqParams", "ConditionReport", "GuaranteedInterval", "ExistenceBound", "FRatioCheck",
-    "OrderingVerdict", "OrderingReport", "existence_threshold", "existence_alpha_bound",
+# The public surface, one row per module in import order.
+SURFACE = [
+    "__version__", "PreconditionError", "ConvergenceError",
+    "ConstantBound", "EquationParams", "sphere_volume", "sobolev_constant",
+    "Sphere", "CircleTimesSphere", "CircleSphereSphere", "OrbitVolumeLaplacian", "GroupActionSpec",
+    "ExampleConfig", "EXAMPLE_IDS", "EXAMPLE_DEFAULTS", "example_configuration", "product_scal_lower",
+    "b0_sphere", "b0_circle_sphere", "b0_quotient_sphere", "b0_lower_general", "b0_transfer_principal",
+    "FProfile", "GenericIneqParams", "ConditionReport", "GuaranteedInterval", "ExistenceBound",
+    "FRatioCheck", "OrderingVerdict", "OrderingReport", "existence_threshold", "existence_alpha_bound",
     "generic_interval", "critical_interval", "invariant_interval", "minf_interval",
     "constant_f_intervals", "energy_ordering_check", "f_ratio_condition", "example_interval",
     "ReducedProblem", "SolveConfig", "SolveReport", "BoundCheck", "SeparationReport",
     "circle_reduction", "quotient_value", "quotient_gradient", "energy", "el_residual",
     "constant_solution", "minimize", "proof_chain_diagnostics", "energy_separation",
-    "ExpansionConfig", "ExpansionReport", "LogBranchReport", "test_function", "density",
-    "rayleigh_quotient", "fit_and_compare", "log_branch_sign", "canonical_json", "csv_text",
+    "ExpansionConfig", "ExpansionReport", "LogBranchReport", "density", "rayleigh_quotient",
+    "fit_and_compare", "log_branch_sign",
+    "canonical_json", "clean", "csv_text",
 ]
 
 MODULES = (errors, constants, geometry, best_constants, conditions, solver, expansion, jsonio)
 
 
-def test_package_exports_the_earlier_names_and_three_more():
-    assert len(EARLIER_NAMES) == 65
-    assert len(symcrit.__all__) == len(set(symcrit.__all__))
-    assert set(symcrit.__all__) == set(EARLIER_NAMES) | {
-        "clean", "oneill_scal_lower", "product_scal_lower",
-    }
+def test_package_exports_exactly_the_current_surface():
+    assert len(SURFACE) == 64
+    assert symcrit.__all__ == SURFACE
 
 
 def test_every_public_name_is_its_module_object():
@@ -111,7 +107,6 @@ def _records():
         ConstantBound(1.5),
         EquationParams(n=5, k=0),
         *(cfg.manifold for cfg in cfgs.values()),
-        QuotientSphere(5, 2),
         OrbitVolumeLaplacian("value", -0.5),
         cfgs["hopf"].first,
         cfgs["triple-product"],
