@@ -7,7 +7,7 @@ module attribute lookup.
 
 `flapack()` returns scipy's compiled LAPACK wrappers, the extension
 `scipy/linalg/_flapack<EXTENSION_SUFFIX>`, loaded by itself.  The solver
-needs four routines from it, `dgtsv`, `dstebz`, `dpttrf` and `dpttrs`;
+needs three routines from it, `dgtsv`, `dpttrf` and `dpttrs`;
 `import scipy.linalg.lapack` would reach them only through scipy.linalg's
 package, which costs a cold `solve` about 0.3 s and 24 MB of memory
 (scipy._lib's array-API layer alone pulls in numpy.f2py).  This relies on

@@ -33,18 +33,18 @@ takes a handful of steps before Newton.
 Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
 open at the node where |v'| is largest (see _cut): the rest of J is a
 plain tridiagonal block T, so one LAPACK tridiagonal solve (gtsv) with T
-and a Schur complement for the cut node give the step.  That solve,
-_cut_solve, is shared with the Morse count.  With constant f,
-J is singular along the translation tau = v' at a solution, and the step
-is bordered with tau; the Schur system is then 2x2 (Govaerts & Pryce
-1990).  The cut keeps T away from that singularity, since tau is largest
-at the cut node.
+and a Schur complement for the cut node give the step (_cut_solve).
+With constant f, J is singular along the translation tau = v' at a
+solution, and the step is bordered with tau; the Schur system is then
+2x2 (Govaerts & Pryce 1990).  The cut keeps T away from that
+singularity, since tau is largest at the cut node.
 
 Every report carries a second-order certificate: the Morse index of the
-solution, the number of negative eigenvalues of J, counted by Sturm
-bisection and one Schur complement (see _morse_counts).  A positive
-solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a constrained local
-minimizer of Q has index exactly 1; a larger index marks a saddle.
+solution, the number of negative eigenvalues of J, counted from the
+pivots of one LDL' factor of T per shift (LAPACK's pttrf) and one Schur
+complement (see _morse_counts).  A positive solution has
+<Jv, v> = -(p-1) int f v^{p+1} < 0, so a constrained local minimizer of
+Q has index exactly 1; a larger index marks a saddle.
 A report's quotient and residual are the ones minimize ranked the starts
 by and Newton stopped at, not a second computation.
 """
@@ -54,6 +54,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,7 +84,7 @@ MIN_GRID = 64
 
 # Eigenvalues of J within ZERO_MODE_TOL * max(1, alpha) of 0 count as zero
 # modes.  J's low eigenvalues scale with alpha, because f v^{p-1} is of
-# order alpha at a solution; the Sturm count resolves eigenvalues to about
+# order alpha at a solution; the LDL' count resolves eigenvalues to about
 # eps |J| = eps 4/h^2, under 1e-8 for h >= 4e-4, and a Newton residual of
 # 1e-10 moves them far less than the tolerance.  A coarse grid breaks the
 # translation symmetry of a constant-f problem: its translation eigenvalue
@@ -391,19 +392,21 @@ def _cut(problem, v):
     tau[0] = v[1] - v[-1]
     tau[-1] = v[0] - v[-2]
     tau /= 2.0 * h
-    order = np.roll(np.arange(m), -1 - int(np.argmax(np.abs(tau))))
+    k = int(np.argmax(np.abs(tau)))
+    order = np.concatenate((np.arange(k + 1, m), np.arange(k + 1)))
     diag = d + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
     return order, diag[order], tau[order], off
 
 
-def _cut_solve(diag, off, shift, *cols):
-    """(T - shift)^{-1} [cols, w] and w' times it, for J cut open by _cut; None on a zero pivot.
+def _cut_solve(diag, off, *cols):
+    """T^{-1} [cols, w] and w' times it, for J cut open by _cut; None on a zero pivot.
 
     T has the diagonal diag[:-1] and the off-diagonal off, and w holds off
     in its first and last entries, so w' x = off (x[0] + x[-1]): the cut
     node's Schur term.  One LAPACK tridiagonal solve (dgtsv) takes every
     column; it comes from scipy's LAPACK extension, loaded by itself
-    (_lazy.flapack), not through scipy.linalg's package.
+    (_lazy.flapack), not through scipy.linalg's package.  Newton's step is
+    its only caller.
     """
     n = diag.size - 1
     b = np.zeros((n, len(cols) + 1), order="F")  # in dgtsv's column order, so f2py passes it uncopied
@@ -411,8 +414,47 @@ def _cut_solve(diag, off, shift, *cols):
         b[:, j] = col
     b[0, -1] = b[-1, -1] = off
     e = np.full(n - 1, off)
-    x, info = flapack().dgtsv(e, diag[:-1] - shift, e, b, overwrite_b=1)[3:]
+    x, info = flapack().dgtsv(e, diag[:-1], e, b, overwrite_b=1)[3:]
     return None if info else (x, off * (x[0] + x[-1]))
+
+
+def _ldl_count(t, off, shift):
+    """(count, d, e): T's eigenvalues below shift and the LDL' factor of T - shift; None if it is singular.
+
+    T has the diagonal t and every off-diagonal entry off.  LAPACK's dpttrf
+    factors T - shift = L diag(d) L', L unit lower bidiagonal with e below
+    its diagonal, while the pivots stay positive, and stops at the first
+    pivot <= 0.  The count takes that pivot, eliminates its row by hand
+    (e[k] = off / d[k], d[k+1] -= e[k] off, as dpttrf does) and factors
+    the rest in place.  An exactly zero pivot becomes -pivmin, pivmin =
+    tiny max(1, off^2), as in LAPACK's own Sturm count (dlaebz), so
+    off^2 / pivmin stays finite; a zero last pivot means T - shift is
+    singular.  By Sylvester's law of inertia the pivots <= 0 are as many
+    as T's eigenvalues below shift: this is the Sturm count that bisection
+    (dstebz) evaluates (Kahan 1966; Demmel, Dhillon & Ren 1995).  dpttrf
+    comes from scipy's LAPACK extension, loaded by itself (_lazy.flapack).
+    """
+    n = t.size
+    d = t - shift
+    e = np.full(n - 1, off)
+    pivmin = sys.float_info.min * max(1.0, off * off)
+    count = k = 0
+    while k < n - 1:  # the wrapper takes no one-row tail: its off-diagonal would be empty
+        info = flapack().dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            return count, d, e
+        k += info - 1  # d[k] is the first pivot <= 0 from row k on
+        if k == n - 1:
+            break
+        count += 1
+        if d[k] == 0.0:
+            d[k] = -pivmin
+        e[k] = off / d[k]
+        d[k + 1] -= e[k] * off
+        k += 1
+    if d[-1] == 0.0:
+        return None
+    return count + int(d[-1] < 0.0), d, e
 
 
 def _morse_counts(problem, v):
@@ -422,23 +464,23 @@ def _morse_counts(problem, v):
     [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  Cut open
     (_cut), J = [[T, w], [w', c]] with T plain tridiagonal, and by
     Haynsworth's inertia additivity J - s has as many negative
-    eigenvalues as T - s, counted by Sturm bisection (dstebz), plus one
-    if the Schur complement c - s - w' (T - s)^{-1} w is negative (one
-    _cut_solve).  The inertia does not depend on where J is cut.  dstebz
-    comes from scipy's LAPACK extension, loaded by itself (_lazy.flapack).
+    eigenvalues as T - s, counted from one LDL' factor of T - s
+    (_ldl_count), plus one if the Schur complement c - s - w' (T - s)^{-1} w
+    is negative: one dpttrs column with the same factor.  The inertia does
+    not depend on where J is cut.
     """
     _, diag, _, off = _cut(problem, v)
-    t, e = diag[:-1], np.full(problem.m - 2, off)
+    t = diag[:-1]
+    w = np.zeros(problem.m - 1)
+    w[0] = w[-1] = off
 
     def below(shift):
-        # eigenvalues of T in (-inf, shift]; dstebz clips the interval to
-        # T's Gershgorin bounds, and the huge tolerance stops its bisection
-        # at the two Sturm counts
-        n = flapack().dstebz(t, e, 1, -math.inf, shift, 0, 0, 1e300, b"B")[0]
-        solved = _cut_solve(diag, off, shift)
-        if solved is None:  # shift is an eigenvalue of T to working precision: widen the band by 1 %
+        factor = _ldl_count(t, off, shift)
+        if factor is None:  # shift is an eigenvalue of T to working precision: widen the band by 1 %
             return below(1.01 * shift)
-        return n + int(diag[-1] - shift - solved[1][0] < 0.0)
+        n, d, e = factor
+        x = flapack().dpttrs(d, e, w)[0]
+        return n + int(diag[-1] - shift - off * (x[0] + x[-1]) < 0.0)
 
     tol = ZERO_MODE_TOL * max(1.0, problem.alpha)
     index = below(-tol)
@@ -696,7 +738,7 @@ def _newton_step(problem, v, r, constant_f):
     order, diag, t, off = _cut(problem, v)
     bordered = constant_f and np.abs(t).max() > 1e-13 * np.abs(v).max()
     b = -r[order]
-    solved = _cut_solve(diag, off, 0.0, b[:-1], *((t[:-1],) if bordered else ()))
+    solved = _cut_solve(diag, off, b[:-1], *((t[:-1],) if bordered else ()))
     if solved is None:
         return None
     x, wx = solved  # T^{-1} [b_T, (tau_T,) w] and w' times it

@@ -44,6 +44,12 @@ MUTANTS = [
      "tests/test_solver.py::test_energy_separation_orders_reports"),
     (SOLVER, "else q < thr,", "else q <= thr * (1 + 1e-3),",
      "tests/test_solver.py::test_below_threshold_is_strict_at_a_relative_offset_of_1e_4"),
+    (SOLVER, "off * (x[0] + x[-1]) < 0.0)", "off * (x[0] + x[-1]) > 0.0)",
+     "tests/test_solver.py::test_morse_counts_match_dense_eigenvalues"),
+    (SOLVER, "        count += 1\n", "        count += 2\n",
+     "tests/test_solver.py::test_cylinder_triple_morse_counts_at_c6_alpha"),
+    (SOLVER, "d[k] = -pivmin", "d[k] = pivmin",
+     "tests/test_solver.py::test_ldl_count_takes_an_exactly_zero_middle_pivot"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

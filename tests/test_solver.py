@@ -867,23 +867,77 @@ def test_morse_counts_match_dense_eigenvalues(m):
 
 
 def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monkeypatch):
-    # dgtsv reports a zero pivot when the shift is an eigenvalue of T in
-    # floating point; the count is then taken at a shift 1 % further from 0
+    # a zero last pivot of the LDL' factor means the shift is an eigenvalue
+    # of T in floating point; the count is then taken at a shift 1 % further
+    # from 0.  The first factorization is made to end on that pivot.
     problem = _problem(alpha=0.3)
     v = minimize(problem).u
     expected = solver._morse_counts(problem, v)
-    lapack = _lazy.flapack()  # the module the solver takes dgtsv from
-    dgtsv, shifts = lapack.dgtsv, []
+    lapack = _lazy.flapack()  # the module the solver takes dpttrf from
+    dpttrf, calls, shifts = lapack.dpttrf, [], []
 
-    def singular_once(dl, d, du, b, **kwargs):
-        shifts.append(float(d[0]))
-        out = dgtsv(dl, d, du, b, **kwargs)
-        return out[:4] + ((1,) if len(shifts) == 1 else out[4:])
+    def singular_once(d, e, **kwargs):
+        calls.append(d.size)
+        if d.size == problem.m - 1:  # a factorization's first call, on all of T - shift
+            shifts.append(float(d[0]))
+        d, e, info = dpttrf(d, e, **kwargs)
+        if len(calls) == 1:
+            d[-1], info = 0.0, d.size
+        return d, e, info
 
-    monkeypatch.setattr(lapack, "dgtsv", singular_once)
+    monkeypatch.setattr(lapack, "dpttrf", singular_once)
     assert solver._morse_counts(problem, v) == expected
     tol = solver.ZERO_MODE_TOL  # alpha < 1
     assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3)
+
+
+@pytest.mark.parametrize("n, count", [(4, 1), (6, 2), (7, 2)])
+def test_ldl_count_takes_an_exactly_zero_middle_pivot(n, count):
+    # diagonal 1 and off-diagonal 1: d[0] = 1, and d[1] = 1 - 1 * (1 / 1) is
+    # exactly 0 (again d[4] for n >= 6); n + 1 is not a multiple of 3, so 0
+    # is not an eigenvalue, and each zero pivot stands for one below it
+    t = np.ones(n)
+    assert int(np.sum(np.linalg.eigvalsh(np.diag(t) + np.eye(n, k=1) + np.eye(n, k=-1)) < 0.0)) == count
+    assert solver._ldl_count(t, 1.0, 0.0)[0] == count
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_ldl_count_reports_a_zero_last_pivot_as_singular(n):
+    # n + 1 a multiple of 3: 0 is an eigenvalue, and the last pivot is exactly 0
+    assert solver._ldl_count(np.ones(n), 1.0, 0.0) is None
+
+
+def test_ldl_count_factors_t_minus_the_shift():
+    rng = np.random.default_rng(5)
+    n = 40
+    for _ in range(20):
+        t, off = rng.uniform(-3.0, 3.0, n), float(rng.uniform(0.5, 2.0))
+        tri = np.diag(t) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+        shift = float(rng.uniform(-2.0, 2.0))
+        count, d, e = solver._ldl_count(t, off, shift)
+        assert count == int(np.sum(np.linalg.eigvalsh(tri) < shift))
+        lower = np.eye(n) + np.diag(e, k=-1)
+        assert lower @ np.diag(d) @ lower.T == pytest.approx(tri - shift * np.eye(n), abs=1e-9)
+
+
+@pytest.mark.parametrize("m", [512, 1024, 2048, 4096, 8192, 16384])
+def test_cylinder_triple_morse_counts_at_c6_alpha(m):
+    # (morse_index, zero_modes) of each group's minimizer and constant, as
+    # the Sturm bisection (dstebz) counted them before the LDL' count; the
+    # translation eigenvalue is a zero mode from m = 1024 on (ZERO_MODE_TOL)
+    config = example_configuration("cylinder-triple")
+    alpha = example_interval("cylinder-triple").midpoint
+    expected = {
+        1: ((1, 0) if m == 512 else (1, 1), (141, 0) if m == 512 else (137, 0)),
+        2: ((1, 1), (69, 0)),
+    }
+    for index, (minimizer, constant) in expected.items():
+        problem = circle_reduction(config, index, alpha, grid=m)
+        report = minimize(problem)
+        assert report.classification == "nonconstant"
+        assert (report.morse_index, report.zero_modes) == minimizer
+        closed = constant_solution(problem)
+        assert (closed.morse_index, closed.zero_modes) == constant
 
 
 # One fresh interpreter per route to scipy's LAPACK wrappers, so that no
