@@ -405,8 +405,7 @@ def _cut_solve(diag, off, *cols):
     in its first and last entries, so w' x = off (x[0] + x[-1]): the cut
     node's Schur term.  One LAPACK tridiagonal solve (dgtsv) takes every
     column; it comes from scipy's LAPACK extension, loaded by itself
-    (_lazy.flapack), not through scipy.linalg's package.  Newton's step is
-    its only caller.
+    (_lazy.flapack), not through scipy.linalg's package.
     """
     n = diag.size - 1
     b = np.zeros((n, len(cols) + 1), order="F")  # in dgtsv's column order, so f2py passes it uncopied
