@@ -16,6 +16,7 @@ principal constant-volume quotients.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .constants import ConstantBound, sobolev_constant, sphere_volume
 from .errors import PreconditionError
@@ -33,7 +34,11 @@ def b0_sphere(n):
     """On the round unit sphere the optimal constant is exactly n(n-2)/4."""
     if int(n) != n or n < 3:
         raise PreconditionError("round-sphere constant needs an integer dimension >= 3")
-    n = int(n)
+    return _b0_sphere(int(n))
+
+
+@lru_cache(maxsize=128)
+def _b0_sphere(n):
     return ConstantBound.exact(n * (n - 2) / 4.0)
 
 
@@ -60,7 +65,11 @@ def b0_quotient_sphere(n, order):
         raise PreconditionError("quotient-sphere constant needs an integer dimension >= 3")
     if int(order) != order or order < 1:
         raise PreconditionError("group order must be an integer >= 1")
-    n = int(n)
+    return _b0_quotient_sphere(int(n), int(order))
+
+
+@lru_cache(maxsize=256)
+def _b0_quotient_sphere(n, order):
     a = float(order)
     lo = a ** (2.0 / n) * n * (n - 2) / 4.0
     hi = (1.0 + a * a / 4.0) * (n + 1) / 2.0 - 1.0 + n * (n - 2) / 4.0

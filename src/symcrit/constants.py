@@ -6,8 +6,9 @@ critical embedding H^1 -> L^{2N/(N-2)} in the normalization
 
     K_N = 4 / (N (N - 2) omega_N^{2/N}).
 
-Both are evaluated from the Gamma-function closed form, never
-tabulated.  Constants that are only known up to two-sided estimates
+Both are evaluated from the Gamma-function closed form once per
+dimension and memoized; the dimension stops at MAX_SPHERE_DIM, past which
+Gamma((N+1)/2) overflows a float.  Constants that are only known up to two-sided estimates
 are carried around as ConstantBound intervals [lo, hi]; hi may be
 +inf when no upper estimate is available.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PreconditionError
 
@@ -27,24 +29,41 @@ __all__ = [
 ]
 
 
+# Gamma((N + 1) / 2) overflows a float from N = 343 on
+MAX_SPHERE_DIM = 342
+
+
 def sphere_volume(dim):
     """Volume of the unit round sphere S^dim.
 
-    omega_N = 2 pi^{(N+1)/2} / Gamma((N+1)/2), dim = N >= 1.
+    omega_N = 2 pi^{(N+1)/2} / Gamma((N+1)/2), 1 <= dim = N <= MAX_SPHERE_DIM.
     """
     if int(dim) != dim or dim < 1:
         raise PreconditionError("sphere dimension must be an integer >= 1, got %r" % (dim,))
-    n = int(dim)
+    if dim > MAX_SPHERE_DIM:
+        raise PreconditionError(
+            "sphere dimension N=%d is past %d, where Gamma((N+1)/2) overflows a float"
+            % (dim, MAX_SPHERE_DIM)
+        )
+    return _sphere_volume(int(dim))
+
+
+@lru_cache(maxsize=128)
+def _sphere_volume(n):
     return 2.0 * math.pi ** (0.5 * (n + 1)) / math.gamma(0.5 * (n + 1))
 
 
 def sobolev_constant(dim):
-    """Sharp constant K_N of the critical Sobolev embedding, dim = N >= 3."""
+    """Sharp constant K_N of the critical Sobolev embedding, 3 <= dim = N <= MAX_SPHERE_DIM."""
     if int(dim) != dim or dim < 3:
         raise PreconditionError(
             "the critical embedding constant needs an integer dimension >= 3, got %r" % (dim,)
         )
-    n = int(dim)
+    return _sobolev_constant(int(dim))
+
+
+@lru_cache(maxsize=128)
+def _sobolev_constant(n):
     return 4.0 / (n * (n - 2) * sphere_volume(n) ** (2.0 / n))
 
 

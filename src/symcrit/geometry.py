@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .best_constants import (
     b0_circle_sphere,
@@ -150,6 +150,9 @@ class OrbitVolumeLaplacian:
         return self.value if self.kind == "value" else 0.0
 
 
+_NONNEGATIVE_LAPLACIAN = OrbitVolumeLaplacian("nonnegative")  # frozen, so one instance is shared
+
+
 @dataclass(frozen=True, slots=True)
 class GroupActionSpec:
     """Data of one isometry-group action entering the estimates.
@@ -245,16 +248,25 @@ def _finite(x, name):
 
 
 # Builders take validated inputs and return (manifold, params, first, second).
+# What integers alone determine is built once per key and shared: the
+# records are frozen.  Each cache is bounded, since a caller picks n and
+# the group orders freely.
+
+_equation_params = lru_cache(maxsize=128)(EquationParams)
 
 
+@lru_cache(maxsize=256)
 def _finite_rotations(name, a, quotient_scal_lower):
-    """A free action of a finite group of order a: its orbits are a points."""
+    """A free action of a finite group of order a: its orbits are a points.
+
+    name is a format for a and quotient_scal_lower an integer.
+    """
     return GroupActionSpec(
-        name=name,
+        name=name % a,
         k=0,
         orbit_volume=float(a),
         hypothesis="finite-principal",
-        quotient_scal_lower=quotient_scal_lower,
+        quotient_scal_lower=float(quotient_scal_lower),
         principal_constant_volume=True,
     )
 
@@ -274,20 +286,20 @@ def _circle_factor_rotations(n, t):
 def _sphere_rotations(n, a1, a2):
     _require(n >= 5 and n % 2 == 1, "odd dimension n >= 5 required so spheres admit free actions")
     _require(a1 < a2, "group orders must satisfy a1 < a2")
-    scal = float(n * (n - 1))
-    first = _finite_rotations("order-%d rotations" % a1, a1, scal)
-    second = _finite_rotations("order-%d rotations" % a2, a2, scal)
-    return Sphere(n), EquationParams(n=n, k=0), first, second
+    scal = n * (n - 1)
+    first = _finite_rotations("order-%d rotations", a1, scal)
+    second = _finite_rotations("order-%d rotations", a2, scal)
+    return Sphere(n), _equation_params(n, 0), first, second
 
 
 def _circle_rotations(n, t, a1, a2, n_min):
     _require(n >= n_min, "dimension n >= %d required" % n_min)
     _require(t > 0.0, "circle radius t must be positive")
     _require(a1 < a2, "rotation orders must satisfy a1 < a2")
-    scal = float((n - 1) * (n - 2))
-    first = _finite_rotations("order-%d circle rotations" % a1, a1, scal)
-    second = _finite_rotations("order-%d circle rotations" % a2, a2, scal)
-    return CircleTimesSphere(t, n), EquationParams(n=n, k=0), first, second
+    scal = (n - 1) * (n - 2)
+    first = _finite_rotations("order-%d circle rotations", a1, scal)
+    second = _finite_rotations("order-%d circle rotations", a2, scal)
+    return CircleTimesSphere(t, n), _equation_params(n, 0), first, second
 
 
 def _circle_sphere_sphere(n, a, b):
@@ -306,7 +318,7 @@ def _circle_sphere_sphere(n, a, b):
         hypothesis="volume-peaked-suborbits",
         quotient_scal_lower=product_scal_lower(2.0 / b**2, n - 6, 4),
         principal_constant_volume=False,
-        vh_laplacian=OrbitVolumeLaplacian("nonnegative"),
+        vh_laplacian=_NONNEGATIVE_LAPLACIAN,
     )
     second = GroupActionSpec(
         name="rotations of the circle and small sphere",
@@ -316,7 +328,7 @@ def _circle_sphere_sphere(n, a, b):
         quotient_scal_lower=float((n - 3) * (n - 4)),
         principal_constant_volume=True,
     )
-    return CircleSphereSphere(a, b, n), EquationParams(n=n, k=3), first, second
+    return CircleSphereSphere(a, b, n), _equation_params(n, 3), first, second
 
 
 def _fibre_rotation(t):
@@ -330,7 +342,7 @@ def _fibre_rotation(t):
         quotient_scal_lower=8.0,
         principal_constant_volume=True,
     )
-    return CircleTimesSphere(t, 4), EquationParams(n=4, k=1), first, _circle_factor_rotations(4, t)
+    return CircleTimesSphere(t, 4), _equation_params(4, 1), first, _circle_factor_rotations(4, t)
 
 
 def _sphere_collapse(n, t):
@@ -343,9 +355,9 @@ def _sphere_collapse(n, t):
         hypothesis="volume-peaked-suborbits",
         quotient_scal_lower=product_scal_lower(0.0, n - 2, 2),
         principal_constant_volume=False,
-        vh_laplacian=OrbitVolumeLaplacian("nonnegative"),
+        vh_laplacian=_NONNEGATIVE_LAPLACIAN,
     )
-    return CircleTimesSphere(t, n), EquationParams(n=n, k=1), first, _circle_factor_rotations(n, t)
+    return CircleTimesSphere(t, n), _equation_params(n, 1), first, _circle_factor_rotations(n, t)
 
 
 def _finite_circle(cfg, index):

@@ -23,6 +23,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOLVER = "src/symcrit/solver.py"
 CEILING = "src/symcrit/best_constants.py"
+CONSTANTS = "src/symcrit/constants.py"
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -50,6 +51,12 @@ MUTANTS = [
      "tests/test_solver.py::test_cylinder_triple_morse_counts_at_c6_alpha"),
     (SOLVER, "d[k] = -pivmin", "d[k] = pivmin",
      "tests/test_solver.py::test_ldl_count_takes_an_exactly_zero_middle_pivot"),
+    (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
+     "tests/test_constants.py::test_sphere_volume_known_values"),
+    (CONSTANTS, "sphere_volume(n) ** (2.0 / n))", "sphere_volume(n) ** (2.0 / n) * (1.0 + 1e-13))",
+     "tests/test_constants.py::test_sobolev_constant_identity"),
+    (CONSTANTS, "f_max ** (2.0 / two_sharp))", "f_max ** (2.0 / dim))",
+     "tests/test_conditions.py::test_existence_threshold_scales_with_the_peak_of_f"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

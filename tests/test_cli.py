@@ -51,8 +51,11 @@ def test_exit_code_usage_error(capsys):
 def test_exit_code_precondition(capsys):
     assert main(["interval", "--example", "hopf", "--t", "0.5"]) == 2
     assert main(["interval", "--example", "sphere-quotients", "--t", "3"]) == 2
+    # omega_N overflows a float past N = 342: named as a precondition, every time
+    for _ in range(2):
+        assert main(["interval", "--example", "sphere-quotients", "--n", "401", "--a1", "2", "--a2", "3"]) == 2
     err = capsys.readouterr().err
-    assert "precondition violated" in err
+    assert "precondition violated" in err and "N=401 is past 342" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

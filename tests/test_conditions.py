@@ -425,6 +425,17 @@ def test_existence_threshold_spot_value():
         existence_threshold(params, 1.0, f_max=0.0)
 
 
+@pytest.mark.parametrize("n, k", [(3, 0), (6, 0), (5, 1), (10, 3), (12, 0)])
+def test_existence_threshold_scales_with_the_peak_of_f(n, k):
+    # threshold = A^{2/N} / (K_N f_max^{2/two_sharp}) with 2/two_sharp = (N - 2)/N
+    params = EquationParams(n, k)
+    N = n - k
+    for f_max in (0.25, 2.0, 7.0):
+        assert existence_threshold(params, 3.0, f_max) == pytest.approx(
+            3.0 ** (2.0 / N) / (sobolev_constant(N) * f_max ** ((N - 2.0) / N)), rel=1e-13, abs=0.0
+        )
+
+
 def test_existence_alpha_bound_spots():
     cfg = example_configuration("sphere-quotients")  # n = 5
     b = existence_alpha_bound(cfg.params, cfg.second)

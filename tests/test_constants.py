@@ -7,9 +7,20 @@ from symcrit import (
     ConstantBound,
     EquationParams,
     PreconditionError,
+    b0_quotient_sphere,
+    b0_sphere,
     clean,
     sobolev_constant,
     sphere_volume,
+)
+from symcrit import best_constants, constants
+from symcrit.constants import MAX_SPHERE_DIM
+
+DIMENSION_CACHES = (
+    constants._sphere_volume,
+    constants._sobolev_constant,
+    best_constants._b0_sphere,
+    best_constants._b0_quotient_sphere,
 )
 
 
@@ -43,11 +54,73 @@ def test_sphere_volume_rejects_bad_dimension(bad):
         sphere_volume(bad)
 
 
+@pytest.mark.parametrize("bad", [343, 401, 1239, 10**6])
+def test_sphere_volume_names_the_dimension_past_which_gamma_overflows(bad):
+    # Gamma((N+1)/2) overflows from N = 343 on, pi^{(N+1)/2} from about
+    # N = 1238; each call raises again, none is cached
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="N=%d is past 342" % bad):
+            sphere_volume(bad)
+        with pytest.raises(PreconditionError, match="N=%d is past 342" % bad):
+            sobolev_constant(bad)
+
+
+def test_the_largest_dimension_has_a_positive_finite_volume():
+    assert MAX_SPHERE_DIM == 342
+    assert 0.0 < sphere_volume(342) < math.inf and 0.0 < sobolev_constant(342) < math.inf
+
+
+def _closed_forms(n):
+    """omega_N, K_N and the round window's n(n-2)/4 (n >= 3), evaluated without a cache."""
+    omega = 2.0 * math.pi ** (0.5 * (n + 1)) / math.gamma(0.5 * (n + 1))
+    if n < 3:
+        return omega, None, None
+    return omega, 4.0 / (n * (n - 2) * omega ** (2.0 / n)), n * (n - 2) / 4.0
+
+
+def test_memoized_constants_equal_the_closed_forms_bitwise():
+    for cache in DIMENSION_CACHES:
+        cache.cache_clear()
+    for n in range(1, MAX_SPHERE_DIM + 1):
+        omega, K, b0 = _closed_forms(n)
+        for dim in (n, float(n), n):  # a first call, then repeated ones, also as an integral float
+            assert sphere_volume(dim).hex() == omega.hex()
+            if n >= 3:
+                assert sobolev_constant(dim).hex() == K.hex()
+                window = b0_sphere(dim)
+                assert window.lo.hex() == window.hi.hex() == b0.hex()
+
+
+def test_memoized_constants_raise_on_every_repeated_invalid_call():
+    calls = [
+        (sphere_volume, (0,)), (sphere_volume, (2.5,)), (sphere_volume, (343,)),
+        (sobolev_constant, (2,)), (sobolev_constant, (3.5,)), (sobolev_constant, (401,)),
+        (b0_sphere, (2,)), (b0_sphere, (4.5,)),
+        (b0_quotient_sphere, (2, 3)), (b0_quotient_sphere, (5, 0)), (b0_quotient_sphere, (5, 1.5)),
+    ]
+    for fn, args in calls:
+        for _ in range(3):
+            with pytest.raises(PreconditionError):
+                fn(*args)
+
+
+@pytest.mark.parametrize("cache", DIMENSION_CACHES, ids=lambda c: c.__name__)
+def test_dimension_caches_are_bounded(cache):
+    assert 0 < cache.cache_info().maxsize < math.inf
+
+
+def test_a_memoized_window_is_shared_and_frozen():
+    assert b0_quotient_sphere(5, 4) is b0_quotient_sphere(5.0, 4.0)
+    with pytest.raises(AttributeError):
+        b0_quotient_sphere(5, 4).lo = 0.0
+
+
 @pytest.mark.parametrize("n", range(3, 12))
 def test_sobolev_constant_identity(n):
-    # defining identity K_N * N (N-2) omega_N^{2/N} = 4
+    # defining identity K_N * N (N-2) omega_N^{2/N} = 4; abs=0, since
+    # approx's default abs=1e-12 would hide a relative error of 2.5e-13
     assert sobolev_constant(n) * n * (n - 2) * sphere_volume(n) ** (2.0 / n) == pytest.approx(
-        4.0, rel=1e-14
+        4.0, rel=1e-14, abs=0.0
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from symcrit import (
     example_interval,
     sphere_volume,
 )
+from symcrit import geometry
 from symcrit.geometry import product_scal_lower
 
 
@@ -149,3 +151,29 @@ def test_non_finite_inputs_are_rejected_by_name(example, name, value):
     with pytest.raises(PreconditionError) as err:
         example_configuration(example, **{name: value})
     assert str(err.value).startswith(name + " must be")
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_equal_integer_inputs_give_equal_frozen_records(example):
+    # the records integers alone determine are built once and shared, so
+    # they must stay frozen; the configuration itself is built per call
+    first, again = example_configuration(example), example_configuration(example, **EXAMPLE_DEFAULTS[example])
+    assert first == again and first is not again and first.inputs is not again.inputs
+    assert first.params is again.params
+    for record in (first, first.params, first.first, first.second, first.first.vh_laplacian):
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+
+
+def test_finite_rotations_are_shared_between_calls():
+    a = example_configuration("sphere-quotients", n=7, a1=3, a2=5)
+    b = example_configuration("sphere-quotients", n=7.0, a1=3.0, a2=5.0)
+    assert a.first is b.first and a.second is b.second
+    assert (a.first.name, a.first.orbit_volume, a.first.quotient_scal_lower) == ("order-3 rotations", 3.0, 42.0)
+    assert example_configuration("sphere-quotients", n=9, a1=3, a2=5).first.quotient_scal_lower == 72.0
+
+
+@pytest.mark.parametrize("cache", [geometry._equation_params, geometry._finite_rotations], ids=lambda c: c.__name__)
+def test_geometry_caches_are_bounded(cache):
+    assert 0 < cache.cache_info().maxsize < math.inf

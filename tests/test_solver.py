@@ -891,6 +891,25 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
     assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3)
 
 
+def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
+    # J cut open is T = tridiag(1, 1 - tol, 1) of size 63 with the cut
+    # node's c = -1 and coupling 1, so at the shift -tol T - shift has
+    # diagonal exactly 1 and its second pivot is exactly 0.  That factor
+    # counts but does not solve: w' (T - shift)^{-1} w would read 0.0
+    # instead of -2.0, and the Schur term c - shift + 2 would change sign.
+    # The count is taken at a shift 1 % further from 0 instead.
+    tol = 2.0**-20  # (1 - tol) + tol is exactly 1
+    monkeypatch.setattr(solver, "ZERO_MODE_TOL", tol)
+    m = 64
+    diag = np.append(np.full(m - 1, 1.0 - tol), -1.0)
+    monkeypatch.setattr(solver, "_cut", lambda problem, v: (None, diag, None, 1.0))
+    assert solver._ldl_count(diag[:-1], 1.0, -tol)[3] is False
+    jac = np.diag(diag) + np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
+    eig = np.linalg.eigvalsh(jac)
+    expected = (int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol)))
+    assert solver._morse_counts(_problem(alpha=0.5, m=m), None) == expected
+
+
 @pytest.mark.parametrize("n, count", [(4, 1), (6, 2), (7, 2)])
 def test_ldl_count_takes_an_exactly_zero_middle_pivot(n, count):
     # diagonal 1 and off-diagonal 1: d[0] = 1, and d[1] = 1 - 1 * (1 / 1) is
@@ -914,7 +933,8 @@ def test_ldl_count_factors_t_minus_the_shift():
         t, off = rng.uniform(-3.0, 3.0, n), float(rng.uniform(0.5, 2.0))
         tri = np.diag(t) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
         shift = float(rng.uniform(-2.0, 2.0))
-        count, d, e = solver._ldl_count(t, off, shift)
+        count, d, e, solves = solver._ldl_count(t, off, shift)
+        assert solves
         assert count == int(np.sum(np.linalg.eigvalsh(tri) < shift))
         lower = np.eye(n) + np.diag(e, k=-1)
         assert lower @ np.diag(d) @ lower.T == pytest.approx(tri - shift * np.eye(n), abs=1e-9)
