@@ -7,10 +7,10 @@ critical embedding H^1 -> L^{2N/(N-2)} in the normalization
     K_N = 4 / (N (N - 2) omega_N^{2/N}).
 
 Both are evaluated from the Gamma-function closed form once per
-dimension and memoized; the dimension stops at MAX_SPHERE_DIM, past which
-Gamma((N+1)/2) overflows a float.  Constants that are only known up to two-sided estimates
-are carried around as ConstantBound intervals [lo, hi]; hi may be
-+inf when no upper estimate is available.
+dimension and memoized, for N up to MAX_SPHERE_DIM, past which
+Gamma((N+1)/2) overflows a float.  Constants that are only known up to
+two-sided estimates are carried around as ConstantBound intervals
+[lo, hi]; hi may be +inf when no upper estimate is available.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ def sphere_volume(dim):
 
     omega_N = 2 pi^{(N+1)/2} / Gamma((N+1)/2), 1 <= dim = N <= MAX_SPHERE_DIM.
     """
-    if int(dim) != dim or dim < 1:
-        raise PreconditionError("sphere dimension must be an integer >= 1, got %r" % (dim,))
-    if dim > MAX_SPHERE_DIM:
+    if not (1 <= dim <= MAX_SPHERE_DIM and int(dim) == dim):
         raise PreconditionError(
-            "sphere dimension N=%d is past %d, where Gamma((N+1)/2) overflows a float"
-            % (dim, MAX_SPHERE_DIM)
+            "sphere dimension N must be an integer in [1, %d], past which Gamma((N+1)/2) "
+            "overflows a float; got N=%r" % (MAX_SPHERE_DIM, dim)
         )
     return _sphere_volume(int(dim))
 
@@ -55,16 +53,17 @@ def _sphere_volume(n):
 
 def sobolev_constant(dim):
     """Sharp constant K_N of the critical Sobolev embedding, 3 <= dim = N <= MAX_SPHERE_DIM."""
-    if int(dim) != dim or dim < 3:
+    if not (3 <= dim <= MAX_SPHERE_DIM and int(dim) == dim):
         raise PreconditionError(
-            "the critical embedding constant needs an integer dimension >= 3, got %r" % (dim,)
+            "the critical embedding constant needs an integer dimension N in [3, %d], got N=%r"
+            % (MAX_SPHERE_DIM, dim)
         )
     return _sobolev_constant(int(dim))
 
 
 @lru_cache(maxsize=128)
 def _sobolev_constant(n):
-    return 4.0 / (n * (n - 2) * sphere_volume(n) ** (2.0 / n))
+    return 4.0 / (n * (n - 2) * _sphere_volume(n) ** (2.0 / n))
 
 
 def _concentration_threshold(orbit_volume, dim, f_max):

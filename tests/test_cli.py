@@ -55,7 +55,7 @@ def test_exit_code_precondition(capsys):
     for _ in range(2):
         assert main(["interval", "--example", "sphere-quotients", "--n", "401", "--a1", "2", "--a2", "3"]) == 2
     err = capsys.readouterr().err
-    assert "precondition violated" in err and "N=401 is past 342" in err
+    assert "precondition violated" in err and "[1, 342], past which" in err and "N=401" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
