@@ -29,12 +29,24 @@ __all__ = [
     "b0_transfer_principal",
 ]
 
+# Integer inputs (dimensions, group orders) stop at MAX_INTEGER_INPUT, so
+# that each converts to a float and a product of two of them, such as the
+# group order's square in _b0_quotient_sphere, stays a finite one.
+MAX_INTEGER_INPUT = 10**150
+
+
+def _integer(x, what, least=1):
+    """x as an int, checked against [least, MAX_INTEGER_INPUT] before any conversion; what names it."""
+    if not (least <= x <= MAX_INTEGER_INPUT and int(x) == x):
+        raise PreconditionError(
+            "%s must be an integer in [%d, %.0e], got %r" % (what, least, MAX_INTEGER_INPUT, x)
+        )
+    return int(x)
+
 
 def b0_sphere(n):
     """On the round unit sphere the optimal constant is exactly n(n-2)/4."""
-    if int(n) != n or n < 3:
-        raise PreconditionError("round-sphere constant needs an integer dimension >= 3")
-    return _b0_sphere(int(n))
+    return _b0_sphere(_integer(n, "the round-sphere constant's dimension n", 3))
 
 
 @lru_cache(maxsize=128)
@@ -47,11 +59,9 @@ def b0_circle_sphere(t, n):
 
     [ (n-2)^2/4 ,  (n-2)^2/4 + 1/(4 t^2) ].
     """
-    if int(n) != n or n < 3:
-        raise PreconditionError("product constant needs an integer dimension >= 3")
+    n = _integer(n, "the product constant's dimension n", 3)
     if not t > 0.0:
         raise PreconditionError("circle radius t must be positive")
-    n = int(n)
     base = (n - 2) ** 2 / 4.0
     return ConstantBound(base, base + 1.0 / (4.0 * t * t))
 
@@ -61,11 +71,8 @@ def b0_quotient_sphere(n, order):
 
     [ A^{2/n} n(n-2)/4 ,  (1 + A^2/4)(n+1)/2 - 1 + n(n-2)/4 ],  A = order.
     """
-    if int(n) != n or n < 3:
-        raise PreconditionError("quotient-sphere constant needs an integer dimension >= 3")
-    if int(order) != order or order < 1:
-        raise PreconditionError("group order must be an integer >= 1")
-    return _b0_quotient_sphere(int(n), int(order))
+    n = _integer(n, "the quotient-sphere constant's dimension n", 3)
+    return _b0_quotient_sphere(n, _integer(order, "the group order"))
 
 
 @lru_cache(maxsize=256)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .best_constants import (
+    _integer,
     b0_circle_sphere,
     b0_lower_general,
     b0_quotient_sphere,
@@ -233,12 +234,6 @@ class ExampleConfig:
 def _require(cond, message):
     if not cond:
         raise PreconditionError(message)
-
-
-def _int_like(x, name):
-    if not (math.isfinite(float(x)) and int(x) == x and x >= 1):
-        raise PreconditionError("%s must be an integer >= 1, got %r" % (name, x))
-    return int(x)
 
 
 def _finite(x, name):
@@ -512,7 +507,7 @@ def example_configuration(example, **params):
             % (example, ", ".join(sorted(extra)), ", ".join(sorted(record.defaults)))
         )
     inputs = {
-        name: (_int_like if isinstance(default, int) else _finite)(params.get(name, default), name)
+        name: (_integer if isinstance(default, int) else _finite)(params.get(name, default), name)
         for name, default in record.defaults.items()
     }
     return ExampleConfig(example, *record.build(**inputs), inputs)

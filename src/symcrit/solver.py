@@ -37,7 +37,9 @@ and a Schur complement for the cut node give the step (_cut_solve).
 With constant f, J is singular along the translation tau = v' at a
 solution, and the step is bordered with tau; the Schur system is then
 2x2 (Govaerts & Pryce 1990).  The cut keeps T away from that
-singularity, since tau is largest at the cut node.
+singularity, since tau is largest at the cut node.  Each iterate's power
+v^{p-1} is evaluated once, by its residual (_residual): the Newton step's
+diagonal of J, and for the last iterate the Morse count, read that array.
 
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted from the
@@ -45,8 +47,9 @@ pivots of one LDL' factor of T per shift (LAPACK's pttrf) and one Schur
 complement (see _morse_counts).  A positive solution has
 <Jv, v> = -(p-1) int f v^{p+1} < 0, so a constrained local minimizer of
 Q has index exactly 1; a larger index marks a saddle.
-A report's quotient and residual are the ones minimize ranked the starts
-by and Newton stopped at, not a second computation.
+A report's quotient, energy, classification and residual are the ones
+minimize ranked the starts by and Newton stopped at, not a second
+computation.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ np = lazy_import("numpy")
 
 def _reduce_by_fields(self):
     """Pickle and copy a record through its constructor, so __post_init__ freezes its arrays again."""
-    return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+    return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
 
 
 @dataclass(eq=False, slots=True)
@@ -150,6 +153,7 @@ class ReducedProblem:
     p: float
     f_samples: np.ndarray
     orbit_volume: float | None = None
+    h: float = dataclasses.field(init=False, repr=False)  # the node spacing length / m, set once
 
     def __post_init__(self):
         if not (math.isfinite(self.length) and self.length > 0.0):
@@ -168,6 +172,7 @@ class ReducedProblem:
         f = f.copy()
         f.flags.writeable = False
         self.f_samples = f
+        self.h = self.length / f.size
         if self.orbit_volume is not None and not (
             math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0
         ):
@@ -178,10 +183,6 @@ class ReducedProblem:
     @property
     def m(self):
         return self.f_samples.size
-
-    @property
-    def h(self):
-        return self.length / self.m
 
     @property
     def two_sharp(self):
@@ -322,13 +323,17 @@ def energy(problem, u):
     )
 
 
-def quotient_value(problem, u):
-    u = np.asarray(u, dtype=float)
-    den = energy(problem, u)
+def _quotient(problem, u, den):
+    """Q(u) from its denominator's energy den = energy(problem, u)."""
     if not den > 0.0:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
     num = _dirichlet(problem, u) + problem.alpha * _mass2(problem, u)
     return num / den ** (2.0 / problem.two_sharp)
+
+
+def quotient_value(problem, u):
+    u = np.asarray(u, dtype=float)
+    return _quotient(problem, u, energy(problem, u))
 
 
 def _lap(u, h):
@@ -354,14 +359,14 @@ def quotient_gradient(problem, u):
 
 
 def _residual(problem, u):
-    return -_lap(u, problem.h) + problem.alpha * u - problem.f_samples * np.abs(u) ** (
-        problem.p - 1.0
-    ) * u
+    """(-u'' + alpha u - f a u, a) with a = |u|^{p-1}: the power J's diagonal reads too (_cut)."""
+    a = np.abs(u) ** (problem.p - 1.0)
+    return -_lap(u, problem.h) + problem.alpha * u - problem.f_samples * a * u, a
 
 
 def el_residual(problem, u):
     """sup | -u'' + alpha u - f u^p | on the nodes."""
-    return float(np.max(np.abs(_residual(problem, np.asarray(u, dtype=float)))))
+    return float(np.max(np.abs(_residual(problem, np.asarray(u, dtype=float))[0])))
 
 
 def _constant_weight(problem):
@@ -374,16 +379,20 @@ def _classify(u):
     return "nonconstant" if (hi - lo) > OSCILLATION_TOL * hi else "constant"
 
 
-def _cut(problem, v):
-    """J = -Delta_h + diag(alpha - p f v^{p-1}) cut open at k = argmax |tau|.
+def _ring(x, k):
+    """x in the ring order k+1, ..., m-1, 0, ..., k of J cut open at node k."""
+    return np.concatenate((x[k + 1:], x[:k + 1]))
 
-    tau = v' is formed once, by central differences.  Returns the ring
-    order k+1, ..., m-1, 0, ..., k, J's diagonal and tau in that order, and
-    the coupling off of _stencil.  In the ring order J = [[T, w], [w', c]]:
-    T is plain tridiagonal and w holds the coupling in its first and last
-    entries.  T's eigenvalues interlace
-    J's; cutting where tau, J's null direction at a constant-f solution,
-    is largest keeps T well away from singular.
+
+def _cut(problem, v, a):
+    """J = -Delta_h + diag(alpha - p f a) cut open at k = argmax |tau|, a = v^{p-1} from _residual.
+
+    tau = v' is formed once, by central differences.  Returns k, J's
+    diagonal and tau in the ring order (_ring), and the coupling off of
+    _stencil.  In the ring order J = [[T, w], [w', c]]: T is plain
+    tridiagonal and w holds the coupling in its first and last entries.
+    T's eigenvalues interlace J's; cutting where tau, J's null direction
+    at a constant-f solution, is largest keeps T well away from singular.
     """
     m, h = problem.m, problem.h
     d, off = _stencil(h)
@@ -393,9 +402,8 @@ def _cut(problem, v):
     tau[-1] = v[0] - v[-2]
     tau /= 2.0 * h
     k = int(np.argmax(np.abs(tau)))
-    order = np.concatenate((np.arange(k + 1, m), np.arange(k + 1)))
-    diag = d + problem.alpha - problem.p * problem.f_samples * v ** (problem.p - 1.0)
-    return order, diag[order], tau[order], off
+    diag = d + problem.alpha - problem.p * problem.f_samples * a
+    return k, _ring(diag, k), _ring(tau, k), off
 
 
 def _cut_solve(diag, off, *cols):
@@ -460,8 +468,8 @@ def _ldl_count(t, off, shift):
     return count + int(d[-1] < 0.0), d, e, solves
 
 
-def _morse_counts(problem, v):
-    """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f v^{p-1}).
+def _morse_counts(problem, v, a):
+    """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f a), a = v^{p-1} from _residual.
 
     The index counts eigenvalues of J below -tol, the zero modes those in
     [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  Cut open
@@ -474,7 +482,7 @@ def _morse_counts(problem, v):
     middle pivot leaves a factor that counts but does not solve, s moves
     1 % further from 0.
     """
-    _, diag, _, off = _cut(problem, v)
+    _, diag, _, off = _cut(problem, v, a)
     t = diag[:-1]
     w = np.zeros(problem.m - 1)
     w[0] = w[-1] = off
@@ -492,19 +500,43 @@ def _morse_counts(problem, v):
     return index, below(tol) - index
 
 
-def _report(problem, u, q, residual, label, iters, winning_starts=(), descent_capped=()):
-    """The report of solution u, whose quotient_value q and el_residual its caller has computed."""
+class _Score(NamedTuple):
+    """What minimize ranks a converged start by: Q, its denominator's energy and the classification."""
+
+    quotient: float
+    energy: float
+    classification: str
+
+
+def _score(problem, u):
+    e = energy(problem, u)
+    return _Score(_quotient(problem, u, e), e, _classify(u))
+
+
+class _StartResult(NamedTuple):
+    label: str
+    v: np.ndarray
+    power: np.ndarray  # v^{p-1}, from Newton's last residual
+    iters: int
+    residual: float
+    converged: bool
+    descent_capped: bool
+
+
+def _report(problem, run, score, winning_starts=(), descent_capped=()):
+    """The report of run's solution, from the score and residual its caller has computed."""
     thr = problem.threshold
-    morse_index, zero_modes = _morse_counts(problem, u)
+    q = score.quotient
+    morse_index, zero_modes = _morse_counts(problem, run.v, run.power)
     return SolveReport(
         problem=problem,
-        u=u,
+        u=run.v,
         quotient_value=q,
-        energy=energy(problem, u),
-        el_residual=residual,
-        classification=_classify(u),
-        newton_iterations=iters,
-        start_label=label,
+        energy=score.energy,
+        el_residual=run.residual,
+        classification=score.classification,
+        newton_iterations=run.iters,
+        start_label=run.label,
         threshold=thr,
         below_threshold=None if thr is None else q < thr,
         winning_starts=winning_starts,
@@ -565,7 +597,9 @@ def constant_solution(problem):
     if not _constant_weight(problem):
         raise PreconditionError("the constant solution needs a constant weight f")
     u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
-    return _report(problem, u, quotient_value(problem, u), el_residual(problem, u), "closed-form", 0)
+    r, a = _residual(problem, u)
+    run = _StartResult("closed-form", u, a, 0, float(np.max(np.abs(r))), True, False)
+    return _report(problem, run, _score(problem, u))
 
 
 def _soliton(problem):
@@ -725,8 +759,8 @@ def _descend(problem, u):
     return u, qv, True
 
 
-def _newton_step(problem, v, r, constant_f):
-    """Newton step delta solving J delta = -r at v; None on a zero pivot of T.
+def _newton_step(problem, v, r, a, constant_f):
+    """Newton step delta solving J delta = -r at v, a = v^{p-1}; None on a zero pivot of T.
 
     With J cut open at node k (_cut), one _cut_solve gives T^{-1} b_T
     (and T^{-1} tau_T) beside T^{-1} w, and a Schur system for the cut
@@ -740,9 +774,9 @@ def _newton_step(problem, v, r, constant_f):
     is _constant_weight(problem), which _newton tests once per start.
     """
     m = problem.m
-    order, diag, t, off = _cut(problem, v)
+    k, diag, t, off = _cut(problem, v, a)
     bordered = constant_f and np.abs(t).max() > 1e-13 * np.abs(v).max()
-    b = -r[order]
+    b = -_ring(r, k)
     solved = _cut_solve(diag, off, b[:-1], *((t[:-1],) if bordered else ()))
     if solved is None:
         return None
@@ -759,9 +793,11 @@ def _newton_step(problem, v, r, constant_f):
     else:
         dk = (b[-1] - wx[0]) / s
         y = x[:, 0] - dk * x[:, -1]
+    n = m - 1 - k  # y holds nodes k+1, ..., m-1, then 0, ..., k-1
     delta = np.empty(m)
-    delta[order[:-1]] = y
-    delta[order[-1]] = dk
+    delta[k + 1:] = y[:n]
+    delta[:k] = y[n:]
+    delta[k] = dk
     return delta
 
 
@@ -790,40 +826,31 @@ def _newton(problem, v, config):
         return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
 
     v = np.maximum(v, POSITIVITY_FLOOR)
-    r = _residual(problem, v)
+    r, a = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
     for iters in range(1, NEWTON_MAX_ITER + 1):
         if converged(v, rn):
-            return v, iters - 1, rn, True
-        delta = _newton_step(problem, v, r, constant_f)
+            return v, a, iters - 1, rn, True
+        delta = _newton_step(problem, v, r, a, constant_f)
         if delta is None or not np.all(np.isfinite(delta)):
-            return v, iters, rn, False
+            return v, a, iters, rn, False
         theta = 1.0
         while theta > 1e-6:
             cand = np.maximum(v + theta * delta, POSITIVITY_FLOOR)
-            rc = _residual(problem, cand)
+            rc, ac = _residual(problem, cand)
             rcn = float(np.abs(rc).max())
             if rcn <= (1.0 - 1e-4 * theta) * rn:
-                v, r, rn = cand, rc, rcn
+                v, r, a, rn = cand, rc, ac, rcn
                 break
             theta *= 0.5
         else:
-            return v, iters, rn, False
+            return v, a, iters, rn, False
         short_steps = short_steps + 1 if theta < 0.125 else 0
         if short_steps == 2:
             break
-    return v, iters, rn, converged(v, rn)
-
-
-class _StartResult(NamedTuple):
-    label: str
-    v: np.ndarray
-    iters: int
-    residual: float
-    converged: bool
-    descent_capped: bool
+    return v, a, iters, rn, converged(v, rn)
 
 
 def _solve_one(problem, label, u0, config):
@@ -835,8 +862,7 @@ def _solve_one(problem, label, u0, config):
     u, qv, capped = _descend(problem, u0)
     quotient = qv / energy(problem, u) ** (2.0 / problem.two_sharp)
     v = quotient ** (1.0 / (problem.p - 1.0)) * u
-    v, iters, rn, ok = _newton(problem, v, config)
-    return _StartResult(label, v, iters, rn, ok, capped)
+    return _StartResult(label, *_newton(problem, v, config), capped)
 
 
 def minimize(problem, config=None):
@@ -862,19 +888,18 @@ def minimize(problem, config=None):
         raise ConvergenceError(
             "no start reached the Newton tolerance (best residual %.3e from %r)"
             % (best.residual, best.label),
-            best=_report(
-                problem, best.v, quotient_value(problem, best.v), best.residual, best.label, best.iters,
-                descent_capped=capped,
-            ),
+            best=_report(problem, best, _score(problem, best.v), descent_capped=capped),
         )
-    scored = [(quotient_value(problem, r.v), _classify(r.v), r) for r in converged]
-    q_min, kind, _ = min(scored, key=lambda s: s[0])  # the first of equal minima
-    tie = math.ceil(math.sqrt(problem.m)) * math.ulp(q_min)
-    tied = [(q, r) for q, c, r in scored if c == kind and q - q_min <= tie]
-    q, first = tied[0]
+    scored = [(_score(problem, r.v), r) for r in converged]
+    least, _ = min(scored, key=lambda s: s[0].quotient)  # the first of equal minima
+    tie = math.ceil(math.sqrt(problem.m)) * math.ulp(least.quotient)
+    tied = [
+        (s, r) for s, r in scored
+        if s.classification == least.classification and s.quotient - least.quotient <= tie
+    ]
+    score, first = tied[0]
     return _report(
-        problem, first.v, q, first.residual, first.label, first.iters,
-        winning_starts=tuple(r.label for _, r in tied), descent_capped=capped,
+        problem, first, score, winning_starts=tuple(r.label for _, r in tied), descent_capped=capped
     )
 
 

@@ -57,6 +57,8 @@ MUTANTS = [
      "tests/test_constants.py::test_sobolev_constant_identity"),
     (CONSTANTS, "f_max ** (2.0 / two_sharp))", "f_max ** (2.0 / dim))",
      "tests/test_conditions.py::test_existence_threshold_scales_with_the_peak_of_f"),
+    (CEILING, "\nMAX_INTEGER_INPUT = 10**150\n", "\nMAX_INTEGER_INPUT = 10**160\n",
+     "tests/test_constants.py::test_the_largest_group_order_keeps_a_finite_window"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

@@ -28,7 +28,7 @@ def test_round_sphere_exact():
 def test_circle_sphere_window():
     w = b0_circle_sphere(2.0, 6)
     assert w.lo == 4.0
-    assert w.hi == pytest.approx(4.0 + 1.0 / 16.0, rel=1e-15)
+    assert w.hi == pytest.approx(4.0 + 1.0 / 16.0, rel=1e-15, abs=0.0)
     assert b0_circle_sphere(1e6, 5).hi == pytest.approx(2.25, rel=1e-10)
     with pytest.raises(PreconditionError):
         b0_circle_sphere(0.0, 6)
@@ -36,8 +36,8 @@ def test_circle_sphere_window():
 
 def test_quotient_sphere_window():
     w = b0_quotient_sphere(5, 4)
-    assert w.lo == pytest.approx(4.0 ** 0.4 * 3.75, rel=1e-15)
-    assert w.hi == pytest.approx((1.0 + 4.0) * 3.0 - 1.0 + 3.75, rel=1e-15)
+    assert w.lo == pytest.approx(4.0 ** 0.4 * 3.75, rel=1e-15, abs=0.0)
+    assert w.hi == pytest.approx((1.0 + 4.0) * 3.0 - 1.0 + 3.75, rel=1e-15, abs=0.0)
     assert b0_quotient_sphere(5, 1).lo == 3.75  # trivial group: round value
     with pytest.raises(PreconditionError):
         b0_quotient_sphere(5, 0)
@@ -48,7 +48,7 @@ def test_lower_general_volume_term_dominates():
     # term (n-1)(n-3) / (4 t^{2/(n-1)}) wins over (n-3)^2/4
     cfg = example_configuration("cylinder-overcritical", n=5, t=3.0)
     b = b0_lower_general(cfg.params, cfg.volume, cfg.first)
-    assert b.lo == pytest.approx(8.0 / (4.0 * 3.0 ** 0.5), rel=1e-13)
+    assert b.lo == pytest.approx(8.0 / (4.0 * 3.0 ** 0.5), rel=1e-13, abs=0.0)
     assert math.isinf(b.hi)
 
 
@@ -56,7 +56,7 @@ def test_lower_general_curvature_term_dominates():
     # same example at large t: (n-3)^2/4 = 1
     cfg = example_configuration("cylinder-overcritical", n=5, t=8.0)
     b = b0_lower_general(cfg.params, cfg.volume, cfg.first)
-    assert b.lo == pytest.approx(1.0, rel=1e-13)
+    assert b.lo == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
 
 def test_lower_general_hopf_closed_form():
@@ -64,12 +64,12 @@ def test_lower_general_hopf_closed_form():
     for t in (1.5, 2.0, 8.0, 100.0):
         cfg = example_configuration("hopf", t=t)
         b = b0_lower_general(cfg.params, cfg.volume, cfg.first)
-        assert b.lo == pytest.approx(1.0, rel=1e-13)
+        assert b.lo == pytest.approx(1.0, rel=1e-13, abs=0.0)
         # the volume contribution alone
         vol_term = cfg.first.orbit_volume ** (2.0 / 3.0) / (
             cfg.volume ** (2.0 / 3.0) * sobolev_constant(3)
         )
-        assert vol_term == pytest.approx(3.0 / (4.0 * t ** (2.0 / 3.0)), rel=1e-13)
+        assert vol_term == pytest.approx(3.0 / (4.0 * t ** (2.0 / 3.0)), rel=1e-13, abs=0.0)
 
 
 def test_lower_general_preconditions():

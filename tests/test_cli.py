@@ -32,7 +32,7 @@ def test_interval_hopf_subprocess():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     iv = payload["interval"]
-    assert iv["lo"] == pytest.approx(3.0 / 16.0, rel=1e-15)
+    assert iv["lo"] == pytest.approx(3.0 / 16.0, rel=1e-15, abs=0.0)
     assert iv["hi"] == 0.75
     assert iv["hi_strict"] is True and iv["lo_strict"] is False
     assert iv["empty"] is False
@@ -56,6 +56,16 @@ def test_exit_code_precondition(capsys):
         assert main(["interval", "--example", "sphere-quotients", "--n", "401", "--a1", "2", "--a2", "3"]) == 2
     err = capsys.readouterr().err
     assert "precondition violated" in err and "[1, 342], past which" in err and "N=401" in err
+
+
+def test_exit_code_precondition_on_an_integer_past_the_float_range(capsys):
+    # a 401-digit group order or dimension is range-checked before any
+    # conversion to float, so it is named as a precondition, not an OverflowError
+    huge = "9" * 401
+    assert main(["interval", "--example", "sphere-quotients", "--n", "5", "--a1", "2", "--a2", huge]) == 2
+    assert "precondition violated: a2 must be an integer in [1, 1e+150], got 999" in capsys.readouterr().err
+    assert main(["interval", "--example", "sphere-quotients", "--n", huge, "--a1", "2", "--a2", "3"]) == 2
+    assert "precondition violated: n must be an integer in [1, 1e+150], got 999" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -203,7 +213,7 @@ def test_solve_reports_threshold_comparison(capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["problem"]["p"] == pytest.approx(7.0 / 3.0, rel=1e-15)
+    assert payload["problem"]["p"] == pytest.approx(7.0 / 3.0, rel=1e-15, abs=0.0)
     assert payload["classification"] == "nonconstant"
     assert payload["below_threshold"] is True
     assert payload["quotient_value"] < payload["threshold"]

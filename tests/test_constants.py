@@ -41,11 +41,11 @@ def test_sphere_volume_matches_recursion(n):
 
 
 def test_sphere_volume_known_values():
-    assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-15)
-    assert sphere_volume(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
-    assert sphere_volume(4) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-15)
-    assert sphere_volume(5) == pytest.approx(math.pi**3, rel=1e-15)
+    assert sphere_volume(1) == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0.0)
+    assert sphere_volume(2) == pytest.approx(4.0 * math.pi, rel=1e-15, abs=0.0)
+    assert sphere_volume(3) == pytest.approx(2.0 * math.pi**2, rel=1e-15, abs=0.0)
+    assert sphere_volume(4) == pytest.approx(8.0 * math.pi**2 / 3.0, rel=1e-15, abs=0.0)
+    assert sphere_volume(5) == pytest.approx(math.pi**3, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5])
@@ -97,6 +97,9 @@ def test_memoized_constants_raise_on_every_repeated_invalid_call():
         (sobolev_constant, (2,)), (sobolev_constant, (3.5,)), (sobolev_constant, (401,)),
         (b0_sphere, (2,)), (b0_sphere, (4.5,)),
         (b0_quotient_sphere, (2, 3)), (b0_quotient_sphere, (5, 0)), (b0_quotient_sphere, (5, 1.5)),
+        # past MAX_INTEGER_INPUT, or not finite: range-checked before float() or int() sees it
+        (b0_sphere, (math.inf,)), (b0_sphere, (math.nan,)), (b0_quotient_sphere, (5, 10**151)),
+        (b0_quotient_sphere, (5, 10**400)), (b0_quotient_sphere, (5, math.inf)), (b0_quotient_sphere, (10**400, 2)),
     ]
     for fn, args in calls:
         for _ in range(3):
@@ -107,6 +110,12 @@ def test_memoized_constants_raise_on_every_repeated_invalid_call():
 @pytest.mark.parametrize("cache", DIMENSION_CACHES, ids=lambda c: c.__name__)
 def test_dimension_caches_are_bounded(cache):
     assert 0 < cache.cache_info().maxsize < math.inf
+
+
+def test_the_largest_group_order_keeps_a_finite_window():
+    # at order MAX_INTEGER_INPUT, a * a = 1e300: the window stays finite up to the largest dimension
+    window = b0_quotient_sphere(MAX_SPHERE_DIM, best_constants.MAX_INTEGER_INPUT)
+    assert math.isfinite(window.lo) and math.isfinite(window.hi)
 
 
 def test_a_memoized_window_is_shared_and_frozen():
@@ -160,9 +169,9 @@ def test_equation_params_exponents():
     assert EquationParams(n=6).two_sharp == 3.0
     assert EquationParams(n=4, k=1).two_sharp == 6.0
     assert EquationParams(n=4, k=1).exponent == 5.0
-    assert EquationParams(n=10, k=3).two_sharp == pytest.approx(2.8, rel=1e-15)
+    assert EquationParams(n=10, k=3).two_sharp == pytest.approx(2.8, rel=1e-15, abs=0.0)
     assert EquationParams(n=5, k=1).reduced_dim == 4
-    assert EquationParams(n=5).exponent == pytest.approx(7.0 / 3.0, rel=1e-15)
+    assert EquationParams(n=5).exponent == pytest.approx(7.0 / 3.0, rel=1e-15, abs=0.0)
 
 
 def test_equation_params_validation():

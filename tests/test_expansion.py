@@ -45,7 +45,7 @@ def test_density_carries_orbit_volume_and_quadratic_decay():
     cfg = _config(dim=5, orbit_volume=3.0, vh_quadratic_coeff=2.0)
     r = 0.5
     expected = 3.0 * (1.0 - 2.0 * r * r / 10.0) * sphere_volume(4) * r**4
-    assert density(cfg, r) == pytest.approx(expected, rel=1e-14)
+    assert density(cfg, r) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_quotient_against_tight_panel_reference(dim, delta):
     )
     for eps in (delta * delta / 4.0, 1e-4 * delta * delta, 1e-10 * delta * delta,
                 1e-16 * delta * delta):
-        assert rayleigh_quotient(cfg, eps) == pytest.approx(_tight_quotient(cfg, eps), rel=1e-13)
+        assert rayleigh_quotient(cfg, eps) == pytest.approx(_tight_quotient(cfg, eps), rel=1e-13, abs=0.0)
 
 
 def test_quotient_scaling_invariances():
@@ -198,7 +198,7 @@ def test_a_non_positive_eps_in_a_sequence_is_rejected(bad):
 
 def test_dim_six_flat_recovers_limit_and_slope():
     report = fit_and_compare(_config(dim=6))
-    assert report.predicted_c1 == pytest.approx(5.0 / 12.0, rel=1e-14)
+    assert report.predicted_c1 == pytest.approx(5.0 / 12.0, rel=1e-14, abs=0.0)
     assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-6)
     assert report.fitted_c1 == pytest.approx(5.0 / 12.0, rel=1e-2)
     assert len(report.pair_slopes) == len(report.config.epsilons) - 1
@@ -217,7 +217,7 @@ def test_sign_grid_matches_prediction():
 def test_curved_model_shifts_the_slope():
     cfg = _config(dim=5, curvature=1.0)
     # (16/3 - scal) / 5 with scal = 20
-    assert cfg.predicted_c1 == pytest.approx((16.0 / 3.0 - 20.0) / 5.0, rel=1e-13)
+    assert cfg.predicted_c1 == pytest.approx((16.0 / 3.0 - 20.0) / 5.0, rel=1e-13, abs=0.0)
     report = fit_and_compare(cfg)
     assert report.fitted_c1 == pytest.approx(report.predicted_c1, rel=5e-2)
     assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-4)
@@ -288,10 +288,10 @@ def test_the_ceiling_reads_the_orbit_volume_laplacian_as_q_times_the_orbit_volum
 
 def test_dim_four_log_branch_both_signs():
     below = log_branch_sign(_config(dim=4))  # coeff = -6/8
-    assert below.coeff == pytest.approx(-0.75, rel=1e-15)
+    assert below.coeff == pytest.approx(-0.75, rel=1e-15, abs=0.0)
     assert below.consistent
     above = log_branch_sign(_config(dim=4, vh_quadratic_coeff=4.0))  # coeff = +6/8
-    assert above.coeff == pytest.approx(0.75, rel=1e-15)
+    assert above.coeff == pytest.approx(0.75, rel=1e-15, abs=0.0)
     assert above.consistent
     assert below.to_json()["consistent"] is True
 

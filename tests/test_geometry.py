@@ -19,8 +19,8 @@ from symcrit.geometry import product_scal_lower
 
 
 def test_manifold_volumes():
-    assert Sphere(5).volume == pytest.approx(math.pi**3, rel=1e-15)
-    assert Sphere(2, radius=3.0).volume == pytest.approx(9.0 * 4.0 * math.pi, rel=1e-15)
+    assert Sphere(5).volume == pytest.approx(math.pi**3, rel=1e-15, abs=0.0)
+    assert Sphere(2, radius=3.0).volume == pytest.approx(9.0 * 4.0 * math.pi, rel=1e-15, abs=0.0)
     assert CircleTimesSphere(2.0, 5).volume == pytest.approx(
         4.0 * math.pi * sphere_volume(4), rel=1e-15
     )
@@ -73,8 +73,8 @@ def test_sphere_quotients_configuration():
 def test_hopf_configuration():
     cfg = example_configuration("hopf", t=8.0)
     assert cfg.params.n == 4 and cfg.params.k == 1
-    assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert cfg.second.orbit_volume == pytest.approx(16.0 * math.pi, rel=1e-15)
+    assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0.0)
+    assert cfg.second.orbit_volume == pytest.approx(16.0 * math.pi, rel=1e-15, abs=0.0)
     # quotients: S^1(t) x S^2(1/2) and S^3
     assert cfg.first.quotient_scal_lower == 8.0
     assert cfg.second.quotient_scal_lower == 6.0
@@ -86,14 +86,14 @@ def test_hopf_configuration():
 def test_triple_product_configuration():
     cfg = example_configuration("triple-product", n=10, a=4.0, b=0.28)
     assert cfg.params.k == 3
-    assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+    assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi**2, rel=1e-15, abs=0.0)
     assert cfg.second.orbit_volume == pytest.approx(
         8.0 * math.pi**2 * 4.0 * 0.28**2, rel=1e-15
     )
     assert cfg.first.vh_laplacian.kind == "nonnegative"
     assert cfg.first.vh_laplacian.lower() == 0.0
     # scal of the collapsed-block quotient: 2/b^2 + (n-6)(n-7)
-    assert cfg.first.quotient_scal_lower == pytest.approx(2.0 / 0.28**2 + 12.0, rel=1e-15)
+    assert cfg.first.quotient_scal_lower == pytest.approx(2.0 / 0.28**2 + 12.0, rel=1e-15, abs=0.0)
     assert cfg.second.quotient_scal_lower == 42.0  # (n-3)(n-4)
     with pytest.raises(PreconditionError) as err:
         example_configuration("triple-product", a=4.0, b=0.2)  # 4ab^2 = 0.64 < 1
@@ -105,7 +105,7 @@ def test_triple_product_configuration():
 def test_cylinder_overcritical_configuration():
     cfg = example_configuration("cylinder-overcritical", n=5, t=8.0)
     assert cfg.params.k == 1
-    assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi, rel=1e-15, abs=0.0)
     assert cfg.first.quotient_scal_lower == 6.0  # (n-2)(n-3)
     assert cfg.second.quotient_scal_lower == 12.0  # (n-1)(n-2)
     assert not cfg.first.principal_constant_volume
@@ -117,7 +117,7 @@ def test_cylinder_finite_configurations():
     cfg = example_configuration("cylinder-triple", n=5, t=40.0, a1=1, a2=2)
     assert cfg.params.k == 0
     assert cfg.first.orbit_volume == 1.0 and cfg.second.orbit_volume == 2.0
-    assert cfg.volume == pytest.approx(80.0 * math.pi * sphere_volume(4), rel=1e-15)
+    assert cfg.volume == pytest.approx(80.0 * math.pi * sphere_volume(4), rel=1e-15, abs=0.0)
     with pytest.raises(PreconditionError):
         example_configuration("cylinder-weighted", n=4)  # needs n >= 5
     with pytest.raises(PreconditionError):

@@ -88,13 +88,15 @@ def test_the_operator_pieces_agree_with_one_stencil(m):
     neg_lap = -np.column_stack([solver._lap(col, h) for col in np.eye(m)])
     symbol = (d - 2.0 * off) * np.sin(math.pi * np.arange(m) / m) ** 2
     assert np.linalg.eigvalsh(neg_lap) == pytest.approx(np.sort(symbol), abs=1e-12 * d)
-    assert np.abs(neg_lap).sum(axis=1).max() == pytest.approx(d - 2.0 * off, rel=1e-15)
+    assert np.abs(neg_lap).sum(axis=1).max() == pytest.approx(d - 2.0 * off, rel=1e-15, abs=0.0)
 
     v = rng.uniform(0.5, 2.0, m)
     dense = neg_lap.copy()  # J, with its diagonal rounded in _cut's order
     potential = problem.p * problem.f_samples * v ** (problem.p - 1.0)
     np.fill_diagonal(dense, np.diag(neg_lap) + problem.alpha - potential)
-    order, diag, _, coupling = solver._cut(problem, v)
+    k, diag, _, coupling = solver._cut(problem, v, v ** (problem.p - 1.0))
+    order = np.concatenate((np.arange(k + 1, m), np.arange(k + 1)))  # the ring order
+    assert np.array_equal(solver._ring(v, k), v[order])
     ring = dense[np.ix_(order, order)]
     cut = np.diag(diag) + coupling * (np.eye(m, k=1) + np.eye(m, k=-1))
     cut[0, -1] = cut[-1, 0] = coupling  # w's first entry; its last is the band's
@@ -117,7 +119,7 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
         normalized = x / energy(problem, x) ** (1.0 / problem.two_sharp)
         g_ref = quotient_oracle.quotient_gradient(problem, normalized)
         assert float(np.max(np.abs(u - normalized))) <= 1e-13 * float(np.max(normalized))
-        assert q == pytest.approx(quotient_value(problem, normalized), rel=1e-13)
+        assert q == pytest.approx(quotient_value(problem, normalized), rel=1e-13, abs=0.0)
         assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
         # the numerator shares the gradient's differences and stays quotient_value's, bitwise
         assert q == solver._dirichlet(problem, u) + problem.alpha * solver._mass2(problem, u)
@@ -206,8 +208,8 @@ def test_newton_step_matches_the_sparse_oracle(case):
         problem, v = _cos_iterate(m, f=1.0 + 0.15 * np.cos(s))
     else:
         problem, v = _cos_iterate(m)
-    r = solver._residual(problem, v)
-    delta = solver._newton_step(problem, v, r, solver._constant_weight(problem))
+    r, a = solver._residual(problem, v)
+    delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
     ref = sparse_newton.newton_step(problem, v, r)
     assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
@@ -235,8 +237,8 @@ def test_bordered_step_residual_is_at_rounding_level(noise):
     # (delta_k, mu) carries that near-singularity, and T, cut where tau is
     # largest, stays well conditioned
     problem, v = _near_converged_triple(4096, noise)
-    r = solver._residual(problem, v)
-    delta = solver._newton_step(problem, v, r, solver._constant_weight(problem))
+    r, a = solver._residual(problem, v)
+    delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
     assert max(_bordered_residual(problem, v, r, delta)) <= 1e-14
 
 
@@ -263,8 +265,8 @@ def test_newton_step_is_accurate_wherever_the_peak_sits(case):
         problem, v0 = _cos_iterate(m, f=1.0 + 0.15 * np.cos(s))
     for shift in _peak_shifts(m, v0):
         v = np.roll(v0, shift)
-        r = solver._residual(problem, v)
-        delta = solver._newton_step(problem, v, r, solver._constant_weight(problem))
+        r, a = solver._residual(problem, v)
+        delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
         ref = sparse_newton.newton_step(problem, v, r)
         assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
         if kind == "triple":
@@ -278,8 +280,8 @@ def test_zero_pivot_ends_newton_unconverged():
     # zero pivot
     problem = _problem(length=64.0, alpha=3.0, p=5.0, m=64)
     v = np.ones(64)
-    assert solver._newton_step(problem, v, solver._residual(problem, v), True) is None
-    _, iters, rn, ok = solver._newton(problem, v, SolveConfig())
+    assert solver._newton_step(problem, v, *solver._residual(problem, v), True) is None
+    _, _, iters, rn, ok = solver._newton(problem, v, SolveConfig())
     assert (iters, ok) == (1, False)
     assert rn == 2.0
 
@@ -553,22 +555,34 @@ def _assert_fields_are_their_recomputation(report):
     assert report.energy == energy(problem, u)
     assert report.el_residual == el_residual(problem, u)
     assert report.classification == solver._classify(u)
-    assert (report.morse_index, report.zero_modes) == solver._morse_counts(problem, u)
+    power = solver._residual(problem, u)[1]
+    assert (report.morse_index, report.zero_modes) == solver._morse_counts(problem, u, power)
 
 
 @pytest.mark.parametrize(
-    "case", ["model-m96-a0.15", "model-m96-a0.4", "model-m256-a0.15", "model-m256-a0.4", "triple-m1024"]
+    "case",
+    ["model-m96-a0.15", "model-m96-a0.4", "model-m256-a0.15", "model-m256-a0.4", "triple-m1024",
+     "weighted-m128", "closed-form-m96", "closed-form-m1024"],
 )
 def test_report_fields_equal_their_recomputation_from_u(case):
-    # minimize hands _report the quotient it ranked the starts by and
-    # Newton's last residual instead of computing them again
-    if case.startswith("model"):
-        m, alpha = case.split("-")[1:]
-        problem = _problem(alpha=float(alpha[1:]), m=int(m[1:]))
-    else:
+    # minimize hands _report the quotient, energy and classification it
+    # ranked the starts by, and Newton's last residual and power v^{p-1},
+    # instead of computing them again; constant_solution hands over its own.
+    # The weighted f takes the unbordered Newton step.
+    kind, _, rest = case.partition("-m")
+    m = int(rest.split("-")[0])
+    if kind == "model":
+        report = minimize(_problem(alpha=float(rest.split("-a")[1]), m=m))
+    elif kind == "triple":
         alpha = example_interval("cylinder-triple").midpoint
-        problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=1024)
-    _assert_fields_are_their_recomputation(minimize(problem))
+        report = minimize(circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=m))
+    elif kind == "weighted":
+        s = np.arange(m) * (2.0 * math.pi / m)
+        report = minimize(_problem(alpha=0.4, m=m, f=1.0 + 0.15 * np.cos(s)))
+        assert report.classification == "nonconstant"
+    else:
+        report = constant_solution(_problem(alpha=0.3, m=m))
+    _assert_fields_are_their_recomputation(report)
 
 
 def test_convergence_error_best_fields_equal_their_recomputation_from_u():
@@ -590,7 +604,7 @@ def test_newton_leaves_a_stagnating_saddle_start_early():
     assert not run.converged and run.iters <= 5
     report = minimize(problem)
     assert report.classification == "nonconstant"
-    assert report.quotient_value == pytest.approx(19.01756946164605, rel=1e-14)
+    assert report.quotient_value == pytest.approx(19.01756946164605, rel=1e-14, abs=0.0)
 
 
 def test_newton_stops_at_the_residual_rounding_floor():
@@ -668,8 +682,8 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     run = solver._solve_one(problem, label, u0, config)
     u, _, capped = solver._descend(problem, u0)
     v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
-    v, iters, rn, ok = solver._newton(problem, v, config)
-    assert np.array_equal(run.v, v)
+    v, power, iters, rn, ok = solver._newton(problem, v, config)
+    assert np.array_equal(run.v, v) and np.array_equal(run.power, power)
     assert (run.iters, run.residual, run.converged, run.descent_capped) == (iters, rn, ok, capped)
 
 
@@ -684,7 +698,7 @@ def test_the_soliton_start_peaks_where_the_weight_does(phase):
     assert int(np.argmax(u0)) == k
     # the line soliton's amplitude, A^{p-1} = (p+1) alpha / (2 f_k), and its
     # evenness about s_k in the periodic distance
-    assert u0[k] == pytest.approx((6.0 * 3.0 / (2.0 * f[k])) ** 0.25, rel=1e-15)
+    assert u0[k] == pytest.approx((6.0 * 3.0 / (2.0 * f[k])) ** 0.25, rel=1e-15, abs=0.0)
     assert np.array_equal(np.roll(u0, -k)[1:], np.roll(u0, -k)[:0:-1])
 
 
@@ -860,7 +874,7 @@ def test_morse_counts_match_dense_eigenvalues(m):
         cases.append((_problem(alpha=alpha, m=m), alpha ** 0.25 * rng.uniform(0.5, 1.5, m)))
     seen = set()
     for problem, v in cases:
-        counts = solver._morse_counts(problem, v)
+        counts = solver._morse_counts(problem, v, v ** (problem.p - 1.0))
         assert counts == _dense_morse_counts(problem, v)
         seen.add(counts)
     assert len(seen) >= 4  # the cases span several indices and zero-mode counts
@@ -872,7 +886,8 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
     # from 0.  The first factorization is made to end on that pivot.
     problem = _problem(alpha=0.3)
     v = minimize(problem).u
-    expected = solver._morse_counts(problem, v)
+    power = v ** (problem.p - 1.0)
+    expected = solver._morse_counts(problem, v, power)
     lapack = _lazy.flapack()  # the module the solver takes dpttrf from
     dpttrf, calls, shifts = lapack.dpttrf, [], []
 
@@ -886,7 +901,7 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
         return d, e, info
 
     monkeypatch.setattr(lapack, "dpttrf", singular_once)
-    assert solver._morse_counts(problem, v) == expected
+    assert solver._morse_counts(problem, v, power) == expected
     tol = solver.ZERO_MODE_TOL  # alpha < 1
     assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3)
 
@@ -902,12 +917,12 @@ def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
     monkeypatch.setattr(solver, "ZERO_MODE_TOL", tol)
     m = 64
     diag = np.append(np.full(m - 1, 1.0 - tol), -1.0)
-    monkeypatch.setattr(solver, "_cut", lambda problem, v: (None, diag, None, 1.0))
+    monkeypatch.setattr(solver, "_cut", lambda problem, v, a: (None, diag, None, 1.0))
     assert solver._ldl_count(diag[:-1], 1.0, -tol)[3] is False
     jac = np.diag(diag) + np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
     eig = np.linalg.eigvalsh(jac)
     expected = (int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol)))
-    assert solver._morse_counts(_problem(alpha=0.5, m=m), None) == expected
+    assert solver._morse_counts(_problem(alpha=0.5, m=m), None, None) == expected
 
 
 @pytest.mark.parametrize("n, count", [(4, 1), (6, 2), (7, 2)])
@@ -979,9 +994,10 @@ for m in (64, 4096):
     v = 0.4 ** 0.25 * (1.0 + 0.3 * np.cos(s) + 1e-2 * np.random.default_rng(m).standard_normal(m))
     for f in (np.ones(m), 1.0 + 0.15 * np.cos(s)):
         problem = solver.ReducedProblem(length=2.0 * np.pi, weight=1.0, alpha=0.4, p=5.0, f_samples=f)
-        delta = solver._newton_step(problem, v, solver._residual(problem, v), solver._constant_weight(problem))
+        r, a = solver._residual(problem, v)
+        delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
         direction = solver._p_inverse(problem)(v)
-        results.append([delta.tobytes().hex(), solver._morse_counts(problem, v), direction.tobytes().hex()])
+        results.append([delta.tobytes().hex(), solver._morse_counts(problem, v, a), direction.tobytes().hex()])
 print(json.dumps({"route": route, "results": results}))
 """
 
@@ -1097,7 +1113,7 @@ def _reducible():
 def test_circle_reduction_preserves_volume_and_exponent():
     for cfg, index in _reducible():
         red = circle_reduction(cfg, index, alpha=1.0, grid=64)
-        assert red.weight * red.length == pytest.approx(cfg.volume, rel=1e-13)
+        assert red.weight * red.length == pytest.approx(cfg.volume, rel=1e-13, abs=0.0)
         assert red.p == cfg.params.exponent
         assert red.alpha == 1.0 and red.m == 64
 
@@ -1170,7 +1186,7 @@ def test_problem_validation_and_grid():
     problem = _problem(length=6.4, m=64)
     s = problem.grid()
     assert s.size == 64 and s[0] == 0.0
-    assert s[1] == pytest.approx(0.1, rel=1e-15)
+    assert s[1] == pytest.approx(0.1, rel=1e-15, abs=0.0)
     assert problem.two_sharp == 6.0 and problem.reduced_dim == 3.0
 
 
