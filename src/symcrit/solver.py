@@ -143,9 +143,9 @@ def _reduce_by_fields(self):
     return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(eq=False, frozen=True, slots=True)
 class ReducedProblem:
-    """One circle-reduced equation -u'' + alpha u = f u^p."""
+    """One circle-reduced equation -u'' + alpha u = f u^p; frozen, so h stays length / m."""
 
     length: float
     weight: float
@@ -171,8 +171,8 @@ class ReducedProblem:
             raise PreconditionError("f samples must be positive and finite")
         f = f.copy()
         f.flags.writeable = False
-        self.f_samples = f
-        self.h = self.length / f.size
+        object.__setattr__(self, "f_samples", f)
+        object.__setattr__(self, "h", self.length / f.size)
         if self.orbit_volume is not None and not (
             math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0
         ):

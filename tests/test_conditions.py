@@ -417,7 +417,7 @@ def test_existence_threshold_spot_value():
     assert existence_threshold(params, 1.0) == 1.0 / sobolev_constant(6)
     # scaling in the orbit volume
     assert existence_threshold(params, 8.0) == pytest.approx(
-        2.0 / sobolev_constant(6), rel=REL
+        2.0 / sobolev_constant(6), rel=REL, abs=0.0
     )
     with pytest.raises(PreconditionError):
         existence_threshold(params, 0.0)

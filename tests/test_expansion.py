@@ -244,7 +244,7 @@ def test_weight_curvature_enters_for_dim_above_four():
     cfg = _config(dim=6, f_laplacian=3.0)
     bare = _config(dim=6)
     assert cfg.predicted_c1 - bare.predicted_c1 == pytest.approx(
-        (6.0 - 4.0) * 3.0 / (2.0 * 1.0) / (6.0 * 2.0), rel=1e-13
+        (6.0 - 4.0) * 3.0 / (2.0 * 1.0) / (6.0 * 2.0), rel=1e-13, abs=0.0
     )
 
 

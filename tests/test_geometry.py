@@ -22,10 +22,10 @@ def test_manifold_volumes():
     assert Sphere(5).volume == pytest.approx(math.pi**3, rel=1e-15, abs=0.0)
     assert Sphere(2, radius=3.0).volume == pytest.approx(9.0 * 4.0 * math.pi, rel=1e-15, abs=0.0)
     assert CircleTimesSphere(2.0, 5).volume == pytest.approx(
-        4.0 * math.pi * sphere_volume(4), rel=1e-15
+        4.0 * math.pi * sphere_volume(4), rel=1e-15, abs=0.0
     )
     assert CircleSphereSphere(4.0, 0.5, 10).volume == pytest.approx(
-        8.0 * math.pi * math.pi * sphere_volume(7), rel=1e-15
+        8.0 * math.pi * math.pi * sphere_volume(7), rel=1e-15, abs=0.0
     )
 
 
@@ -88,7 +88,7 @@ def test_triple_product_configuration():
     assert cfg.params.k == 3
     assert cfg.first.orbit_volume == pytest.approx(2.0 * math.pi**2, rel=1e-15, abs=0.0)
     assert cfg.second.orbit_volume == pytest.approx(
-        8.0 * math.pi**2 * 4.0 * 0.28**2, rel=1e-15
+        8.0 * math.pi**2 * 4.0 * 0.28**2, rel=1e-15, abs=0.0
     )
     assert cfg.first.vh_laplacian.kind == "nonnegative"
     assert cfg.first.vh_laplacian.lower() == 0.0

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import json
 import math
+import pickle
 import subprocess
 import sys
 
@@ -101,6 +103,15 @@ def test_the_operator_pieces_agree_with_one_stencil(m):
     cut = np.diag(diag) + coupling * (np.eye(m, k=1) + np.eye(m, k=-1))
     cut[0, -1] = cut[-1, 0] = coupling  # w's first entry; its last is the band's
     assert np.array_equal(ring, cut)
+
+
+def test_the_node_spacing_is_set_once_on_a_frozen_problem():
+    problem = _problem(length=7.0, m=97)
+    assert problem.h == 7.0 / 97
+    for copied in (pickle.loads(pickle.dumps(problem)), copy.deepcopy(problem), copy.copy(problem)):
+        assert copied.h == problem.h
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.length = 14.0
 
 
 @pytest.mark.parametrize("m", [64, 97])
@@ -284,6 +295,30 @@ def test_zero_pivot_ends_newton_unconverged():
     _, _, iters, rn, ok = solver._newton(problem, v, SolveConfig())
     assert (iters, ok) == (1, False)
     assert rn == 2.0
+
+
+def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
+    # J's diagonal, in each Newton step and in the report's Morse count,
+    # reads the array v^{p-1} that the iterate's residual evaluated
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=1024)
+    residual, cut = solver._residual, solver._cut
+    evaluated, read = [], []
+
+    def counted_residual(pr, u):
+        r, a = residual(pr, u)
+        evaluated.append(a)
+        return r, a
+
+    def counted_cut(pr, v, a):
+        read.append(a)
+        return cut(pr, v, a)
+
+    monkeypatch.setattr(solver, "_residual", counted_residual)
+    monkeypatch.setattr(solver, "_cut", counted_cut)
+    report = minimize(problem)
+    assert report.newton_iterations >= 1 and len(read) >= 2  # a Newton step and the Morse count
+    assert all(any(a is b for b in evaluated) for a in read)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1159,7 @@ def test_circle_reduction_orbit_volumes():
     assert circle_reduction(cw, 2, 1.0, grid=64).orbit_volume == 2.0
     hopf = example_configuration("hopf")
     assert circle_reduction(hopf, 1, 1.0, grid=64).orbit_volume == pytest.approx(
-        2.0 * math.pi, rel=1e-15
+        2.0 * math.pi, rel=1e-15, abs=0.0
     )
 
 
