@@ -16,7 +16,8 @@ Dirichlet term, nodal quadrature elsewhere.  The discrete
 Euler-Lagrange system of this discrete functional has the standard
 3-point Laplacian, so the identity  energy = Q^{N/2}  with
 N = 2 (p+1)/(p-1) survives discretization exactly.  _stencil holds that
-operator's coefficients, its Fourier symbol and its norm, once.
+operator's coefficients, its Fourier symbol and its norm, once, and
+_neg_laplacian applies it from the forward differences.
 
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
@@ -38,8 +39,10 @@ With constant f, J is singular along the translation tau = v' at a
 solution, and the step is bordered with tau; the Schur system is then
 2x2 (Govaerts & Pryce 1990).  The cut keeps T away from that
 singularity, since tau is largest at the cut node.  Each iterate's power
-v^{p-1} is evaluated once, by its residual (_residual): the Newton step's
-diagonal of J, and for the last iterate the Morse count, read that array.
+a = v^{p-1} is evaluated once (_power), by its residual (_residual): the
+nonlinearity f a v, the Newton step's diagonal of J, and for the last
+iterate the Morse count and the energy w h <f a v, v> read that array,
+as a descent iterate's energy, scale and gradient read its (_evaluate).
 
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted from the
@@ -291,7 +294,7 @@ def _stencil(h):
     symbol (d - 2 off) sin^2(pi k / m), and its inf-norm is d - 2 off =
     4/h^2.  The other operator formulas read this one: J's tridiagonal
     (_cut), the descent's factored P = -Delta_h + alpha (_p_inverse) and
-    Newton's rounding level (_newton).
+    Newton's rounding level (_newton).  _neg_laplacian applies it.
     """
     return 2.0 / (h * h), -1.0 / (h * h)
 
@@ -305,6 +308,15 @@ def _differences(u, h):
     return du
 
 
+def _neg_laplacian(du, h):
+    """-Delta_h u = (du[i-1] - du[i]) / h, _stencil's operator, from u's forward differences du."""
+    g = np.empty_like(du)
+    np.subtract(du[:-1], du[1:], out=g[1:])
+    g[0] = du[-1] - du[0]
+    g /= h
+    return g
+
+
 def _dirichlet(problem, u):
     """w int |u'|^2 by forward differences; its gradient is 2 w h (-Delta_h) u, _stencil's operator."""
     du = _differences(u, problem.h)
@@ -315,16 +327,29 @@ def _mass2(problem, u):
     return problem.weight * problem.h * float(np.dot(u, u))
 
 
+def _power(problem, u):
+    """a = |u|^{p-1}, u's one non-integer power; the nonlinearity, the energy and J's diagonal read it."""
+    return np.abs(u) ** (problem.p - 1.0)
+
+
+def _nonlinearity(problem, u, a):
+    """f |u|^{p-1} u = f a u, from u's power a = _power(problem, u)."""
+    return problem.f_samples * a * u
+
+
+def _energy(problem, u, fau):
+    """w int f |u|^{p+1} ds = w h <f a u, u>, from u's nonlinearity fau = _nonlinearity(problem, u, a)."""
+    return problem.weight * problem.h * float(np.dot(fau, u))
+
+
 def energy(problem, u):
     """w int f u^{p+1} ds; equals Q^{N/2} at a solution."""
     u = np.asarray(u, dtype=float)
-    return problem.weight * problem.h * float(
-        np.dot(problem.f_samples, np.abs(u) ** problem.two_sharp)
-    )
+    return _energy(problem, u, _nonlinearity(problem, u, _power(problem, u)))
 
 
 def _quotient(problem, u, den):
-    """Q(u) from its denominator's energy den = energy(problem, u)."""
+    """Q(u) from u's energy den, the base of Q's denominator."""
     if not den > 0.0:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
     num = _dirichlet(problem, u) + problem.alpha * _mass2(problem, u)
@@ -334,17 +359,6 @@ def _quotient(problem, u, den):
 def quotient_value(problem, u):
     u = np.asarray(u, dtype=float)
     return _quotient(problem, u, energy(problem, u))
-
-
-def _lap(u, h):
-    """Delta_h u, _stencil's operator negated: ((u[i+1] - 2 u[i]) + u[i-1]) / h^2, rounded in that order."""
-    out = -2.0 * u
-    out[:-1] += u[1:]
-    out[-1] += u[0]
-    out[1:] += u[:-1]
-    out[0] += u[-1]
-    out /= h * h
-    return out
 
 
 def quotient_gradient(problem, u):
@@ -359,9 +373,12 @@ def quotient_gradient(problem, u):
 
 
 def _residual(problem, u):
-    """(-u'' + alpha u - f a u, a) with a = |u|^{p-1}: the power J's diagonal reads too (_cut)."""
-    a = np.abs(u) ** (problem.p - 1.0)
-    return -_lap(u, problem.h) + problem.alpha * u - problem.f_samples * a * u, a
+    """(-Delta_h u + alpha u - f a u, a), a = _power(problem, u): J's diagonal and the energy read a too."""
+    a = _power(problem, u)
+    r = _neg_laplacian(_differences(u, problem.h), problem.h)
+    r += problem.alpha * u
+    r -= _nonlinearity(problem, u, a)
+    return r, a
 
 
 def el_residual(problem, u):
@@ -508,9 +525,11 @@ class _Score(NamedTuple):
     classification: str
 
 
-def _score(problem, u):
-    e = energy(problem, u)
-    return _Score(_quotient(problem, u, e), e, _classify(u))
+def _score(problem, run):
+    """run's _Score, its energy from the power of Newton's last residual (run.power)."""
+    v = run.v
+    e = _energy(problem, v, _nonlinearity(problem, v, run.power))
+    return _Score(_quotient(problem, v, e), e, _classify(v))
 
 
 class _StartResult(NamedTuple):
@@ -599,7 +618,7 @@ def constant_solution(problem):
     u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
     r, a = _residual(problem, u)
     run = _StartResult("closed-form", u, a, 0, float(np.max(np.abs(r))), True, False)
-    return _report(problem, run, _score(problem, u))
+    return _report(problem, run, _score(problem, run))
 
 
 def _soliton(problem):
@@ -637,28 +656,21 @@ def _starts(problem, config):
 def _evaluate(problem, x):
     """x scaled to unit energy, with Q and grad Q at that point.
 
-    Q is scale-invariant, so Q(x) is Q at the scaled point, and
-    f |x|^{q-2} x, computed once and in place, serves the energy, the scale
-    and the gradient's weighted term.  The forward differences du serve
-    both Q's numerator, bitwise _dirichlet's, and -Delta_h u =
-    (du[i-1] - du[i]) / h.
+    Q is scale-invariant, so Q(x) is Q at the scaled point, and x's
+    nonlinearity f |x|^{p-1} x, from one power, serves the energy, the
+    scale and the gradient's weighted term.  The forward differences du
+    serve both Q's numerator, bitwise _dirichlet's, and -Delta_h u.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
-    fa = np.abs(x)
-    fa **= q - 2.0
-    fa *= x
-    fa *= problem.f_samples
-    den = w * h * float(np.dot(fa, x))
+    fa = _nonlinearity(problem, x, _power(problem, x))
+    den = _energy(problem, x, fa)
     if not 0.0 < den < math.inf:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
     scale = den ** (-1.0 / q)
     u = scale * x
     du = _differences(u, h)
     qv = w * h * float(np.dot(du, du)) + problem.alpha * _mass2(problem, u)
-    g = np.empty_like(u)
-    np.subtract(du[:-1], du[1:], out=g[1:])
-    g[0] = du[-1] - du[0]
-    g /= h
+    g = _neg_laplacian(du, h)
     g += problem.alpha * u
     g -= (qv * scale ** (q - 1.0)) * fa
     g *= 2.0 * w * h
@@ -856,12 +868,11 @@ def _newton(problem, v, config):
 def _solve_one(problem, label, u0, config):
     """Descent from u0, then Newton from its rescaled result.
 
-    The descent's qv is the numerator of quotient_value(u), so qv / energy^{2/q}
-    is that quotient without a second pass over u.
+    The descent returns u at unit energy, where its qv is Q(u), so
+    v = qv^{1/(p-1)} u solves the equation when u minimizes Q.
     """
     u, qv, capped = _descend(problem, u0)
-    quotient = qv / energy(problem, u) ** (2.0 / problem.two_sharp)
-    v = quotient ** (1.0 / (problem.p - 1.0)) * u
+    v = qv ** (1.0 / (problem.p - 1.0)) * u
     return _StartResult(label, *_newton(problem, v, config), capped)
 
 
@@ -888,9 +899,9 @@ def minimize(problem, config=None):
         raise ConvergenceError(
             "no start reached the Newton tolerance (best residual %.3e from %r)"
             % (best.residual, best.label),
-            best=_report(problem, best, _score(problem, best.v), descent_capped=capped),
+            best=_report(problem, best, _score(problem, best), descent_capped=capped),
         )
-    scored = [(_score(problem, r.v), r) for r in converged]
+    scored = [(_score(problem, r), r) for r in converged]
     least, _ = min(scored, key=lambda s: s[0].quotient)  # the first of equal minima
     tie = math.ceil(math.sqrt(problem.m)) * math.ulp(least.quotient)
     tied = [
@@ -929,17 +940,11 @@ def proof_chain_diagnostics(report, ineq=None):
     f_int = pr.weight * pr.h * float(pr.f_samples.sum())
     f_min = float(pr.f_samples.min())
     q_val = report.quotient_value
-    checks = []
-    bound = q_val ** ((N - 2.0) / 2.0) * f_int ** (2.0 / N) / f_min
-    checks.append(
-        BoundCheck(
-            "mass-via-min-f",
-            "checked",
-            bound,
-            mass,
-            mass <= bound * (1.0 + MASS_BOUND_SLACK),
-        )
-    )
+
+    def checked(label, bound):
+        return BoundCheck(label, "checked", bound, mass, mass <= bound * (1.0 + MASS_BOUND_SLACK))
+
+    checks = [checked("mass-via-min-f", q_val ** ((N - 2.0) / 2.0) * f_int ** (2.0 / N) / f_min)]
     if ineq is not None:
         floor = ineq.band_factor * ineq.D
         if pr.alpha >= floor:
@@ -949,15 +954,7 @@ def proof_chain_diagnostics(report, ineq=None):
                 * q_val ** ((crit - 2.0 + N) / 2.0)
                 * f_int ** ((crit - 2.0) / pr.two_sharp)
             )
-            checks.append(
-                BoundCheck(
-                    "mass-via-band-inequality",
-                    "checked",
-                    bound,
-                    mass,
-                    mass <= bound * (1.0 + MASS_BOUND_SLACK),
-                )
-            )
+            checks.append(checked("mass-via-band-inequality", bound))
         else:
             checks.append(BoundCheck("mass-via-band-inequality", "not-applicable"))
     return checks

@@ -59,6 +59,24 @@ MUTANTS = [
      "tests/test_conditions.py::test_existence_threshold_scales_with_the_peak_of_f"),
     (CEILING, "\nMAX_INTEGER_INPUT = 10**150\n", "\nMAX_INTEGER_INPUT = 10**160\n",
      "tests/test_constants.py::test_the_largest_group_order_keeps_a_finite_window"),
+    (SOLVER, "np.abs(u) ** (problem.p - 1.0)", "np.abs(u) ** (problem.p - 1.0 + 1e-12)",
+     "tests/test_solver.py::test_quotient_gradient_is_the_scaled_fused_gradient[5.0-64]"),
+    (SOLVER, "float(np.dot(fau, u))", "float(np.dot(fau, u)) * (1.0 + 1e-12)",
+     "tests/test_solver.py::test_fused_evaluation_matches_quotient_and_gradient[64]"),
+    (SOLVER, "g[0] = du[-1] - du[0]", "g[0] = du[-2] - du[0]",
+     "tests/test_solver.py::test_periodic_differences_equal_the_roll_formulas[97]"),
+    (SOLVER, "s = d + alpha - off * (z[0] + z[-1])", "s = d + alpha + off * (z[0] + z[-1])",
+     "tests/test_solver.py::test_the_descent_p_inverse_inverts_the_circulant_p[2.25-97]"),
+    (SOLVER, "closure = np.append(1.0, -z)", "closure = np.append(1.0, z)",
+     "tests/test_solver.py::test_the_descent_p_inverse_inverts_the_circulant_p[0.05-1024]"),
+    (SOLVER, "\nWEIGHTED_DESCENT_TOL = 1e-6\n", "\nWEIGHTED_DESCENT_TOL = 1e-4\n",
+     "tests/test_solver.py::test_a_nearly_constant_weight_still_gives_the_one_bump_minimizer[1e-05]"),
+    (SOLVER, "\nPOSITIVITY_FLOOR = 1e-50\n", "\nPOSITIVITY_FLOOR = 1e-12\n",
+     "tests/test_solver.py::test_index_2_at_16384_returns_the_minimizer"),
+    (SOLVER, "\nNEWTON_MAX_ITER = 50\n", "\nNEWTON_MAX_ITER = 3\n",
+     "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
+    (SOLVER, "\nMIN_GRID = 64\n", "\nMIN_GRID = 63\n",
+     "tests/test_cli.py::test_solve_rejects_a_grid_below_the_minimum[63-explicit]"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

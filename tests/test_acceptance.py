@@ -256,7 +256,7 @@ def test_c5_solver_recovery_identity_gradient_bifurcation(sweep_runs, recovery_r
     # (b) energy identity on every converged run
     for rep in sweep_runs["runs"] + [recovered]:
         half_dim = rep.problem.reduced_dim / 2.0
-        assert rep.energy == pytest.approx(rep.quotient_value**half_dim, rel=1e-8)
+        assert rep.energy == pytest.approx(rep.quotient_value**half_dim, rel=1e-8, abs=0.0)
 
     # (c) analytic gradient against central differences
     rng = np.random.default_rng(99)
@@ -332,7 +332,7 @@ def test_c6_energy_ordering_and_threshold(triple_runs):
     assert first.below_threshold is True
     assert first.quotient_value < first.threshold
     for rep in (first, second):
-        assert rep.energy == pytest.approx(rep.quotient_value**2.5, rel=1e-8)
+        assert rep.energy == pytest.approx(rep.quotient_value**2.5, rel=1e-8, abs=0.0)
         assert rep.morse_index == 1  # a minimizer, not a saddle
 
     assert triple_runs["elapsed"] + (time.perf_counter() - t0) < 30.0
@@ -388,9 +388,9 @@ def test_c8_expansion_fit_matches_prediction():
 
     report = fit_and_compare(ExpansionConfig(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0))
     assert report.predicted_c1 == _tight(5.0 / 12.0)
-    assert report.fitted_c1 == pytest.approx(5.0 / 12.0, rel=0.10)
+    assert report.fitted_c1 == pytest.approx(5.0 / 12.0, rel=0.10, abs=0.0)
     assert report.predicted_limit == _tight(1.0 / sobolev_constant(6))
-    assert report.fitted_limit == pytest.approx(1.0 / sobolev_constant(6), rel=1e-3)
+    assert report.fitted_limit == pytest.approx(1.0 / sobolev_constant(6), rel=1e-3, abs=0.0)
 
     for alpha in (0.5, 1.0, 2.0):
         for q in (-1.0, 0.0, 2.0):

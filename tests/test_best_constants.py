@@ -29,7 +29,7 @@ def test_circle_sphere_window():
     w = b0_circle_sphere(2.0, 6)
     assert w.lo == 4.0
     assert w.hi == pytest.approx(4.0 + 1.0 / 16.0, rel=1e-15, abs=0.0)
-    assert b0_circle_sphere(1e6, 5).hi == pytest.approx(2.25, rel=1e-10)
+    assert b0_circle_sphere(1e6, 5).hi == pytest.approx(2.25, rel=1e-10, abs=0.0)
     with pytest.raises(PreconditionError):
         b0_circle_sphere(0.0, 6)
 

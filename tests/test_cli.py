@@ -15,6 +15,7 @@ from symcrit import (
     constant_solution,
     csv_text,
     fit_and_compare,
+    solver,
 )
 from symcrit.cli import main
 
@@ -151,13 +152,30 @@ def test_exit_code_convergence_failure(capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_exit_code_convergence_failure_without_iterations(monkeypatch, capsys):
+    # with no descent step and no Newton step the soliton start stays the
+    # rescaled line soliton, whose residual on the circle (about 1e-1) is
+    # far above newton_tol: the failure holds by construction, not by rounding
+    monkeypatch.setattr(solver, "DESCENT_MAX_ITER", 0)
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 0)
+    code = main(
+        [
+            "solve", "--example", "cylinder-triple", "--index", "2",
+            "--alpha", "2.1801896756736916", "--grid", "512", "--starts", "soliton",
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "'soliton'" in err
+
+
 def test_interval_csv_locale_safe(capsys):
     assert main(["interval", "--example", "cylinder-weighted", "--format", "csv"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].split(",")[:3] == ["example", "lo", "hi"]
     cells = out[1].split(",")
     assert cells[0] == "cylinder-weighted"
-    assert "." in cells[1] and float(cells[1]) == pytest.approx(3.1875, rel=1e-12)
+    assert "." in cells[1] and float(cells[1]) == pytest.approx(3.1875, rel=1e-12, abs=0.0)
     assert float(cells[2]) == 4.0
     assert cells[3] == "false"
 

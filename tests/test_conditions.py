@@ -111,8 +111,8 @@ def test_interval_to_json_shape():
 def test_sphere_quotients_display():
     n = 5
     iv = example_interval("sphere-quotients")  # defaults n=5, orders 2 < 4
-    assert iv.lo == pytest.approx(n**2 * (n - 4.0) / (4.0 * (n - 2.0)), rel=REL)
-    assert iv.hi == pytest.approx(n * (n - 2.0) / 4.0, rel=REL)
+    assert iv.lo == pytest.approx(n**2 * (n - 4.0) / (4.0 * (n - 2.0)), rel=REL, abs=0.0)
+    assert iv.hi == pytest.approx(n * (n - 2.0) / 4.0, rel=REL, abs=0.0)
     assert not iv.lo_strict and not iv.hi_strict
     assert iv.count == 2 and not iv.empty
 
@@ -121,8 +121,8 @@ def test_cylinder_weighted_display():
     n, t = 6, 1.0
     iv = example_interval("cylinder-weighted")
     hi_window = (n - 2.0) ** 2 / 4.0 + 1.0 / (4.0 * t * t)
-    assert iv.lo == pytest.approx(n * (n - 4.0) / (n - 2.0) ** 2 * hi_window, rel=REL)
-    assert iv.hi == pytest.approx((n - 2.0) ** 2 / 4.0, rel=REL)
+    assert iv.lo == pytest.approx(n * (n - 4.0) / (n - 2.0) ** 2 * hi_window, rel=REL, abs=0.0)
+    assert iv.hi == pytest.approx((n - 2.0) ** 2 / 4.0, rel=REL, abs=0.0)
     assert not iv.lo_strict and not iv.hi_strict
 
 
@@ -130,10 +130,10 @@ def test_triple_product_display():
     n, b = 10, 0.28
     m = n - 3
     iv = example_interval("triple-product")
-    assert iv.lo == pytest.approx(m**2 * (m - 4.0) / (4.0 * (m - 2.0)), rel=REL)
+    assert iv.lo == pytest.approx(m**2 * (m - 4.0) / (4.0 * (m - 2.0)), rel=REL, abs=0.0)
     # the binding ceiling comes from the smaller-orbit action
     ceil1 = (n - 5.0) / (4.0 * (n - 4.0)) * (2.0 / b**2 + (n - 6.0) * (n - 7.0))
-    assert iv.hi == pytest.approx(ceil1, rel=REL)
+    assert iv.hi == pytest.approx(ceil1, rel=REL, abs=0.0)
     assert iv.hi_strict and not iv.lo_strict
     assert not iv.empty
 
@@ -146,8 +146,8 @@ def test_cylinder_triple_display():
         sobolev_constant(n) * vol ** (2.0 / n)
     )
     lo = (n - 2.0) ** 2 / 4.0 + a2**2 / (4.0 * t * t) - gap
-    assert iv.lo == pytest.approx(lo, rel=REL)
-    assert iv.hi == pytest.approx((n - 2.0) ** 2 / 4.0, rel=REL)
+    assert iv.lo == pytest.approx(lo, rel=REL, abs=0.0)
+    assert iv.hi == pytest.approx((n - 2.0) ** 2 / 4.0, rel=REL, abs=0.0)
     assert iv.count == 3
     assert not iv.lo_strict and not iv.hi_strict
 
@@ -326,7 +326,7 @@ def test_assumed_weight_keeps_the_floor():
     params = EquationParams(6)
     sec = ConstantBound(5.5, 6.0)
     iv = critical_interval(params, b0_sphere(6), sec, 1.0, 2.0, 10.0, None)
-    assert iv.lo == pytest.approx(0.75 * 6.0, rel=REL)
+    assert iv.lo == pytest.approx(0.75 * 6.0, rel=REL, abs=0.0)
     assert iv.conditions[2].status == "assumed"
 
 
@@ -439,7 +439,7 @@ def test_existence_threshold_scales_with_the_peak_of_f(n, k):
 def test_existence_alpha_bound_spots():
     cfg = example_configuration("sphere-quotients")  # n = 5
     b = existence_alpha_bound(cfg.params, cfg.second)
-    assert b.ceiling == pytest.approx(5.0 * 3.0 / 4.0, rel=REL)
+    assert b.ceiling == pytest.approx(5.0 * 3.0 / 4.0, rel=REL, abs=0.0)
     assert b.flatness_ok
     # a curved peak is flagged, not rejected, at this level
     bad = FProfile(2.0, 1.0, 1.5, 2.0, laplacian_at_peak=-1.0)
@@ -448,7 +448,7 @@ def test_existence_alpha_bound_spots():
     oc = example_configuration("cylinder-overcritical")
     b4 = existence_alpha_bound(oc.params, oc.first, bad)
     assert b4.flatness_ok
-    assert b4.ceiling == pytest.approx(1.0, rel=REL)
+    assert b4.ceiling == pytest.approx(1.0, rel=REL, abs=0.0)
 
 
 def test_existence_alpha_bound_preconditions():
@@ -485,7 +485,7 @@ def test_cylinder_weighted_ratio_condition_is_sufficient():
     assert check.holds
     iv = example_interval("cylinder-weighted", f=good)
     floor = n * (n - 4.0) / (n - 2.0) ** 2 * ((n - 2.0) ** 2 / 4.0 + 0.25)
-    assert iv.lo == pytest.approx(floor, rel=REL)
+    assert iv.lo == pytest.approx(floor, rel=REL, abs=0.0)
     # a flat weight misses the condition and pays with a shorter interval
     flat = f_ratio_condition("cylinder-weighted", FProfile.constant())
     assert not flat.holds
@@ -498,7 +498,7 @@ def test_triple_product_ratio_condition_is_sufficient():
     assert f_ratio_condition("triple-product", good).holds
     iv = example_interval("triple-product", f=good)
     m = 7
-    assert iv.lo == pytest.approx(m**2 * (m - 4.0) / (4.0 * (m - 2.0)), rel=REL)
+    assert iv.lo == pytest.approx(m**2 * (m - 4.0) / (4.0 * (m - 2.0)), rel=REL, abs=0.0)
     # a mild weight leaves a gap endpoint above the ceiling here
     assert example_interval("triple-product", f=_flat_profile(2.0)).empty
 

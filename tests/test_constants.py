@@ -37,7 +37,7 @@ def _omega_by_recursion(n):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sphere_volume_matches_recursion(n):
-    assert sphere_volume(n) == pytest.approx(_omega_by_recursion(n), rel=1e-12)
+    assert sphere_volume(n) == pytest.approx(_omega_by_recursion(n), rel=1e-12, abs=0.0)
 
 
 def test_sphere_volume_known_values():

@@ -68,7 +68,7 @@ def test_quotient_against_trapezoid_rebuild():
     num = np.trapezoid((du**2 + 0.8 * u**2) * rho, r)
     den = np.trapezoid(f * u ** cfg.two_sharp * rho, r)
     manual = num / den ** (2.0 / cfg.two_sharp)
-    assert rayleigh_quotient(cfg, eps) == pytest.approx(manual, rel=1e-7)
+    assert rayleigh_quotient(cfg, eps) == pytest.approx(manual, rel=1e-7, abs=0.0)
 
 
 # Oracle: each integral as a sum of adaptive scipy quad calls on explicit
@@ -128,18 +128,18 @@ def test_quotient_scaling_invariances():
     # orbit volume enters as A^{2/N}
     doubled = _config(dim=6, orbit_volume=2.0)
     assert rayleigh_quotient(doubled, eps) == pytest.approx(
-        2.0 ** (2.0 / 6.0) * v, rel=1e-11
+        2.0 ** (2.0 / 6.0) * v, rel=1e-11, abs=0.0
     )
     # constant f enters as f^{-2/two_sharp}
     weighted = _config(dim=6, f_peak=3.0)
     assert rayleigh_quotient(weighted, eps) == pytest.approx(
-        3.0 ** (-2.0 / 3.0) * v, rel=1e-11
+        3.0 ** (-2.0 / 3.0) * v, rel=1e-11, abs=0.0
     )
 
 
 def test_quotient_is_affine_in_alpha():
     vals = [rayleigh_quotient(_config(dim=6, alpha=a), 1e-3) for a in (1.0, 2.0, 3.0)]
-    assert vals[1] - vals[0] == pytest.approx(vals[2] - vals[1], rel=1e-8)
+    assert vals[1] - vals[0] == pytest.approx(vals[2] - vals[1], rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,8 @@ def test_a_non_positive_eps_in_a_sequence_is_rejected(bad):
 def test_dim_six_flat_recovers_limit_and_slope():
     report = fit_and_compare(_config(dim=6))
     assert report.predicted_c1 == pytest.approx(5.0 / 12.0, rel=1e-14, abs=0.0)
-    assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-6)
-    assert report.fitted_c1 == pytest.approx(5.0 / 12.0, rel=1e-2)
+    assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-6, abs=0.0)
+    assert report.fitted_c1 == pytest.approx(5.0 / 12.0, rel=1e-2, abs=0.0)
     assert len(report.pair_slopes) == len(report.config.epsilons) - 1
 
 
@@ -210,7 +210,7 @@ def test_sign_grid_matches_prediction():
         for q in (-1.0, 0.0, 2.0):
             report = fit_and_compare(_config(dim=6, alpha=alpha, vh_quadratic_coeff=q))
             predicted = (5.0 * alpha - 3.0 * q) / 12.0
-            assert report.predicted_c1 == pytest.approx(predicted, rel=1e-12)
+            assert report.predicted_c1 == pytest.approx(predicted, rel=1e-12, abs=0.0)
             assert (report.fitted_c1 > 0.0) == (predicted > 0.0)
 
 
@@ -219,8 +219,8 @@ def test_curved_model_shifts_the_slope():
     # (16/3 - scal) / 5 with scal = 20
     assert cfg.predicted_c1 == pytest.approx((16.0 / 3.0 - 20.0) / 5.0, rel=1e-13, abs=0.0)
     report = fit_and_compare(cfg)
-    assert report.fitted_c1 == pytest.approx(report.predicted_c1, rel=5e-2)
-    assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-4)
+    assert report.fitted_c1 == pytest.approx(report.predicted_c1, rel=5e-2, abs=0.0)
+    assert report.fitted_limit == pytest.approx(report.predicted_limit, rel=1e-4, abs=0.0)
 
 
 def test_fit_error_near_a_cancelling_c1_shrinks_with_eps():
@@ -232,7 +232,7 @@ def test_fit_error_near_a_cancelling_c1_shrinks_with_eps():
     errors = []
     for scale in (1.0, 0.1, 0.01):
         report = fit_and_compare(_config(epsilons=tuple(scale * e for e in default), **kw))
-        assert report.predicted_c1 == pytest.approx((5.0 * 1.0373 - 30.0 * 0.1728) / 12.0, rel=1e-12)
+        assert report.predicted_c1 == pytest.approx((5.0 * 1.0373 - 30.0 * 0.1728) / 12.0, rel=1e-12, abs=0.0)
         errors.append(abs(report.fitted_c1 / report.predicted_c1 - 1.0))
     assert 0.15 < errors[0] < 0.25
     for coarse, fine in zip(errors, errors[1:]):
@@ -306,7 +306,7 @@ def test_dim_four_log_branch_at_tiny_eps(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["consistent"] is True
     for sample in report["samples"][1:]:
-        assert sample["value"] == pytest.approx(10.2603986413, rel=1e-9)
+        assert sample["value"] == pytest.approx(10.2603986413, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,8 @@ def test_default_epsilons_span_three_decades():
     cfg = _config(dim=6, delta=2.0)
     eps = cfg.epsilons
     assert len(eps) == 7
-    assert eps[0] == pytest.approx(1e-3 * 4.0, rel=1e-12)
-    assert eps[-1] == pytest.approx(1e-6 * 4.0, rel=1e-12)
+    assert eps[0] == pytest.approx(1e-3 * 4.0, rel=1e-12, abs=0.0)
+    assert eps[-1] == pytest.approx(1e-6 * 4.0, rel=1e-12, abs=0.0)
     assert all(a > b for a, b in zip(eps, eps[1:]))
 
 

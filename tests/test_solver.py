@@ -70,32 +70,37 @@ def test_periodic_differences_equal_the_roll_formulas(m):
     problem = _problem(length=float(rng.uniform(3.0, 20.0)), weight=float(rng.uniform(0.5, 3.0)), m=m)
     u = rng.uniform(0.5, 2.0, m)
     h = problem.h
-    lap = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
     du = (np.roll(u, -1) - u) / h
-    assert np.array_equal(solver._lap(u, h), lap)
+    assert np.array_equal(solver._differences(u, h), du)
+    assert np.array_equal(solver._neg_laplacian(du, h), (np.roll(du, 1) - du) / h)
     assert solver._dirichlet(problem, u) == problem.weight * h * float(np.dot(du, du))
 
 
 @pytest.mark.parametrize("m", [64, 97])
 def test_the_operator_pieces_agree_with_one_stencil(m):
-    # _lap, Newton's norm bound and the cut Jacobian all read
-    # solver._stencil; a piece that drifts from it fails here (the descent's
-    # P^{-1}, which reads it too, in test_the_descent_p_inverse_inverts_the_circulant_p)
+    # Newton's norm bound and the cut Jacobian read solver._stencil, and the
+    # residual's and the descent's -Delta_h (_neg_laplacian) is its operator;
+    # a piece that drifts from it fails here (the descent's P^{-1}, which
+    # reads it too, in test_the_descent_p_inverse_inverts_the_circulant_p)
     rng = np.random.default_rng(m)
     problem = _problem(length=float(rng.uniform(3.0, 20.0)), alpha=0.7, m=m,
                        f=rng.uniform(0.5, 1.5, m))
     h = problem.h
     d, off = solver._stencil(h)
     assert (d, off) == (2.0 / (h * h), -1.0 / (h * h)) and d - 2.0 * off == 4.0 / (h * h)
-    neg_lap = -np.column_stack([solver._lap(col, h) for col in np.eye(m)])
+    circulant = d * np.eye(m) + off * (np.roll(np.eye(m), 1, axis=1) + np.roll(np.eye(m), -1, axis=1))
+    neg_lap = np.column_stack([solver._neg_laplacian(solver._differences(col, h), h) for col in np.eye(m)])
+    # each entry of either matrix is 1/h^2 or 2/h^2 rounded twice, so they
+    # agree to 2 eps relative, eps d
+    assert float(np.abs(neg_lap - circulant).max()) <= math.ulp(1.0) * d
     symbol = (d - 2.0 * off) * np.sin(math.pi * np.arange(m) / m) ** 2
-    assert np.linalg.eigvalsh(neg_lap) == pytest.approx(np.sort(symbol), abs=1e-12 * d)
-    assert np.abs(neg_lap).sum(axis=1).max() == pytest.approx(d - 2.0 * off, rel=1e-15, abs=0.0)
+    assert np.linalg.eigvalsh(circulant) == pytest.approx(np.sort(symbol), abs=1e-12 * d)
+    assert np.abs(circulant).sum(axis=1).max() == pytest.approx(d - 2.0 * off, rel=1e-15, abs=0.0)
 
     v = rng.uniform(0.5, 2.0, m)
-    dense = neg_lap.copy()  # J, with its diagonal rounded in _cut's order
+    dense = circulant.copy()  # J, with its diagonal rounded in _cut's order
     potential = problem.p * problem.f_samples * v ** (problem.p - 1.0)
-    np.fill_diagonal(dense, np.diag(neg_lap) + problem.alpha - potential)
+    np.fill_diagonal(dense, d + problem.alpha - potential)
     k, diag, _, coupling = solver._cut(problem, v, v ** (problem.p - 1.0))
     order = np.concatenate((np.arange(k + 1, m), np.arange(k + 1)))  # the ring order
     assert np.array_equal(solver._ring(v, k), v[order])
@@ -321,6 +326,42 @@ def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
     assert all(any(a is b for b in evaluated) for a in read)
 
 
+def _energy_raises(pr, u):
+    raise AssertionError("solver.energy evaluated a power the solve already had")
+
+
+@pytest.mark.parametrize(
+    "case", ["triple-default", "model-a0.15-sweep", "model-a0.4-sweep", "weighted-sweep", "closed-form"]
+)
+def test_a_solve_reads_its_energies_from_the_powers_it_took(monkeypatch, case):
+    # the ranking and the report read the energy w h <f a v, v> from Newton's
+    # last power a, and the Newton start is the descent's qv: no solve calls
+    # the public energy(), which takes one more power of its own
+    monkeypatch.setattr(solver, "energy", _energy_raises)
+    if case == "triple-default":
+        alpha = example_interval("cylinder-triple").midpoint
+        report = minimize(circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=1024))
+    elif case == "closed-form":
+        report = constant_solution(_problem(alpha=0.3))
+    else:
+        s = np.arange(128) * (2.0 * math.pi / 128)
+        problem = (_problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(s)) if case == "weighted-sweep"
+                   else _problem(alpha=float(case.split("-a")[1].split("-")[0])))
+        report = minimize(problem, SolveConfig(starts=("constant", "cos1")))
+    monkeypatch.undo()
+    assert report.energy == energy(report.problem, report.u)
+
+
+def test_a_convergence_error_reads_its_energy_from_newtons_power(monkeypatch):
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
+    monkeypatch.setattr(solver, "energy", _energy_raises)
+    with pytest.raises(ConvergenceError) as err:
+        minimize(problem, SolveConfig(starts=("cos3",)))
+    monkeypatch.undo()
+    assert err.value.best.energy == energy(problem, err.value.best.u)
+
+
 # ---------------------------------------------------------------------------
 # quotient and gradient
 
@@ -349,7 +390,7 @@ def test_quotient_scale_invariance():
     u = rng.uniform(0.5, 2.0, 64)
     q = quotient_value(problem, u)
     for c in (1e-3, 0.5, 7.0, 1e4):
-        assert quotient_value(problem, c * u) == pytest.approx(q, rel=1e-12)
+        assert quotient_value(problem, c * u) == pytest.approx(q, rel=1e-12, abs=0.0)
 
 
 def test_quotient_translation_invariance():
@@ -357,7 +398,7 @@ def test_quotient_translation_invariance():
     problem = _problem(m=64)
     u = rng.uniform(0.5, 2.0, 64)
     assert quotient_value(problem, np.roll(u, 17)) == pytest.approx(
-        quotient_value(problem, u), rel=1e-12
+        quotient_value(problem, u), rel=1e-12, abs=0.0
     )
 
 
@@ -383,9 +424,9 @@ def test_constant_solution_below_bifurcation():
     assert report.classification == "constant"
     assert report.el_residual < 1e-10
     wl = problem.weight * problem.length
-    assert report.quotient_value == pytest.approx(0.1 * wl ** (2.0 / 3.0), rel=1e-10)
+    assert report.quotient_value == pytest.approx(0.1 * wl ** (2.0 / 3.0), rel=1e-10, abs=0.0)
     closed = constant_solution(problem)
-    assert closed.quotient_value == pytest.approx(report.quotient_value, rel=1e-12)
+    assert closed.quotient_value == pytest.approx(report.quotient_value, rel=1e-12, abs=0.0)
     assert closed.newton_iterations == 0
 
 
@@ -410,7 +451,7 @@ def test_energy_equals_quotient_power_identity():
         problem = _problem(weight=2.0 * math.pi**2, alpha=alpha, p=5.0, m=96)
         report = minimize(problem, SolveConfig(starts=("constant", "cos1")))
         N = problem.reduced_dim
-        assert report.energy == pytest.approx(report.quotient_value ** (N / 2.0), rel=1e-8)
+        assert report.energy == pytest.approx(report.quotient_value ** (N / 2.0), rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +467,7 @@ def soliton_report():
 def test_long_circle_recovers_the_line_soliton(soliton_report):
     _, report = soliton_report
     assert report.classification == "nonconstant"
-    assert report.quotient_value == pytest.approx(SOLITON_QUOTIENT, rel=5e-3)
+    assert report.quotient_value == pytest.approx(SOLITON_QUOTIENT, rel=5e-3, abs=0.0)
 
 
 def test_grid_convergence_is_second_order():
@@ -577,11 +618,14 @@ def test_the_descent_applies_p_inverse_once_per_accepted_step(monkeypatch):
 
 
 def test_rescaling_by_the_descent_numerator_is_quotient_value_bitwise():
-    # _solve_one rescales by qv / energy^{2/q}, bitwise quotient_value(u)
+    # the descent's qv is quotient_value's numerator bitwise, and its u has
+    # unit energy up to the rounding of an m-term dot product, about
+    # sqrt(m) eps: so _solve_one rescales by qv, Q(u) to that rounding
     problem = _problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(np.arange(128) * (2.0 * math.pi / 128)))
     (_, u0), = solver._starts(problem, SolveConfig(starts=("cos1",)))
     u, qv, _ = solver._descend(problem, u0)
     assert qv / energy(problem, u) ** (2.0 / problem.two_sharp) == quotient_value(problem, u)
+    assert energy(problem, u) == pytest.approx(1.0, rel=0.0, abs=math.sqrt(problem.m) * math.ulp(1.0))
 
 
 def _assert_fields_are_their_recomputation(report):
@@ -715,8 +759,8 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     assert set(calls) == {m}
     (label, u0), = solver._starts(problem, config)
     run = solver._solve_one(problem, label, u0, config)
-    u, _, capped = solver._descend(problem, u0)
-    v = quotient_value(problem, u) ** (1.0 / (problem.p - 1.0)) * u
+    u, qv, capped = solver._descend(problem, u0)
+    v = qv ** (1.0 / (problem.p - 1.0)) * u
     v, power, iters, rn, ok = solver._newton(problem, v, config)
     assert np.array_equal(run.v, v) and np.array_equal(run.power, power)
     assert (run.iters, run.residual, run.converged, run.descent_capped) == (iters, rn, ok, capped)
@@ -938,7 +982,7 @@ def test_morse_count_moves_its_shift_off_an_eigenvalue_of_the_leading_block(monk
     monkeypatch.setattr(lapack, "dpttrf", singular_once)
     assert solver._morse_counts(problem, v, power) == expected
     tol = solver.ZERO_MODE_TOL  # alpha < 1
-    assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3)
+    assert len(shifts) == 3 and shifts[1] - shifts[0] == pytest.approx(0.01 * tol, rel=1e-3, abs=0.0)
 
 
 def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
@@ -1233,7 +1277,7 @@ def test_below_threshold_is_strict_at_a_relative_offset_of_1e_4(offset, below):
     problem = ReducedProblem(length=2.0 * math.pi, weight=1.0, alpha=0.7, p=5.0, f_samples=np.ones(96),
                              orbit_volume=area)
     report = constant_solution(problem)
-    assert report.threshold == pytest.approx(q * (1.0 + offset), rel=1e-12)
+    assert report.threshold == pytest.approx(q * (1.0 + offset), rel=1e-12, abs=0.0)
     assert report.below_threshold is below
 
 
