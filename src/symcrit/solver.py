@@ -41,8 +41,9 @@ solution, and the step is bordered with tau; the Schur system is then
 singularity, since tau is largest at the cut node.  Each iterate's power
 a = v^{p-1} is evaluated once (_power), by its residual (_residual): the
 nonlinearity f a v, the Newton step's diagonal of J, and for the last
-iterate the Morse count and the energy w h <f a v, v> read that array,
-as a descent iterate's energy, scale and gradient read its (_evaluate).
+iterate the Morse count and the energy w h <f a v, v> read that array.
+A descent iterate's one power likewise gives its energy, scale and
+gradient (_evaluate).
 
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted from the

@@ -326,40 +326,36 @@ def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
     assert all(any(a is b for b in evaluated) for a in read)
 
 
-def _energy_raises(pr, u):
-    raise AssertionError("solver.energy evaluated a power the solve already had")
-
-
 @pytest.mark.parametrize(
-    "case", ["triple-default", "model-a0.15-sweep", "model-a0.4-sweep", "weighted-sweep", "closed-form"]
+    "case", ["triple-default", "model-a0.15", "model-a0.4", "weighted", "closed-form", "cos3-failure"]
 )
 def test_a_solve_reads_its_energies_from_the_powers_it_took(monkeypatch, case):
-    # the ranking and the report read the energy w h <f a v, v> from Newton's
-    # last power a, and the Newton start is the descent's qv: no solve calls
-    # the public energy(), which takes one more power of its own
-    monkeypatch.setattr(solver, "energy", _energy_raises)
+    # the ranking and the report, a ConvergenceError's too, read the energy
+    # w h <f a v, v> from Newton's last power a, and the Newton start is the
+    # descent's qv: no solve calls the public energy(), which takes a power
+    # of its own.  The model and weighted cases take sweep's starts.
+    def energy_raises(pr, u):
+        raise AssertionError("solver.energy evaluated a power the solve already had")
+
+    monkeypatch.setattr(solver, "energy", energy_raises)
+    sweep = SolveConfig(starts=("constant", "cos1"))
+    alpha = example_interval("cylinder-triple").midpoint
     if case == "triple-default":
-        alpha = example_interval("cylinder-triple").midpoint
         report = minimize(circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=1024))
     elif case == "closed-form":
         report = constant_solution(_problem(alpha=0.3))
-    else:
+    elif case == "weighted":
         s = np.arange(128) * (2.0 * math.pi / 128)
-        problem = (_problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(s)) if case == "weighted-sweep"
-                   else _problem(alpha=float(case.split("-a")[1].split("-")[0])))
-        report = minimize(problem, SolveConfig(starts=("constant", "cos1")))
+        report = minimize(_problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(s)), sweep)
+    elif case == "cos3-failure":
+        problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
+        with pytest.raises(ConvergenceError) as err:
+            minimize(problem, SolveConfig(starts=("cos3",)))
+        report = err.value.best
+    else:
+        report = minimize(_problem(alpha=float(case[len("model-a"):])), sweep)
     monkeypatch.undo()
     assert report.energy == energy(report.problem, report.u)
-
-
-def test_a_convergence_error_reads_its_energy_from_newtons_power(monkeypatch):
-    alpha = example_interval("cylinder-triple").midpoint
-    problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=512)
-    monkeypatch.setattr(solver, "energy", _energy_raises)
-    with pytest.raises(ConvergenceError) as err:
-        minimize(problem, SolveConfig(starts=("cos3",)))
-    monkeypatch.undo()
-    assert err.value.best.energy == energy(problem, err.value.best.u)
 
 
 # ---------------------------------------------------------------------------
