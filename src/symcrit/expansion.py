@@ -89,10 +89,15 @@ class ExpansionConfig:
                 )
             if math.sqrt(self.curvature) * self.delta >= math.pi:
                 raise PreconditionError("delta exceeds the injectivity scale of the curvature")
-        if not self.epsilons:
-            eps = tuple(np.geomspace(1e-3 * d2, 1e-6 * d2, _EPS_COUNT))
-            object.__setattr__(self, "epsilons", eps)
-        eps = tuple(float(e) for e in self.epsilons)
+        try:
+            eps = np.asarray(self.epsilons, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise PreconditionError("epsilons must be a 1-d sequence of numbers") from None
+        if eps.ndim != 1:
+            raise PreconditionError("epsilons must be a 1-d sequence of numbers")
+        if not eps.size:
+            eps = np.geomspace(1e-3 * d2, 1e-6 * d2, _EPS_COUNT)
+        eps = tuple(eps.tolist())
         if any(not (math.isfinite(e) and e > 0.0) for e in eps):
             raise PreconditionError("all eps must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -153,18 +158,15 @@ def _gauss_legendre():
     return np.polynomial.legendre.leggauss(_GAUSS_NODES)
 
 
-def quad(fn, a, b, scales):
-    """int_a^b fn for a batch of scales, one graded Gauss-Legendre rule each.
+def _edges(a, b, scales):
+    """Panel edges of quad's rule on [a, b], one row per scale, shape (rows, panels + 1).
 
-    Row i of the rule has edges a + scales[i] _GRADING^j toward a, which
-    resolve a peak of width scales[i] at a, and toward b, where u^{two_sharp}
-    has an algebraic singularity, _RIGHT_PANELS panels shrinking by _GRADING.
-    All rows share one (rows, panels) edge array: a row that needs fewer inner
-    panels than the widest is padded with zero-width panels at a, which add
-    exactly 0 where fn is finite at a.  fn is called once, on the nodes of
-    every row (shape (rows, nodes per panel, panels)), and may stack several
-    integrands on leading axes; the result has fn's leading shape and one
-    integral per row.  perfbench/tracing.py wraps this function by name.
+    Row i has edges a + scales[i] _GRADING^j toward a, which resolve a peak
+    of width scales[i] at a, and toward b, where u^{two_sharp} has an
+    algebraic singularity, _RIGHT_PANELS panels shrinking by _GRADING.
+    All rows share one edge array: a row that needs fewer inner panels than
+    the widest is padded with zero-width panels at a, which add exactly 0
+    where the integrand is finite at a.
     """
     scales = np.asarray(scales, dtype=float)
     half = 0.5 * (b - a)
@@ -174,9 +176,37 @@ def quad(fn, a, b, scales):
     edges = np.full((len(scales), width + _RIGHT_PANELS + 2), float(b))
     edges[:, : width + 1] = np.where(j < 0, a, a + scales[:, None] * _GRADING**j)
     edges[:, width + 1 : -1] = b - half * _GRADING ** -np.arange(_RIGHT_PANELS)
-    x, w = _gauss_legendre()
+    return edges
+
+
+@functools.lru_cache(maxsize=16)
+def _rule(a, b, scales):
+    """quad's rule: nodes (rows, nodes per panel, panels) and half-widths (rows, panels).
+
+    It depends on (a, b, scales) alone, a tuple of floats, so it is built
+    once per key, and both arrays are read-only: an integrand that writes
+    into its argument cannot spoil the next call's rule.
+    """
+    edges = _edges(a, b, scales)
     mid, rad = 0.5 * (edges[:, 1:] + edges[:, :-1]), 0.5 * (edges[:, 1:] - edges[:, :-1])
-    panels = w @ fn(mid[:, None, :] + rad[:, None, :] * x[:, None])  # (..., rows, panels)
+    nodes = mid[:, None, :] + rad[:, None, :] * _gauss_legendre()[0][:, None]
+    nodes.flags.writeable = rad.flags.writeable = False
+    return nodes, rad
+
+
+def quad(fn, a, b, scales):
+    """int_a^b fn for a batch of scales, one graded Gauss-Legendre rule each.
+
+    The rule (_rule) depends only on (a, b, scales), for a fit on (0,
+    delta, sqrt of the eps ladder), and is built once per ladder in a
+    bounded cache; repeated fits on one ladder reuse it.  fn is called
+    once, on the read-only nodes of every row (shape (rows, nodes per
+    panel, panels)), and may stack several integrands on leading axes; the
+    result has fn's leading shape and one integral per row.
+    perfbench/tracing.py wraps this function by name.
+    """
+    nodes, rad = _rule(float(a), float(b), tuple(np.asarray(scales, dtype=float).tolist()))
+    panels = _gauss_legendre()[1] @ fn(nodes)  # (..., rows, panels)
     return (panels[..., None, :] @ rad[..., None])[..., 0, 0]
 
 

@@ -368,9 +368,8 @@ def quotient_gradient(problem, u):
     Q is scale-invariant, so grad Q(x) = s grad Q(s x), with s x the
     unit-energy point where the descent's _evaluate works.
     """
-    x = np.asarray(u, dtype=float)
-    g = _evaluate(problem, x)[2]
-    return energy(problem, x) ** (-1.0 / problem.two_sharp) * g
+    _, _, g, scale = _evaluate(problem, np.asarray(u, dtype=float))
+    return scale * g
 
 
 def _residual(problem, u):
@@ -655,12 +654,13 @@ def _starts(problem, config):
 
 
 def _evaluate(problem, x):
-    """x scaled to unit energy, with Q and grad Q at that point.
+    """x scaled to unit energy, with Q and grad Q at that point, and the scale.
 
     Q is scale-invariant, so Q(x) is Q at the scaled point, and x's
     nonlinearity f |x|^{p-1} x, from one power, serves the energy, the
     scale and the gradient's weighted term.  The forward differences du
     serve both Q's numerator, bitwise _dirichlet's, and -Delta_h u.
+    The scale is energy(problem, x)^{-1/two_sharp}, bitwise.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
     fa = _nonlinearity(problem, x, _power(problem, x))
@@ -675,7 +675,7 @@ def _evaluate(problem, x):
     g += problem.alpha * u
     g -= (qv * scale ** (q - 1.0)) * fa
     g *= 2.0 * w * h
-    return u, qv, g
+    return u, qv, g, scale
 
 
 def _p_inverse(problem):
@@ -737,7 +737,7 @@ def _descend(problem, u):
     all of DESCENT_MAX_ITER iterations without meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
-    u, qv, g = _evaluate(problem, np.maximum(u, floor))
+    u, qv, g, _ = _evaluate(problem, np.maximum(u, floor))
     scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
     tol = DESCENT_TOL if _constant_weight(problem) else WEIGHTED_DESCENT_TOL
 
@@ -759,7 +759,7 @@ def _descend(problem, u):
         slope = float(np.dot(g, d))
         trial_step = step
         for _ in range(30):
-            cand, q_cand, g_cand = _evaluate(problem, np.maximum(u - trial_step * d, floor))
+            cand, q_cand, g_cand, _ = _evaluate(problem, np.maximum(u - trial_step * d, floor))
             if q_cand <= qv - 1e-4 * trial_step * slope:
                 break
             trial_step *= 0.5

@@ -24,6 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOLVER = "src/symcrit/solver.py"
 CEILING = "src/symcrit/best_constants.py"
 CONSTANTS = "src/symcrit/constants.py"
+EXPANSION = "src/symcrit/expansion.py"
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -77,6 +78,13 @@ MUTANTS = [
      "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
     (SOLVER, "\nMIN_GRID = 64\n", "\nMIN_GRID = 63\n",
      "tests/test_cli.py::test_solve_rejects_a_grid_below_the_minimum[63-explicit]"),
+    # the quadrature rule: each moves a fit's samples by about 1e-15 relative
+    (EXPANSION, "\n_GAUSS_NODES = 20 ", "\n_GAUSS_NODES = 24 ",
+     "tests/test_expansion.py::test_the_rule_matches_an_independent_construction[0.0-1.0]"),
+    (EXPANSION, "\n_GRADING = 3.0 ", "\n_GRADING = 4.0 ",
+     "tests/test_expansion.py::test_the_rule_matches_an_independent_construction[0.0-1.0]"),
+    (EXPANSION, "\n_RIGHT_PANELS = 8 ", "\n_RIGHT_PANELS = 6 ",
+     "tests/test_expansion.py::test_the_rule_matches_an_independent_construction[0.0-1.0]"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.integrate import quad
 
 from symcrit import (
@@ -184,6 +185,90 @@ def test_a_fit_makes_one_quadrature_call(monkeypatch):
     assert calls == [1]
 
 
+# ---------------------------------------------------------------------------
+# the graded rule, built once per (a, b, scales)
+
+
+def _reference_edges(a, b, scales):
+    # the rule's edges by plain float loops: a padding of a, then a + s 3^j
+    # for 3^j s < (b - a) / 2, then b - ((b - a) / 2) / 3^k for k < 8, then b
+    half = 0.5 * (b - a)
+    inner = []
+    for s in scales:
+        row = []
+        while s * 3.0 ** len(row) < half:
+            row.append(a + s * 3.0 ** len(row))
+        inner.append(row)
+    width = max(len(row) for row in inner)
+    right = [b - half / 3.0**k for k in range(8)] + [b]
+    return [[a] * (width - len(row) + 1) + row + right for row in inner]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 0.8), (0.5, 2.0)])
+def test_the_rule_matches_an_independent_construction(a, b):
+    # 20 Gauss-Legendre points on panels graded by 3 from each scale at a
+    # and in eight panels toward b; the scales sit away from the powers of
+    # 3 where the number of inner panels steps
+    scales = (0.1 * (b - a), 1.3e-3 * (b - a), 0.02 * (b - a), 7e-7 * (b - a))
+    reference = np.array(_reference_edges(a, b, scales))
+    edges = expansion._edges(a, b, scales)
+    assert edges.shape == reference.shape
+    np.testing.assert_allclose(edges, reference, rtol=1e-15, atol=0.0)
+    nodes, rad = expansion._rule(a, b, scales)
+    panels = reference.shape[1] - 1
+    assert nodes.shape == (len(scales), 20, panels) and rad.shape == (len(scales), panels)
+    mid, half = 0.5 * (reference[:, 1:] + reference[:, :-1]), 0.5 * (reference[:, 1:] - reference[:, :-1])
+    np.testing.assert_allclose(rad, half, rtol=1e-12, atol=1e-15 * (b - a))
+    x = scipy.special.roots_legendre(20)[0]
+    reference_nodes = mid[:, None, :] + half[:, None, :] * x[:, None]
+    np.testing.assert_allclose(nodes, reference_nodes, rtol=1e-13, atol=1e-15 * (b - a))
+
+
+def test_fits_on_one_ladder_build_one_rule():
+    expansion._rule.cache_clear()
+    for dim in (5, 6, 7, 8):
+        for curvature in (None, 0.1):
+            fit_and_compare(_config(dim=dim, alpha=0.7 * dim, vh_quadratic_coeff=0.5, curvature=curvature))
+    log_branch_sign(_config(dim=4))
+    info = expansion._rule.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
+    fit_and_compare(_config(dim=6, delta=0.8))  # another delta, so another default ladder
+    fit_and_compare(_config(dim=6, epsilons=(1e-3, 1e-4, 1e-5)))
+    assert expansion._rule.cache_info().misses == 3
+
+
+def test_the_rule_cache_is_bounded():
+    maxsize = expansion._rule.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 64
+
+
+def test_a_cleared_rule_gives_bitwise_the_same_fit():
+    cfg = _config(dim=7, alpha=1.4, vh_quadratic_coeff=-1.0, curvature=0.15)
+    warm = fit_and_compare(cfg)
+    again = fit_and_compare(cfg)
+    expansion._rule.cache_clear()
+    fresh = fit_and_compare(cfg)
+    assert expansion._rule.cache_info().misses == 1
+    assert warm.samples == again.samples == fresh.samples
+    assert (warm.fitted_limit, warm.fitted_c1) == (fresh.fitted_limit, fresh.fitted_c1)
+
+
+def test_an_integrand_cannot_write_into_the_cached_rule():
+    cfg = _config(dim=6)
+    before = fit_and_compare(cfg).samples
+    scales = tuple(math.sqrt(e) for e in cfg.epsilons)
+    nodes, rad = expansion._rule(0.0, cfg.delta, scales)
+    assert not nodes.flags.writeable and not rad.flags.writeable
+
+    def writes(r):
+        r *= 2.0
+        return r
+
+    with pytest.raises(ValueError):
+        expansion.quad(writes, 0.0, cfg.delta, scales)
+    assert fit_and_compare(cfg).samples == before
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan])
 def test_a_non_positive_eps_in_a_sequence_is_rejected(bad):
     with pytest.raises(PreconditionError):
@@ -342,6 +427,28 @@ def test_config_validation():
         _config(epsilons=(0.5, 1e-3))  # largest above delta^2/4
     with pytest.raises(PreconditionError):
         _config(epsilons=(1e-3, 0.0))
+
+
+def test_epsilons_take_a_1d_array_and_keep_tuples_and_the_default():
+    ladder = np.geomspace(1e-3, 1e-6, 5)
+    from_array = _config(epsilons=ladder).epsilons
+    assert from_array == tuple(float(e) for e in ladder)
+    assert all(type(e) is float for e in from_array)
+    assert _config(epsilons=list(ladder)).epsilons == from_array
+    assert _config(epsilons=(1e-3, 1e-4, 1e-5)).epsilons == (1e-3, 1e-4, 1e-5)
+    assert _config(delta=3.0, epsilons=(2, 1)).epsilons == (2.0, 1.0)
+    d2 = 0.7**2
+    default = tuple(float(e) for e in np.geomspace(1e-3 * d2, 1e-6 * d2, 7))
+    assert _config(delta=0.7).epsilons == default
+    assert _config(delta=0.7, epsilons=np.array([])).epsilons == default
+
+
+@pytest.mark.parametrize(
+    "bad", [("x", 1e-4), (1e-3, object()), [[1e-3], [1e-4]], np.array([[1e-3, 1e-4]]), 1e-3, None, (10**400,)]
+)
+def test_epsilons_that_are_no_1d_sequence_of_numbers_are_rejected(bad):
+    with pytest.raises(PreconditionError, match="epsilons"):
+        _config(epsilons=bad)
 
 
 def test_branch_dispatch_validation():

@@ -131,7 +131,7 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
             f_samples=rng.uniform(0.5, 2.0, m),
         )
         x = float(rng.uniform(0.1, 10.0)) * rng.uniform(0.5, 2.0, m)
-        u, q, g = solver._evaluate(problem, x)
+        u, q, g, scale = solver._evaluate(problem, x)
         normalized = x / energy(problem, x) ** (1.0 / problem.two_sharp)
         g_ref = quotient_oracle.quotient_gradient(problem, normalized)
         assert float(np.max(np.abs(u - normalized))) <= 1e-13 * float(np.max(normalized))
@@ -139,6 +139,8 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
         assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
         # the numerator shares the gradient's differences and stays quotient_value's, bitwise
         assert q == solver._dirichlet(problem, u) + problem.alpha * solver._mass2(problem, u)
+        # the scale is energy(x)^{-1/two_sharp}, bitwise, from the same power
+        assert scale == energy(problem, x) ** (-1.0 / problem.two_sharp)
 
 
 @pytest.mark.parametrize("m", [64, 97, 1024, 4096])
@@ -157,6 +159,21 @@ def test_quotient_gradient_is_the_scaled_fused_gradient(m, p):
         g = quotient_gradient(problem, x)
         g_ref = quotient_oracle.quotient_gradient(problem, x)
         assert float(np.max(np.abs(g - g_ref))) <= 1e-14 * float(np.max(np.abs(g_ref)))
+
+
+@pytest.mark.parametrize("m", [64, 4096])
+def test_quotient_gradient_takes_one_power(monkeypatch, m):
+    # _evaluate hands back its scale, so the gradient takes x's power once
+    # and equals the energy-rescaled fused gradient bitwise
+    problem = _problem(length=12.0, alpha=0.7, p=7.0 / 3.0, m=m)
+    x = 1.0 + 0.4 * np.cos(problem.grid() * (2.0 * math.pi / problem.length))
+    power, calls = solver._power, []
+    monkeypatch.setattr(solver, "_power", lambda pr, u: calls.append(1) or power(pr, u))
+    g = quotient_gradient(problem, x)
+    assert len(calls) == 1
+    monkeypatch.setattr(solver, "_power", power)
+    expected = energy(problem, x) ** (-1.0 / problem.two_sharp) * solver._evaluate(problem, x)[2]
+    assert np.array_equal(g, expected)
 
 
 @pytest.mark.parametrize("m", [64, 97, 1024, 16384])
@@ -557,7 +574,7 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     u, _, capped = solver._descend(problem, u0)
     assert len(calls) <= 100 < solver.DESCENT_MAX_ITER
     assert not capped
-    _, q, g = evaluate(problem, u)
+    _, q, g, _ = evaluate(problem, u)
     scale = 2.0 * problem.weight * problem.h
     assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
 
