@@ -92,8 +92,8 @@ class ExpansionConfig:
         try:
             eps = np.asarray(self.epsilons, dtype=float)
         except (TypeError, ValueError, OverflowError):
-            raise PreconditionError("epsilons must be a 1-d sequence of numbers") from None
-        if eps.ndim != 1:
+            eps = None
+        if eps is None or eps.ndim != 1:
             raise PreconditionError("epsilons must be a 1-d sequence of numbers")
         if not eps.size:
             eps = np.geomspace(1e-3 * d2, 1e-6 * d2, _EPS_COUNT)
