@@ -16,6 +16,7 @@ principal constant-volume quotients.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 from .constants import ConstantBound, sobolev_constant, sphere_volume
@@ -35,9 +36,17 @@ __all__ = [
 MAX_INTEGER_INPUT = 10**150
 
 
+def _real(x, what):
+    """x if it is a real number, numpy's included; a bool, str or None is not one.  what names it."""
+    # int and float first: an isinstance check against numbers.Real is several times slower
+    if type(x) in (int, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return x
+    raise PreconditionError("%s must be a real number, got %r" % (what, x))
+
+
 def _integer(x, what, least=1):
     """x as an int, checked against [least, MAX_INTEGER_INPUT] before any conversion; what names it."""
-    if not (least <= x <= MAX_INTEGER_INPUT and int(x) == x):
+    if not (least <= _real(x, what) <= MAX_INTEGER_INPUT and int(x) == x):
         raise PreconditionError(
             "%s must be an integer in [%d, %.0e], got %r" % (what, least, MAX_INTEGER_INPUT, x)
         )

@@ -1,15 +1,17 @@
-"""Model manifolds, isometry actions, and the packaged configurations.
+"""Isometry actions and the packaged configurations.
 
 The package ships six ready-made configurations on products and
-quotients of round spheres.  Each fixes a manifold, equation
-parameters, and two group actions with orbit volumes orbit1 < orbit2,
-together with the data the bound machinery needs downstream: a lower
-bound for the scalar curvature of the relevant quotient and sign
-information on the Laplacian of the orbit-volume function at the
-distinguished orbit.  Everything the package knows about one example
-(defaults, builder, interval recipe, circle reduction and peak-ratio
-condition) sits in its record in _EXAMPLES; the other modules look the
-record up and never branch on an example's name.
+quotients of round spheres.  Each fixes a manifold, equation parameters,
+and two group actions with orbit volumes orbit1 < orbit2.  The
+conditions see the manifold only through its volume, so a configuration
+keeps that number and no manifold record.  Each action carries the data
+the bound machinery needs downstream: a lower bound for the scalar
+curvature of the relevant quotient and sign information on the Laplacian
+of the orbit-volume function at the distinguished orbit.  Everything
+the package knows about one example (defaults, builder, interval recipe,
+circle reduction and peak-ratio condition) sits in its record in
+_EXAMPLES; the other modules look the record up and never branch on an
+example's name.
 
 Hypothesis labels on an action:
 
@@ -31,6 +33,7 @@ from functools import lru_cache, partial
 
 from .best_constants import (
     _integer,
+    _real,
     b0_circle_sphere,
     b0_lower_general,
     b0_quotient_sphere,
@@ -41,9 +44,6 @@ from .constants import EquationParams, sobolev_constant, sphere_volume
 from .errors import PreconditionError
 
 __all__ = [
-    "Sphere",
-    "CircleTimesSphere",
-    "CircleSphereSphere",
     "OrbitVolumeLaplacian",
     "GroupActionSpec",
     "ExampleConfig",
@@ -54,80 +54,6 @@ __all__ = [
 ]
 
 HYPOTHESIS_KINDS = ("finite-principal", "principal-suborbits", "volume-peaked-suborbits")
-
-
-@dataclass(frozen=True, slots=True)
-class Sphere:
-    """Round sphere S^n of the given radius."""
-
-    n: int
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise PreconditionError("sphere dimension must be an integer >= 1")
-        if not self.radius > 0.0:
-            raise PreconditionError("sphere radius must be positive")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def dim(self):
-        return self.n
-
-    @property
-    def volume(self):
-        return self.radius**self.n * sphere_volume(self.n)
-
-
-@dataclass(frozen=True, slots=True)
-class CircleTimesSphere:
-    """Product S^1(t) x S^{n-1} with the product metric; dimension n."""
-
-    t: float
-    n: int
-
-    def __post_init__(self):
-        if not self.t > 0.0:
-            raise PreconditionError("circle radius t must be positive")
-        if int(self.n) != self.n or self.n < 3:
-            raise PreconditionError("product dimension n must be an integer >= 3")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def dim(self):
-        return self.n
-
-    @property
-    def volume(self):
-        return 2.0 * math.pi * self.t * sphere_volume(self.n - 1)
-
-
-@dataclass(frozen=True, slots=True)
-class CircleSphereSphere:
-    """Product S^1(a) x S^2(b) x S^{n-3}; dimension n."""
-
-    a: float
-    b: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise PreconditionError("factor radii a, b must be positive")
-        if int(self.n) != self.n or self.n < 6:
-            raise PreconditionError("triple product needs an integer dimension n >= 6")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def dim(self):
-        return self.n
-
-    @property
-    def volume(self):
-        return 2.0 * math.pi * self.a * 4.0 * math.pi * self.b**2 * sphere_volume(self.n - 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,10 +136,10 @@ def product_scal_lower(base_scal, r1, r2):
 
 @dataclass(frozen=True, slots=True)
 class ExampleConfig:
-    """One packaged configuration: manifold, parameters, two actions."""
+    """One packaged configuration: its manifold's volume, parameters, two actions."""
 
     example: str
-    manifold: object
+    volume: float
     params: EquationParams
     first: GroupActionSpec
     second: GroupActionSpec
@@ -226,10 +152,6 @@ class ExampleConfig:
                 % (self.first.orbit_volume, self.second.orbit_volume)
             )
 
-    @property
-    def volume(self):
-        return self.manifold.volume
-
 
 def _require(cond, message):
     if not cond:
@@ -237,12 +159,12 @@ def _require(cond, message):
 
 
 def _finite(x, name):
-    x = float(x)
+    x = float(_real(x, name))
     _require(math.isfinite(x), "%s must be finite, got %r" % (name, x))
     return x
 
 
-# Builders take validated inputs and return (manifold, params, first, second).
+# Builders take validated inputs and return (volume, params, first, second).
 # What integers alone determine is built once per key and shared: the
 # records are frozen.  Each cache is bounded, since a caller picks n and
 # the group orders freely.
@@ -266,6 +188,11 @@ def _finite_rotations(name, a, quotient_scal_lower):
     )
 
 
+def _cylinder_volume(t, n):
+    """Volume of S^1(t) x S^{n-1}."""
+    return 2.0 * math.pi * t * sphere_volume(n - 1)
+
+
 def _circle_factor_rotations(n, t):
     """Rotations of the circle factor of S^1(t) x S^{n-1}; the quotient is S^{n-1}."""
     return GroupActionSpec(
@@ -284,7 +211,7 @@ def _sphere_rotations(n, a1, a2):
     scal = n * (n - 1)
     first = _finite_rotations("order-%d rotations", a1, scal)
     second = _finite_rotations("order-%d rotations", a2, scal)
-    return Sphere(n), _equation_params(n, 0), first, second
+    return sphere_volume(n), _equation_params(n, 0), first, second
 
 
 def _circle_rotations(n, t, a1, a2, n_min):
@@ -294,7 +221,7 @@ def _circle_rotations(n, t, a1, a2, n_min):
     scal = (n - 1) * (n - 2)
     first = _finite_rotations("order-%d circle rotations", a1, scal)
     second = _finite_rotations("order-%d circle rotations", a2, scal)
-    return CircleTimesSphere(t, n), _equation_params(n, 0), first, second
+    return _cylinder_volume(t, n), _equation_params(n, 0), first, second
 
 
 def _circle_sphere_sphere(n, a, b):
@@ -323,7 +250,8 @@ def _circle_sphere_sphere(n, a, b):
         quotient_scal_lower=float((n - 3) * (n - 4)),
         principal_constant_volume=True,
     )
-    return CircleSphereSphere(a, b, n), _equation_params(n, 3), first, second
+    volume = 2.0 * math.pi * a * 4.0 * math.pi * b**2 * sphere_volume(n - 3)  # S^1(a) x S^2(b) x S^{n-3}
+    return volume, _equation_params(n, 3), first, second
 
 
 def _fibre_rotation(t):
@@ -337,7 +265,7 @@ def _fibre_rotation(t):
         quotient_scal_lower=8.0,
         principal_constant_volume=True,
     )
-    return CircleTimesSphere(t, 4), _equation_params(4, 1), first, _circle_factor_rotations(4, t)
+    return _cylinder_volume(t, 4), _equation_params(4, 1), first, _circle_factor_rotations(4, t)
 
 
 def _sphere_collapse(n, t):
@@ -352,7 +280,7 @@ def _sphere_collapse(n, t):
         principal_constant_volume=False,
         vh_laplacian=_NONNEGATIVE_LAPLACIAN,
     )
-    return CircleTimesSphere(t, n), _equation_params(n, 1), first, _circle_factor_rotations(n, t)
+    return _cylinder_volume(t, n), _equation_params(n, 1), first, _circle_factor_rotations(n, t)
 
 
 def _finite_circle(cfg, index):
@@ -418,7 +346,7 @@ class _Example:
     """Everything the package knows about one packaged example."""
 
     defaults: dict  # an integer default marks an integer input
-    build: Callable  # validated inputs -> (manifold, params, first, second)
+    build: Callable  # validated inputs -> (volume, params, first, second)
     route: str  # "critical" | "invariant" (weighted), "double" | "triple" (f = 1)
     windows: Callable  # cfg -> the route's ConstantBound arguments, in order
     ceilings: tuple = ()  # (action attribute, condition label) per existence ceiling

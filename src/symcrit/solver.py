@@ -61,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -443,18 +442,15 @@ def _cut_solve(diag, off, *cols):
 
 
 def _ldl_count(t, off, shift):
-    """(count, d, e, solves): T's eigenvalues below shift and the LDL' factor of T - shift; None if it is singular.
+    """(count, d, e): T's eigenvalues below shift and the LDL' factor of T - shift; None on a zero pivot.
 
     T has the diagonal t and every off-diagonal entry off.  LAPACK's dpttrf
     factors T - shift = L diag(d) L', L unit lower bidiagonal with e below
     its diagonal, while the pivots stay positive, and stops at the first
     pivot <= 0.  The count takes that pivot, eliminates its row by hand
     (e[k] = off / d[k], d[k+1] -= e[k] off, as dpttrf does) and factors
-    the rest in place.  An exactly zero pivot becomes -pivmin, pivmin =
-    tiny max(1, off^2), as in LAPACK's own Sturm count (dlaebz), so
-    off^2 / pivmin stays finite; the count stands, but a solve with the
-    factor would run through a multiplier of about 1 / pivmin, so solves
-    is False.  A zero last pivot means T - shift is singular.  By
+    the rest in place.  An exactly zero pivot means shift is an eigenvalue
+    of T or of a leading block of it, and the factor cannot solve.  By
     Sylvester's law of inertia the pivots <= 0 are as many as T's
     eigenvalues below shift: this is the Sturm count that bisection
     (dstebz) evaluates (Kahan 1966; Demmel, Dhillon & Ren 1995).  dpttrf
@@ -463,26 +459,23 @@ def _ldl_count(t, off, shift):
     n = t.size
     d = t - shift
     e = np.full(n - 1, off)
-    pivmin = sys.float_info.min * max(1.0, off * off)
     count = k = 0
-    solves = True
     while k < n - 1:  # the wrapper takes no one-row tail: its off-diagonal would be empty
         info = flapack().dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)[2]
         if info == 0:
-            return count, d, e, solves
+            return count, d, e
         k += info - 1  # d[k] is the first pivot <= 0 from row k on
         if k == n - 1:
             break
-        count += 1
         if d[k] == 0.0:
-            d[k] = -pivmin
-            solves = False
+            return None
+        count += 1
         e[k] = off / d[k]
         d[k + 1] -= e[k] * off
         k += 1
     if d[-1] == 0.0:
         return None
-    return count + int(d[-1] < 0.0), d, e, solves
+    return count + int(d[-1] < 0.0), d, e
 
 
 def _morse_counts(problem, v, a):
@@ -495,9 +488,8 @@ def _morse_counts(problem, v, a):
     eigenvalues as T - s, counted from one LDL' factor of T - s
     (_ldl_count), plus one if the Schur complement c - s - w' (T - s)^{-1} w
     is negative: one dpttrs column with the same factor.  The inertia does
-    not depend on where J is cut.  When T - s is singular, or a zero
-    middle pivot leaves a factor that counts but does not solve, s moves
-    1 % further from 0.
+    not depend on where J is cut.  When the factor of T - s meets a zero
+    pivot, s moves 1 % further from 0.
     """
     _, diag, _, off = _cut(problem, v, a)
     t = diag[:-1]
@@ -506,9 +498,9 @@ def _morse_counts(problem, v, a):
 
     def below(shift):
         factor = _ldl_count(t, off, shift)
-        if factor is None or not factor[3]:  # shift is an eigenvalue of T or of a leading block of it
+        if factor is None:  # shift is an eigenvalue of T or of a leading block of it
             return below(1.01 * shift)
-        n, d, e, _ = factor
+        n, d, e = factor
         x = flapack().dpttrs(d, e, w)[0]
         return n + int(diag[-1] - shift - off * (x[0] + x[-1]) < 0.0)
 

@@ -9,8 +9,9 @@ to a temporary directory, applies the replacement there and runs only the
 named test; the mutant is killed when that test fails.  First it checks
 that every text occurs exactly once, so a refactor cannot retire a mutant
 silently, and that every named test passes on an unmutated copy.  Exits 1
-when a text is not found exactly once, a named test fails unmutated, or a
-mutant survives.  Pytest does not collect this file.
+when fewer than MIN_MUTANTS mutants are listed, a text is not found exactly
+once, a named test fails unmutated, or a mutant survives.  Pytest does not
+collect this file.
 """
 
 import os
@@ -25,6 +26,12 @@ SOLVER = "src/symcrit/solver.py"
 CEILING = "src/symcrit/best_constants.py"
 CONSTANTS = "src/symcrit/constants.py"
 EXPANSION = "src/symcrit/expansion.py"
+CONDITIONS = "src/symcrit/conditions.py"
+GEOMETRY = "src/symcrit/geometry.py"
+JSONIO = "src/symcrit/jsonio.py"
+
+# The list may not shrink below this many mutants unnoticed.
+MIN_MUTANTS = 30
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -50,8 +57,12 @@ MUTANTS = [
      "tests/test_solver.py::test_morse_counts_match_dense_eigenvalues"),
     (SOLVER, "        count += 1\n", "        count += 2\n",
      "tests/test_solver.py::test_cylinder_triple_morse_counts_at_c6_alpha"),
-    (SOLVER, "d[k] = -pivmin", "d[k] = pivmin",
-     "tests/test_solver.py::test_ldl_count_takes_an_exactly_zero_middle_pivot"),
+    (SOLVER, "        if d[k] == 0.0:\n            return None\n", "        if d[k] == 0.0:\n            pass\n",
+     "tests/test_solver.py::test_morse_count_moves_its_shift_off_a_zero_middle_pivot"),
+    (SOLVER, "np.concatenate((x[k + 1:], x[:k + 1]))", "np.concatenate((x[k:], x[:k]))",
+     "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
+    (SOLVER, "\nDESCENT_MAX_ITER = 2000\n", "\nDESCENT_MAX_ITER = 20000\n",
+     "tests/test_solver.py::test_the_descent_cap_binds_on_a_nearly_constant_weight"),
     (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
      "tests/test_constants.py::test_sphere_volume_known_values"),
     (CONSTANTS, "sphere_volume(n) ** (2.0 / n))", "sphere_volume(n) ** (2.0 / n) * (1.0 + 1e-13))",
@@ -78,6 +89,12 @@ MUTANTS = [
      "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
     (SOLVER, "\nMIN_GRID = 64\n", "\nMIN_GRID = 63\n",
      "tests/test_cli.py::test_solve_rejects_a_grid_below_the_minimum[63-explicit]"),
+    (CONDITIONS, "return (hi - term2) + term1", "return hi - (term2 - term1)",
+     "tests/test_conditions.py::test_the_gap_endpoint_cancels_hi_against_the_larger_orbit_term_first"),
+    (GEOMETRY, "return 2.0 * math.pi * t * sphere_volume(n - 1)",
+     "return 2.0 * math.pi * t * sphere_volume(n - 1) * (1.0 + 1e-14)",
+     "tests/test_geometry.py::test_manifold_volumes"),
+    (JSONIO, "sort_keys=True", "sort_keys=False", "tests/test_cli.py::test_table_json_is_pinned_byte_for_byte"),
     # the quadrature rule: each moves a fit's samples by about 1e-15 relative
     (EXPANSION, "\n_GAUSS_NODES = 20 ", "\n_GAUSS_NODES = 24 ",
      "tests/test_expansion.py::test_the_rule_matches_an_independent_construction[0.0-1.0]"),
@@ -106,6 +123,8 @@ def _copy(scratch, name):
 def main():
     t0 = time.perf_counter()
     failures = []
+    if len(MUTANTS) < MIN_MUTANTS:
+        failures.append("%d mutants listed, fewer than %d" % (len(MUTANTS), MIN_MUTANTS))
     for path, text, _, _ in MUTANTS:
         with open(os.path.join(ROOT, path)) as fh:
             count = fh.read().count(text)

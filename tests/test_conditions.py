@@ -173,6 +173,16 @@ def test_cylinder_overcritical_display(n, t):
     assert iv.hi_strict and not iv.empty
 
 
+def test_the_gap_endpoint_cancels_hi_against_the_larger_orbit_term_first():
+    # hi - (t2 - t1) is taken as (hi - t2) + t1: on the circle-fibre
+    # examples hi equals t2 analytically, and the lower end keeps t1's
+    # precision however small t1 is beside them
+    assert conditions._gap_lower(0.75, 1e-20, 0.75) == 1e-20
+    for t in (1e4, 1e5, 1e6):
+        # t2 rounds to hi = 3/4 here; hi - (t2 - t1) is 3e-14 to 6e-13 off
+        assert example_interval("hopf", t=t).lo == pytest.approx(0.75 / t ** (2.0 / 3.0), rel=2e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # out-of-window behavior
 

@@ -1,15 +1,15 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from symcrit import (
     EXAMPLE_DEFAULTS,
     EXAMPLE_IDS,
-    CircleSphereSphere,
-    CircleTimesSphere,
     PreconditionError,
-    Sphere,
+    b0_sphere,
+    clean,
     example_configuration,
     example_interval,
     sphere_volume,
@@ -18,26 +18,43 @@ from symcrit import geometry
 from symcrit.geometry import product_scal_lower
 
 
+# Each packaged manifold's volume in closed form: omega_3 = 2 pi^2,
+# omega_4 = 8 pi^2 / 3, omega_5 = pi^3 and omega_7 = pi^4 / 3.
+VOLUMES = [
+    ("sphere-quotients", {}, math.pi**3),  # S^5
+    ("sphere-quotients", {"n": 7, "a1": 2, "a2": 3}, math.pi**4 / 3.0),  # S^7
+    ("cylinder-weighted", {"n": 6, "t": 1.5}, 3.0 * math.pi**4),  # S^1(1.5) x S^5
+    ("triple-product", {"n": 10, "a": 4.0, "b": 0.5}, 8.0 * math.pi**6 / 3.0),  # S^1(4) x S^2(1/2) x S^7
+    ("cylinder-triple", {}, 640.0 * math.pi**3 / 3.0),  # S^1(40) x S^4
+    ("hopf", {}, 32.0 * math.pi**3),  # S^1(8) x S^3
+    ("cylinder-overcritical", {}, 128.0 * math.pi**3 / 3.0),  # S^1(8) x S^4
+]
+
+
 def test_manifold_volumes():
-    assert Sphere(5).volume == pytest.approx(math.pi**3, rel=1e-15, abs=0.0)
-    assert Sphere(2, radius=3.0).volume == pytest.approx(9.0 * 4.0 * math.pi, rel=1e-15, abs=0.0)
-    assert CircleTimesSphere(2.0, 5).volume == pytest.approx(
-        4.0 * math.pi * sphere_volume(4), rel=1e-15, abs=0.0
-    )
-    assert CircleSphereSphere(4.0, 0.5, 10).volume == pytest.approx(
-        8.0 * math.pi * math.pi * sphere_volume(7), rel=1e-15, abs=0.0
-    )
+    assert {ex for ex, _, _ in VOLUMES} == set(EXAMPLE_IDS)
+    for example, params, volume in VOLUMES:
+        cfg = example_configuration(example, **params)
+        assert cfg.volume == pytest.approx(volume, rel=1e-15, abs=0.0), example
+        assert clean(cfg)["volume"] == cfg.volume and "manifold" not in clean(cfg)
 
 
 def test_manifold_validation():
-    with pytest.raises(PreconditionError):
-        Sphere(0)
-    with pytest.raises(PreconditionError):
-        Sphere(3, radius=0.0)
-    with pytest.raises(PreconditionError):
-        CircleTimesSphere(-1.0, 5)
-    with pytest.raises(PreconditionError):
-        CircleTimesSphere(1.0, 2)
+    # the builders' checks on each manifold's radii and dimension; the
+    # cylinder-weighted and triple-product dimensions are checked below
+    for example, params in [
+        ("cylinder-weighted", {"t": -1.0}),
+        ("cylinder-triple", {"t": -1.0}),
+        ("hopf", {"t": -1.0}),
+        ("cylinder-overcritical", {"t": -1.0}),
+        ("triple-product", {"a": 0.0}),
+        ("triple-product", {"b": -0.5}),
+        ("sphere-quotients", {"n": 3}),
+        ("cylinder-triple", {"n": 2}),
+        ("cylinder-overcritical", {"n": 3}),
+    ]:
+        with pytest.raises(PreconditionError):
+            example_configuration(example, **params)
 
 
 def test_scal_lower_helpers():
@@ -151,6 +168,37 @@ def test_non_finite_inputs_are_rejected_by_name(example, name, value):
     with pytest.raises(PreconditionError) as err:
         example_configuration(example, **{name: value})
     assert str(err.value).startswith(name + " must be")
+
+
+@pytest.mark.parametrize(
+    "example, name, value",
+    [
+        ("hopf", "t", None),
+        ("hopf", "t", "x"),
+        ("hopf", "t", "8"),
+        ("hopf", "t", True),
+        ("cylinder-triple", "n", "5"),
+        ("cylinder-triple", "a1", True),
+        ("sphere-quotients", "a2", None),
+        ("triple-product", "b", [0.28]),
+    ],
+)
+def test_non_numeric_inputs_are_rejected_by_name(example, name, value):
+    with pytest.raises(PreconditionError) as err:
+        example_interval(example, **{name: value})
+    assert str(err.value).startswith(name + " must be a real number")
+
+
+def test_an_integer_input_must_be_a_number_where_it_is_checked():
+    with pytest.raises(PreconditionError) as err:
+        b0_sphere(None)
+    assert "dimension n must be a real number" in str(err.value)
+
+
+def test_numpy_numbers_are_accepted_as_their_values():
+    numpy_inputs = {"n": np.int64(5), "t": np.float64(40.0), "a1": np.int32(1), "a2": np.uint8(2)}
+    assert example_interval("cylinder-triple", **numpy_inputs) == example_interval("cylinder-triple")
+    assert example_configuration("hopf", t=np.float32(8.0)) == example_configuration("hopf")
 
 
 @pytest.mark.parametrize("example", EXAMPLE_IDS)

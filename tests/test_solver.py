@@ -1002,15 +1002,14 @@ def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
     # J cut open is T = tridiag(1, 1 - tol, 1) of size 63 with the cut
     # node's c = -1 and coupling 1, so at the shift -tol T - shift has
     # diagonal exactly 1 and its second pivot is exactly 0.  That factor
-    # counts but does not solve: w' (T - shift)^{-1} w would read 0.0
-    # instead of -2.0, and the Schur term c - shift + 2 would change sign.
-    # The count is taken at a shift 1 % further from 0 instead.
+    # cannot solve for the Schur term c - shift - w' (T - shift)^{-1} w, so
+    # there is none, and the count is taken at a shift 1 % further from 0.
     tol = 2.0**-20  # (1 - tol) + tol is exactly 1
     monkeypatch.setattr(solver, "ZERO_MODE_TOL", tol)
     m = 64
     diag = np.append(np.full(m - 1, 1.0 - tol), -1.0)
     monkeypatch.setattr(solver, "_cut", lambda problem, v, a: (None, diag, None, 1.0))
-    assert solver._ldl_count(diag[:-1], 1.0, -tol)[3] is False
+    assert solver._ldl_count(diag[:-1], 1.0, -tol) is None
     jac = np.diag(diag) + np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
     eig = np.linalg.eigvalsh(jac)
     expected = (int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol)))
@@ -1020,17 +1019,24 @@ def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
 @pytest.mark.parametrize("n, count", [(4, 1), (6, 2), (7, 2)])
 def test_ldl_count_takes_an_exactly_zero_middle_pivot(n, count):
     # diagonal 1 and off-diagonal 1: d[0] = 1, and d[1] = 1 - 1 * (1 / 1) is
-    # exactly 0 (again d[4] for n >= 6); n + 1 is not a multiple of 3, so 0
-    # is not an eigenvalue, and each zero pivot stands for one below it
+    # exactly 0, so 0 is an eigenvalue of the leading 2 x 2 block and the
+    # factor has no d[1] to solve with: there is none.  n + 1 is not a
+    # multiple of 3, so 0 is not an eigenvalue of T, and the count at a
+    # shift next to 0 is T's count below 0.
     t = np.ones(n)
     assert int(np.sum(np.linalg.eigvalsh(np.diag(t) + np.eye(n, k=1) + np.eye(n, k=-1)) < 0.0)) == count
-    assert solver._ldl_count(t, 1.0, 0.0)[0] == count
+    assert solver._ldl_count(t, 1.0, 0.0) is None
+    assert solver._ldl_count(t, 1.0, -1e-9)[0] == solver._ldl_count(t, 1.0, 1e-9)[0] == count
 
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_ldl_count_reports_a_zero_last_pivot_as_singular(n):
-    # n + 1 a multiple of 3: 0 is an eigenvalue, and the last pivot is exactly 0
-    assert solver._ldl_count(np.ones(n), 1.0, 0.0) is None
+    # diagonal (1, 2, ..., 2, 1) and off-diagonal 1: every pivot is exactly
+    # 1 but the last, which is exactly 0; (1, -1, 1, ...) spans T's kernel
+    t = np.full(n, 2.0)
+    t[0] = t[-1] = 1.0
+    assert np.allclose(np.linalg.eigvalsh(np.diag(t) + np.eye(n, k=1) + np.eye(n, k=-1))[0], 0.0, rtol=0.0, atol=1e-12)
+    assert solver._ldl_count(t, 1.0, 0.0) is None
 
 
 def test_ldl_count_factors_t_minus_the_shift():
@@ -1040,8 +1046,7 @@ def test_ldl_count_factors_t_minus_the_shift():
         t, off = rng.uniform(-3.0, 3.0, n), float(rng.uniform(0.5, 2.0))
         tri = np.diag(t) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
         shift = float(rng.uniform(-2.0, 2.0))
-        count, d, e, solves = solver._ldl_count(t, off, shift)
-        assert solves
+        count, d, e = solver._ldl_count(t, off, shift)
         assert count == int(np.sum(np.linalg.eigvalsh(tri) < shift))
         lower = np.eye(n) + np.diag(e, k=-1)
         assert lower @ np.diag(d) @ lower.T == pytest.approx(tri - shift * np.eye(n), abs=1e-9)
