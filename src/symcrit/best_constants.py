@@ -44,6 +44,14 @@ def _real(x, what):
     raise PreconditionError("%s must be a real number, got %r" % (what, x))
 
 
+def _finite(x, what):
+    """x as a finite float; what names it."""
+    x = float(_real(x, what))
+    if not math.isfinite(x):
+        raise PreconditionError("%s must be finite, got %r" % (what, x))
+    return x
+
+
 def _integer(x, what, least=1):
     """x as an int, checked against [least, MAX_INTEGER_INPUT] before any conversion; what names it."""
     if not (least <= _real(x, what) <= MAX_INTEGER_INPUT and int(x) == x):
@@ -69,6 +77,7 @@ def b0_circle_sphere(t, n):
     [ (n-2)^2/4 ,  (n-2)^2/4 + 1/(4 t^2) ].
     """
     n = _integer(n, "the product constant's dimension n", 3)
+    t = _finite(t, "the product constant's circle radius t")
     if not t > 0.0:
         raise PreconditionError("circle radius t must be positive")
     base = (n - 2) ** 2 / 4.0
@@ -112,7 +121,7 @@ def _curvature_term(params, action):
     return _concentration_ceiling(
         params.reduced_dim,
         action.quotient_scal_lower,
-        action.vh_laplacian.lower() / action.orbit_volume,
+        action.vh_laplacian_lower / action.orbit_volume,
     )
 
 
@@ -130,9 +139,10 @@ def b0_lower_general(params, volume, action):
         raise PreconditionError("curvature lower bound needs n - k >= 3, got %d" % N)
     if params.k != action.k:
         raise PreconditionError("action orbit dimension %d does not match k=%d" % (action.k, params.k))
+    volume = _finite(volume, "the curvature bound's manifold volume")
     if not volume > 0.0:
         raise PreconditionError("manifold volume must be positive")
-    vol_term = _volume_term(N, action.orbit_volume, float(volume))
+    vol_term = _volume_term(N, action.orbit_volume, volume)
     return ConstantBound(max(vol_term, _curvature_term(params, action)), math.inf)
 
 

@@ -6,22 +6,12 @@ and two group actions with orbit volumes orbit1 < orbit2.  The
 conditions see the manifold only through its volume, so a configuration
 keeps that number and no manifold record.  Each action carries the data
 the bound machinery needs downstream: a lower bound for the scalar
-curvature of the relevant quotient and sign information on the Laplacian
+curvature of the relevant quotient and a lower bound for the Laplacian
 of the orbit-volume function at the distinguished orbit.  Everything
 the package knows about one example (defaults, builder, interval recipe,
 circle reduction and peak-ratio condition) sits in its record in
 _EXAMPLES; the other modules look the record up and never branch on an
 example's name.
-
-Hypothesis labels on an action:
-
-  "finite-principal"          free action of a finite group; every orbit
-                              is principal with the same cardinality
-  "principal-suborbits"       positive-dimensional orbits, all principal
-                              with constant volume
-  "volume-peaked-suborbits"   a normal subaction has principal orbits of
-                              constant dimension whose volume is maximal
-                              along the distinguished orbit
 """
 
 from __future__ import annotations
@@ -32,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .best_constants import (
+    _finite,
     _integer,
-    _real,
     b0_circle_sphere,
     b0_lower_general,
     b0_quotient_sphere,
@@ -44,7 +34,6 @@ from .constants import EquationParams, sobolev_constant, sphere_volume
 from .errors import PreconditionError
 
 __all__ = [
-    "OrbitVolumeLaplacian",
     "GroupActionSpec",
     "ExampleConfig",
     "EXAMPLE_IDS",
@@ -52,32 +41,6 @@ __all__ = [
     "example_configuration",
     "product_scal_lower",
 ]
-
-HYPOTHESIS_KINDS = ("finite-principal", "principal-suborbits", "volume-peaked-suborbits")
-
-
-@dataclass(frozen=True, slots=True)
-class OrbitVolumeLaplacian:
-    """What is known about the Laplacian of the orbit-volume function
-    at the distinguished orbit (geometer's sign convention)."""
-
-    kind: str = "zero"  # "zero" | "nonnegative" | "value"
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "nonnegative", "value"):
-            raise PreconditionError("unknown orbit-volume Laplacian kind %r" % (self.kind,))
-        if self.kind != "value" and self.value != 0.0:
-            raise PreconditionError("only kind='value' carries a number")
-        if not math.isfinite(self.value):
-            raise PreconditionError("orbit-volume Laplacian value must be finite")
-
-    def lower(self):
-        """Certified lower bound usable in curvature-type estimates."""
-        return self.value if self.kind == "value" else 0.0
-
-
-_NONNEGATIVE_LAPLACIAN = OrbitVolumeLaplacian("nonnegative")  # frozen, so one instance is shared
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +50,20 @@ class GroupActionSpec:
     orbit_volume is the volume of the distinguished minimal orbits; for
     a finite group acting freely it is the cardinality.  quotient_scal_lower
     bounds the scalar curvature of the quotient (or subaction quotient)
-    at the image of the distinguished orbit.
+    at the image of the distinguished orbit, and vh_laplacian_lower the
+    Laplacian of the orbit-volume function v_H there (geometer's sign
+    convention).
     """
 
     name: str
     k: int
     orbit_volume: float
-    hypothesis: str
     quotient_scal_lower: float
     principal_constant_volume: bool = False
-    vh_laplacian: OrbitVolumeLaplacian = OrbitVolumeLaplacian()  # frozen, so one instance is shared
+    # 0 is exact when the orbits have constant volume.  A volume-peaked
+    # action's v_H has its maximum at the distinguished orbit, so the
+    # geometer's lap(v_H) >= 0 there and 0 is a certified lower bound.
+    vh_laplacian_lower: float = 0.0
 
     def __post_init__(self):
         if int(self.k) != self.k or self.k < 0:
@@ -105,17 +72,10 @@ class GroupActionSpec:
         if not self.orbit_volume > 0.0:
             raise PreconditionError("orbit volume must be positive")
         object.__setattr__(self, "orbit_volume", float(self.orbit_volume))
-        if self.hypothesis not in HYPOTHESIS_KINDS:
-            raise PreconditionError(
-                "hypothesis must be one of %s, got %r" % (", ".join(HYPOTHESIS_KINDS), self.hypothesis)
-            )
-        if self.hypothesis == "finite-principal":
-            if self.k != 0:
-                raise PreconditionError("a finite action has zero-dimensional orbits")
-            if not self.principal_constant_volume:
-                raise PreconditionError("finite free actions have constant orbit cardinality")
         if not math.isfinite(self.quotient_scal_lower):
             raise PreconditionError("quotient scalar curvature bound must be finite")
+        if not math.isfinite(self.vh_laplacian_lower):
+            raise PreconditionError("orbit-volume Laplacian lower bound must be finite")
 
 
 def product_scal_lower(base_scal, r1, r2):
@@ -158,12 +118,6 @@ def _require(cond, message):
         raise PreconditionError(message)
 
 
-def _finite(x, name):
-    x = float(_real(x, name))
-    _require(math.isfinite(x), "%s must be finite, got %r" % (name, x))
-    return x
-
-
 # Builders take validated inputs and return (volume, params, first, second).
 # What integers alone determine is built once per key and shared: the
 # records are frozen.  Each cache is bounded, since a caller picks n and
@@ -182,7 +136,6 @@ def _finite_rotations(name, a, quotient_scal_lower):
         name=name % a,
         k=0,
         orbit_volume=float(a),
-        hypothesis="finite-principal",
         quotient_scal_lower=float(quotient_scal_lower),
         principal_constant_volume=True,
     )
@@ -199,7 +152,6 @@ def _circle_factor_rotations(n, t):
         name="rotations of the circle factor",
         k=1,
         orbit_volume=2.0 * math.pi * t,
-        hypothesis="principal-suborbits",
         quotient_scal_lower=float((n - 1) * (n - 2)),
         principal_constant_volume=True,
     )
@@ -237,16 +189,13 @@ def _circle_sphere_sphere(n, a, b):
         name="bi-spherical collapse of the large factor",
         k=3,
         orbit_volume=orbit1,
-        hypothesis="volume-peaked-suborbits",
         quotient_scal_lower=product_scal_lower(2.0 / b**2, n - 6, 4),
         principal_constant_volume=False,
-        vh_laplacian=_NONNEGATIVE_LAPLACIAN,
     )
     second = GroupActionSpec(
         name="rotations of the circle and small sphere",
         k=3,
         orbit_volume=orbit2,
-        hypothesis="principal-suborbits",
         quotient_scal_lower=float((n - 3) * (n - 4)),
         principal_constant_volume=True,
     )
@@ -260,7 +209,6 @@ def _fibre_rotation(t):
         name="diagonal rotation along the fibers",
         k=1,
         orbit_volume=2.0 * math.pi,
-        hypothesis="principal-suborbits",
         # quotient S^1(t) x S^2(1/2): scal = 2 / (1/2)^2
         quotient_scal_lower=8.0,
         principal_constant_volume=True,
@@ -275,10 +223,8 @@ def _sphere_collapse(n, t):
         name="bi-spherical collapse of the sphere factor",
         k=1,
         orbit_volume=2.0 * math.pi,
-        hypothesis="volume-peaked-suborbits",
         quotient_scal_lower=product_scal_lower(0.0, n - 2, 2),
         principal_constant_volume=False,
-        vh_laplacian=_NONNEGATIVE_LAPLACIAN,
     )
     return _cylinder_volume(t, n), _equation_params(n, 1), first, _circle_factor_rotations(n, t)
 

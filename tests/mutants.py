@@ -39,6 +39,9 @@ MUTANTS = [
      "tests/test_acceptance.py::test_c2_all_examples_match_closed_forms"),
     (CEILING, "(scal + 3.0 * q)", "(scal + 2.9 * q)",
      "tests/test_acceptance.py::test_c8_expansion_fit_matches_prediction"),
+    (CEILING, "action.vh_laplacian_lower / action.orbit_volume",
+     "action.vh_laplacian_lower * 0.9 / action.orbit_volume",
+     "tests/test_expansion.py::test_the_ceiling_reads_the_orbit_volume_laplacian_as_q_times_the_orbit_volume[2.0-7]"),
     (SOLVER, "\nZERO_MODE_TOL = 1e-6\n", "\nZERO_MODE_TOL = 1e-4\n",
      "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
     (SOLVER, "(2.0 * float(problem.f_samples[k]))", "(2.2 * float(problem.f_samples[k]))",
@@ -63,6 +66,10 @@ MUTANTS = [
      "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
     (SOLVER, "\nDESCENT_MAX_ITER = 2000\n", "\nDESCENT_MAX_ITER = 20000\n",
      "tests/test_solver.py::test_the_descent_cap_binds_on_a_nearly_constant_weight"),
+    (SOLVER, "\nDESCENT_MAX_ITER = 2000\n", "\nDESCENT_MAX_ITER = 1000\n",
+     "tests/test_solver.py::test_the_descent_cap_leaves_room_for_a_slow_descent"),
+    (SOLVER, "return 2.0 / (h * h), -1.0 / (h * h)", "return 2.0 / (h * h) * (1.0 + 1e-12), -1.0 / (h * h)",
+     "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
     (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
      "tests/test_constants.py::test_sphere_volume_known_values"),
     (CONSTANTS, "sphere_volume(n) ** (2.0 / n))", "sphere_volume(n) ** (2.0 / n) * (1.0 + 1e-13))",

@@ -34,6 +34,15 @@ def test_circle_sphere_window():
         b0_circle_sphere(0.0, 6)
 
 
+@pytest.mark.parametrize("bad", [None, "2", True, math.nan, math.inf], ids=repr)
+def test_a_bad_radius_or_volume_is_rejected_by_name(bad):
+    with pytest.raises(PreconditionError, match="circle radius t"):
+        b0_circle_sphere(bad, 5)
+    cfg = example_configuration("hopf")
+    with pytest.raises(PreconditionError, match="manifold volume"):
+        b0_lower_general(cfg.params, bad, cfg.first)
+
+
 def test_quotient_sphere_window():
     w = b0_quotient_sphere(5, 4)
     assert w.lo == pytest.approx(4.0 ** 0.4 * 3.75, rel=1e-15, abs=0.0)

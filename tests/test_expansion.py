@@ -10,7 +10,6 @@ from symcrit import (
     EquationParams,
     ExpansionConfig,
     GroupActionSpec,
-    OrbitVolumeLaplacian,
     PreconditionError,
     density,
     existence_alpha_bound,
@@ -358,8 +357,7 @@ def test_the_ceiling_reads_the_orbit_volume_laplacian_as_q_times_the_orbit_volum
     # the geometer's lap(v_H) at a peak of v_H is + q A: existence_alpha_bound's
     # ceiling is the zero of the expansion built with q = value / A
     area, scal = 2.0 * math.pi, 30.0
-    action = GroupActionSpec("circle", 1, area, "volume-peaked-suborbits", scal,
-                             vh_laplacian=OrbitVolumeLaplacian("value", value))
+    action = GroupActionSpec("circle", 1, area, scal, vh_laplacian_lower=value)
     ceiling = existence_alpha_bound(EquationParams(n, 1), action).ceiling
     N = n - 1
     kw = dict(dim=N, orbit_volume=area, curvature=scal / (N * (N - 1.0)), vh_quadratic_coeff=value / area)

@@ -7,6 +7,7 @@ import pytest
 from symcrit import (
     EXAMPLE_DEFAULTS,
     EXAMPLE_IDS,
+    GroupActionSpec,
     PreconditionError,
     b0_sphere,
     clean,
@@ -80,7 +81,6 @@ def test_sphere_quotients_configuration():
     assert cfg.params.n == 7 and cfg.params.k == 0
     assert cfg.first.orbit_volume == 2.0 and cfg.second.orbit_volume == 3.0
     assert cfg.first.quotient_scal_lower == 42.0  # n(n-1)
-    assert cfg.first.hypothesis == "finite-principal"
     with pytest.raises(PreconditionError):
         example_configuration("sphere-quotients", n=6)  # even spheres: no free actions
     with pytest.raises(PreconditionError):
@@ -107,8 +107,7 @@ def test_triple_product_configuration():
     assert cfg.second.orbit_volume == pytest.approx(
         8.0 * math.pi**2 * 4.0 * 0.28**2, rel=1e-15, abs=0.0
     )
-    assert cfg.first.vh_laplacian.kind == "nonnegative"
-    assert cfg.first.vh_laplacian.lower() == 0.0
+    assert cfg.first.vh_laplacian_lower == 0.0
     # scal of the collapsed-block quotient: 2/b^2 + (n-6)(n-7)
     assert cfg.first.quotient_scal_lower == pytest.approx(2.0 / 0.28**2 + 12.0, rel=1e-15, abs=0.0)
     assert cfg.second.quotient_scal_lower == 42.0  # (n-3)(n-4)
@@ -117,6 +116,12 @@ def test_triple_product_configuration():
     assert "4 a b^2" in str(err.value)
     with pytest.raises(PreconditionError):
         example_configuration("triple-product", n=9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_the_orbit_volume_laplacian_bound_must_be_finite(value):
+    with pytest.raises(PreconditionError, match="orbit-volume Laplacian lower bound must be finite"):
+        GroupActionSpec("circle", 1, 2.0 * math.pi, 6.0, vh_laplacian_lower=value)
 
 
 def test_cylinder_overcritical_configuration():
@@ -208,7 +213,7 @@ def test_equal_integer_inputs_give_equal_frozen_records(example):
     first, again = example_configuration(example), example_configuration(example, **EXAMPLE_DEFAULTS[example])
     assert first == again and first is not again and first.inputs is not again.inputs
     assert first.params is again.params
-    for record in (first, first.params, first.first, first.second, first.first.vh_laplacian):
+    for record in (first, first.params, first.first, first.second):
         field = dataclasses.fields(record)[0].name
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, field, getattr(record, field))

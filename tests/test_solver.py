@@ -589,6 +589,15 @@ def test_the_descent_cap_binds_on_a_nearly_constant_weight():
     assert err.value.best.descent_capped == ("cos1",)
 
 
+def test_the_descent_cap_leaves_room_for_a_slow_descent():
+    # the cos1 descent on this weight takes more than 1000 steps and at
+    # most 1500, so DESCENT_MAX_ITER = 2000 lets it converge
+    m = 128
+    f = 1.0 + 5e-3 * np.cos(np.arange(m) * (2.0 * math.pi / m) - 2.0)
+    report = minimize(_problem(alpha=1.3, m=m, f=f), SolveConfig(starts=("cos1",)))
+    assert report.descent_capped == () and report.morse_index == 1
+
+
 def _count_p_inverse(patch, applications, factors):
     """Count each application of the descent's P^{-1} and each factorization (dpttrf) of P."""
     p_inverse, lapack = solver._p_inverse, _lazy.flapack()
