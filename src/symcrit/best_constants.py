@@ -46,7 +46,8 @@ def _real(x, what):
 
 def _finite(x, what):
     """x as a finite float; what names it."""
-    x = float(_real(x, what))
+    if type(x) is not float:  # a float needs neither check nor conversion
+        x = float(_real(x, what))
     if not math.isfinite(x):
         raise PreconditionError("%s must be finite, got %r" % (what, x))
     return x
@@ -54,6 +55,8 @@ def _finite(x, what):
 
 def _integer(x, what, least=1):
     """x as an int, checked against [least, MAX_INTEGER_INPUT] before any conversion; what names it."""
+    if type(x) is int and least <= x <= MAX_INTEGER_INPUT:  # an int in range needs no conversion
+        return x
     if not (least <= _real(x, what) <= MAX_INTEGER_INPUT and int(x) == x):
         raise PreconditionError(
             "%s must be an integer in [%d, %.0e], got %r" % (what, least, MAX_INTEGER_INPUT, x)

@@ -66,16 +66,15 @@ class GroupActionSpec:
     vh_laplacian_lower: float = 0.0
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 0:
-            raise PreconditionError("orbit dimension k must be an integer >= 0")
-        object.__setattr__(self, "k", int(self.k))
-        if not self.orbit_volume > 0.0:
-            raise PreconditionError("orbit volume must be positive")
-        object.__setattr__(self, "orbit_volume", float(self.orbit_volume))
-        if not math.isfinite(self.quotient_scal_lower):
-            raise PreconditionError("quotient scalar curvature bound must be finite")
-        if not math.isfinite(self.vh_laplacian_lower):
-            raise PreconditionError("orbit-volume Laplacian lower bound must be finite")
+        object.__setattr__(self, "k", _integer(self.k, "orbit dimension k", least=0))
+        volume = _finite(self.orbit_volume, "orbit volume")
+        if not volume > 0.0:
+            raise PreconditionError("orbit volume must be positive, got %r" % (volume,))
+        object.__setattr__(self, "orbit_volume", volume)
+        scal = _finite(self.quotient_scal_lower, "quotient scalar curvature bound")
+        object.__setattr__(self, "quotient_scal_lower", scal)
+        laplacian = _finite(self.vh_laplacian_lower, "orbit-volume Laplacian lower bound")
+        object.__setattr__(self, "vh_laplacian_lower", laplacian)
 
 
 def product_scal_lower(base_scal, r1, r2):

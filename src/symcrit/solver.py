@@ -31,12 +31,20 @@ A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
 it is the minimizer up to O(e^{-sqrt(alpha) length}), so the descent
 takes a handful of steps before Newton.
 
-Each Newton step solves with the cyclic tridiagonal Jacobian J, cut
-open at the node where |v'| is largest (see _cut): the rest of J is a
-plain tridiagonal block T, so one LAPACK tridiagonal solve (gtsv) with T
-and a Schur complement for the cut node give the step (_cut_solve).
+With a constant f and m even, J commutes with the reflection about a
+node, and Newton's start from the soliton is even about its peak node k
+to rounding; _even_about_peak makes it exactly even there.  Each step
+then solves on J's even half: one LAPACK tridiagonal solve (gtsv) with
+J's even block on the m/2 + 1 nodes k, ..., k+m/2 (_even_step), and
+every iterate stays bitwise even.  J's translation mode v' is odd, so
+the even block needs no border (Golubitsky, Stewart & Schaeffer 1988,
+vol. II).  Any other start, an odd m or a nonconstant f solves with all
+of the cyclic tridiagonal J, cut open at the node where |v'| is largest
+(see _cut): the rest of J is a plain tridiagonal block T, so one gtsv
+with T and a Schur complement for the cut node give the step
+(_cut_solve).
 With constant f, J is singular along the translation tau = v' at a
-solution, and the step is bordered with tau; the Schur system is then
+solution, and that step is bordered with tau; the Schur system is then
 2x2 (Govaerts & Pryce 1990).  The cut keeps T away from that
 singularity, since tau is largest at the cut node.  Each iterate's power
 a = v^{p-1} is evaluated once (_power), by its residual (_residual): the
@@ -47,10 +55,14 @@ gradient (_evaluate).
 
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted from the
-pivots of one LDL' factor of T per shift (LAPACK's pttrf) and one Schur
-complement (see _morse_counts).  A positive solution has
-<Jv, v> = -(p-1) int f v^{p+1} < 0, so a constrained local minimizer of
-Q has index exactly 1; a larger index marks a saddle.
+pivots of one LDL' factor per shift (LAPACK's pttrf; see _morse_counts).
+For a solution Newton found on J's even half, the factor is that of J's
+even and odd blocks about k, one tridiagonal of m rows, since J's
+inertia is the sum of theirs (Sylvester's law of inertia).  Otherwise it
+is the factor of T, with one Schur complement for the cut node.  A
+positive solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a
+constrained local minimizer of Q has index exactly 1; a larger index
+marks a saddle.
 A report's quotient, energy, classification and residual are the ones
 minimize ranked the starts by and Newton stopped at, not a second
 computation.
@@ -128,6 +140,13 @@ NEWTON_MAX_ITER = 50
 # newton_tol, and floor^{p+1} stays a normal double for p <= 5, clear of subnormal
 # arithmetic; at 1e-12 the kink stalled Newton on fine grids.
 POSITIVITY_FLOOR = 1e-50
+
+# Newton solves on J's even half about the peak node k of its start v when
+# |v[k+j] - v[k-j]| <= EVEN_START_ULPS ulp(v[k]) for every j (_even_about_peak).
+# From the soliton start the descent's rounding leaves at most 12.5 ulps on
+# every packaged example's solves at its interval ends and midpoint, m = 256
+# to 16384; a random start is about 1e13 ulps off.
+EVEN_START_ULPS = 64
 
 # A solution whose range max - min exceeds OSCILLATION_TOL * max is nonconstant.
 OSCILLATION_TOL = 1e-7
@@ -293,8 +312,9 @@ def _stencil(h):
     -Delta_h is circulant, so its eigenvalue at Fourier mode k is its
     symbol (d - 2 off) sin^2(pi k / m), and its inf-norm is d - 2 off =
     4/h^2.  The other operator formulas read this one: J's tridiagonal
-    (_cut), the descent's factored P = -Delta_h + alpha (_p_inverse) and
-    Newton's rounding level (_newton).  _neg_laplacian applies it.
+    (_cut) and its even block (_even_block), the descent's factored
+    P = -Delta_h + alpha (_p_inverse) and Newton's rounding level
+    (_newton).  _neg_laplacian applies it.
     """
     return 2.0 / (h * h), -1.0 / (h * h)
 
@@ -441,14 +461,49 @@ def _cut_solve(diag, off, *cols):
     return None if info else (x, off * (x[0] + x[-1]))
 
 
+def _even_half(x, k):
+    """x at the nodes k, k+1, ..., k+m/2, for x even about node k and m even: one slice, no copy.
+
+    Where those nodes wrap past m - 1 the slice runs back from k instead,
+    over k, k-1, ..., k-m/2, which holds the same values.
+    """
+    half = x.size // 2
+    return x[k:k + half + 1] if k < half else x[k - half:k + 1][::-1]
+
+
+def _mirror(y, k):
+    """The vector on m = 2 (y.size - 1) nodes that is even about node k and equals y on nodes k, ..., k+m/2."""
+    ring = np.concatenate((y, y[-2:0:-1]))  # nodes k, k+1, ..., k+m-1
+    m = ring.size
+    x = np.empty(m)
+    x[k:] = ring[:m - k]
+    x[:k] = ring[m - k:]
+    return x
+
+
+def _even_block(problem, a, k):
+    """(diag, off): J's even block about node k for a even about k, m even and f constant.
+
+    An even vector is fixed by its values y on the m/2 + 1 nodes k, ...,
+    k+m/2 (_even_half), and J maps it to the even vector whose values there
+    are off y[j-1] + diag[j] y[j] + off y[j+1], with y[-1] = y[1] and
+    y[m/2+1] = y[m/2-1]: a tridiagonal block whose two end rows couple
+    with 2 off.  diag = d + alpha - p f a at those nodes, and off is
+    _stencil's coupling.
+    """
+    d, off = _stencil(problem.h)
+    return d + problem.alpha - problem.p * problem.f_samples[k] * _even_half(a, k), off
+
+
 def _ldl_count(t, off, shift):
     """(count, d, e): T's eigenvalues below shift and the LDL' factor of T - shift; None on a zero pivot.
 
-    T has the diagonal t and every off-diagonal entry off.  LAPACK's dpttrf
+    T has the diagonal t and the off-diagonal off, one entry per row or
+    one value for every row.  LAPACK's dpttrf
     factors T - shift = L diag(d) L', L unit lower bidiagonal with e below
     its diagonal, while the pivots stay positive, and stops at the first
     pivot <= 0.  The count takes that pivot, eliminates its row by hand
-    (e[k] = off / d[k], d[k+1] -= e[k] off, as dpttrf does) and factors
+    (e[k] = off[k] / d[k], d[k+1] -= e[k] off[k], as dpttrf does) and factors
     the rest in place.  An exactly zero pivot means shift is an eigenvalue
     of T or of a leading block of it, and the factor cannot solve.  By
     Sylvester's law of inertia the pivots <= 0 are as many as T's
@@ -457,8 +512,9 @@ def _ldl_count(t, off, shift):
     comes from scipy's LAPACK extension, loaded by itself (_lazy.flapack).
     """
     n = t.size
+    off = np.full(n - 1, off)
     d = t - shift
-    e = np.full(n - 1, off)
+    e = off.copy()
     count = k = 0
     while k < n - 1:  # the wrapper takes no one-row tail: its off-diagonal would be empty
         info = flapack().dpttrf(d[k:], e[k:], overwrite_d=1, overwrite_e=1)[2]
@@ -470,37 +526,55 @@ def _ldl_count(t, off, shift):
         if d[k] == 0.0:
             return None
         count += 1
-        e[k] = off / d[k]
-        d[k + 1] -= e[k] * off
+        e[k] = off[k] / d[k]
+        d[k + 1] -= e[k] * off[k]
         k += 1
     if d[-1] == 0.0:
         return None
     return count + int(d[-1] < 0.0), d, e
 
 
-def _morse_counts(problem, v, a):
+def _morse_counts(problem, v, a, k=None):
     """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f a), a = v^{p-1} from _residual.
 
     The index counts eigenvalues of J below -tol, the zero modes those in
-    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  Cut open
-    (_cut), J = [[T, w], [w', c]] with T plain tridiagonal, and by
-    Haynsworth's inertia additivity J - s has as many negative
-    eigenvalues as T - s, counted from one LDL' factor of T - s
-    (_ldl_count), plus one if the Schur complement c - s - w' (T - s)^{-1} w
-    is negative: one dpttrs column with the same factor.  The inertia does
-    not depend on where J is cut.  When the factor of T - s meets a zero
-    pivot, s moves 1 % further from 0.
+    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  When v is
+    exactly even about node k (m even, constant f: the solution Newton
+    found on J's even half), J commutes with the reflection about k, so
+    its spectrum is that of its even block, _even_block made symmetric by
+    scaling its two end couplings by sqrt(2), together with that of its
+    odd block, the plain tridiagonal on nodes k+1, ..., k+m/2-1 with
+    Dirichlet ends (Golubitsky, Stewart & Schaeffer 1988, vol. II).  Both
+    blocks sit in one tridiagonal of m rows, joined by a zero coupling, so
+    each shift takes one LDL' count (_ldl_count).  Otherwise (k None) J
+    is cut open (_cut), J = [[T, w], [w', c]] with T plain tridiagonal,
+    and by Haynsworth's inertia additivity J - s has as many negative
+    eigenvalues as T - s, counted from one LDL' factor of T - s, plus one
+    if the Schur complement c - s - w' (T - s)^{-1} w is negative: one
+    dpttrs column with the same factor.  The inertia does not depend on
+    where J is cut.  When a factor meets a zero pivot, s moves 1 % further
+    from 0.
     """
-    _, diag, _, off = _cut(problem, v, a)
-    t = diag[:-1]
-    w = np.zeros(problem.m - 1)
-    w[0] = w[-1] = off
+    if k is None:
+        _, diag, _, off = _cut(problem, v, a)
+        t = diag[:-1]
+        w = np.zeros(problem.m - 1)
+        w[0] = w[-1] = off
+    else:
+        even, coupling = _even_block(problem, a, k)
+        half = even.size - 1
+        t = np.concatenate((even, even[1:-1]))  # the even block, then the odd one
+        off = np.full(t.size - 1, coupling)
+        off[0] = off[half - 1] = math.sqrt(2.0) * coupling
+        off[half] = 0.0
 
     def below(shift):
         factor = _ldl_count(t, off, shift)
         if factor is None:  # shift is an eigenvalue of T or of a leading block of it
             return below(1.01 * shift)
         n, d, e = factor
+        if k is not None:
+            return n
         x = flapack().dpttrs(d, e, w)[0]
         return n + int(diag[-1] - shift - off * (x[0] + x[-1]) < 0.0)
 
@@ -528,6 +602,7 @@ class _StartResult(NamedTuple):
     label: str
     v: np.ndarray
     power: np.ndarray  # v^{p-1}, from Newton's last residual
+    peak: int | None  # the node v is even about when Newton solved on J's even half, else None
     iters: int
     residual: float
     converged: bool
@@ -538,7 +613,7 @@ def _report(problem, run, score, winning_starts=(), descent_capped=()):
     """The report of run's solution, from the score and residual its caller has computed."""
     thr = problem.threshold
     q = score.quotient
-    morse_index, zero_modes = _morse_counts(problem, run.v, run.power)
+    morse_index, zero_modes = _morse_counts(problem, run.v, run.power, run.peak)
     return SolveReport(
         problem=problem,
         u=run.v,
@@ -609,7 +684,8 @@ def constant_solution(problem):
         raise PreconditionError("the constant solution needs a constant weight f")
     u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
     r, a = _residual(problem, u)
-    run = _StartResult("closed-form", u, a, 0, float(np.max(np.abs(r))), True, False)
+    peak = None if problem.m % 2 else 0  # a constant is even about every node
+    run = _StartResult("closed-form", u, a, peak, 0, float(np.max(np.abs(r))), True, False)
     return _report(problem, run, _score(problem, run))
 
 
@@ -717,8 +793,9 @@ def _descend(problem, u):
     u, u - P^{-1} g / (2 w h) = lambda P^{-1}(f u^{q-1}) is the Picard
     iterate of the Euler-Lagrange equation, so that step rarely
     backtracks.  The stopping test is on g itself, at DESCENT_TOL for a
-    constant f, whose Newton step is bordered along the translation, and
-    at WEIGHTED_DESCENT_TOL otherwise.
+    constant f, whose Newton step does not move along the translation
+    (it is bordered, or even about the peak node), and at
+    WEIGHTED_DESCENT_TOL otherwise.
 
     P is factored only once the stopping test has failed, and P^{-1}
     applied once per step taken: an iterate that passes the test, such as
@@ -806,8 +883,50 @@ def _newton_step(problem, v, r, a, constant_f):
     return delta
 
 
+def _even_step(problem, r, a, k):
+    """Newton step delta solving J delta = -r for r and a = v^{p-1} even about node k; None on a zero pivot.
+
+    m is even and f constant, so J commutes with the reflection about k,
+    and for an even r the step is even: one LAPACK tridiagonal solve
+    (dgtsv) with J's even block (_even_block) on the m/2 + 1 nodes k, ...,
+    k+m/2 gives it.  J's translation mode, v' at a solution, is odd, so
+    the even block needs no border, and an even delta meets the border's
+    constraint <v', delta> = 0: on an even r this is _newton_step's
+    bordered step.
+    """
+    diag, off = _even_block(problem, a, k)
+    lower = np.full(diag.size - 1, off)
+    upper = lower.copy()
+    lower[-1] = upper[0] = 2.0 * off
+    y, info = flapack().dgtsv(lower, diag, upper, -_even_half(r, k), overwrite_b=1)[3:]
+    return None if info else _mirror(y, k)
+
+
+def _even_about_peak(problem, v):
+    """(k, (v + Rv) / 2), R the reflection about v's peak node k, if Newton may solve on J's even half.
+
+    Else (None, v).  f must be constant, and it needs m even and v even
+    about k up to rounding: |v[k+j] - v[k-j]| <= EVEN_START_ULPS ulp(v[k])
+    for every j.  The average is bitwise even, and so are the residual of an even vector
+    (its stencil's two differences trade places under R) and the steps
+    _even_step takes, so every iterate after it is too.
+    """
+    m = problem.m
+    if m % 2:
+        return None, v
+    k = int(np.argmax(v))
+    half = m // 2
+    ring = np.concatenate((v[k:], v[:k]))  # nodes k, k+1, ..., k+m-1
+    ahead, behind = ring[1:half], ring[:half:-1]  # nodes k+j and k-j, 0 < j < m/2
+    if not float(np.abs(ahead - behind).max()) <= EVEN_START_ULPS * math.ulp(float(ring[0])):
+        return None, v
+    y = ring[:half + 1]
+    y[1:half] = (ahead + behind) / 2.0
+    return k, _mirror(y, k)
+
+
 def _newton(problem, v, config):
-    """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step.
+    """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step or _even_step.
 
     It has converged once the residual's max norm is at most max(newton_tol,
     eps |J|_inf |v|_inf), |J|_inf <= |-Delta_h|_inf + alpha + p max f max v^{p-1}
@@ -820,6 +939,9 @@ def _newton(problem, v, config):
     whose null modes the border does not remove (e.g. the relative
     positions of several bumps), where damped Newton would grind to its
     cap.
+    With constant f, a start that _even_about_peak finds even about its
+    peak node k steps by _even_step on J's even half instead, and k is
+    returned beside the last iterate and its power (None otherwise).
     """
     f_max = float(problem.f_samples.max())
     constant_f = _constant_weight(problem)
@@ -831,16 +953,20 @@ def _newton(problem, v, config):
         return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
 
     v = np.maximum(v, POSITIVITY_FLOOR)
+    k, v = _even_about_peak(problem, v) if constant_f else (None, v)
     r, a = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
     for iters in range(1, NEWTON_MAX_ITER + 1):
         if converged(v, rn):
-            return v, a, iters - 1, rn, True
-        delta = _newton_step(problem, v, r, a, constant_f)
+            return v, a, k, iters - 1, rn, True
+        if k is None:
+            delta = _newton_step(problem, v, r, a, constant_f)
+        else:
+            delta = _even_step(problem, r, a, k)
         if delta is None or not np.all(np.isfinite(delta)):
-            return v, a, iters, rn, False
+            return v, a, k, iters, rn, False
         theta = 1.0
         while theta > 1e-6:
             cand = np.maximum(v + theta * delta, POSITIVITY_FLOOR)
@@ -851,11 +977,11 @@ def _newton(problem, v, config):
                 break
             theta *= 0.5
         else:
-            return v, a, iters, rn, False
+            return v, a, k, iters, rn, False
         short_steps = short_steps + 1 if theta < 0.125 else 0
         if short_steps == 2:
             break
-    return v, a, iters, rn, converged(v, rn)
+    return v, a, k, iters, rn, converged(v, rn)
 
 
 def _solve_one(problem, label, u0, config):

@@ -70,6 +70,17 @@ MUTANTS = [
      "tests/test_solver.py::test_the_descent_cap_leaves_room_for_a_slow_descent"),
     (SOLVER, "return 2.0 / (h * h), -1.0 / (h * h)", "return 2.0 / (h * h) * (1.0 + 1e-12), -1.0 / (h * h)",
      "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
+    # J's even and odd blocks about the peak node
+    (SOLVER, "lower[-1] = upper[0] = 2.0 * off", "lower[-1] = upper[0] = off",
+     "tests/test_solver.py::test_the_even_step_is_the_bordered_step_on_an_even_residual[1]"),
+    (SOLVER, "math.sqrt(2.0) * coupling", "1.0 * coupling",
+     "tests/test_solver.py::test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues[64]"),
+    (SOLVER, "off[half] = 0.0", "off[half] = coupling",
+     "tests/test_solver.py::test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues[64]"),
+    (SOLVER, "\nEVEN_START_ULPS = 64\n", "\nEVEN_START_ULPS = 2**60\n",
+     "tests/test_solver.py::test_a_start_off_the_even_path_keeps_the_cut_path_bitwise[random-m256]"),
+    (SOLVER, "if k < half else", "if k <= half else",
+     "tests/test_solver.py::test_the_even_step_is_the_bordered_step_on_an_even_residual[2]"),
     (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
      "tests/test_constants.py::test_sphere_volume_known_values"),
     (CONSTANTS, "sphere_volume(n) ** (2.0 / n))", "sphere_volume(n) ** (2.0 / n) * (1.0 + 1e-13))",

@@ -124,6 +124,36 @@ def test_the_orbit_volume_laplacian_bound_must_be_finite(value):
         GroupActionSpec("circle", 1, 2.0 * math.pi, 6.0, vh_laplacian_lower=value)
 
 
+@pytest.mark.parametrize(
+    "field, value, name",
+    [
+        ("k", None, "orbit dimension k"),
+        ("k", math.inf, "orbit dimension k"),
+        ("k", math.nan, "orbit dimension k"),
+        ("k", True, "orbit dimension k"),
+        ("k", -1, "orbit dimension k"),
+        ("k", 1.5, "orbit dimension k"),
+        ("orbit_volume", None, "orbit volume"),
+        ("orbit_volume", math.inf, "orbit volume"),
+        ("orbit_volume", True, "orbit volume"),
+        ("orbit_volume", "1", "orbit volume"),
+        ("orbit_volume", 0.0, "orbit volume"),
+        ("quotient_scal_lower", None, "quotient scalar curvature bound"),
+        ("quotient_scal_lower", True, "quotient scalar curvature bound"),
+        ("quotient_scal_lower", math.nan, "quotient scalar curvature bound"),
+        ("vh_laplacian_lower", True, "orbit-volume Laplacian lower bound"),
+        ("vh_laplacian_lower", "1", "orbit-volume Laplacian lower bound"),
+        ("vh_laplacian_lower", None, "orbit-volume Laplacian lower bound"),
+    ],
+)
+def test_a_bad_group_action_field_is_rejected_by_name(field, value, name):
+    fields = {"name": "circle", "k": 1, "orbit_volume": 2.0 * math.pi, "quotient_scal_lower": 6.0}
+    with pytest.raises(PreconditionError, match=name):
+        GroupActionSpec(**dict(fields, **{field: value}))
+    spec = GroupActionSpec(**dict(fields, k=np.int64(1), orbit_volume=np.float32(2.0), vh_laplacian_lower=-1))
+    assert (type(spec.k), type(spec.orbit_volume), type(spec.vh_laplacian_lower)) == (int, float, float)
+
+
 def test_cylinder_overcritical_configuration():
     cfg = example_configuration("cylinder-overcritical", n=5, t=8.0)
     assert cfg.params.k == 1

@@ -309,38 +309,50 @@ def test_newton_step_is_accurate_wherever_the_peak_sits(case):
 def test_zero_pivot_ends_newton_unconverged():
     # h = 1 and alpha - p v^{p-1} = -2 leave J = -(cycle adjacency); cut
     # open, T = -(path adjacency on 63 nodes) has the eigenvalue
-    # 2 cos(32 pi / 64) = 0, and dgtsv, in exact arithmetic here, meets a
-    # zero pivot
+    # 2 cos(32 pi / 64) = 0, and so has J's even block about node 0, with
+    # the even eigenvector cos(pi i / 2); dgtsv, in exact arithmetic here,
+    # meets a zero pivot in either.  Newton, on the even half of this
+    # constant start, stops there.
     problem = _problem(length=64.0, alpha=3.0, p=5.0, m=64)
     v = np.ones(64)
-    assert solver._newton_step(problem, v, *solver._residual(problem, v), True) is None
-    _, _, iters, rn, ok = solver._newton(problem, v, SolveConfig())
-    assert (iters, ok) == (1, False)
+    r, a = solver._residual(problem, v)
+    assert solver._newton_step(problem, v, r, a, True) is None
+    assert solver._even_step(problem, r, a, 0) is None
+    _, _, k, iters, rn, ok = solver._newton(problem, v, SolveConfig())
+    assert (k, iters, ok) == (0, 1, False)
     assert rn == 2.0
 
 
 def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
     # J's diagonal, in each Newton step and in the report's Morse count,
-    # reads the array v^{p-1} that the iterate's residual evaluated
+    # reads the array v^{p-1} that the iterate's residual evaluated: through
+    # J's even block on an even grid, through the cut J on an odd one
     alpha = example_interval("cylinder-triple").midpoint
-    problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=1024)
-    residual, cut = solver._residual, solver._cut
-    evaluated, read = [], []
+    config = example_configuration("cylinder-triple")
+    residual, cut, even_block = solver._residual, solver._cut, solver._even_block
+    for grid, path in ((1024, "_even_block"), (1025, "_cut")):
+        evaluated, read = [], {"_cut": [], "_even_block": []}
 
-    def counted_residual(pr, u):
-        r, a = residual(pr, u)
-        evaluated.append(a)
-        return r, a
+        def counted_residual(pr, u):
+            r, a = residual(pr, u)
+            evaluated.append(a)
+            return r, a
 
-    def counted_cut(pr, v, a):
-        read.append(a)
-        return cut(pr, v, a)
+        def counted_cut(pr, v, a):
+            read["_cut"].append(a)
+            return cut(pr, v, a)
 
-    monkeypatch.setattr(solver, "_residual", counted_residual)
-    monkeypatch.setattr(solver, "_cut", counted_cut)
-    report = minimize(problem)
-    assert report.newton_iterations >= 1 and len(read) >= 2  # a Newton step and the Morse count
-    assert all(any(a is b for b in evaluated) for a in read)
+        def counted_even_block(pr, a, k):
+            read["_even_block"].append(a)
+            return even_block(pr, a, k)
+
+        monkeypatch.setattr(solver, "_residual", counted_residual)
+        monkeypatch.setattr(solver, "_cut", counted_cut)
+        monkeypatch.setattr(solver, "_even_block", counted_even_block)
+        report = minimize(circle_reduction(config, 1, alpha, grid=grid))
+        assert report.newton_iterations >= 1 and len(read[path]) >= 2  # a Newton step and the Morse count
+        assert sum(map(len, read.values())) == len(read[path])  # one path throughout
+        assert all(any(a is b for b in evaluated) for a in read[path])
 
 
 @pytest.mark.parametrize(
@@ -783,9 +795,10 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     run = solver._solve_one(problem, label, u0, config)
     u, qv, capped = solver._descend(problem, u0)
     v = qv ** (1.0 / (problem.p - 1.0)) * u
-    v, power, iters, rn, ok = solver._newton(problem, v, config)
+    v, power, peak, iters, rn, ok = solver._newton(problem, v, config)
     assert np.array_equal(run.v, v) and np.array_equal(run.power, power)
-    assert (run.iters, run.residual, run.converged, run.descent_capped) == (iters, rn, ok, capped)
+    assert (run.peak, run.iters, run.residual) == (peak, iters, rn)
+    assert (run.converged, run.descent_capped) == (ok, capped)
 
 
 @pytest.mark.parametrize("phase", [0.0, 1.0, math.pi, 5.5])
@@ -1079,6 +1092,111 @@ def test_cylinder_triple_morse_counts_at_c6_alpha(m):
         assert (report.morse_index, report.zero_modes) == minimizer
         closed = constant_solution(problem)
         assert (closed.morse_index, closed.zero_modes) == constant
+
+
+# J's even and odd blocks about the peak node
+
+
+def _reflected(u, k):
+    """u at the nodes k+j and at the nodes k-j, 0 < j < m/2: equal arrays when u is even about node k."""
+    ring = np.concatenate((u[k:], u[:k]))
+    return ring[1:u.size // 2], ring[:u.size // 2:-1]
+
+
+@pytest.mark.parametrize("m", [64, 128, 256, 512])
+def test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues(m):
+    # With a constant weight and m even, Newton runs on J's even half, so
+    # each solution is bitwise even about its peak node k, and the report's
+    # count adds the even block's count to the odd block's.  At the last
+    # model alpha the constant's cos 1 and sin 1 modes, one even and one
+    # odd, are J's zero modes.
+    cases = []
+    for alpha in (0.4, 1.5):
+        problem = _problem(alpha=alpha, m=m)
+        cases.append((problem, minimize(problem).u))
+    for alpha in (0.15, 0.4, 1.5, (math.sin(math.pi / m) * m / (2.0 * math.pi)) ** 2):
+        problem = _problem(alpha=alpha, m=m)
+        cases.append((problem, constant_solution(problem).u))
+    if m == 512:
+        alpha = example_interval("cylinder-triple").midpoint
+        for index in (1, 2):
+            problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
+            cases.append((problem, minimize(problem).u))
+    seen = set()
+    for problem, u in cases:
+        k = int(np.argmax(u))
+        ahead, behind = _reflected(u, k)
+        assert np.array_equal(ahead, behind)
+        power = solver._residual(problem, u)[1]
+        counts = solver._morse_counts(problem, u, power, k)
+        assert counts == solver._morse_counts(problem, u, power) == _dense_morse_counts(problem, u)
+        seen.add(counts)
+    assert (1, 2) in seen and len(seen) >= 4
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_the_even_step_is_the_bordered_step_on_an_even_residual(index):
+    # Newton's start from the soliton, symmetrized about its peak, at m = 512,
+    # with the peak moved to either side of m/2 so that both of
+    # _even_half's slices and _mirror's wrap are taken
+    m = 512
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
+    (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
+    u, qv, _ = solver._descend(problem, u0)
+    start = qv ** (1.0 / (problem.p - 1.0)) * u
+    for shift in (0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 1):
+        k, v = solver._even_about_peak(problem, np.roll(start, shift))
+        assert k == shift
+        r, a = solver._residual(problem, v)
+        assert np.array_equal(*_reflected(r, k))
+        delta = solver._even_step(problem, r, a, k)
+        assert np.array_equal(*_reflected(delta, k))
+        bordered = solver._newton_step(problem, v, r, a, True)
+        assert float(np.max(np.abs(delta - bordered))) <= 1e-12 * float(np.max(np.abs(bordered)))
+
+
+@pytest.mark.parametrize("case", ["random-m256", "odd-m1025", "weighted-m512"])
+def test_a_start_off_the_even_path_keeps_the_cut_path_bitwise(monkeypatch, case):
+    # A random start is 5e-2 off even, an odd grid has no reflection about a
+    # node that maps the grid to itself, and a nonconstant weight breaks it:
+    # none takes the even step, and each report is bitwise the one of the
+    # cut path alone
+    kind, m = case.split("-m")
+    m = int(m)
+    config = SolveConfig(starts=("random",)) if kind == "random" else SolveConfig()
+    if kind == "weighted":
+        problem = _problem(alpha=0.4, m=m, f=1.0 + 0.15 * np.cos(np.arange(m) * (2.0 * math.pi / m)))
+    elif kind == "random":
+        problem = _problem(alpha=0.4, m=m)
+    else:
+        alpha = example_interval("cylinder-triple").midpoint
+        problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=m)
+
+    def no_even_step(*args):
+        raise AssertionError("the even step ran")
+
+    monkeypatch.setattr(solver, "_even_step", no_even_step)
+    report = minimize(problem, config)
+    monkeypatch.setattr(solver, "_even_about_peak", lambda pr, v: (None, v))
+    cut = minimize(problem, config)
+    assert report.newton_iterations >= 1
+    assert report.u.tobytes() == cut.u.tobytes() and report.to_json() == cut.to_json()
+
+
+def test_ldl_count_takes_one_coupling_per_row():
+    # blocks joined by zero couplings: the count is the sum of the blocks'
+    rng = np.random.default_rng(8)
+    n = 40
+    for _ in range(20):
+        t, off = rng.uniform(-3.0, 3.0, n), rng.uniform(-2.0, 2.0, n - 1)
+        off[rng.integers(0, n - 1, 2)] = 0.0
+        tri = np.diag(t) + np.diag(off, k=1) + np.diag(off, k=-1)
+        shift = float(rng.uniform(-2.0, 2.0))
+        count, d, e = solver._ldl_count(t, off, shift)
+        assert count == int(np.sum(np.linalg.eigvalsh(tri) < shift))
+        lower = np.eye(n) + np.diag(e, k=-1)
+        assert lower @ np.diag(d) @ lower.T == pytest.approx(tri - shift * np.eye(n), abs=1e-9)
 
 
 # One fresh interpreter per route to scipy's LAPACK wrappers, so that no
