@@ -16,7 +16,7 @@ from .errors import ConvergenceError, PreconditionError
 from .expansion import _EPS_COUNT, ExpansionConfig, fit_and_compare, log_branch_sign
 from .geometry import EXAMPLE_DEFAULTS, EXAMPLE_IDS, example_configuration
 from .jsonio import canonical_json, csv_text
-from .solver import ReducedProblem, SolveConfig, _check_grid, circle_reduction, minimize
+from .solver import _START_LABELS, ReducedProblem, SolveConfig, _check_grid, circle_reduction, minimize
 
 __all__ = ["main"]
 
@@ -201,8 +201,8 @@ def build_parser():
     p_solve.add_argument("--seed", type=int, default=None, help="seed of the opt-in `random` start")
     p_solve.add_argument(
         "--starts", type=str, default=None,
-        help="comma-separated start labels, from constant, soliton, cos<mode>, random (default: %s)"
-        % ",".join(SolveConfig().starts),
+        help="comma-separated start labels, from %s (default: %s)"
+        % (", ".join(_START_LABELS), ",".join(SolveConfig().starts)),
     )
     p_solve.add_argument("--newton-tol", type=float, default=None)
     p_solve.add_argument("--profile", action="store_true", help="include the solution samples")

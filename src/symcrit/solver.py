@@ -77,6 +77,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import flapack, lazy_import
+from .best_constants import _finite, _integer
 from .constants import _concentration_threshold
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
@@ -111,9 +112,9 @@ MIN_GRID = 64
 ZERO_MODE_TOL = 1e-6
 
 # The descent stops at an EL residual of about DESCENT_TOL, where Newton takes over:
-# from there Newton takes at most 2 steps on cylinder-triple at m = 512-16384.  At
-# 1e-3 Newton starts the opt-in cos3 start outside the three-bump saddle's basin and
-# ends near the constant (index 65 at m = 512, 69 at 2048) instead of at that saddle.
+# from there Newton takes at most 2 steps on cylinder-triple at m = 512-16384.  Handed
+# over at 1e-3, the default solves of index 1 at m = 1024 and 2048 and of index 2 at
+# m = 512 and 1024 take 3.
 DESCENT_TOL = 1e-4
 
 # With a nonconstant f, Newton has no border, and its basin along the translation of
@@ -157,7 +158,21 @@ MASS_BOUND_SLACK = 1e-9
 # energy_separation calls two energies distinct above this relative gap.
 ENERGY_GAP_TOL = 1e-10
 
+# The start labels SolveConfig accepts.  A k-bump start is left out: on the circle
+# of the order-a rotations a k-bump function is invariant under the order-k a
+# rotations, so the k-bump solution is that group's minimizer, which the order-k a
+# problem on m/k nodes finds from the default starts.
+_START_LABELS = ("constant", "soliton", "cos1", "random")
+
 np = lazy_import("numpy")
+
+
+def _above(x, what, floor):
+    """x as a finite float above floor (best_constants._finite); what names it."""
+    x = _finite(x, what)
+    if not x > floor:
+        raise PreconditionError("%s must be > %r, got %r" % (what, floor, x))
+    return x
 
 
 def _reduce_by_fields(self):
@@ -178,14 +193,13 @@ class ReducedProblem:
     h: float = dataclasses.field(init=False, repr=False)  # the node spacing length / m, set once
 
     def __post_init__(self):
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise PreconditionError("circle length must be positive and finite")
-        if not (math.isfinite(self.weight) and self.weight > 0.0):
-            raise PreconditionError("transverse weight must be positive and finite")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise PreconditionError("alpha must be positive and finite")
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise PreconditionError("exponent p must be > 1 and finite")
+        for name, what, floor in (
+            ("length", "circle length", 0.0),
+            ("weight", "transverse weight", 0.0),
+            ("alpha", "alpha", 0.0),
+            ("p", "exponent p", 1.0),
+        ):
+            object.__setattr__(self, name, _above(getattr(self, name), what, floor))
         f = np.asarray(self.f_samples, dtype=float)
         if f.ndim != 1 or f.size < MIN_GRID:
             raise PreconditionError("f_samples must be a 1-d array with at least %d nodes" % MIN_GRID)
@@ -195,10 +209,8 @@ class ReducedProblem:
         f.flags.writeable = False
         object.__setattr__(self, "f_samples", f)
         object.__setattr__(self, "h", self.length / f.size)
-        if self.orbit_volume is not None and not (
-            math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0
-        ):
-            raise PreconditionError("orbit volume must be positive and finite when given")
+        if self.orbit_volume is not None:
+            object.__setattr__(self, "orbit_volume", _above(self.orbit_volume, "orbit volume", 0.0))
 
     __reduce__ = _reduce_by_fields
 
@@ -251,22 +263,18 @@ class SolveConfig:
     newton_tol: float = 1e-10
 
     def __post_init__(self):
-        if isinstance(self.starts, str):
+        if not isinstance(self.starts, (tuple, list)):
             raise PreconditionError("starts must be a tuple of labels, got %r" % (self.starts,))
         if not self.starts:
             raise PreconditionError("starts needs at least one start label")
         for label in self.starts:
-            if not isinstance(label, str) or label not in ("constant", "soliton", "random") and not (
-                label.startswith("cos") and label[3:].isdigit()
-            ):
+            if not isinstance(label, str) or label not in _START_LABELS:
                 raise PreconditionError(
-                    "starts has an unknown start label %r (known: constant, soliton, cos<mode>, random)"
-                    % (label,)
+                    "starts has an unknown start label %r (known: %s)" % (label, ", ".join(_START_LABELS))
                 )
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise PreconditionError("seed must be an integer >= 0, got %r" % (self.seed,))
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0.0):
-            raise PreconditionError("newton_tol must be positive and finite, got %r" % (self.newton_tol,))
+        object.__setattr__(self, "starts", tuple(self.starts))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
+        object.__setattr__(self, "newton_tol", _above(self.newton_tol, "newton_tol", 0.0))
 
 
 def _check_grid(grid):
@@ -702,7 +710,6 @@ def _soliton(problem):
 
 
 def _starts(problem, config):
-    s = problem.grid()
     fbar = float(problem.f_samples.mean())
     c = (problem.alpha / fbar) ** (1.0 / (problem.p - 1.0))
     out = []
@@ -714,9 +721,8 @@ def _starts(problem, config):
         elif label == "random":
             rng = np.random.default_rng([config.seed, idx])
             u0 = c * (0.5 + rng.random(problem.m))
-        else:  # "cos<mode>", checked by SolveConfig
-            mode = int(label[3:])
-            u0 = c * (1.0 + 0.3 * np.cos(2.0 * math.pi * mode * s / problem.length))
+        else:  # "cos1", checked by SolveConfig
+            u0 = c * (1.0 + 0.3 * np.cos(2.0 * math.pi * problem.grid() / problem.length))
         out.append((label, u0))
     return out
 

@@ -140,18 +140,6 @@ def test_solve_rejects_a_grid_below_the_minimum(capsys, problem, grid):
     assert "precondition violated: grid must be an integer >= 64" in capsys.readouterr().err
 
 
-def test_exit_code_convergence_failure(capsys):
-    # the opt-in cos3 start stalls by the symmetric three-bump saddle
-    code = main(
-        [
-            "solve", "--example", "cylinder-triple", "--index", "2",
-            "--alpha", "2.1801896756736916", "--grid", "512", "--starts", "cos3",
-        ]
-    )
-    assert code == 3
-    assert "did not converge" in capsys.readouterr().err
-
-
 def test_exit_code_convergence_failure_without_iterations(monkeypatch, capsys):
     # with no descent step and no Newton step the soliton start stays the
     # rescaled line soliton, whose residual on the circle (about 1e-1) is
@@ -254,7 +242,7 @@ def test_solve_takes_the_soliton_start_alone(capsys):
 def test_solve_help_lists_the_start_labels(capsys):
     assert main(["solve", "--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert "labels, from constant, soliton, cos<mode>, random (default: constant,soliton)" in help_text
+    assert "labels, from constant, soliton, cos1, random (default: constant,soliton)" in help_text
 
 
 def test_solve_profile_includes_samples(capsys):
