@@ -31,14 +31,21 @@ A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
 it is the minimizer up to O(e^{-sqrt(alpha) length}), so the descent
 takes a handful of steps before Newton.
 
-With a constant f and m even, J commutes with the reflection about a
-node, and Newton's start from the soliton is even about its peak node k
-to rounding; _even_about_peak makes it exactly even there.  Each step
-then solves on J's even half: one LAPACK tridiagonal solve (gtsv) with
-J's even block on the m/2 + 1 nodes k, ..., k+m/2 (_even_step), and
-every iterate stays bitwise even.  J's translation mode v' is odd, so
-the even block needs no border (Golubitsky, Stewart & Schaeffer 1988,
-vol. II).  Any other start, an odd m or a nonconstant f solves with all
+With a constant f and m even, the reflection about node 0 maps the grid
+to itself and commutes with -Delta_h, P and J, and the constant, soliton
+and cos1 starts are even about node 0 by construction (the soliton peaks
+at argmax f = 0).  Such a start solves on the half grid from start to
+report (_on_half_grid): each vector holds only its values at the m/2 + 1
+nodes 0, ..., m/2.  A sum over the circle's nodes weighs nodes 0 and m/2
+once and every node between twice (_dot), a sum over its forward
+differences weighs each of the m/2 within those nodes twice (_edge_dot),
+-Delta_h reflects at both ends (_neg_laplacian), and the descent's P^{-1}
+is P's even block, one plain tridiagonal factored once (_p_inverse), with
+no Schur closure.  Each Newton step is one LAPACK tridiagonal solve
+(gtsv) with J's even block (_even_step).  J's translation mode v' is
+odd, so the even block needs no border (Golubitsky, Stewart & Schaeffer
+1988, vol. II).  The report mirrors the solution onto all m nodes once
+(_mirror).  A random start, an odd m or a nonconstant f solves with all
 of the cyclic tridiagonal J, cut open at the node where |v'| is largest
 (see _cut): the rest of J is a plain tridiagonal block T, so one gtsv
 with T and a Schur complement for the cut node give the step
@@ -56,8 +63,8 @@ gradient (_evaluate).
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted from the
 pivots of one LDL' factor per shift (LAPACK's pttrf; see _morse_counts).
-For a solution Newton found on J's even half, the factor is that of J's
-even and odd blocks about k, one tridiagonal of m rows, since J's
+For a solution found on the half grid, the factor is that of J's even
+and odd blocks about node 0, one tridiagonal of m rows, since J's
 inertia is the sum of theirs (Sylvester's law of inertia).  Otherwise it
 is the factor of T, with one Schur complement for the cut node.  A
 positive solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a
@@ -141,13 +148,6 @@ NEWTON_MAX_ITER = 50
 # newton_tol, and floor^{p+1} stays a normal double for p <= 5, clear of subnormal
 # arithmetic; at 1e-12 the kink stalled Newton on fine grids.
 POSITIVITY_FLOOR = 1e-50
-
-# Newton solves on J's even half about the peak node k of its start v when
-# |v[k+j] - v[k-j]| <= EVEN_START_ULPS ulp(v[k]) for every j (_even_about_peak).
-# From the soliton start the descent's rounding leaves at most 12.5 ulps on
-# every packaged example's solves at its interval ends and midpoint, m = 256
-# to 16384; a random start is about 1e13 ulps off.
-EVEN_START_ULPS = 64
 
 # A solution whose range max - min exceeds OSCILLATION_TOL * max is nonconstant.
 OSCILLATION_TOL = 1e-7
@@ -272,6 +272,8 @@ class SolveConfig:
                 raise PreconditionError(
                     "starts has an unknown start label %r (known: %s)" % (label, ", ".join(_START_LABELS))
                 )
+            if label != "random" and self.starts.count(label) > 1:  # each random position draws its own vector
+                raise PreconditionError("starts repeats the start label %r" % (label,))
         object.__setattr__(self, "starts", tuple(self.starts))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", least=0))
         object.__setattr__(self, "newton_tol", _above(self.newton_tol, "newton_tol", 0.0))
@@ -327,32 +329,71 @@ def _stencil(h):
     return 2.0 / (h * h), -1.0 / (h * h)
 
 
-def _differences(u, h):
-    """Forward differences (u[i+1] - u[i]) / h on the circle."""
-    du = np.empty_like(u)
-    np.subtract(u[1:], u[:-1], out=du[:-1])
-    du[-1] = u[0] - u[-1]
+def _differences(u, h, half=False):
+    """Forward differences (u[i+1] - u[i]) / h on the circle, or the m/2 on the half grid.
+
+    On the half grid (half) u holds nodes 0, ..., m/2 of a vector even
+    about node 0: the difference on each edge i, i+1 with i >= m/2 is the
+    negative of the one on its mirror image m-i-1, m-i, so the m/2 edges
+    within nodes 0, ..., m/2 give every difference.
+    """
+    if half:
+        du = np.subtract(u[1:], u[:-1])
+    else:
+        du = np.empty_like(u)
+        np.subtract(u[1:], u[:-1], out=du[:-1])
+        du[-1] = u[0] - u[-1]
     du /= h
     return du
 
 
-def _neg_laplacian(du, h):
-    """-Delta_h u = (du[i-1] - du[i]) / h, _stencil's operator, from u's forward differences du."""
-    g = np.empty_like(du)
-    np.subtract(du[:-1], du[1:], out=g[1:])
-    g[0] = du[-1] - du[0]
+def _neg_laplacian(du, h, half=False):
+    """-Delta_h u = (du[i-1] - du[i]) / h, _stencil's operator, from u's forward differences du.
+
+    On the half grid (half) the ends reflect: the difference before node 0
+    is -du[0] and the one after node m/2 is -du[-1], so each entry is the
+    circle's, bitwise.
+    """
+    if half:
+        g = np.empty(du.size + 1)
+        np.subtract(du[:-1], du[1:], out=g[1:-1])
+        g[0] = -2.0 * du[0]
+        g[-1] = 2.0 * du[-1]
+    else:
+        g = np.empty_like(du)
+        np.subtract(du[:-1], du[1:], out=g[1:])
+        g[0] = du[-1] - du[0]
     g /= h
     return g
 
 
-def _dirichlet(problem, u):
+def _dot(x, y, half=False):
+    """The sum of x y over the circle's nodes; on the half grid nodes 0 and m/2 weigh 1 and each node between 2.
+
+    Those weights come as the sum over nodes 0, ..., m/2-1 plus the one
+    over nodes 1, ..., m/2: two dots of m/2 terms, which round like the
+    circle's one dot of m.  Summing a constant, the interior's m/2 - 1
+    terms doubled were 2-3 ulps off on average at m = 96 to 1024, under 1
+    ulp either way here, and split the tie of the constant and cos1 starts
+    below the model's bifurcation at m = 96.
+    """
+    if not half:
+        return float(np.dot(x, y))
+    return float(np.dot(x[:-1], y[:-1])) + float(np.dot(x[1:], y[1:]))
+
+
+def _edge_dot(du, half=False):
+    """The sum of du^2 over the circle's m edges; on the half grid each of its m/2 edges weighs 2."""
+    return 2.0 * float(np.dot(du, du)) if half else float(np.dot(du, du))
+
+
+def _dirichlet(problem, u, half=False):
     """w int |u'|^2 by forward differences; its gradient is 2 w h (-Delta_h) u, _stencil's operator."""
-    du = _differences(u, problem.h)
-    return problem.weight * problem.h * float(np.dot(du, du))
+    return problem.weight * problem.h * _edge_dot(_differences(u, problem.h, half), half)
 
 
-def _mass2(problem, u):
-    return problem.weight * problem.h * float(np.dot(u, u))
+def _mass2(problem, u, half=False):
+    return problem.weight * problem.h * _dot(u, u, half)
 
 
 def _power(problem, u):
@@ -360,14 +401,14 @@ def _power(problem, u):
     return np.abs(u) ** (problem.p - 1.0)
 
 
-def _nonlinearity(problem, u, a):
-    """f |u|^{p-1} u = f a u, from u's power a = _power(problem, u)."""
-    return problem.f_samples * a * u
+def _nonlinearity(problem, u, a, half=False):
+    """f |u|^{p-1} u = f a u, from u's power a = _power(problem, u); f is constant on the half grid."""
+    return (problem.f_samples[:u.size] if half else problem.f_samples) * a * u
 
 
-def _energy(problem, u, fau):
+def _energy(problem, u, fau, half=False):
     """w int f |u|^{p+1} ds = w h <f a u, u>, from u's nonlinearity fau = _nonlinearity(problem, u, a)."""
-    return problem.weight * problem.h * float(np.dot(fau, u))
+    return problem.weight * problem.h * _dot(fau, u, half)
 
 
 def energy(problem, u):
@@ -376,11 +417,11 @@ def energy(problem, u):
     return _energy(problem, u, _nonlinearity(problem, u, _power(problem, u)))
 
 
-def _quotient(problem, u, den):
+def _quotient(problem, u, den, half=False):
     """Q(u) from u's energy den, the base of Q's denominator."""
     if not den > 0.0:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
-    num = _dirichlet(problem, u) + problem.alpha * _mass2(problem, u)
+    num = _dirichlet(problem, u, half) + problem.alpha * _mass2(problem, u, half)
     return num / den ** (2.0 / problem.two_sharp)
 
 
@@ -399,12 +440,12 @@ def quotient_gradient(problem, u):
     return scale * g
 
 
-def _residual(problem, u):
+def _residual(problem, u, half=False):
     """(-Delta_h u + alpha u - f a u, a), a = _power(problem, u): J's diagonal and the energy read a too."""
     a = _power(problem, u)
-    r = _neg_laplacian(_differences(u, problem.h), problem.h)
+    r = _neg_laplacian(_differences(u, problem.h, half), problem.h, half)
     r += problem.alpha * u
-    r -= _nonlinearity(problem, u, a)
+    r -= _nonlinearity(problem, u, a, half)
     return r, a
 
 
@@ -469,38 +510,22 @@ def _cut_solve(diag, off, *cols):
     return None if info else (x, off * (x[0] + x[-1]))
 
 
-def _even_half(x, k):
-    """x at the nodes k, k+1, ..., k+m/2, for x even about node k and m even: one slice, no copy.
-
-    Where those nodes wrap past m - 1 the slice runs back from k instead,
-    over k, k-1, ..., k-m/2, which holds the same values.
-    """
-    half = x.size // 2
-    return x[k:k + half + 1] if k < half else x[k - half:k + 1][::-1]
+def _mirror(y):
+    """The vector on m = 2 (y.size - 1) nodes that is even about node 0 and equals y on nodes 0, ..., m/2."""
+    return np.concatenate((y, y[-2:0:-1]))
 
 
-def _mirror(y, k):
-    """The vector on m = 2 (y.size - 1) nodes that is even about node k and equals y on nodes k, ..., k+m/2."""
-    ring = np.concatenate((y, y[-2:0:-1]))  # nodes k, k+1, ..., k+m-1
-    m = ring.size
-    x = np.empty(m)
-    x[k:] = ring[:m - k]
-    x[:k] = ring[m - k:]
-    return x
+def _even_block(problem, a):
+    """(diag, off): J's even block about node 0 on the half grid, a = v^{p-1} there and f constant.
 
-
-def _even_block(problem, a, k):
-    """(diag, off): J's even block about node k for a even about k, m even and f constant.
-
-    An even vector is fixed by its values y on the m/2 + 1 nodes k, ...,
-    k+m/2 (_even_half), and J maps it to the even vector whose values there
-    are off y[j-1] + diag[j] y[j] + off y[j+1], with y[-1] = y[1] and
+    An even vector is fixed by its values y on the m/2 + 1 nodes 0, ...,
+    m/2, and J maps it to the even vector whose values there are
+    off y[j-1] + diag[j] y[j] + off y[j+1], with y[-1] = y[1] and
     y[m/2+1] = y[m/2-1]: a tridiagonal block whose two end rows couple
-    with 2 off.  diag = d + alpha - p f a at those nodes, and off is
-    _stencil's coupling.
+    with 2 off.  diag = d + alpha - p f a, and off is _stencil's coupling.
     """
     d, off = _stencil(problem.h)
-    return d + problem.alpha - problem.p * problem.f_samples[k] * _even_half(a, k), off
+    return d + problem.alpha - problem.p * problem.f_samples[0] * a, off
 
 
 def _ldl_count(t, off, shift):
@@ -542,46 +567,45 @@ def _ldl_count(t, off, shift):
     return count + int(d[-1] < 0.0), d, e
 
 
-def _morse_counts(problem, v, a, k=None):
+def _morse_counts(problem, v, a, half=False):
     """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f a), a = v^{p-1} from _residual.
 
     The index counts eigenvalues of J below -tol, the zero modes those in
-    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  When v is
-    exactly even about node k (m even, constant f: the solution Newton
-    found on J's even half), J commutes with the reflection about k, so
-    its spectrum is that of its even block, _even_block made symmetric by
-    scaling its two end couplings by sqrt(2), together with that of its
-    odd block, the plain tridiagonal on nodes k+1, ..., k+m/2-1 with
-    Dirichlet ends (Golubitsky, Stewart & Schaeffer 1988, vol. II).  Both
-    blocks sit in one tridiagonal of m rows, joined by a zero coupling, so
-    each shift takes one LDL' count (_ldl_count).  Otherwise (k None) J
-    is cut open (_cut), J = [[T, w], [w', c]] with T plain tridiagonal,
-    and by Haynsworth's inertia additivity J - s has as many negative
-    eigenvalues as T - s, counted from one LDL' factor of T - s, plus one
-    if the Schur complement c - s - w' (T - s)^{-1} w is negative: one
-    dpttrs column with the same factor.  The inertia does not depend on
-    where J is cut.  When a factor meets a zero pivot, s moves 1 % further
-    from 0.
+    [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  On the half
+    grid (half; m even, constant f, v and a at nodes 0, ..., m/2), J
+    commutes with the reflection about node 0, so its spectrum is that of
+    its even block, _even_block made symmetric by scaling its two end
+    couplings by sqrt(2), together with that of its odd block, the plain
+    tridiagonal on nodes 1, ..., m/2-1 with Dirichlet ends (Golubitsky,
+    Stewart & Schaeffer 1988, vol. II).  Both blocks sit in one
+    tridiagonal of m rows, joined by a zero coupling, so each shift takes
+    one LDL' count (_ldl_count).  Otherwise J is cut open (_cut),
+    J = [[T, w], [w', c]] with T plain tridiagonal, and by Haynsworth's
+    inertia additivity J - s has as many negative eigenvalues as T - s,
+    counted from one LDL' factor of T - s, plus one if the Schur complement
+    c - s - w' (T - s)^{-1} w is negative: one dpttrs column with the same
+    factor.  The inertia does not depend on where J is cut.  When a factor
+    meets a zero pivot, s moves 1 % further from 0.
     """
-    if k is None:
+    if half:
+        even, coupling = _even_block(problem, a)
+        mid = even.size - 1  # node m/2
+        t = np.concatenate((even, even[1:-1]))  # the even block, then the odd one
+        off = np.full(t.size - 1, coupling)
+        off[0] = off[mid - 1] = math.sqrt(2.0) * coupling
+        off[mid] = 0.0
+    else:
         _, diag, _, off = _cut(problem, v, a)
         t = diag[:-1]
         w = np.zeros(problem.m - 1)
         w[0] = w[-1] = off
-    else:
-        even, coupling = _even_block(problem, a, k)
-        half = even.size - 1
-        t = np.concatenate((even, even[1:-1]))  # the even block, then the odd one
-        off = np.full(t.size - 1, coupling)
-        off[0] = off[half - 1] = math.sqrt(2.0) * coupling
-        off[half] = 0.0
 
     def below(shift):
         factor = _ldl_count(t, off, shift)
         if factor is None:  # shift is an eigenvalue of T or of a leading block of it
             return below(1.01 * shift)
         n, d, e = factor
-        if k is not None:
+        if half:
             return n
         x = flapack().dpttrs(d, e, w)[0]
         return n + int(diag[-1] - shift - off * (x[0] + x[-1]) < 0.0)
@@ -601,16 +625,16 @@ class _Score(NamedTuple):
 
 def _score(problem, run):
     """run's _Score, its energy from the power of Newton's last residual (run.power)."""
-    v = run.v
-    e = _energy(problem, v, _nonlinearity(problem, v, run.power))
-    return _Score(_quotient(problem, v, e), e, _classify(v))
+    v, half = run.v, run.half
+    e = _energy(problem, v, _nonlinearity(problem, v, run.power, half), half)
+    return _Score(_quotient(problem, v, e, half), e, _classify(v))
 
 
 class _StartResult(NamedTuple):
     label: str
     v: np.ndarray
     power: np.ndarray  # v^{p-1}, from Newton's last residual
-    peak: int | None  # the node v is even about when Newton solved on J's even half, else None
+    half: bool  # v and power hold nodes 0, ..., m/2 of the half grid (_on_half_grid)
     iters: int
     residual: float
     converged: bool
@@ -621,10 +645,10 @@ def _report(problem, run, score, winning_starts=(), descent_capped=()):
     """The report of run's solution, from the score and residual its caller has computed."""
     thr = problem.threshold
     q = score.quotient
-    morse_index, zero_modes = _morse_counts(problem, run.v, run.power, run.peak)
+    morse_index, zero_modes = _morse_counts(problem, run.v, run.power, run.half)
     return SolveReport(
         problem=problem,
-        u=run.v,
+        u=_mirror(run.v) if run.half else run.v,
         quotient_value=q,
         energy=score.energy,
         el_residual=run.residual,
@@ -692,67 +716,85 @@ def constant_solution(problem):
         raise PreconditionError("the constant solution needs a constant weight f")
     u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
     r, a = _residual(problem, u)
-    peak = None if problem.m % 2 else 0  # a constant is even about every node
-    run = _StartResult("closed-form", u, a, peak, 0, float(np.max(np.abs(r))), True, False)
-    return _report(problem, run, _score(problem, run))
+    run = _StartResult("closed-form", u, a, False, 0, float(np.max(np.abs(r))), True, False)
+    score = _score(problem, run)
+    if problem.m % 2 == 0:  # a constant is even about node 0: J's even and odd blocks give its Morse count
+        mid = problem.m // 2
+        run = run._replace(v=u[:mid + 1], power=a[:mid + 1], half=True)
+    return _report(problem, run, score)
 
 
-def _soliton(problem):
-    """Line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2) at the first node k where f peaks.
+def _on_half_grid(problem, label):
+    """Whether the start label solves on the half grid: nodes 0, ..., m/2 of vectors even about node 0.
+
+    With m even and f constant the reflection about node 0 maps the grid
+    to itself, leaves Q invariant and commutes with the descent's P and
+    Newton's J, so the solve keeps an even vector even.  The constant,
+    soliton and cos1 starts are even about node 0 by construction (the
+    soliton peaks at argmax f, node 0); a random start is not even.
+    """
+    return label != "random" and problem.m % 2 == 0 and _constant_weight(problem)
+
+
+def _soliton(problem, n):
+    """Line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2) at the first node k where f peaks, on nodes 0, ..., n-1.
 
     A^{p-1} = (p+1) alpha / (2 f_k), and x = (s - s_k + L/2) mod L - L/2.
     """
     m, p, k = problem.m, problem.p, int(np.argmax(problem.f_samples))
-    x = ((np.arange(m) - k + m // 2) % m - m // 2) * problem.h
+    x = ((np.arange(n) - k + m // 2) % m - m // 2) * problem.h
     e = np.exp(-0.5 * (p - 1.0) * math.sqrt(problem.alpha) * np.abs(x))
     amplitude = ((p + 1.0) * problem.alpha / (2.0 * float(problem.f_samples[k]))) ** (1.0 / (p - 1.0))
     return amplitude * (2.0 * e / (1.0 + e * e)) ** (2.0 / (p - 1.0))  # sech, without cosh's overflow
 
 
 def _starts(problem, config):
+    """(label, start) pairs; a start that solves on the half grid (_on_half_grid) holds nodes 0, ..., m/2 only."""
     fbar = float(problem.f_samples.mean())
     c = (problem.alpha / fbar) ** (1.0 / (problem.p - 1.0))
     out = []
     for idx, label in enumerate(config.starts):
+        n = problem.m // 2 + 1 if _on_half_grid(problem, label) else problem.m
         if label == "constant":
-            u0 = np.full(problem.m, c)
+            u0 = np.full(n, c)
         elif label == "soliton":
-            u0 = _soliton(problem)
+            u0 = _soliton(problem, n)
         elif label == "random":
             rng = np.random.default_rng([config.seed, idx])
             u0 = c * (0.5 + rng.random(problem.m))
         else:  # "cos1", checked by SolveConfig
-            u0 = c * (1.0 + 0.3 * np.cos(2.0 * math.pi * problem.grid() / problem.length))
+            u0 = c * (1.0 + 0.3 * np.cos(2.0 * math.pi * (np.arange(n) * problem.h) / problem.length))
         out.append((label, u0))
     return out
 
 
-def _evaluate(problem, x):
+def _evaluate(problem, x, half=False):
     """x scaled to unit energy, with Q and grad Q at that point, and the scale.
 
     Q is scale-invariant, so Q(x) is Q at the scaled point, and x's
     nonlinearity f |x|^{p-1} x, from one power, serves the energy, the
     scale and the gradient's weighted term.  The forward differences du
     serve both Q's numerator, bitwise _dirichlet's, and -Delta_h u.
-    The scale is energy(problem, x)^{-1/two_sharp}, bitwise.
+    The scale is energy(problem, x)^{-1/two_sharp}, bitwise.  On the half
+    grid (half) the gradient is the full circle's at nodes 0, ..., m/2.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
-    fa = _nonlinearity(problem, x, _power(problem, x))
-    den = _energy(problem, x, fa)
+    fa = _nonlinearity(problem, x, _power(problem, x), half)
+    den = _energy(problem, x, fa, half)
     if not 0.0 < den < math.inf:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
     scale = den ** (-1.0 / q)
     u = scale * x
-    du = _differences(u, h)
-    qv = w * h * float(np.dot(du, du)) + problem.alpha * _mass2(problem, u)
-    g = _neg_laplacian(du, h)
+    du = _differences(u, h, half)
+    qv = w * h * _edge_dot(du, half) + problem.alpha * _mass2(problem, u, half)
+    g = _neg_laplacian(du, h, half)
     g += problem.alpha * u
     g -= (qv * scale ** (q - 1.0)) * fa
     g *= 2.0 * w * h
     return u, qv, g, scale
 
 
-def _p_inverse(problem):
+def _p_inverse(problem, half=False):
     """x = P^{-1} g for P = -Delta_h + alpha, as a function of g, factored once.
 
     P is _stencil's circulant, and every node is alike; cut open at node 0,
@@ -763,12 +805,31 @@ def _p_inverse(problem):
     Schur scalar s = c - w' z > 0 come with the factor.  Each application
     takes one dpttrs column y = T^{-1} g[1:] and closes it:
     x[0] = (g[0] - w' y) / s and x[1:] = y - x[0] z, that is
-    x = [0, y] + x[0] [1, -z].  Both routines come from scipy's LAPACK
-    extension, loaded by itself (_lazy.flapack).
+    x = [0, y] + x[0] [1, -z].
+    On the half grid (half) P acts on an even vector by its even block E,
+    whose two end rows couple with 2 off, as J's (_even_block).  Scaled by
+    the half grid's node weights W = diag(1, 2, ..., 2, 1) (_dot), W E is
+    symmetric, P's quadratic form on even vectors: diagonal 2 c, c at the
+    two end nodes, and coupling 2 off.  It is positive definite, so dpttrf
+    factors it once and each application is one dpttrs column,
+    x = (W E)^{-1} W g, with no Schur closure.  Both routines come from
+    scipy's LAPACK extension, loaded by itself (_lazy.flapack).
     """
     m, alpha = problem.m, problem.alpha
     d, off = _stencil(problem.h)
     lapack = flapack()
+    if half:
+        n = m // 2 + 1
+        diag = np.full(n, 2.0 * (d + alpha))
+        diag[0] = diag[-1] = d + alpha
+        diag, sub = lapack.dpttrf(diag, np.full(n - 1, 2.0 * off))[:2]
+
+        def solve_even(g):
+            wg = 2.0 * g
+            wg[0], wg[-1] = g[0], g[-1]
+            return lapack.dpttrs(diag, sub, wg, overwrite_b=1)[0]
+
+        return solve_even
     # T is diagonally dominant, so no pivot of dpttrf can vanish
     diag, sub = lapack.dpttrf(np.full(m - 1, d + alpha), np.full(m - 2, off))[:2]
     w = np.zeros(m - 1)
@@ -786,7 +847,7 @@ def _p_inverse(problem):
     return solve
 
 
-def _descend(problem, u):
+def _descend(problem, u, half=False):
     """Projected H^1 gradient descent on Q with BB steps and backtracking.
 
     The direction is the gradient in the inner product <P ., .> with
@@ -800,7 +861,7 @@ def _descend(problem, u):
     iterate of the Euler-Lagrange equation, so that step rarely
     backtracks.  The stopping test is on g itself, at DESCENT_TOL for a
     constant f, whose Newton step does not move along the translation
-    (it is bordered, or even about the peak node), and at
+    (it is bordered, or even about node 0 on the half grid), and at
     WEIGHTED_DESCENT_TOL otherwise.
 
     P is factored only once the stopping test has failed, and P^{-1}
@@ -808,11 +869,15 @@ def _descend(problem, u):
     the constant start on a constant f, needs no direction, so a descent
     of k steps applies P^{-1} k times.
 
+    On the half grid (half) u holds nodes 0, ..., m/2, and so does every
+    iterate, gradient and direction; the inner products weigh the nodes as
+    _dot does.
+
     Returns the last iterate, its quotient, and whether the descent used
     all of DESCENT_MAX_ITER iterations without meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
-    u, qv, g, _ = _evaluate(problem, np.maximum(u, floor))
+    u, qv, g, _ = _evaluate(problem, np.maximum(u, floor), half)
     scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
     tol = DESCENT_TOL if _constant_weight(problem) else WEIGHTED_DESCENT_TOL
 
@@ -821,20 +886,20 @@ def _descend(problem, u):
 
     if stationary():
         return u, qv, False
-    p_inverse = _p_inverse(problem)
+    p_inverse = _p_inverse(problem, half)
     step = 1.0 / scale
     u_prev = g_prev = d_prev = None
     for _ in range(DESCENT_MAX_ITER):
         d = p_inverse(g)
         if u_prev is not None:
             dg = g - g_prev
-            denom = float(np.dot(dg, d - d_prev))
-            step = abs(float(np.dot(u - u_prev, dg))) / denom if denom > 0.0 else 1.0
+            denom = _dot(dg, d - d_prev, half)
+            step = abs(_dot(u - u_prev, dg, half)) / denom if denom > 0.0 else 1.0
             step = min(max(step, 1e-12), 1e3)
-        slope = float(np.dot(g, d))
+        slope = _dot(g, d, half)
         trial_step = step
         for _ in range(30):
-            cand, q_cand, g_cand, _ = _evaluate(problem, np.maximum(u - trial_step * d, floor))
+            cand, q_cand, g_cand, _ = _evaluate(problem, np.maximum(u - trial_step * d, floor), half)
             if q_cand <= qv - 1e-4 * trial_step * slope:
                 break
             trial_step *= 0.5
@@ -889,50 +954,27 @@ def _newton_step(problem, v, r, a, constant_f):
     return delta
 
 
-def _even_step(problem, r, a, k):
-    """Newton step delta solving J delta = -r for r and a = v^{p-1} even about node k; None on a zero pivot.
+def _even_step(problem, r, a):
+    """Newton step delta solving J delta = -r on the half grid, a = v^{p-1} there; None on a zero pivot.
 
-    m is even and f constant, so J commutes with the reflection about k,
-    and for an even r the step is even: one LAPACK tridiagonal solve
-    (dgtsv) with J's even block (_even_block) on the m/2 + 1 nodes k, ...,
-    k+m/2 gives it.  J's translation mode, v' at a solution, is odd, so
-    the even block needs no border, and an even delta meets the border's
+    m is even and f constant, so J commutes with the reflection about node
+    0, and for an even r the step is even: one LAPACK tridiagonal solve
+    (dgtsv) with J's even block (_even_block) on the m/2 + 1 nodes 0, ...,
+    m/2 gives it.  J's translation mode, v' at a solution, is odd, so the
+    even block needs no border, and an even delta meets the border's
     constraint <v', delta> = 0: on an even r this is _newton_step's
     bordered step.
     """
-    diag, off = _even_block(problem, a, k)
+    diag, off = _even_block(problem, a)
     lower = np.full(diag.size - 1, off)
     upper = lower.copy()
     lower[-1] = upper[0] = 2.0 * off
-    y, info = flapack().dgtsv(lower, diag, upper, -_even_half(r, k), overwrite_b=1)[3:]
-    return None if info else _mirror(y, k)
+    y, info = flapack().dgtsv(lower, diag, upper, -r, overwrite_b=1)[3:]
+    return None if info else y
 
 
-def _even_about_peak(problem, v):
-    """(k, (v + Rv) / 2), R the reflection about v's peak node k, if Newton may solve on J's even half.
-
-    Else (None, v).  f must be constant, and it needs m even and v even
-    about k up to rounding: |v[k+j] - v[k-j]| <= EVEN_START_ULPS ulp(v[k])
-    for every j.  The average is bitwise even, and so are the residual of an even vector
-    (its stencil's two differences trade places under R) and the steps
-    _even_step takes, so every iterate after it is too.
-    """
-    m = problem.m
-    if m % 2:
-        return None, v
-    k = int(np.argmax(v))
-    half = m // 2
-    ring = np.concatenate((v[k:], v[:k]))  # nodes k, k+1, ..., k+m-1
-    ahead, behind = ring[1:half], ring[:half:-1]  # nodes k+j and k-j, 0 < j < m/2
-    if not float(np.abs(ahead - behind).max()) <= EVEN_START_ULPS * math.ulp(float(ring[0])):
-        return None, v
-    y = ring[:half + 1]
-    y[1:half] = (ahead + behind) / 2.0
-    return k, _mirror(y, k)
-
-
-def _newton(problem, v, config):
-    """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step or _even_step.
+def _newton(problem, v, config, half=False):
+    """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step or, on the half grid, _even_step.
 
     It has converged once the residual's max norm is at most max(newton_tol,
     eps |J|_inf |v|_inf), |J|_inf <= |-Delta_h|_inf + alpha + p max f max v^{p-1}
@@ -945,9 +987,9 @@ def _newton(problem, v, config):
     whose null modes the border does not remove (e.g. the relative
     positions of several bumps), where damped Newton would grind to its
     cap.
-    With constant f, a start that _even_about_peak finds even about its
-    peak node k steps by _even_step on J's even half instead, and k is
-    returned beside the last iterate and its power (None otherwise).
+    On the half grid (half) v and every iterate hold nodes 0, ..., m/2.
+    Returns the last iterate, its power, the steps taken, the residual's
+    max norm and whether it converged.
     """
     f_max = float(problem.f_samples.max())
     constant_f = _constant_weight(problem)
@@ -959,46 +1001,45 @@ def _newton(problem, v, config):
         return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
 
     v = np.maximum(v, POSITIVITY_FLOOR)
-    k, v = _even_about_peak(problem, v) if constant_f else (None, v)
-    r, a = _residual(problem, v)
+    r, a = _residual(problem, v, half)
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
     for iters in range(1, NEWTON_MAX_ITER + 1):
         if converged(v, rn):
-            return v, a, k, iters - 1, rn, True
-        if k is None:
-            delta = _newton_step(problem, v, r, a, constant_f)
-        else:
-            delta = _even_step(problem, r, a, k)
+            return v, a, iters - 1, rn, True
+        delta = _even_step(problem, r, a) if half else _newton_step(problem, v, r, a, constant_f)
         if delta is None or not np.all(np.isfinite(delta)):
-            return v, a, k, iters, rn, False
+            return v, a, iters, rn, False
         theta = 1.0
         while theta > 1e-6:
             cand = np.maximum(v + theta * delta, POSITIVITY_FLOOR)
-            rc, ac = _residual(problem, cand)
+            rc, ac = _residual(problem, cand, half)
             rcn = float(np.abs(rc).max())
             if rcn <= (1.0 - 1e-4 * theta) * rn:
                 v, r, a, rn = cand, rc, ac, rcn
                 break
             theta *= 0.5
         else:
-            return v, a, k, iters, rn, False
+            return v, a, iters, rn, False
         short_steps = short_steps + 1 if theta < 0.125 else 0
         if short_steps == 2:
             break
-    return v, a, k, iters, rn, converged(v, rn)
+    return v, a, iters, rn, converged(v, rn)
 
 
 def _solve_one(problem, label, u0, config):
     """Descent from u0, then Newton from its rescaled result.
 
-    The descent returns u at unit energy, where its qv is Q(u), so
-    v = qv^{1/(p-1)} u solves the equation when u minimizes Q.
+    A u0 on m/2 + 1 nodes solves on the half grid (_starts).  The descent
+    returns u at unit energy, where its qv is Q(u), so v = qv^{1/(p-1)} u
+    solves the equation when u minimizes Q.
     """
-    u, qv, capped = _descend(problem, u0)
+    half = u0.size < problem.m
+    u, qv, capped = _descend(problem, u0, half)
     v = qv ** (1.0 / (problem.p - 1.0)) * u
-    return _StartResult(label, *_newton(problem, v, config), capped)
+    v, power, iters, residual, converged = _newton(problem, v, config, half)
+    return _StartResult(label, v, power, half, iters, residual, converged, capped)
 
 
 def minimize(problem, config=None):

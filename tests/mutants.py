@@ -52,6 +52,8 @@ MUTANTS = [
      "tests/test_solver.py::test_newton_stops_after_two_consecutive_short_steps"),
     (SOLVER, "label not in _START_LABELS:", "label not in _START_LABELS and not label.startswith(\"cos\"):",
      "tests/test_solver.py::test_a_cos_label_other_than_cos1_is_unknown[cos2]"),
+    (SOLVER, "self.starts.count(label) > 1:", "self.starts.count(label) > 2:",
+     "tests/test_solver.py::test_a_repeated_start_label_is_rejected_unless_random[soliton]"),
     (SOLVER, "\nMASS_BOUND_SLACK = 1e-9\n", "\nMASS_BOUND_SLACK = 1e-3\n",
      "tests/test_solver.py::test_min_f_mass_bound_is_tight_on_constants"),
     (SOLVER, "\nOSCILLATION_TOL = 1e-7\n", "\nOSCILLATION_TOL = 1e-4\n",
@@ -74,17 +76,23 @@ MUTANTS = [
      "tests/test_solver.py::test_the_descent_cap_leaves_room_for_a_slow_descent"),
     (SOLVER, "return 2.0 / (h * h), -1.0 / (h * h)", "return 2.0 / (h * h) * (1.0 + 1e-12), -1.0 / (h * h)",
      "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
-    # J's even and odd blocks about the peak node
+    # J's even and odd blocks about node 0
     (SOLVER, "lower[-1] = upper[0] = 2.0 * off", "lower[-1] = upper[0] = off",
      "tests/test_solver.py::test_the_even_step_is_the_bordered_step_on_an_even_residual[1]"),
     (SOLVER, "math.sqrt(2.0) * coupling", "1.0 * coupling",
      "tests/test_solver.py::test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues[64]"),
-    (SOLVER, "off[half] = 0.0", "off[half] = coupling",
+    (SOLVER, "off[mid] = 0.0", "off[mid] = coupling",
      "tests/test_solver.py::test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues[64]"),
-    (SOLVER, "\nEVEN_START_ULPS = 64\n", "\nEVEN_START_ULPS = 2**60\n",
-     "tests/test_solver.py::test_a_start_off_the_even_path_keeps_the_cut_path_bitwise[random-m256]"),
-    (SOLVER, "if k < half else", "if k <= half else",
-     "tests/test_solver.py::test_the_even_step_is_the_bordered_step_on_an_even_residual[2]"),
+    # the half grid's quadrature: node m/2 weighed 2, the nodes between weighed 1, each
+    # difference weighed 1, and P's even block (weighed) with its couplings off for 2 off
+    (SOLVER, "float(np.dot(x[:-1], y[:-1]))", "float(np.dot(x, y))",
+     "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
+    (SOLVER, "+ float(np.dot(x[1:], y[1:]))", "+ float(x[-1] * y[-1])",
+     "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
+    (SOLVER, "return 2.0 * float(np.dot(du, du)) if half", "return 1.0 * float(np.dot(du, du)) if half",
+     "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
+    (SOLVER, "np.full(n - 1, 2.0 * off)", "np.full(n - 1, off)",
+     "tests/test_solver.py::test_the_half_grid_p_inverse_is_the_circulant_p_inverse_on_even_vectors[0.05-64]"),
     (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
      "tests/test_constants.py::test_sphere_volume_known_values"),
     (CONSTANTS, "sphere_volume(n) ** (2.0 / n))", "sphere_volume(n) ** (2.0 / n) * (1.0 + 1e-13))",
@@ -95,7 +103,7 @@ MUTANTS = [
      "tests/test_constants.py::test_the_largest_group_order_keeps_a_finite_window"),
     (SOLVER, "np.abs(u) ** (problem.p - 1.0)", "np.abs(u) ** (problem.p - 1.0 + 1e-12)",
      "tests/test_solver.py::test_quotient_gradient_is_the_scaled_fused_gradient[5.0-64]"),
-    (SOLVER, "float(np.dot(fau, u))", "float(np.dot(fau, u)) * (1.0 + 1e-12)",
+    (SOLVER, "_dot(fau, u, half)", "_dot(fau, u, half) * (1.0 + 1e-12)",
      "tests/test_solver.py::test_fused_evaluation_matches_quotient_and_gradient[64]"),
     (SOLVER, "g[0] = du[-1] - du[0]", "g[0] = du[-2] - du[0]",
      "tests/test_solver.py::test_periodic_differences_equal_the_roll_formulas[97]"),

@@ -324,30 +324,34 @@ def test_zero_pivot_ends_newton_unconverged():
     # open, T = -(path adjacency on 63 nodes) has the eigenvalue
     # 2 cos(32 pi / 64) = 0, and so has J's even block about node 0, with
     # the even eigenvector cos(pi i / 2); dgtsv, in exact arithmetic here,
-    # meets a zero pivot in either.  Newton, on the even half of this
-    # constant start, stops there.
+    # meets a zero pivot in either.  Newton stops there, on the whole circle
+    # and on the half grid of this constant start alike.
     problem = _problem(length=64.0, alpha=3.0, p=5.0, m=64)
     v = np.ones(64)
     r, a = solver._residual(problem, v)
     assert solver._newton_step(problem, v, r, a, True) is None
-    assert solver._even_step(problem, r, a, 0) is None
-    _, _, k, iters, rn, ok = solver._newton(problem, v, SolveConfig())
-    assert (k, iters, ok) == (0, 1, False)
-    assert rn == 2.0
+    y = v[:33]
+    r, a = solver._residual(problem, y, True)
+    assert solver._even_step(problem, r, a) is None
+    for start, half in ((v, False), (y, True)):
+        _, _, iters, rn, ok = solver._newton(problem, start, SolveConfig(), half)
+        assert (iters, ok) == (1, False)
+        assert rn == 2.0
 
 
 def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
     # J's diagonal, in each Newton step and in the report's Morse count,
     # reads the array v^{p-1} that the iterate's residual evaluated: through
-    # J's even block on an even grid, through the cut J on an odd one
+    # J's even block on the half grid of an even one, through the cut J on
+    # an odd one
     alpha = example_interval("cylinder-triple").midpoint
     config = example_configuration("cylinder-triple")
     residual, cut, even_block = solver._residual, solver._cut, solver._even_block
     for grid, path in ((1024, "_even_block"), (1025, "_cut")):
         evaluated, read = [], {"_cut": [], "_even_block": []}
 
-        def counted_residual(pr, u):
-            r, a = residual(pr, u)
+        def counted_residual(pr, u, half=False):
+            r, a = residual(pr, u, half)
             evaluated.append(a)
             return r, a
 
@@ -355,9 +359,9 @@ def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
             read["_cut"].append(a)
             return cut(pr, v, a)
 
-        def counted_even_block(pr, a, k):
+        def counted_even_block(pr, a):
             read["_even_block"].append(a)
-            return even_block(pr, a, k)
+            return even_block(pr, a)
 
         monkeypatch.setattr(solver, "_residual", counted_residual)
         monkeypatch.setattr(solver, "_cut", counted_cut)
@@ -375,7 +379,9 @@ def test_a_solve_reads_its_energies_from_the_powers_it_took(monkeypatch, case):
     # the ranking and the report, a ConvergenceError's too, read the energy
     # w h <f a v, v> from Newton's last power a, and the Newton start is the
     # descent's qv: no solve calls the public energy(), which takes a power
-    # of its own.  The model and weighted cases take sweep's starts.
+    # of its own.  The model and weighted cases take sweep's starts; the
+    # triple and model cases solve on the half grid, whose energy weighs its
+    # nodes as the solve did (_recomputed).
     def energy_raises(pr, u):
         raise AssertionError("solver.energy evaluated a power the solve already had")
 
@@ -396,7 +402,16 @@ def test_a_solve_reads_its_energies_from_the_powers_it_took(monkeypatch, case):
     else:
         report = minimize(_problem(alpha=float(case[len("model-a"):])), sweep)
     monkeypatch.undo()
-    assert report.energy == energy(report.problem, report.u)
+    assert report.energy == _recomputed(report)[1]
+
+
+def _recomputed(report):
+    """(Q, energy) of report.u, computed as its solve computed them: on the half grid for a start that solved there."""
+    problem = report.problem
+    half = report.start_label != "closed-form" and solver._on_half_grid(problem, report.start_label)
+    u = report.u[:problem.m // 2 + 1] if half else report.u
+    e = solver._energy(problem, u, solver._nonlinearity(problem, u, solver._power(problem, u), half), half)
+    return solver._quotient(problem, u, e, half), e
 
 
 # ---------------------------------------------------------------------------
@@ -592,13 +607,14 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     problem = _problem(alpha=alpha)
     config = SolveConfig(starts=("cos1",))
     (_, u0), = solver._starts(problem, config)
+    assert u0.size == problem.m // 2 + 1  # the half grid's
     calls = []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
-    u, _, capped = solver._descend(problem, u0)
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x, half: calls.append(1) or evaluate(pr, x, half))
+    u, _, capped = solver._descend(problem, u0, True)
     assert len(calls) <= 100 < solver.DESCENT_MAX_ITER
     assert not capped
-    _, q, g, _ = evaluate(problem, u)
+    _, q, g, _ = evaluate(problem, u, True)
     scale = 2.0 * problem.weight * problem.h
     assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
 
@@ -627,8 +643,8 @@ def _count_p_inverse(patch, applications, factors):
     p_inverse, lapack = solver._p_inverse, _lazy.flapack()
     dpttrf = lapack.dpttrf
 
-    def counted(problem):
-        solve = p_inverse(problem)
+    def counted(problem, half):
+        solve = p_inverse(problem, half)
         return lambda g: applications.append(1) or solve(g)
 
     patch.setattr(solver, "_p_inverse", counted)
@@ -636,12 +652,13 @@ def _count_p_inverse(patch, applications, factors):
 
 
 def _counted_p_inverse_descent(monkeypatch, problem, u0, cap=solver.DESCENT_MAX_ITER):
-    """(P^{-1} applications, capped) of one descent from u0 with DESCENT_MAX_ITER = cap."""
+    """(P^{-1} applications, capped) of one descent from u0, on the half grid, with DESCENT_MAX_ITER = cap."""
+    assert u0.size == problem.m // 2 + 1
     applications, factors = [], []
     with monkeypatch.context() as patch:
         patch.setattr(solver, "DESCENT_MAX_ITER", cap)
         _count_p_inverse(patch, applications, factors)
-        capped = solver._descend(problem, u0)[2]
+        capped = solver._descend(problem, u0, True)[2]
     assert len(factors) == (1 if applications else 0)  # P is factored once, and only if used
     return len(applications), capped
 
@@ -676,8 +693,12 @@ def test_rescaling_by_the_descent_numerator_is_quotient_value_bitwise():
 
 def _assert_fields_are_their_recomputation(report):
     problem, u = report.problem, report.u
-    assert report.quotient_value == quotient_value(problem, u)
-    assert report.energy == energy(problem, u)
+    assert (report.quotient_value, report.energy) == _recomputed(report)
+    # and within Q's tie of the circle's sums, which the half grid orders otherwise
+    tie = math.ceil(math.sqrt(problem.m))
+    assert report.quotient_value == pytest.approx(quotient_value(problem, u), rel=0.0,
+                                                  abs=tie * math.ulp(report.quotient_value))
+    assert report.energy == pytest.approx(energy(problem, u), rel=0.0, abs=tie * math.ulp(report.energy))
     assert report.el_residual == el_residual(problem, u)
     assert report.classification == solver._classify(u)
     power = solver._residual(problem, u)[1]
@@ -693,6 +714,8 @@ def test_report_fields_equal_their_recomputation_from_u(case):
     # minimize hands _report the quotient, energy and classification it
     # ranked the starts by, and Newton's last residual and power v^{p-1},
     # instead of computing them again; constant_solution hands over its own.
+    # The model, triple and closed-form Morse counts read J's even and odd
+    # blocks, and _morse_counts here cuts J open.
     # The weighted f takes the unbordered Newton step.
     kind, _, rest = case.partition("-m")
     m = int(rest.split("-")[0])
@@ -740,7 +763,8 @@ def test_newton_stops_after_two_consecutive_short_steps(monkeypatch):
     for name in ("_even_step", "_newton_step"):
         step = getattr(solver, name)
         monkeypatch.setattr(solver, name, lambda *args, step=step: 20.0 * step(*args))
-    _, _, _, iters, residual, converged = solver._newton(problem, solver._soliton(problem), SolveConfig())
+    soliton = solver._soliton(problem, problem.m // 2 + 1)  # on the half grid
+    _, _, iters, residual, converged = solver._newton(problem, soliton, SolveConfig(), True)
     assert (iters, converged) == (2, False) and residual > 1e-3
 
 
@@ -775,7 +799,7 @@ def _counted_solve(monkeypatch, index, m, config=None):
     problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
     calls = []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(pr.m) or evaluate(pr, x))
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x, half: calls.append(pr.m) or evaluate(pr, x, half))
     report = minimize(problem, config)
     monkeypatch.setattr(solver, "_evaluate", evaluate)
     return problem, report, calls
@@ -803,11 +827,12 @@ def test_the_first_descent_step_needs_no_backtrack(monkeypatch, m):
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), 2, alpha, grid=m)
     (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
+    assert u0.size == m // 2 + 1
     evaluations, inverses, factors = [], [], []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: evaluations.append(1) or evaluate(pr, x))
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x, half: evaluations.append(1) or evaluate(pr, x, half))
     _count_p_inverse(monkeypatch, inverses, factors)
-    solver._descend(problem, u0)
+    solver._descend(problem, u0, True)
     assert inverses and len(evaluations) == len(inverses) + 1
     assert len(factors) == 1
 
@@ -819,11 +844,11 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     assert set(calls) == {m}
     (label, u0), = solver._starts(problem, config)
     run = solver._solve_one(problem, label, u0, config)
-    u, qv, capped = solver._descend(problem, u0)
+    u, qv, capped = solver._descend(problem, u0, True)
     v = qv ** (1.0 / (problem.p - 1.0)) * u
-    v, power, peak, iters, rn, ok = solver._newton(problem, v, config)
+    v, power, iters, rn, ok = solver._newton(problem, v, config, True)
     assert np.array_equal(run.v, v) and np.array_equal(run.power, power)
-    assert (run.peak, run.iters, run.residual) == (peak, iters, rn)
+    assert (run.half, run.iters, run.residual) == (True, iters, rn)
     assert (run.converged, run.descent_capped) == (ok, capped)
 
 
@@ -975,6 +1000,17 @@ def test_a_cos_label_other_than_cos1_is_unknown(label):
     # a k-bump start for k >= 2 is the order-k a group's business
     with pytest.raises(PreconditionError, match="known: constant, soliton, cos1, random"):
         SolveConfig(starts=(label,))
+
+
+@pytest.mark.parametrize("label", ["constant", "soliton", "cos1"])
+def test_a_repeated_start_label_is_rejected_unless_random(label):
+    # a deterministic start solved twice would only report itself twice;
+    # each random position draws its own vector
+    with pytest.raises(PreconditionError, match="starts repeats the start label %r" % label):
+        SolveConfig(starts=(label, "random", label))
+    config = SolveConfig(starts=("random", label, "random"))
+    starts = solver._starts(_problem(alpha=0.4, m=96), config)
+    assert not np.array_equal(starts[0][1], starts[2][1])
 
 
 def test_a_config_keeps_its_inputs_as_the_types_it_checked():
@@ -1159,19 +1195,19 @@ def test_cylinder_triple_morse_counts_at_c6_alpha(m):
         assert (closed.morse_index, closed.zero_modes) == constant
 
 
-# J's even and odd blocks about the peak node
+# J's even and odd blocks about node 0, and the half grid
 
 
-def _reflected(u, k):
-    """u at the nodes k+j and at the nodes k-j, 0 < j < m/2: equal arrays when u is even about node k."""
-    ring = np.concatenate((u[k:], u[:k]))
-    return ring[1:u.size // 2], ring[:u.size // 2:-1]
+def _is_even(u):
+    """Whether u is bitwise even about node 0: u[j] == u[m-j] for 0 < j < m/2."""
+    mid = u.size // 2
+    return np.array_equal(u[1:mid], u[:mid:-1])
 
 
 @pytest.mark.parametrize("m", [64, 128, 256, 512])
 def test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues(m):
-    # With a constant weight and m even, Newton runs on J's even half, so
-    # each solution is bitwise even about its peak node k, and the report's
+    # With a constant weight and m even, the default starts solve on the half
+    # grid, so each solution is bitwise even about node 0, and the report's
     # count adds the even block's count to the odd block's.  At the last
     # model alpha the constant's cos 1 and sin 1 modes, one even and one
     # odd, are J's zero modes.
@@ -1189,11 +1225,9 @@ def test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues(m):
             cases.append((problem, minimize(problem).u))
     seen = set()
     for problem, u in cases:
-        k = int(np.argmax(u))
-        ahead, behind = _reflected(u, k)
-        assert np.array_equal(ahead, behind)
+        assert _is_even(u)
         power = solver._residual(problem, u)[1]
-        counts = solver._morse_counts(problem, u, power, k)
+        counts = solver._morse_counts(problem, u[:m // 2 + 1], power[:m // 2 + 1], True)
         assert counts == solver._morse_counts(problem, u, power) == _dense_morse_counts(problem, u)
         seen.add(counts)
     assert (1, 2) in seen and len(seen) >= 4
@@ -1201,32 +1235,37 @@ def test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues(m):
 
 @pytest.mark.parametrize("index", [1, 2])
 def test_the_even_step_is_the_bordered_step_on_an_even_residual(index):
-    # Newton's start from the soliton, symmetrized about its peak, at m = 512,
-    # with the peak moved to either side of m/2 so that both of
-    # _even_half's slices and _mirror's wrap are taken
+    # Newton's start from the soliton on the half grid, at m = 512: its
+    # residual is the circle's at nodes 0, ..., m/2, bitwise, and its even
+    # step, mirrored, is the bordered step of the whole circle, wherever the
+    # cut falls (the start rolled to either side of m/2)
     m = 512
     alpha = example_interval("cylinder-triple").midpoint
     problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
     (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
-    u, qv, _ = solver._descend(problem, u0)
-    start = qv ** (1.0 / (problem.p - 1.0)) * u
+    assert u0.size == m // 2 + 1
+    u, qv, _ = solver._descend(problem, u0, True)
+    y = qv ** (1.0 / (problem.p - 1.0)) * u
+    r_half, a_half = solver._residual(problem, y, True)
+    even = solver._mirror(solver._even_step(problem, r_half, a_half))
+    v = solver._mirror(y)
+    assert _is_even(v) and _is_even(even)
+    r, a = solver._residual(problem, v)
+    assert np.array_equal(r[:m // 2 + 1], r_half) and np.array_equal(a[:m // 2 + 1], a_half)
     for shift in (0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 1):
-        k, v = solver._even_about_peak(problem, np.roll(start, shift))
-        assert k == shift
-        r, a = solver._residual(problem, v)
-        assert np.array_equal(*_reflected(r, k))
-        delta = solver._even_step(problem, r, a, k)
-        assert np.array_equal(*_reflected(delta, k))
-        bordered = solver._newton_step(problem, v, r, a, True)
+        rolled = np.roll(v, shift)
+        r, a = solver._residual(problem, rolled)
+        bordered = solver._newton_step(problem, rolled, r, a, True)
+        delta = np.roll(even, shift)
         assert float(np.max(np.abs(delta - bordered))) <= 1e-12 * float(np.max(np.abs(bordered)))
 
 
 @pytest.mark.parametrize("case", ["random-m256", "odd-m1025", "weighted-m512"])
 def test_a_start_off_the_even_path_keeps_the_cut_path_bitwise(monkeypatch, case):
-    # A random start is 5e-2 off even, an odd grid has no reflection about a
-    # node that maps the grid to itself, and a nonconstant weight breaks it:
-    # none takes the even step, and each report is bitwise the one of the
-    # cut path alone
+    # A random start is not even, an odd grid has no reflection about a node
+    # that maps the grid to itself, and a nonconstant weight breaks it: none
+    # solves on the half grid or takes the even step, and each report is
+    # bitwise the one of the cut path alone
     kind, m = case.split("-m")
     m = int(m)
     config = SolveConfig(starts=("random",)) if kind == "random" else SolveConfig()
@@ -1237,16 +1276,109 @@ def test_a_start_off_the_even_path_keeps_the_cut_path_bitwise(monkeypatch, case)
     else:
         alpha = example_interval("cylinder-triple").midpoint
         problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=m)
+    assert not any(solver._on_half_grid(problem, label) for label in config.starts)
+    assert all(u0.size == m for _, u0 in solver._starts(problem, config))
 
     def no_even_step(*args):
         raise AssertionError("the even step ran")
 
     monkeypatch.setattr(solver, "_even_step", no_even_step)
     report = minimize(problem, config)
-    monkeypatch.setattr(solver, "_even_about_peak", lambda pr, v: (None, v))
+    monkeypatch.setattr(solver, "_on_half_grid", lambda pr, label: False)
     cut = minimize(problem, config)
     assert report.newton_iterations >= 1
     assert report.u.tobytes() == cut.u.tobytes() and report.to_json() == cut.to_json()
+
+
+_HALF_PATH_FIELDS = ("classification", "morse_index", "zero_modes", "newton_iterations", "winning_starts",
+                     "descent_capped", "below_threshold")
+
+
+@pytest.mark.parametrize("m", [64, 96, 256, 1024, 4096])
+@pytest.mark.parametrize("label", ["constant", "soliton", "cos1"])
+def test_an_even_start_reports_on_the_half_grid_what_the_cut_path_reports(monkeypatch, label, m):
+    # The model problem on either side of its bifurcation at alpha = 1/4 and
+    # both groups of cylinder-triple, each solved from one even start on the
+    # half grid and again on the whole circle with J cut open and bordered.
+    # Q is stationary at a solution, so it agrees to its tie, ceil(sqrt(m))
+    # ulps.  The energy is not: it moves with the iterate Newton stops at,
+    # and on coarse cylinder-triple grids the bordered cut step stops at
+    # residuals up to 2e-11 where the even step reaches 1e-14 (cos1 at
+    # m = 256, index 1: energies 5.4e-12 apart, relative).  So the energies
+    # agree within the tie plus the larger residual, relative.
+    alpha = example_interval("cylinder-triple").midpoint
+    problems = [_problem(alpha=a, m=m) for a in (0.15, 0.4)]
+    problems += [circle_reduction(example_configuration("cylinder-triple"), i, alpha, grid=m) for i in (1, 2)]
+    config = SolveConfig(starts=(label,))
+    tie = math.ceil(math.sqrt(m))
+    for problem in problems:
+        (_, u0), = solver._starts(problem, config)
+        assert u0.size == m // 2 + 1
+        half = minimize(problem, config)
+        assert _is_even(half.u)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_on_half_grid", lambda pr, label: False)
+            cut = minimize(problem, config)
+        assert [getattr(half, f) for f in _HALF_PATH_FIELDS] == [getattr(cut, f) for f in _HALF_PATH_FIELDS]
+        assert abs(half.quotient_value - cut.quotient_value) <= tie * math.ulp(cut.quotient_value)
+        slack = tie * math.ulp(cut.energy) + max(half.el_residual, cut.el_residual) * cut.energy
+        assert abs(half.energy - cut.energy) <= slack
+
+
+@pytest.mark.parametrize("m", [64, 96, 1024])
+def test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors(m):
+    # On a vector even about node 0 the half grid's residual, power and
+    # -Delta_h are the circle's at nodes 0, ..., m/2, bitwise; its weighted
+    # sums (nodes 0 and m/2 once, the others twice; each difference twice)
+    # are the circle's sums to rounding, and so are Q, its gradient and the
+    # unit-energy scale of the descent's evaluation
+    rng = np.random.default_rng(m)
+    problem = _problem(length=float(rng.uniform(3.0, 20.0)), weight=float(rng.uniform(0.5, 3.0)), alpha=0.7, m=m)
+    h, mid, eps = problem.h, m // 2, math.ulp(1.0)
+    for _ in range(5):
+        y, z = rng.uniform(0.5, 2.0, mid + 1), rng.uniform(-1.0, 1.0, mid + 1)
+        u, w = solver._mirror(y), solver._mirror(z)
+        assert u.size == m and _is_even(u) and np.array_equal(u[:mid + 1], y)
+        du, dy = solver._differences(u, h), solver._differences(y, h, True)
+        assert np.array_equal(du[:mid], dy) and np.array_equal(du[mid:], -dy[::-1])
+        assert np.array_equal(solver._neg_laplacian(du, h)[:mid + 1], solver._neg_laplacian(dy, h, True))
+        r, a = solver._residual(problem, u)
+        r_half, a_half = solver._residual(problem, y, True)
+        assert np.array_equal(r[:mid + 1], r_half) and np.array_equal(a[:mid + 1], a_half)
+        for full, on_half in (
+            (solver._dot(u, w), solver._dot(y, z, True)),
+            (solver._edge_dot(du), solver._edge_dot(dy, True)),
+            (energy(problem, u), solver._energy(problem, y, solver._nonlinearity(problem, y, a_half, True), True)),
+        ):
+            assert on_half == pytest.approx(full, rel=0.0, abs=m * eps * solver._dot(np.abs(u), np.abs(w)))
+        x_full, q_full, g_full, s_full = solver._evaluate(problem, u)
+        x_half, q_half, g_half, s_half = solver._evaluate(problem, y, True)
+        assert np.abs(x_half - x_full[:mid + 1]).max() <= 1e-13 * np.abs(x_full).max()
+        assert q_half == pytest.approx(q_full, rel=1e-13, abs=0.0)
+        assert s_half == pytest.approx(s_full, rel=1e-13, abs=0.0)
+        assert np.abs(g_half - g_full[:mid + 1]).max() <= 1e-12 * np.abs(g_full).max()
+
+
+@pytest.mark.parametrize("m", [64, 96, 1024, 16384])
+@pytest.mark.parametrize("alpha", [0.05, 2.25, 40.0])
+def test_the_half_grid_p_inverse_is_the_circulant_p_inverse_on_even_vectors(m, alpha):
+    # P's even block, factored on the half grid, gives back P's solve of an
+    # even right-hand side, mirrored, to P's condition number |P| / alpha
+    rng = np.random.default_rng(m)
+    length = float(rng.uniform(3.0, 20.0))
+    problem = _problem(length=length, alpha=alpha, m=m)
+    h, eps, mid = problem.h, math.ulp(1.0), m // 2
+    norm = 4.0 / (h * h) + alpha  # |P|_inf
+    solve, solve_half = solver._p_inverse(problem), solver._p_inverse(problem, True)
+    s = np.arange(mid + 1) * h * (2.0 * math.pi / length)
+    for g in (rng.standard_normal(mid + 1), np.exp(np.cos(s)) + 0.3 * np.cos(3.0 * s)):
+        before = g.copy()
+        x = solver._mirror(solve_half(g))
+        assert np.array_equal(g, before) and _is_even(x)
+        px = (2.0 / (h * h) + alpha) * x - (np.roll(x, 1) + np.roll(x, -1)) / (h * h)
+        assert float(np.abs(px - solver._mirror(g)).max()) <= 4.0 * eps * norm * float(np.abs(x).max())
+        x_full = solve(solver._mirror(g))
+        assert float(np.abs(x - x_full).max()) <= 4.0 * eps * (norm / alpha) * float(np.abs(x).max())
 
 
 def test_ldl_count_takes_one_coupling_per_row():
