@@ -85,11 +85,11 @@ MUTANTS = [
      "tests/test_solver.py::test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues[64]"),
     # the half grid's quadrature: node m/2 weighed 2, the nodes between weighed 1, each
     # difference weighed 1, and P's even block (weighed) with its couplings off for 2 off
-    (SOLVER, "float(np.dot(x[:-1], y[:-1]))", "float(np.dot(x, y))",
+    (SOLVER, "float(x[:-1].dot(y[:-1]))", "float(x.dot(y))",
      "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
-    (SOLVER, "+ float(np.dot(x[1:], y[1:]))", "+ float(x[-1] * y[-1])",
+    (SOLVER, "+ float(x[1:].dot(y[1:]))", "+ float(x[-1] * y[-1])",
      "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
-    (SOLVER, "return 2.0 * float(np.dot(du, du)) if half", "return 1.0 * float(np.dot(du, du)) if half",
+    (SOLVER, "return 2.0 * float(du.dot(du)) if half", "return 1.0 * float(du.dot(du)) if half",
      "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
     (SOLVER, "np.full(n - 1, 2.0 * off)", "np.full(n - 1, off)",
      "tests/test_solver.py::test_the_half_grid_p_inverse_is_the_circulant_p_inverse_on_even_vectors[0.05-64]"),
