@@ -16,10 +16,9 @@ principal constant-volume quotients.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import lru_cache
 
-from .constants import ConstantBound, sobolev_constant, sphere_volume
+from .constants import ConstantBound, _above, _integer, sobolev_constant
 from .errors import PreconditionError
 
 __all__ = [
@@ -29,40 +28,6 @@ __all__ = [
     "b0_lower_general",
     "b0_transfer_principal",
 ]
-
-# Integer inputs (dimensions, group orders) stop at MAX_INTEGER_INPUT, so
-# that each converts to a float and a product of two of them, such as the
-# group order's square in _b0_quotient_sphere, stays a finite one.
-MAX_INTEGER_INPUT = 10**150
-
-
-def _real(x, what):
-    """x if it is a real number, numpy's included; a bool, str or None is not one.  what names it."""
-    # int and float first: an isinstance check against numbers.Real is several times slower
-    if type(x) in (int, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
-        return x
-    raise PreconditionError("%s must be a real number, got %r" % (what, x))
-
-
-def _finite(x, what):
-    """x as a finite float; what names it."""
-    if type(x) is not float:  # a float needs neither check nor conversion
-        x = float(_real(x, what))
-    if not math.isfinite(x):
-        raise PreconditionError("%s must be finite, got %r" % (what, x))
-    return x
-
-
-def _integer(x, what, least=1):
-    """x as an int, checked against [least, MAX_INTEGER_INPUT] before any conversion; what names it."""
-    if type(x) is int and least <= x <= MAX_INTEGER_INPUT:  # an int in range needs no conversion
-        return x
-    if not (least <= _real(x, what) <= MAX_INTEGER_INPUT and int(x) == x):
-        raise PreconditionError(
-            "%s must be an integer in [%d, %.0e], got %r" % (what, least, MAX_INTEGER_INPUT, x)
-        )
-    return int(x)
-
 
 def b0_sphere(n):
     """On the round unit sphere the optimal constant is exactly n(n-2)/4."""
@@ -80,9 +45,7 @@ def b0_circle_sphere(t, n):
     [ (n-2)^2/4 ,  (n-2)^2/4 + 1/(4 t^2) ].
     """
     n = _integer(n, "the product constant's dimension n", 3)
-    t = _finite(t, "the product constant's circle radius t")
-    if not t > 0.0:
-        raise PreconditionError("circle radius t must be positive")
+    t = _above(t, "the product constant's circle radius t", 0.0)
     base = (n - 2) ** 2 / 4.0
     return ConstantBound(base, base + 1.0 / (4.0 * t * t))
 
@@ -142,9 +105,7 @@ def b0_lower_general(params, volume, action):
         raise PreconditionError("curvature lower bound needs n - k >= 3, got %d" % N)
     if params.k != action.k:
         raise PreconditionError("action orbit dimension %d does not match k=%d" % (action.k, params.k))
-    volume = _finite(volume, "the curvature bound's manifold volume")
-    if not volume > 0.0:
-        raise PreconditionError("manifold volume must be positive")
+    volume = _above(volume, "the curvature bound's manifold volume", 0.0)
     vol_term = _volume_term(N, action.orbit_volume, volume)
     return ConstantBound(max(vol_term, _curvature_term(params, action)), math.inf)
 

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .best_constants import _curvature_term, _volume_term
-from .constants import _concentration_threshold, sobolev_constant
+from .constants import _above, _concentration_threshold, _finite, _real, sobolev_constant
 from .errors import PreconditionError
 from .geometry import _EXAMPLES, example_configuration
 
@@ -71,17 +71,21 @@ class FProfile:
     vanishing_order: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.f_min <= self.f_avg <= self.f_max < math.inf):
+        for name in ("f_max", "f_min", "f_avg", "f_at_peak"):
+            object.__setattr__(self, name, _above(getattr(self, name), name, 0.0))
+        if not self.f_min <= self.f_avg <= self.f_max:
             raise PreconditionError(
                 "need 0 < f_min <= f_avg <= f_max < inf, got min=%r avg=%r max=%r"
                 % (self.f_min, self.f_avg, self.f_max)
             )
         if self.f_at_peak != self.f_max:
-            raise PreconditionError("the peak value must be the maximum of f")
-        if not math.isfinite(self.laplacian_at_peak):
-            raise PreconditionError("Laplacian of f at the peak must be finite")
-        if self.vanishing_order is not None and not self.vanishing_order >= 1:
-            raise PreconditionError("vanishing order must be >= 1 when given")
+            raise PreconditionError("the peak value f_at_peak must be the maximum of f")
+        object.__setattr__(self, "laplacian_at_peak", _finite(self.laplacian_at_peak, "laplacian_at_peak"))
+        if self.vanishing_order is not None:
+            order = float(_real(self.vanishing_order, "vanishing_order"))
+            if not order >= 1.0:
+                raise PreconditionError("vanishing_order must be >= 1 when given, got %r" % (order,))
+            object.__setattr__(self, "vanishing_order", order)
 
     @classmethod
     def constant(cls, value=1.0):
@@ -102,12 +106,15 @@ class GenericIneqParams:
     D: float
 
     def __post_init__(self):
-        if not (2.0 < self.crit < 4.0):
-            raise PreconditionError("the band exponent must satisfy 2 < crit < 4, got %r" % (self.crit,))
-        if not (math.isfinite(self.P) and self.P > 0.0):
-            raise PreconditionError("gradient constant P must be positive and finite")
-        if not (math.isfinite(self.D) and self.D >= 0.0):
-            raise PreconditionError("zero-order constant D must be finite and >= 0")
+        crit = _finite(self.crit, "band exponent crit")
+        if not 2.0 < crit < 4.0:
+            raise PreconditionError("the band exponent crit must satisfy 2 < crit < 4, got %r" % (crit,))
+        object.__setattr__(self, "crit", crit)
+        object.__setattr__(self, "P", _above(self.P, "gradient constant P", 0.0))
+        D = _finite(self.D, "zero-order constant D")
+        if not D >= 0.0:
+            raise PreconditionError("zero-order constant D must be >= 0, got %r" % (D,))
+        object.__setattr__(self, "D", D)
 
     @property
     def band_factor(self):

@@ -11,11 +11,15 @@ dimension and memoized, for N up to MAX_SPHERE_DIM, past which
 Gamma((N+1)/2) overflows a float.  Constants that are only known up to
 two-sided estimates are carried around as ConstantBound intervals
 [lo, hi]; hi may be +inf when no upper estimate is available.
+
+The input checks every record of the package shares (_finite, _above,
+_integer) sit here, in the module the others build on.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +35,47 @@ __all__ = [
 
 # Gamma((N + 1) / 2) overflows a float from N = 343 on
 MAX_SPHERE_DIM = 342
+
+# Integer inputs (dimensions, group orders) stop at MAX_INTEGER_INPUT, so
+# that each converts to a float and a product of two of them, such as the
+# group order's square in best_constants._b0_quotient_sphere, stays a finite one.
+MAX_INTEGER_INPUT = 10**150
+
+
+def _real(x, what):
+    """x if it is a real number, numpy's included; a bool, str or None is not one.  what names it."""
+    # int and float first: an isinstance check against numbers.Real is several times slower
+    if type(x) in (int, float) or isinstance(x, numbers.Real) and not isinstance(x, bool):
+        return x
+    raise PreconditionError("%s must be a real number, got %r" % (what, x))
+
+
+def _finite(x, what):
+    """x as a finite float; what names it."""
+    if type(x) is not float:  # a float needs neither check nor conversion
+        x = float(_real(x, what))
+    if not math.isfinite(x):
+        raise PreconditionError("%s must be finite, got %r" % (what, x))
+    return x
+
+
+def _above(x, what, floor):
+    """x as a finite float above floor (_finite); what names it."""
+    x = _finite(x, what)
+    if not x > floor:
+        raise PreconditionError("%s must be > %r, got %r" % (what, floor, x))
+    return x
+
+
+def _integer(x, what, least=1):
+    """x as an int, checked against [least, MAX_INTEGER_INPUT] before any conversion; what names it."""
+    if type(x) is int and least <= x <= MAX_INTEGER_INPUT:  # an int in range needs no conversion
+        return x
+    if not (least <= _real(x, what) <= MAX_INTEGER_INPUT and int(x) == x):
+        raise PreconditionError(
+            "%s must be an integer in [%d, %.0e], got %r" % (what, least, MAX_INTEGER_INPUT, x)
+        )
+    return int(x)
 
 
 def sphere_volume(dim):
@@ -80,14 +125,10 @@ class ConstantBound:
     hi: float = math.inf
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise PreconditionError("bound endpoints must not be NaN")
-        if not math.isfinite(lo):
-            raise PreconditionError("lower endpoint must be finite, got %r" % (lo,))
-        if hi < lo:
-            raise PreconditionError("bound endpoints out of order: lo=%r > hi=%r" % (lo, hi))
+        lo = _finite(self.lo, "lower endpoint lo")
+        hi = self.hi if type(self.hi) is float else float(_real(self.hi, "upper endpoint hi"))
+        if not hi >= lo:
+            raise PreconditionError("upper endpoint hi must be >= lo=%r, got %r" % (lo, hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -118,12 +159,8 @@ class EquationParams:
     k: int = 0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
-            raise PreconditionError("ambient dimension n must be an integer >= 3, got %r" % (self.n,))
-        if int(self.k) != self.k or self.k < 0:
-            raise PreconditionError("dimension drop k must be an integer >= 0, got %r" % (self.k,))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "n", _integer(self.n, "ambient dimension n", least=3))
+        object.__setattr__(self, "k", _integer(self.k, "dimension drop k", least=0))
         if self.n - self.k <= 2:
             raise PreconditionError(
                 "need n - k > 2 for a finite exponent, got n=%d k=%d" % (self.n, self.k)

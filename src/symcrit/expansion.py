@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .best_constants import _concentration_ceiling
-from .constants import _concentration_threshold, sphere_volume
+from .constants import _above, _concentration_threshold, _finite, _integer, sphere_volume
 from .errors import PreconditionError
 
 __all__ = [
@@ -63,30 +64,28 @@ class ExpansionConfig:
     epsilons: tuple = ()
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 4):
-            raise PreconditionError("reduced dimension must be an integer >= 4")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise PreconditionError("support radius delta must be positive")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise PreconditionError("alpha must be positive")
-        if not (math.isfinite(self.orbit_volume) and self.orbit_volume > 0.0):
-            raise PreconditionError("orbit volume must be positive and finite")
-        if not (math.isfinite(self.f_peak) and self.f_peak > 0.0):
-            raise PreconditionError("peak value of f must be positive and finite")
-        if not math.isfinite(self.vh_quadratic_coeff):
-            raise PreconditionError("orbit-volume decay q must be finite")
-        if not math.isfinite(self.f_laplacian):
-            raise PreconditionError("Laplacian of f at the peak must be finite")
+        if not isinstance(self.dim, numbers.Integral):  # numpy's too, but no integral float
+            raise PreconditionError("reduced dimension dim must be an integer, got %r" % (self.dim,))
+        object.__setattr__(self, "dim", _integer(self.dim, "reduced dimension dim", least=4))
+        for name, what in (
+            ("delta", "support radius delta"),
+            ("alpha", "alpha"),
+            ("orbit_volume", "orbit_volume"),
+            ("f_peak", "peak value f_peak"),
+        ):
+            object.__setattr__(self, name, _above(getattr(self, name), what, 0.0))
+        for name, what in (
+            ("vh_quadratic_coeff", "orbit-volume decay vh_quadratic_coeff"),
+            ("f_laplacian", "f_laplacian"),
+        ):
+            object.__setattr__(self, name, _finite(getattr(self, name), what))
         d2 = self.delta * self.delta
         if self.vh_quadratic_coeff * d2 >= 2.0 * self.dim:
             raise PreconditionError("density not positive on [0, delta]: shrink delta")
         if self.f_peak - self.f_laplacian * d2 / (2.0 * self.dim) <= 0.0:
             raise PreconditionError("weight not positive on [0, delta]: shrink delta")
-        if self.curvature is not None:
-            if not (math.isfinite(self.curvature) and self.curvature > 0.0):
-                raise PreconditionError(
-                    "curvature must be positive and finite when given (None = flat)"
-                )
+        if self.curvature is not None:  # None is flat
+            object.__setattr__(self, "curvature", _above(self.curvature, "curvature", 0.0))
             if math.sqrt(self.curvature) * self.delta >= math.pi:
                 raise PreconditionError("delta exceeds the injectivity scale of the curvature")
         try:
@@ -97,9 +96,7 @@ class ExpansionConfig:
             raise PreconditionError("epsilons must be a 1-d sequence of numbers")
         if not eps.size:
             eps = np.geomspace(1e-3 * d2, 1e-6 * d2, _EPS_COUNT)
-        eps = tuple(eps.tolist())
-        if any(not (math.isfinite(e) and e > 0.0) for e in eps):
-            raise PreconditionError("all eps must be positive and finite")
+        eps = tuple(_above(e, "each of epsilons", 0.0) for e in eps.tolist())
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise PreconditionError("epsilons must be strictly decreasing")
         if eps[0] > d2 / 4.0:

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .best_constants import (
-    _finite,
-    _integer,
     b0_circle_sphere,
     b0_lower_general,
     b0_quotient_sphere,
     b0_sphere,
     b0_transfer_principal,
 )
-from .constants import EquationParams, sobolev_constant, sphere_volume
+from .constants import EquationParams, _above, _finite, _integer, sobolev_constant, sphere_volume
 from .errors import PreconditionError
 
 __all__ = [
@@ -67,10 +65,7 @@ class GroupActionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _integer(self.k, "orbit dimension k", least=0))
-        volume = _finite(self.orbit_volume, "orbit volume")
-        if not volume > 0.0:
-            raise PreconditionError("orbit volume must be positive, got %r" % (volume,))
-        object.__setattr__(self, "orbit_volume", volume)
+        object.__setattr__(self, "orbit_volume", _above(self.orbit_volume, "orbit volume", 0.0))
         scal = _finite(self.quotient_scal_lower, "quotient scalar curvature bound")
         object.__setattr__(self, "quotient_scal_lower", scal)
         laplacian = _finite(self.vh_laplacian_lower, "orbit-volume Laplacian lower bound")

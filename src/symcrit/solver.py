@@ -31,25 +31,27 @@ A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
 it is the minimizer up to O(e^{-sqrt(alpha) length}), so the descent
 takes a handful of steps before Newton.
 
-With a constant f and m even, the reflection about node 0 maps the grid
-to itself and commutes with -Delta_h, P and J, and the constant, soliton
-and cos1 starts are even about node 0 by construction (the soliton peaks
-at argmax f = 0).  Such a start solves on the half grid from start to
+With a constant f (ReducedProblem.constant_weight, decided once per
+problem) and m even, the reflection about node 0 maps the grid to itself
+and commutes with -Delta_h, P and J, and the constant, soliton and cos1
+starts are even about node 0 by construction (the soliton peaks at
+argmax f = 0).  Such a start solves on the half grid from start to
 report (_on_half_grid): each vector holds only its values at the m/2 + 1
-nodes 0, ..., m/2.  A sum over the circle's nodes weighs nodes 0 and m/2
-once and every node between twice (_dot), a sum over its forward
-differences weighs each of the m/2 within those nodes twice (_edge_dot),
--Delta_h reflects at both ends (_neg_laplacian), and the descent's P^{-1}
-is P's even block, one plain tridiagonal factored once (_p_inverse), with
-no Schur closure.  Each Newton step is one LAPACK tridiagonal solve
-(gtsv) with J's even block (_even_step).  J's translation mode v' is
-odd, so the even block needs no border (Golubitsky, Stewart & Schaeffer
-1988, vol. II).  The report mirrors the solution onto all m nodes once
-(_mirror).  A random start, an odd m or a nonconstant f solves with all
-of the cyclic tridiagonal J, cut open at the node where |v'| is largest
-(see _cut): the rest of J is a plain tridiagonal block T, so one gtsv
-with T and a Schur complement for the cut node give the step
-(_cut_solve).
+nodes 0, ..., m/2, and its length says so (_half): only the array
+kernels and P's factor are told the grid.  A sum over the circle's nodes
+weighs nodes 0 and m/2 once and every node between twice (_dot), a sum
+over its forward differences weighs each of the m/2 within those nodes
+twice (_edge_dot), -Delta_h reflects at both ends (_neg_laplacian), and
+the descent's P^{-1} is P's even block, one plain tridiagonal factored
+once (_p_inverse), with no Schur closure.  Each Newton step is one
+LAPACK tridiagonal solve (gtsv) with J's even block (_even_step).  J's
+translation mode v' is odd, so the even block needs no border
+(Golubitsky, Stewart & Schaeffer 1988, vol. II).  The report mirrors
+the solution onto all m nodes once (_mirror).  A random start, an odd m
+or a nonconstant f solves with all of the cyclic tridiagonal J, cut open
+at the node where |v'| is largest (see _cut): the rest of J is a plain
+tridiagonal block T, so one gtsv with T and a Schur complement for the
+cut node give the step (_cut_solve).
 With constant f, J is singular along the translation tau = v' at a
 solution, and that step is bordered with tau; the Schur system is then
 2x2 (Govaerts & Pryce 1990).  The cut keeps T away from that
@@ -84,8 +86,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import flapack, lazy_import
-from .best_constants import _finite, _integer
-from .constants import _concentration_threshold
+from .constants import _above, _concentration_threshold, _integer
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
 
@@ -167,14 +168,6 @@ _START_LABELS = ("constant", "soliton", "cos1", "random")
 np = lazy_import("numpy")
 
 
-def _above(x, what, floor):
-    """x as a finite float above floor (best_constants._finite); what names it."""
-    x = _finite(x, what)
-    if not x > floor:
-        raise PreconditionError("%s must be > %r, got %r" % (what, floor, x))
-    return x
-
-
 def _reduce_by_fields(self):
     """Pickle and copy a record through its constructor, so __post_init__ freezes its arrays again."""
     return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
@@ -182,7 +175,7 @@ def _reduce_by_fields(self):
 
 @dataclass(eq=False, frozen=True, slots=True)
 class ReducedProblem:
-    """One circle-reduced equation -u'' + alpha u = f u^p; frozen, so h stays length / m."""
+    """One circle-reduced equation -u'' + alpha u = f u^p; frozen, so h and constant_weight stay as set."""
 
     length: float
     weight: float
@@ -191,6 +184,7 @@ class ReducedProblem:
     f_samples: np.ndarray
     orbit_volume: float | None = None
     h: float = dataclasses.field(init=False, repr=False)  # the node spacing length / m, set once
+    constant_weight: bool = dataclasses.field(init=False, repr=False)  # whether f is constant, decided once
 
     def __post_init__(self):
         for name, what, floor in (
@@ -209,6 +203,7 @@ class ReducedProblem:
         f.flags.writeable = False
         object.__setattr__(self, "f_samples", f)
         object.__setattr__(self, "h", self.length / f.size)
+        object.__setattr__(self, "constant_weight", bool(f.max() == f.min()))
         if self.orbit_volume is not None:
             object.__setattr__(self, "orbit_volume", _above(self.orbit_volume, "orbit volume", 0.0))
 
@@ -293,8 +288,9 @@ def circle_reduction(config, index, alpha, grid=256, f_samples=None):
     invariant functions may depend on the circle coordinate reduce; a
     group that forces functions constant along the circle is rejected.
     """
+    index = _integer(index, "index")
     if index not in (1, 2):
-        raise PreconditionError("index must be 1 or 2")
+        raise PreconditionError("index must be 1 or 2, got %r" % (index,))
     record = _EXAMPLES.get(config.example)
     if record is None or record.circle is None:
         raise PreconditionError(
@@ -388,13 +384,18 @@ def _edge_dot(du, half=False):
     return 2.0 * float(du.dot(du)) if half else float(du.dot(du))
 
 
-def _dirichlet(problem, u, half=False):
-    """w int |u'|^2 by forward differences; its gradient is 2 w h (-Delta_h) u, _stencil's operator."""
-    return problem.weight * problem.h * _edge_dot(_differences(u, problem.h, half), half)
+def _half(problem, u):
+    """Whether u holds the half grid's m/2 + 1 nodes (_on_half_grid), not the circle's m: its length says."""
+    return u.size < problem.m
 
 
-def _mass2(problem, u, half=False):
-    return problem.weight * problem.h * _dot(u, u, half)
+def _mass2(problem, u):
+    return problem.weight * problem.h * _dot(u, u, _half(problem, u))
+
+
+def _numerator(problem, u, du):
+    """Q's numerator w int |u'|^2 + alpha u^2 ds from u's forward differences du; its gradient is 2 w h P u."""
+    return problem.weight * problem.h * _edge_dot(du, _half(problem, u)) + problem.alpha * _mass2(problem, u)
 
 
 def _power(problem, u):
@@ -402,32 +403,43 @@ def _power(problem, u):
     return np.abs(u) ** (problem.p - 1.0)
 
 
-def _nonlinearity(problem, u, a, half=False):
-    """f |u|^{p-1} u = f a u, from u's power a = _power(problem, u); f is constant on the half grid."""
-    return (problem.f_samples[:u.size] if half else problem.f_samples) * a * u
+def _nonlinearity(problem, u, a):
+    """f |u|^{p-1} u = f a u, from u's power a = _power(problem, u); on the half grid f[:m/2 + 1] serves."""
+    return problem.f_samples[:u.size] * a * u
 
 
-def _energy(problem, u, fau, half=False):
+def _energy(problem, u, fau):
     """w int f |u|^{p+1} ds = w h <f a u, u>, from u's nonlinearity fau = _nonlinearity(problem, u, a)."""
-    return problem.weight * problem.h * _dot(fau, u, half)
+    return problem.weight * problem.h * _dot(fau, u, _half(problem, u))
+
+
+def _circle_vector(problem, u):
+    """u as a float array; a PreconditionError naming u unless it is 1-d with the circle's m nodes, all finite."""
+    try:
+        u = np.asarray(u, dtype=float)
+    except (TypeError, ValueError):
+        u = None
+    if u is None or u.shape != (problem.m,) or not np.all(np.isfinite(u)):
+        raise PreconditionError("u must be a 1-d array of %d finite values, one per node" % problem.m)
+    return u
 
 
 def energy(problem, u):
     """w int f u^{p+1} ds; equals Q^{N/2} at a solution."""
-    u = np.asarray(u, dtype=float)
+    u = _circle_vector(problem, u)
     return _energy(problem, u, _nonlinearity(problem, u, _power(problem, u)))
 
 
-def _quotient(problem, u, den, half=False):
+def _quotient(problem, u, den):
     """Q(u) from u's energy den, the base of Q's denominator."""
     if not den > 0.0:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
-    num = _dirichlet(problem, u, half) + problem.alpha * _mass2(problem, u, half)
+    num = _numerator(problem, u, _differences(u, problem.h, _half(problem, u)))
     return num / den ** (2.0 / problem.two_sharp)
 
 
 def quotient_value(problem, u):
-    u = np.asarray(u, dtype=float)
+    u = _circle_vector(problem, u)
     return _quotient(problem, u, energy(problem, u))
 
 
@@ -437,27 +449,23 @@ def quotient_gradient(problem, u):
     Q is scale-invariant, so grad Q(x) = s grad Q(s x), with s x the
     unit-energy point where the descent's _evaluate works.
     """
-    _, _, g, scale = _evaluate(problem, np.asarray(u, dtype=float))
+    _, _, g, scale = _evaluate(problem, _circle_vector(problem, u))
     return scale * g
 
 
-def _residual(problem, u, half=False):
+def _residual(problem, u):
     """(-Delta_h u + alpha u - f a u, a), a = _power(problem, u): J's diagonal and the energy read a too."""
+    half = _half(problem, u)
     a = _power(problem, u)
     r = _neg_laplacian(_differences(u, problem.h, half), problem.h, half)
     r += problem.alpha * u
-    r -= _nonlinearity(problem, u, a, half)
+    r -= _nonlinearity(problem, u, a)
     return r, a
 
 
 def el_residual(problem, u):
     """sup | -u'' + alpha u - f u^p | on the nodes."""
-    return float(np.max(np.abs(_residual(problem, np.asarray(u, dtype=float))[0])))
-
-
-def _constant_weight(problem):
-    f = problem.f_samples
-    return float(f.max() - f.min()) == 0.0
+    return float(np.max(np.abs(_residual(problem, _circle_vector(problem, u))[0])))
 
 
 def _classify(u):
@@ -568,12 +576,12 @@ def _ldl_count(t, off, shift):
     return count + int(d[-1] < 0.0), d, e
 
 
-def _morse_counts(problem, v, a, half=False):
+def _morse_counts(problem, v, a):
     """(Morse index, zero modes) of J = -Delta_h + diag(alpha - p f a), a = v^{p-1} from _residual.
 
     The index counts eigenvalues of J below -tol, the zero modes those in
     [-tol, tol], with tol = ZERO_MODE_TOL * max(1, alpha).  On the half
-    grid (half; m even, constant f, v and a at nodes 0, ..., m/2), J
+    grid (m even, constant f, v and a at nodes 0, ..., m/2), J
     commutes with the reflection about node 0, so its spectrum is that of
     its even block, _even_block made symmetric by scaling its two end
     couplings by sqrt(2), together with that of its odd block, the plain
@@ -588,6 +596,7 @@ def _morse_counts(problem, v, a, half=False):
     factor.  The inertia does not depend on where J is cut.  When a factor
     meets a zero pivot, s moves 1 % further from 0.
     """
+    half = _half(problem, v)
     if half:
         even, coupling = _even_block(problem, a)
         mid = even.size - 1  # node m/2
@@ -616,44 +625,39 @@ def _morse_counts(problem, v, a, half=False):
     return index, below(tol) - index
 
 
-class _Score(NamedTuple):
-    """What minimize ranks a converged start by: Q, its denominator's energy and the classification."""
+class _StartResult(NamedTuple):
+    """One start's solution and what minimize ranks it by: Q, its denominator's energy and the classification."""
 
+    label: str
+    v: np.ndarray  # nodes 0, ..., m/2 for a start on the half grid (_on_half_grid), else all m
+    power: np.ndarray  # v^{p-1}, from Newton's last residual
+    iters: int
+    residual: float
+    converged: bool
+    descent_capped: bool
     quotient: float
     energy: float
     classification: str
 
 
-def _score(problem, run):
-    """run's _Score, its energy from the power of Newton's last residual (run.power)."""
-    v, half = run.v, run.half
-    e = _energy(problem, v, _nonlinearity(problem, v, run.power, half), half)
-    return _Score(_quotient(problem, v, e, half), e, _classify(v))
+def _start_result(problem, label, v, power, iters, residual, converged, descent_capped):
+    """The _StartResult of v, its energy from the power of Newton's last residual."""
+    e = _energy(problem, v, _nonlinearity(problem, v, power))
+    q = _quotient(problem, v, e)
+    return _StartResult(label, v, power, iters, residual, converged, descent_capped, q, e, _classify(v))
 
 
-class _StartResult(NamedTuple):
-    label: str
-    v: np.ndarray
-    power: np.ndarray  # v^{p-1}, from Newton's last residual
-    half: bool  # v and power hold nodes 0, ..., m/2 of the half grid (_on_half_grid)
-    iters: int
-    residual: float
-    converged: bool
-    descent_capped: bool
-
-
-def _report(problem, run, score, winning_starts=(), descent_capped=()):
-    """The report of run's solution, from the score and residual its caller has computed."""
-    thr = problem.threshold
-    q = score.quotient
-    morse_index, zero_modes = _morse_counts(problem, run.v, run.power, run.half)
+def _report(problem, run, winning_starts=(), descent_capped=()):
+    """The report of run's solution, from the score and residual its start has computed."""
+    thr, q = problem.threshold, run.quotient
+    morse_index, zero_modes = _morse_counts(problem, run.v, run.power)
     return SolveReport(
         problem=problem,
-        u=_mirror(run.v) if run.half else run.v,
+        u=_mirror(run.v) if _half(problem, run.v) else run.v,
         quotient_value=q,
-        energy=score.energy,
+        energy=run.energy,
         el_residual=run.residual,
-        classification=score.classification,
+        classification=run.classification,
         newton_iterations=run.iters,
         start_label=run.label,
         threshold=thr,
@@ -713,16 +717,14 @@ class SolveReport:
 
 def constant_solution(problem):
     """Closed-form constant solution (alpha/f)^{1/(p-1)}; needs constant f."""
-    if not _constant_weight(problem):
+    if not problem.constant_weight:
         raise PreconditionError("the constant solution needs a constant weight f")
     u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
     r, a = _residual(problem, u)
-    run = _StartResult("closed-form", u, a, False, 0, float(np.max(np.abs(r))), True, False)
-    score = _score(problem, run)
+    run = _start_result(problem, "closed-form", u, a, 0, float(np.max(np.abs(r))), True, False)
     if problem.m % 2 == 0:  # a constant is even about node 0: J's even and odd blocks give its Morse count
-        mid = problem.m // 2
-        run = run._replace(v=u[:mid + 1], power=a[:mid + 1], half=True)
-    return _report(problem, run, score)
+        run = run._replace(v=u[:problem.m // 2 + 1], power=a[:problem.m // 2 + 1])
+    return _report(problem, run)
 
 
 def _on_half_grid(problem, label):
@@ -734,7 +736,7 @@ def _on_half_grid(problem, label):
     soliton and cos1 starts are even about node 0 by construction (the
     soliton peaks at argmax f, node 0); a random start is not even.
     """
-    return label != "random" and problem.m % 2 == 0 and _constant_weight(problem)
+    return label != "random" and problem.m % 2 == 0 and problem.constant_weight
 
 
 def _soliton(problem, n):
@@ -769,25 +771,26 @@ def _starts(problem, config):
     return out
 
 
-def _evaluate(problem, x, half=False):
+def _evaluate(problem, x):
     """x scaled to unit energy, with Q and grad Q at that point, and the scale.
 
     Q is scale-invariant, so Q(x) is Q at the scaled point, and x's
     nonlinearity f |x|^{p-1} x, from one power, serves the energy, the
     scale and the gradient's weighted term.  The forward differences du
-    serve both Q's numerator, bitwise _dirichlet's, and -Delta_h u.
+    serve both Q's numerator (_numerator) and -Delta_h u.
     The scale is energy(problem, x)^{-1/two_sharp}, bitwise.  On the half
-    grid (half) the gradient is the full circle's at nodes 0, ..., m/2.
+    grid the gradient is the full circle's at nodes 0, ..., m/2.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
-    fa = _nonlinearity(problem, x, _power(problem, x), half)
-    den = _energy(problem, x, fa, half)
+    half = _half(problem, x)
+    fa = _nonlinearity(problem, x, _power(problem, x))
+    den = _energy(problem, x, fa)
     if not 0.0 < den < math.inf:
         raise PreconditionError("quotient undefined: f-weighted integral vanishes")
     scale = den ** (-1.0 / q)
     u = scale * x
     du = _differences(u, h, half)
-    qv = w * h * _edge_dot(du, half) + problem.alpha * _mass2(problem, u, half)
+    qv = _numerator(problem, u, du)
     g = _neg_laplacian(du, h, half)
     g += problem.alpha * u
     g -= (qv * scale ** (q - 1.0)) * fa
@@ -848,7 +851,7 @@ def _p_inverse(problem, half=False):
     return solve
 
 
-def _descend(problem, u, half=False):
+def _descend(problem, u):
     """Projected H^1 gradient descent on Q with BB steps and backtracking.
 
     The direction is the gradient in the inner product <P ., .> with
@@ -870,17 +873,18 @@ def _descend(problem, u, half=False):
     the constant start on a constant f, needs no direction, so a descent
     of k steps applies P^{-1} k times.
 
-    On the half grid (half) u holds nodes 0, ..., m/2, and so does every
-    iterate, gradient and direction; the inner products weigh the nodes as
-    _dot does.
+    On the half grid u holds nodes 0, ..., m/2, and so does every iterate,
+    gradient and direction; the inner products weigh the nodes as _dot
+    does.
 
     Returns the last iterate, its quotient, and whether the descent used
     all of DESCENT_MAX_ITER iterations without meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
-    u, qv, g, _ = _evaluate(problem, np.maximum(u, floor), half)
+    half = _half(problem, u)
+    u, qv, g, _ = _evaluate(problem, np.maximum(u, floor))
     scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
-    tol = DESCENT_TOL if _constant_weight(problem) else WEIGHTED_DESCENT_TOL
+    tol = DESCENT_TOL if problem.constant_weight else WEIGHTED_DESCENT_TOL
 
     def stationary():
         return float(np.abs(g).max()) <= tol * scale * max(1.0, qv)
@@ -900,7 +904,7 @@ def _descend(problem, u, half=False):
         slope = _dot(g, d, half)
         trial_step = step
         for _ in range(30):
-            cand, q_cand, g_cand, _ = _evaluate(problem, np.maximum(u - trial_step * d, floor), half)
+            cand, q_cand, g_cand, _ = _evaluate(problem, np.maximum(u - trial_step * d, floor))
             if q_cand <= qv - 1e-4 * trial_step * slope:
                 break
             trial_step *= 0.5
@@ -913,7 +917,7 @@ def _descend(problem, u, half=False):
     return u, qv, True
 
 
-def _newton_step(problem, v, r, a, constant_f):
+def _newton_step(problem, v, r, a):
     """Newton step delta solving J delta = -r at v, a = v^{p-1}; None on a zero pivot of T.
 
     With J cut open at node k (_cut), one _cut_solve gives T^{-1} b_T
@@ -924,12 +928,11 @@ def _newton_step(problem, v, r, a, constant_f):
     [-r; 0], and the Schur system is the symmetric 2x2 one in
     (delta_k, mu).  A nonconstant f breaks that symmetry, and the border
     would only keep Newton from converging quadratically.  A zero Schur
-    pivot leaves the step non-finite, which _newton rejects.  constant_f
-    is _constant_weight(problem), which _newton tests once per start.
+    pivot leaves the step non-finite, which _newton rejects.
     """
     m = problem.m
     k, diag, t, off = _cut(problem, v, a)
-    bordered = constant_f and np.abs(t).max() > 1e-13 * np.abs(v).max()
+    bordered = problem.constant_weight and np.abs(t).max() > 1e-13 * np.abs(v).max()
     b = -_ring(r, k)
     solved = _cut_solve(diag, off, b[:-1], *((t[:-1],) if bordered else ()))
     if solved is None:
@@ -974,7 +977,7 @@ def _even_step(problem, r, a):
     return None if info else y
 
 
-def _newton(problem, v, config, half=False):
+def _newton(problem, v, config):
     """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step or, on the half grid, _even_step.
 
     It has converged once the residual's max norm is at most max(newton_tol,
@@ -988,12 +991,11 @@ def _newton(problem, v, config, half=False):
     whose null modes the border does not remove (e.g. the relative
     positions of several bumps), where damped Newton would grind to its
     cap.
-    On the half grid (half) v and every iterate hold nodes 0, ..., m/2.
+    On the half grid v and every iterate hold nodes 0, ..., m/2.
     Returns the last iterate, its power, the steps taken, the residual's
     max norm and whether it converged.
     """
     f_max = float(problem.f_samples.max())
-    constant_f = _constant_weight(problem)
     d, off = _stencil(problem.h)
 
     def converged(v, rn):
@@ -1002,20 +1004,20 @@ def _newton(problem, v, config, half=False):
         return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
 
     v = np.maximum(v, POSITIVITY_FLOOR)
-    r, a = _residual(problem, v, half)
+    r, a = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
     for iters in range(1, NEWTON_MAX_ITER + 1):
         if converged(v, rn):
             return v, a, iters - 1, rn, True
-        delta = _even_step(problem, r, a) if half else _newton_step(problem, v, r, a, constant_f)
+        delta = _even_step(problem, r, a) if _half(problem, v) else _newton_step(problem, v, r, a)
         if delta is None or not np.all(np.isfinite(delta)):
             return v, a, iters, rn, False
         theta = 1.0
         while theta > 1e-6:
             cand = np.maximum(v + theta * delta, POSITIVITY_FLOOR)
-            rc, ac = _residual(problem, cand, half)
+            rc, ac = _residual(problem, cand)
             rcn = float(np.abs(rc).max())
             if rcn <= (1.0 - 1e-4 * theta) * rn:
                 v, r, a, rn = cand, rc, ac, rcn
@@ -1036,11 +1038,9 @@ def _solve_one(problem, label, u0, config):
     returns u at unit energy, where its qv is Q(u), so v = qv^{1/(p-1)} u
     solves the equation when u minimizes Q.
     """
-    half = u0.size < problem.m
-    u, qv, capped = _descend(problem, u0, half)
+    u, qv, capped = _descend(problem, u0)
     v = qv ** (1.0 / (problem.p - 1.0)) * u
-    v, power, iters, residual, converged = _newton(problem, v, config, half)
-    return _StartResult(label, v, power, half, iters, residual, converged, capped)
+    return _start_result(problem, label, *_newton(problem, v, config), capped)
 
 
 def minimize(problem, config=None):
@@ -1057,7 +1057,9 @@ def minimize(problem, config=None):
     Raises ConvergenceError (with the best partial result attached as
     .best) when no start reaches the Newton tolerance.
     """
-    config = config or SolveConfig()
+    config = SolveConfig() if config is None else config
+    if not isinstance(config, SolveConfig):
+        raise PreconditionError("config must be a SolveConfig or None, got %r" % (config,))
     results = [_solve_one(problem, label, u0, config) for label, u0 in _starts(problem, config)]
     capped = tuple(r.label for r in results if r.descent_capped)
     converged = [r for r in results if r.converged]
@@ -1066,19 +1068,15 @@ def minimize(problem, config=None):
         raise ConvergenceError(
             "no start reached the Newton tolerance (best residual %.3e from %r)"
             % (best.residual, best.label),
-            best=_report(problem, best, _score(problem, best), descent_capped=capped),
+            best=_report(problem, best, descent_capped=capped),
         )
-    scored = [(_score(problem, r), r) for r in converged]
-    least, _ = min(scored, key=lambda s: s[0].quotient)  # the first of equal minima
+    least = min(converged, key=lambda r: r.quotient)  # the first of equal minima
     tie = math.ceil(math.sqrt(problem.m)) * math.ulp(least.quotient)
     tied = [
-        (s, r) for s, r in scored
-        if s.classification == least.classification and s.quotient - least.quotient <= tie
+        r for r in converged
+        if r.classification == least.classification and r.quotient - least.quotient <= tie
     ]
-    score, first = tied[0]
-    return _report(
-        problem, first, score, winning_starts=tuple(r.label for _, r in tied), descent_capped=capped
-    )
+    return _report(problem, tied[0], winning_starts=tuple(r.label for r in tied), descent_capped=capped)
 
 
 @dataclass(frozen=True, slots=True)
@@ -1147,9 +1145,7 @@ def energy_separation(a, b):
     ea, eb = a.energy, b.energy
     gap = abs(ea - eb) / max(abs(ea), abs(eb))
     distinct = gap > ENERGY_GAP_TOL
-    lower = None
-    if distinct:
-        lower = "a" if ea < eb else "b"
+    lower = ("a" if ea < eb else "b") if distinct else None
     return SeparationReport(
         energy_a=ea,
         energy_b=eb,

@@ -93,17 +93,29 @@ MUTANTS = [
      "tests/test_solver.py::test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors[64]"),
     (SOLVER, "np.full(n - 1, 2.0 * off)", "np.full(n - 1, off)",
      "tests/test_solver.py::test_the_half_grid_p_inverse_is_the_circulant_p_inverse_on_even_vectors[0.05-64]"),
+    # a vector's length says its grid, and f's constancy is decided once per problem
+    (SOLVER, "return u.size < problem.m", "return u.size <= problem.m",
+     "tests/test_solver.py::test_periodic_differences_equal_the_roll_formulas[97]"),
+    (SOLVER, "bool(f.max() == f.min())", "bool(f.max() != f.min())",
+     "tests/test_surface.py::test_the_constant_weight_flag_is_derived_once_and_survives_round_trips[ones-pickle]"),
+    # the checks of the public kernels' u, of minimize's config and of an index
+    (SOLVER, "u.shape != (problem.m,)", "u.ndim != 1",
+     "tests/test_solver.py::test_the_public_kernels_reject_any_u_but_the_circles_finite_vector_by_name[half-grid-energy]"),
+    (SOLVER, "    index = _integer(index, \"index\")\n", "",
+     "tests/test_solver.py::test_circle_reduction_rejects_an_index_other_than_1_or_2_by_name[True]"),
+    (CONSTANTS, "if not hi >= lo:", "if hi < lo:",
+     "tests/test_constants.py::test_a_bad_bound_endpoint_is_rejected_by_name[hi-nan]"),
     (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
      "tests/test_constants.py::test_sphere_volume_known_values"),
     (CONSTANTS, "sphere_volume(n) ** (2.0 / n))", "sphere_volume(n) ** (2.0 / n) * (1.0 + 1e-13))",
      "tests/test_constants.py::test_sobolev_constant_identity"),
     (CONSTANTS, "f_max ** (2.0 / two_sharp))", "f_max ** (2.0 / dim))",
      "tests/test_conditions.py::test_existence_threshold_scales_with_the_peak_of_f"),
-    (CEILING, "\nMAX_INTEGER_INPUT = 10**150\n", "\nMAX_INTEGER_INPUT = 10**160\n",
+    (CONSTANTS, "\nMAX_INTEGER_INPUT = 10**150\n", "\nMAX_INTEGER_INPUT = 10**160\n",
      "tests/test_constants.py::test_the_largest_group_order_keeps_a_finite_window"),
     (SOLVER, "np.abs(u) ** (problem.p - 1.0)", "np.abs(u) ** (problem.p - 1.0 + 1e-12)",
      "tests/test_solver.py::test_quotient_gradient_is_the_scaled_fused_gradient[5.0-64]"),
-    (SOLVER, "_dot(fau, u, half)", "_dot(fau, u, half) * (1.0 + 1e-12)",
+    (SOLVER, "_dot(fau, u, _half(problem, u))", "_dot(fau, u, _half(problem, u)) * (1.0 + 1e-12)",
      "tests/test_solver.py::test_fused_evaluation_matches_quotient_and_gradient[64]"),
     (SOLVER, "g[0] = du[-1] - du[0]", "g[0] = du[-2] - du[0]",
      "tests/test_solver.py::test_periodic_differences_equal_the_roll_formulas[97]"),

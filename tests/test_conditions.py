@@ -1,6 +1,7 @@
 import math
 
 import direct_routes
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -623,6 +624,37 @@ def test_band_inequality_validation():
     with pytest.raises(PreconditionError):
         GenericIneqParams(3.0, 1.0, -1.0)
     assert GenericIneqParams(3.0, 1.0, 1.0).band_factor == 0.75
+
+
+_PROFILE = {"f_max": 1.2, "f_min": 0.8, "f_avg": 1.0, "f_at_peak": 1.2, "laplacian_at_peak": 0.0}
+_BAND = {"crit": 3.0, "P": 1.0, "D": 1.0}
+_NOT_A_REAL = [None, "1", True, math.nan]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in _PROFILE for v in _NOT_A_REAL + [math.inf]]
+    + [("vanishing_order", v) for v in ["1", True, math.nan, 0.5]],  # None: nothing known
+)
+def test_a_bad_profile_field_is_rejected_by_name(field, value):
+    # None and a str raised a bare TypeError, and a bool passed as 1 or 0
+    with pytest.raises(PreconditionError, match=r"\b%s\b" % field):
+        FProfile(**dict(_PROFILE, **{field: value}))
+
+
+@pytest.mark.parametrize("field, value", [(f, v) for f in _BAND for v in _NOT_A_REAL + [math.inf, -math.inf]])
+def test_a_bad_band_inequality_field_is_rejected_by_name(field, value):
+    with pytest.raises(PreconditionError, match=r"\b%s\b" % field):
+        GenericIneqParams(**dict(_BAND, **{field: value}))
+
+
+def test_profile_and_band_fields_are_kept_as_the_floats_they_checked():
+    profile = FProfile(np.float64(2.0), 1, np.float32(1.5), 2, np.int64(-3), vanishing_order=np.int64(2))
+    assert profile == FProfile(2.0, 1.0, 1.5, 2.0, -3.0, 2.0)
+    assert {type(getattr(profile, f)) for f in list(_PROFILE) + ["vanishing_order"]} == {float}
+    assert FProfile.constant().vanishing_order == math.inf
+    band = GenericIneqParams(np.float64(3.0), 1, np.int64(0))
+    assert band == GenericIneqParams(3.0, 1.0, 0.0) and {type(getattr(band, f)) for f in _BAND} == {float}
 
 
 def test_family_and_dimension_preconditions():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -114,8 +115,41 @@ def test_dimension_caches_are_bounded(cache):
 
 def test_the_largest_group_order_keeps_a_finite_window():
     # at order MAX_INTEGER_INPUT, a * a = 1e300: the window stays finite up to the largest dimension
-    window = b0_quotient_sphere(MAX_SPHERE_DIM, best_constants.MAX_INTEGER_INPUT)
+    window = b0_quotient_sphere(MAX_SPHERE_DIM, constants.MAX_INTEGER_INPUT)
     assert math.isfinite(window.lo) and math.isfinite(window.hi)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("lo", "hi") for v in (None, "1", True, math.nan)] + [("lo", math.inf), ("lo", -math.inf)],
+)
+def test_a_bad_bound_endpoint_is_rejected_by_name(field, value):
+    # ConstantBound("1", "2") was accepted, and None raised a bare TypeError
+    with pytest.raises(PreconditionError, match=r"\b%s\b" % field):
+        ConstantBound(**dict({"lo": 1.0, "hi": 2.0}, **{field: value}))
+
+
+def test_a_bound_keeps_its_endpoints_as_floats():
+    bound = ConstantBound(np.int64(1), np.float32(2.0))
+    assert (bound.lo, bound.hi, type(bound.lo), type(bound.hi)) == (1.0, 2.0, float, float)
+    assert ConstantBound(1).hi == math.inf
+    with pytest.raises(PreconditionError, match=r"\bhi\b"):
+        ConstantBound(2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in ("n", "k") for v in (None, "6", True, math.nan, math.inf, 2.5)] + [("n", 2), ("k", -1)],
+)
+def test_a_bad_equation_dimension_is_rejected_by_name(field, value):
+    # nan raised a ValueError and inf an OverflowError; k = True passed as 1
+    with pytest.raises(PreconditionError, match=r"\b%s\b" % field):
+        EquationParams(**dict({"n": 6, "k": 1}, **{field: value}))
+
+
+def test_equation_dimensions_take_any_integer():
+    params = EquationParams(np.int64(6), 1.0)
+    assert params == EquationParams(6, 1) and (type(params.n), type(params.k)) == (int, int)
 
 
 def test_a_memoized_window_is_shared_and_frozen():

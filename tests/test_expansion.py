@@ -427,6 +427,27 @@ def test_config_validation():
         _config(epsilons=(1e-3, 0.0))
 
 
+_EXPANSION_FIELDS = ("dim", "delta", "alpha", "orbit_volume", "f_peak", "vh_quadratic_coeff", "f_laplacian", "curvature")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(f, v) for f in _EXPANSION_FIELDS for v in ("1", True, math.nan, math.inf) + ((None,) if f != "curvature" else ())],
+)
+def test_a_bad_expansion_field_is_rejected_by_name(field, value):
+    # None or a str raised a bare TypeError, and a bool passed as 1
+    with pytest.raises(PreconditionError, match=r"\b%s\b" % field):
+        _config(**{field: value})
+
+
+def test_an_expansion_config_keeps_its_inputs_as_the_types_it_checked():
+    # a numpy integer dimension was rejected, while every other integer input took one
+    config = _config(dim=np.int64(5), delta=np.float64(1.0), alpha=1, orbit_volume=np.float32(2.0), curvature=1)
+    assert config == _config(dim=5, delta=1.0, alpha=1.0, orbit_volume=2.0, curvature=1.0)
+    assert type(config.dim) is int
+    assert {type(getattr(config, f)) for f in _EXPANSION_FIELDS[1:]} == {float}
+
+
 def test_epsilons_take_a_1d_array_and_keep_tuples_and_the_default():
     ladder = np.geomspace(1e-3, 1e-6, 5)
     from_array = _config(epsilons=ladder).epsilons

@@ -73,7 +73,44 @@ def test_periodic_differences_equal_the_roll_formulas(m):
     du = (np.roll(u, -1) - u) / h
     assert np.array_equal(solver._differences(u, h), du)
     assert np.array_equal(solver._neg_laplacian(du, h), (np.roll(du, 1) - du) / h)
-    assert solver._dirichlet(problem, u) == problem.weight * h * float(np.dot(du, du))
+    assert solver._numerator(problem, u, du) == (
+        problem.weight * h * float(np.dot(du, du)) + problem.alpha * solver._mass2(problem, u)
+    )
+
+
+_KERNELS = (quotient_value, quotient_gradient, energy, el_residual)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize(
+    "bad",
+    ["short", "half-grid", "long", "2-d", "column", "scalar", "empty", None, "text", "ragged", "nan", "inf", "-inf"],
+)
+def test_the_public_kernels_reject_any_u_but_the_circles_finite_vector_by_name(kernel, bad):
+    # a vector of m/2 + 1 entries would otherwise be read as a half-grid one
+    m = 64
+    problem = _problem(m=m)
+    u = np.linspace(0.5, 1.5, m)
+    finite = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    bad_u = {
+        "short": u[:-1], "half-grid": u[:m // 2 + 1], "long": np.append(u, 1.0), "2-d": u.reshape(8, 8),
+        "column": u.reshape(-1, 1), "scalar": 1.0, "empty": np.array([]), None: None, "text": "u",
+        "ragged": [1.0, [2.0]],
+    }.get(bad)
+    if bad in finite:
+        bad_u = u.copy()
+        bad_u[5] = finite[bad]
+    with pytest.raises(PreconditionError, match="^u must be a 1-d array of 64 finite values"):
+        kernel(problem, bad_u)
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: k.__name__)
+def test_the_public_kernels_take_any_sequence_of_the_circles_m_values(kernel):
+    problem = _problem(m=97, f=np.linspace(0.5, 1.5, 97))
+    u = np.arange(97) % 5 + 1.0
+    want = kernel(problem, u)
+    for same in (list(u), tuple(u), u.astype(int)):
+        assert np.array_equal(kernel(problem, same), want)
 
 
 @pytest.mark.parametrize("m", [64, 97])
@@ -138,7 +175,7 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
         assert q == pytest.approx(quotient_value(problem, normalized), rel=1e-13, abs=0.0)
         assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
         # the numerator shares the gradient's differences and stays quotient_value's, bitwise
-        assert q == solver._dirichlet(problem, u) + problem.alpha * solver._mass2(problem, u)
+        assert q == solver._numerator(problem, u, solver._differences(u, problem.h))
         # the scale is energy(x)^{-1/two_sharp}, bitwise, from the same power
         assert scale == energy(problem, x) ** (-1.0 / problem.two_sharp)
 
@@ -255,7 +292,7 @@ def test_newton_step_matches_the_sparse_oracle(case):
     else:
         problem, v = _cos_iterate(m)
     r, a = solver._residual(problem, v)
-    delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
+    delta = solver._newton_step(problem, v, r, a)
     ref = sparse_newton.newton_step(problem, v, r)
     assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
 
@@ -284,7 +321,7 @@ def test_bordered_step_residual_is_at_rounding_level(noise):
     # largest, stays well conditioned
     problem, v = _near_converged_triple(4096, noise)
     r, a = solver._residual(problem, v)
-    delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
+    delta = solver._newton_step(problem, v, r, a)
     assert max(_bordered_residual(problem, v, r, delta)) <= 1e-14
 
 
@@ -312,7 +349,7 @@ def test_newton_step_is_accurate_wherever_the_peak_sits(case):
     for shift in _peak_shifts(m, v0):
         v = np.roll(v0, shift)
         r, a = solver._residual(problem, v)
-        delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
+        delta = solver._newton_step(problem, v, r, a)
         ref = sparse_newton.newton_step(problem, v, r)
         assert float(np.max(np.abs(delta - ref))) <= 1e-12 * float(np.max(np.abs(ref)))
         if kind == "triple":
@@ -329,12 +366,12 @@ def test_zero_pivot_ends_newton_unconverged():
     problem = _problem(length=64.0, alpha=3.0, p=5.0, m=64)
     v = np.ones(64)
     r, a = solver._residual(problem, v)
-    assert solver._newton_step(problem, v, r, a, True) is None
+    assert solver._newton_step(problem, v, r, a) is None
     y = v[:33]
-    r, a = solver._residual(problem, y, True)
+    r, a = solver._residual(problem, y)
     assert solver._even_step(problem, r, a) is None
-    for start, half in ((v, False), (y, True)):
-        _, _, iters, rn, ok = solver._newton(problem, start, SolveConfig(), half)
+    for start in (v, y):
+        _, _, iters, rn, ok = solver._newton(problem, start, SolveConfig())
         assert (iters, ok) == (1, False)
         assert rn == 2.0
 
@@ -350,8 +387,8 @@ def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
     for grid, path in ((1024, "_even_block"), (1025, "_cut")):
         evaluated, read = [], {"_cut": [], "_even_block": []}
 
-        def counted_residual(pr, u, half=False):
-            r, a = residual(pr, u, half)
+        def counted_residual(pr, u):
+            r, a = residual(pr, u)
             evaluated.append(a)
             return r, a
 
@@ -410,8 +447,8 @@ def _recomputed(report):
     problem = report.problem
     half = report.start_label != "closed-form" and solver._on_half_grid(problem, report.start_label)
     u = report.u[:problem.m // 2 + 1] if half else report.u
-    e = solver._energy(problem, u, solver._nonlinearity(problem, u, solver._power(problem, u), half), half)
-    return solver._quotient(problem, u, e, half), e
+    e = solver._energy(problem, u, solver._nonlinearity(problem, u, solver._power(problem, u)))
+    return solver._quotient(problem, u, e), e
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +647,11 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     assert u0.size == problem.m // 2 + 1  # the half grid's
     calls = []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x, half: calls.append(1) or evaluate(pr, x, half))
-    u, _, capped = solver._descend(problem, u0, True)
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
+    u, _, capped = solver._descend(problem, u0)
     assert len(calls) <= 100 < solver.DESCENT_MAX_ITER
     assert not capped
-    _, q, g, _ = evaluate(problem, u, True)
+    _, q, g, _ = evaluate(problem, u)
     scale = 2.0 * problem.weight * problem.h
     assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
 
@@ -658,7 +695,7 @@ def _counted_p_inverse_descent(monkeypatch, problem, u0, cap=solver.DESCENT_MAX_
     with monkeypatch.context() as patch:
         patch.setattr(solver, "DESCENT_MAX_ITER", cap)
         _count_p_inverse(patch, applications, factors)
-        capped = solver._descend(problem, u0, True)[2]
+        capped = solver._descend(problem, u0)[2]
     assert len(factors) == (1 if applications else 0)  # P is factored once, and only if used
     return len(applications), capped
 
@@ -764,7 +801,7 @@ def test_newton_stops_after_two_consecutive_short_steps(monkeypatch):
         step = getattr(solver, name)
         monkeypatch.setattr(solver, name, lambda *args, step=step: 20.0 * step(*args))
     soliton = solver._soliton(problem, problem.m // 2 + 1)  # on the half grid
-    _, _, iters, residual, converged = solver._newton(problem, soliton, SolveConfig(), True)
+    _, _, iters, residual, converged = solver._newton(problem, soliton, SolveConfig())
     assert (iters, converged) == (2, False) and residual > 1e-3
 
 
@@ -799,7 +836,7 @@ def _counted_solve(monkeypatch, index, m, config=None):
     problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
     calls = []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x, half: calls.append(pr.m) or evaluate(pr, x, half))
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(pr.m) or evaluate(pr, x))
     report = minimize(problem, config)
     monkeypatch.setattr(solver, "_evaluate", evaluate)
     return problem, report, calls
@@ -830,9 +867,9 @@ def test_the_first_descent_step_needs_no_backtrack(monkeypatch, m):
     assert u0.size == m // 2 + 1
     evaluations, inverses, factors = [], [], []
     evaluate = solver._evaluate
-    monkeypatch.setattr(solver, "_evaluate", lambda pr, x, half: evaluations.append(1) or evaluate(pr, x, half))
+    monkeypatch.setattr(solver, "_evaluate", lambda pr, x: evaluations.append(1) or evaluate(pr, x))
     _count_p_inverse(monkeypatch, inverses, factors)
-    solver._descend(problem, u0, True)
+    solver._descend(problem, u0)
     assert inverses and len(evaluations) == len(inverses) + 1
     assert len(factors) == 1
 
@@ -844,11 +881,11 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     assert set(calls) == {m}
     (label, u0), = solver._starts(problem, config)
     run = solver._solve_one(problem, label, u0, config)
-    u, qv, capped = solver._descend(problem, u0, True)
+    u, qv, capped = solver._descend(problem, u0)
     v = qv ** (1.0 / (problem.p - 1.0)) * u
-    v, power, iters, rn, ok = solver._newton(problem, v, config, True)
+    v, power, iters, rn, ok = solver._newton(problem, v, config)
     assert np.array_equal(run.v, v) and np.array_equal(run.power, power)
-    assert (run.half, run.iters, run.residual) == (True, iters, rn)
+    assert (run.v.size, run.iters, run.residual) == (m // 2 + 1, iters, rn)
     assert (run.converged, run.descent_capped) == (ok, capped)
 
 
@@ -909,7 +946,7 @@ def test_a_cos3_start_at_2048_converges_to_the_three_bump_saddle():
     three_bumps = 1.0 + 0.3 * np.cos(6.0 * math.pi * problem.grid() / problem.length)
     u0 = alpha ** (1.0 / (problem.p - 1.0)) * three_bumps
     run = solver._solve_one(problem, "cos3", u0, SolveConfig())
-    report = solver._report(problem, run, solver._score(problem, run))
+    report = solver._report(problem, run)
     assert report.classification == "nonconstant" and report.el_residual <= 1e-10
     assert (report.morse_index, report.zero_modes) == (3, 3)
     assert report.quotient_value == pytest.approx(29.5709200274, abs=1e-9)
@@ -1017,6 +1054,21 @@ def test_a_config_keeps_its_inputs_as_the_types_it_checked():
     config = SolveConfig(seed=np.int64(3), starts=["constant", "cos1"], newton_tol=np.float64(1e-11))
     assert config == SolveConfig(seed=3, starts=("constant", "cos1"), newton_tol=1e-11)
     assert (type(config.seed), type(config.starts), type(config.newton_tol)) == (int, tuple, float)
+
+
+@pytest.mark.parametrize(
+    "config", [{}, 0, "", (), [], 1, "constant", ("constant",), {"starts": ("constant",)}], ids=repr
+)
+def test_minimize_rejects_a_config_that_is_no_solve_config_by_name(config):
+    # a falsy one once ran the defaults, and a truthy one failed later with an AttributeError
+    with pytest.raises(PreconditionError, match="^config must be a SolveConfig or None"):
+        minimize(_problem(alpha=0.3, m=64), config)
+
+
+def test_minimize_reads_a_config_of_none_as_the_defaults():
+    problem = _problem(alpha=0.4, m=64)
+    default, given = minimize(problem), minimize(problem, SolveConfig())
+    assert np.array_equal(default.u, given.u) and default.to_json() == given.to_json()
 
 
 @pytest.mark.parametrize(
@@ -1136,7 +1188,7 @@ def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
     jac = np.diag(diag) + np.eye(m, k=1) + np.eye(m, k=-1) + np.eye(m, k=m - 1) + np.eye(m, k=1 - m)
     eig = np.linalg.eigvalsh(jac)
     expected = (int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol)))
-    assert solver._morse_counts(_problem(alpha=0.5, m=m), None, None) == expected
+    assert solver._morse_counts(_problem(alpha=0.5, m=m), np.ones(m), None) == expected  # the circle's length
 
 
 @pytest.mark.parametrize("n, count", [(4, 1), (6, 2), (7, 2)])
@@ -1227,7 +1279,7 @@ def test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues(m):
     for problem, u in cases:
         assert _is_even(u)
         power = solver._residual(problem, u)[1]
-        counts = solver._morse_counts(problem, u[:m // 2 + 1], power[:m // 2 + 1], True)
+        counts = solver._morse_counts(problem, u[:m // 2 + 1], power[:m // 2 + 1])
         assert counts == solver._morse_counts(problem, u, power) == _dense_morse_counts(problem, u)
         seen.add(counts)
     assert (1, 2) in seen and len(seen) >= 4
@@ -1244,9 +1296,9 @@ def test_the_even_step_is_the_bordered_step_on_an_even_residual(index):
     problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
     (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
     assert u0.size == m // 2 + 1
-    u, qv, _ = solver._descend(problem, u0, True)
+    u, qv, _ = solver._descend(problem, u0)
     y = qv ** (1.0 / (problem.p - 1.0)) * u
-    r_half, a_half = solver._residual(problem, y, True)
+    r_half, a_half = solver._residual(problem, y)
     even = solver._mirror(solver._even_step(problem, r_half, a_half))
     v = solver._mirror(y)
     assert _is_even(v) and _is_even(even)
@@ -1255,7 +1307,7 @@ def test_the_even_step_is_the_bordered_step_on_an_even_residual(index):
     for shift in (0, 1, m // 2 - 1, m // 2, m // 2 + 1, m - 1):
         rolled = np.roll(v, shift)
         r, a = solver._residual(problem, rolled)
-        bordered = solver._newton_step(problem, rolled, r, a, True)
+        bordered = solver._newton_step(problem, rolled, r, a)
         delta = np.roll(even, shift)
         assert float(np.max(np.abs(delta - bordered))) <= 1e-12 * float(np.max(np.abs(bordered)))
 
@@ -1343,16 +1395,16 @@ def test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors(m):
         assert np.array_equal(du[:mid], dy) and np.array_equal(du[mid:], -dy[::-1])
         assert np.array_equal(solver._neg_laplacian(du, h)[:mid + 1], solver._neg_laplacian(dy, h, True))
         r, a = solver._residual(problem, u)
-        r_half, a_half = solver._residual(problem, y, True)
+        r_half, a_half = solver._residual(problem, y)
         assert np.array_equal(r[:mid + 1], r_half) and np.array_equal(a[:mid + 1], a_half)
         for full, on_half in (
             (solver._dot(u, w), solver._dot(y, z, True)),
             (solver._edge_dot(du), solver._edge_dot(dy, True)),
-            (energy(problem, u), solver._energy(problem, y, solver._nonlinearity(problem, y, a_half, True), True)),
+            (energy(problem, u), solver._energy(problem, y, solver._nonlinearity(problem, y, a_half))),
         ):
             assert on_half == pytest.approx(full, rel=0.0, abs=m * eps * solver._dot(np.abs(u), np.abs(w)))
         x_full, q_full, g_full, s_full = solver._evaluate(problem, u)
-        x_half, q_half, g_half, s_half = solver._evaluate(problem, y, True)
+        x_half, q_half, g_half, s_half = solver._evaluate(problem, y)
         assert np.abs(x_half - x_full[:mid + 1]).max() <= 1e-13 * np.abs(x_full).max()
         assert q_half == pytest.approx(q_full, rel=1e-13, abs=0.0)
         assert s_half == pytest.approx(s_full, rel=1e-13, abs=0.0)
@@ -1416,7 +1468,7 @@ for m in (64, 4096):
     for f in (np.ones(m), 1.0 + 0.15 * np.cos(s)):
         problem = solver.ReducedProblem(length=2.0 * np.pi, weight=1.0, alpha=0.4, p=5.0, f_samples=f)
         r, a = solver._residual(problem, v)
-        delta = solver._newton_step(problem, v, r, a, solver._constant_weight(problem))
+        delta = solver._newton_step(problem, v, r, a)
         direction = solver._p_inverse(problem)(v)
         results.append([delta.tobytes().hex(), solver._morse_counts(problem, v, a), direction.tobytes().hex()])
 print(json.dumps({"route": route, "results": results}))
@@ -1574,6 +1626,21 @@ def test_circle_reduction_rejects_f_samples_of_another_size():
 def test_circle_reduction_takes_any_integer_grid():
     cfg = example_configuration("cylinder-triple")
     assert circle_reduction(cfg, 1, 1.0, grid=np.int64(MIN_GRID)).m == MIN_GRID
+
+
+@pytest.mark.parametrize("index", [True, False, 0, 3, 1.5, -1, math.nan, math.inf, None, "1"], ids=repr)
+def test_circle_reduction_rejects_an_index_other_than_1_or_2_by_name(index):
+    # True once solved group 1 quietly; an index goes through _integer, then (1, 2)
+    with pytest.raises(PreconditionError, match="index"):
+        circle_reduction(example_configuration("cylinder-triple"), index, 2.18)
+
+
+def test_circle_reduction_takes_any_integer_index():
+    cfg = example_configuration("cylinder-triple")
+    for index in (1, 2):
+        problem = circle_reduction(cfg, index, 2.18)
+        for same in (np.int64(index), float(index)):
+            assert circle_reduction(cfg, same, 2.18).length == problem.length
 
 
 def test_circle_reduction_rejections():

@@ -169,6 +169,30 @@ def test_round_trips_keep_the_solver_arrays_read_only(round_trip):
         assert np.array_equal(array, original)
 
 
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy, dataclasses.replace],
+    ids=["pickle", "deepcopy", "replace"],
+)
+@pytest.mark.parametrize(
+    "f",
+    [np.ones(64), np.full(65, 2.5), 1.0 + 0.1 * np.cos(np.arange(64)), np.append(np.ones(63), 1.0 + 2.0**-52)],
+    ids=["ones", "constant-odd", "cos", "one-ulp"],
+)
+def test_the_constant_weight_flag_is_derived_once_and_survives_round_trips(round_trip, f):
+    # the solver reads whether f is constant from this field, set by __post_init__ beside h
+    problem = ReducedProblem(length=2.0 * math.pi, weight=1.0, alpha=0.3, p=5.0, f_samples=f)
+    assert problem.constant_weight is bool(f.max() == f.min())
+    copied = round_trip(problem)
+    assert (copied.constant_weight, copied.h) == (problem.constant_weight, problem.h)
+    assert dataclasses.replace(problem, f_samples=f[::-1] * 2.0).constant_weight is problem.constant_weight
+    assert dataclasses.replace(problem, f_samples=np.ones(f.size)).constant_weight is True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.constant_weight = not problem.constant_weight
+    with pytest.raises(TypeError):
+        ReducedProblem(2.0 * math.pi, 1.0, 0.3, 5.0, f, None, problem.h)  # derived, not a constructor argument
+
+
 def test_every_dataclass_in_the_package_is_slotted():
     classes = [
         obj for module in MODULES for obj in vars(module).values()
