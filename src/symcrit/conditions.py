@@ -135,6 +135,14 @@ class ConditionReport:
         return d
 
 
+# The condition reports that carry no value, built once and shared: they are frozen.
+_ASSUMED_GAP = ConditionReport("energy-gap", "assumed")
+_UNKNOWN_GAP = ConditionReport("energy-gap", "needs-unknown-constant")
+_UNKNOWN_DEFECT = ConditionReport("dominate-defect", "needs-unknown-constant")
+_SEPARATED = ConditionReport("separation-window", "satisfied")
+_NOT_SEPARATED = ConditionReport("separation-window", "unsatisfiable")
+
+
 @dataclass(frozen=True, slots=True)
 class GuaranteedInterval:
     """Alpha interval on which the advertised conclusion is guaranteed.
@@ -215,6 +223,11 @@ def existence_alpha_bound(params, action, f=None):
 
     is sufficient, evaluated here with certified lower bounds.
     """
+    return ExistenceBound(*_existence_ceiling(params, action, f))
+
+
+def _existence_ceiling(params, action, f):
+    """(ceiling, flatness_ok) of existence_alpha_bound, with no record built."""
     N = params.reduced_dim
     if N < 4:
         raise PreconditionError("the concentration bound needs n - k >= 4, got %d" % N)
@@ -223,7 +236,7 @@ def existence_alpha_bound(params, action, f=None):
     flat = True
     if f is not None and N > 4:
         flat = f.laplacian_at_peak == 0.0
-    return ExistenceBound(ceiling=_curvature_term(params, action), flatness_ok=flat)
+    return _curvature_term(params, action), flat
 
 
 def _check_family(params, orbit1, orbit2, volume):
@@ -269,35 +282,38 @@ def _energy_gap(params, crit, c, P, rho, orbit2, volume, f):
     )
 
 
-def _band_interval(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_strict):
-    """The interval of generic_interval for the band inequality (crit, P, D).
+def _band(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_strict):
+    """(lo, hi, lo_strict, conditions) of generic_interval for the band
+    inequality (crit, P, D); its upper endpoint hi is closed.
 
     c = c(crit) is passed in, not recomputed: crit (4 - crit) / 4 and a
     route's closed form differ by an ulp at some n, and the floor c D
     must be the one that route displays.  D = inf marks an unknown
-    constant.
+    constant.  conditions is a list, so example_interval can append its
+    existence ceilings before it builds the one interval it returns.
     """
     _check_family(params, orbit1, orbit2, volume)
     hi = bound_second.lo
     if math.isinf(D):
-        floor = math.inf
-        defect = ConditionReport("dominate-defect", "needs-unknown-constant")
+        floor, defect = math.inf, _UNKNOWN_DEFECT
     else:
         floor = c * D
         defect = ConditionReport("dominate-defect", "satisfied", floor)
-    conds = [ConditionReport("stay-below", "satisfied", hi), defect]
     if f is None:
-        lo, lo_strict = floor, False
-        conds.append(ConditionReport("energy-gap", "assumed"))
+        lo, lo_strict, gap = floor, False, _ASSUMED_GAP
     elif math.isinf(bound_second.hi):
-        lo, lo_strict = math.inf, True
-        conds.append(ConditionReport("energy-gap", "needs-unknown-constant"))
+        lo, lo_strict, gap = math.inf, True, _UNKNOWN_GAP
     else:
         rho = (orbit2 / orbit1) ** (2.0 / params.reduced_dim) - 1.0
         lo3 = bound_second.hi - _energy_gap(params, crit, c, P, rho, orbit2, volume, f)
-        conds.append(ConditionReport("energy-gap", "satisfied", lo3))
+        gap = ConditionReport("energy-gap", "satisfied", lo3)
         lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
-    return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conds))
+    return lo, hi, lo_strict, [ConditionReport("stay-below", "satisfied", hi), defect, gap]
+
+
+def _band_interval(lo, hi, lo_strict, conditions):
+    """The interval of one band's (lo, hi, lo_strict, conditions)."""
+    return GuaranteedInterval(lo, hi, lo_strict, False, 2, tuple(conditions))
 
 
 def generic_interval(params, ineq, bound_second, orbit1, orbit2, volume, f=None, *, gap_strict=True):
@@ -313,10 +329,10 @@ def generic_interval(params, ineq, bound_second, orbit1, orbit2, volume, f=None,
     other two (the weight is admissible) and the floor is the returned
     lower endpoint.
     """
-    return _band_interval(
+    return _band_interval(*_band(
         params, ineq.crit, ineq.band_factor, ineq.P, ineq.D,
         bound_second, orbit1, orbit2, volume, f, gap_strict,
-    )
+    ))
 
 
 def _ambient_band(n):
@@ -333,10 +349,17 @@ def critical_interval(
     with c(crit) = n(n-4)/(n-2)^2; an infinite bound_ambient.hi leaves
     dominate-defect unknown.  Needs n > 4.
     """
+    return _band_interval(*_critical_band(
+        params, bound_ambient, bound_second, orbit1, orbit2, volume, f, gap_strict,
+    ))
+
+
+def _critical_band(params, bound_ambient, bound_second, orbit1, orbit2, volume, f, gap_strict):
+    """critical_interval's (lo, hi, lo_strict, conditions); see _band."""
     n = params.n
     if n <= 4:
         raise PreconditionError("the ambient route needs n > 4, got n=%d" % n)
-    return _band_interval(
+    return _band(
         params, *_ambient_band(n), bound_ambient.hi, bound_second, orbit1, orbit2, volume, f, gap_strict,
     )
 
@@ -348,10 +371,15 @@ def invariant_interval(params, bound_second, orbit1, orbit2, volume, f=None, *, 
     D = bound_second.hi, with c(crit) = N(N-4)/(N-2)^2; an infinite
     bound_second.hi leaves dominate-defect unknown.  Needs n - k > 4.
     """
+    return _band_interval(*_invariant_band(params, bound_second, orbit1, orbit2, volume, f, gap_strict))
+
+
+def _invariant_band(params, bound_second, orbit1, orbit2, volume, f, gap_strict):
+    """invariant_interval's (lo, hi, lo_strict, conditions); see _band."""
     N = params.reduced_dim
     if N <= 4:
         raise PreconditionError("the invariant route needs n - k > 4, got %d" % N)
-    return _band_interval(
+    return _band(
         params, params.two_sharp, N * (N - 4.0) / (N - 2.0) ** 2,
         sobolev_constant(N) / orbit2 ** (2.0 / N), bound_second.hi,
         bound_second, orbit1, orbit2, volume, f, gap_strict,
@@ -370,7 +398,7 @@ def _orbit_gap(params, bound_second, orbit1, orbit2, volume, scale=1.0):
     t1 = _volume_term(N, orbit1, volume) * scale
     t2 = _volume_term(N, orbit2, volume) * scale
     if math.isinf(bound_second.hi):
-        return t1, t2, math.inf, ConditionReport("energy-gap", "needs-unknown-constant")
+        return t1, t2, math.inf, _UNKNOWN_GAP
     lo = _gap_lower(bound_second.hi, t1, t2)
     return t1, t2, lo, ConditionReport("energy-gap", "satisfied", lo)
 
@@ -398,32 +426,30 @@ def constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volu
     solution alpha^{(n-2-k)/4}.  Both are closed at the lower endpoint
     and open at the upper endpoint min of the windows' lower ends.
     """
-    return _constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volume, True)
+    band = _constant_f_band(params, bound_first, bound_second, orbit1, orbit2, volume)
+    return _double(*band), _triple(*band, True)
 
 
-def _constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volume, triple_hi_strict):
-    """constant_f_intervals, with triple open or closed at its upper endpoint."""
+def _constant_f_band(params, bound_first, bound_second, orbit1, orbit2, volume):
+    """(lo, hi, a2t, conditions) that double and triple share, a2t the
+    second orbit term; example_interval builds only the one it returns."""
     a1t, a2t, lo, gap = _orbit_gap(params, bound_second, orbit1, orbit2, volume)
     hi = min(bound_first.lo, bound_second.lo)
-    sep_ok = bound_second.hi - a2t < bound_first.lo - a1t
-    conds = [
-        ConditionReport("stay-below", "satisfied", hi),
-        ConditionReport(
-            "separation-window", "satisfied" if sep_ok else "unsatisfiable"
-        ),
-        gap,
-    ]
-    double = GuaranteedInterval(lo, hi, False, True, 2, tuple(conds))
+    sep = _SEPARATED if bound_second.hi - a2t < bound_first.lo - a1t else _NOT_SEPARATED
+    return lo, hi, a2t, (ConditionReport("stay-below", "satisfied", hi), sep, gap)
+
+
+def _double(lo, hi, _a2t, conditions):
+    """constant_f_intervals' double from _constant_f_band."""
+    return GuaranteedInterval(lo, hi, False, True, 2, conditions)
+
+
+def _triple(lo, hi, a2t, conditions, hi_strict):
+    """constant_f_intervals' triple from _constant_f_band, open or closed at its upper endpoint."""
     if math.isinf(lo):
-        return double, GuaranteedInterval(lo, hi, False, triple_hi_strict, 3, tuple(conds))
-    cs_ok = a2t < hi
-    tconds = conds + [
-        ConditionReport(
-            "constant-dominated", "satisfied" if cs_ok else "unsatisfiable", a2t
-        )
-    ]
-    triple = GuaranteedInterval(max(lo, a2t), hi, False, triple_hi_strict, 3, tuple(tconds))
-    return double, triple
+        return GuaranteedInterval(lo, hi, False, hi_strict, 3, conditions)
+    dominated = ConditionReport("constant-dominated", "satisfied" if a2t < hi else "unsatisfiable", a2t)
+    return GuaranteedInterval(max(lo, a2t), hi, False, hi_strict, 3, conditions + (dominated,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -530,17 +556,16 @@ def f_ratio_condition(example, f, **params):
     return FRatioCheck(example=example, lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
-def _cap(interval, bounds, closed):
-    """Intersect with the existence ceilings alpha <= / < ceiling of the
-    (ExistenceBound, condition label) pairs in bounds."""
-    conds = list(interval.conditions)
-    hi, hi_strict = interval.hi, interval.hi_strict
-    for bound, label in bounds:
-        ceiling = bound.ceiling
-        conds.append(ConditionReport(label, "satisfied", ceiling))
+def _cap(hi, conditions, bounds, closed):
+    """(hi, hi_strict) of alpha <= hi once intersected with the existence
+    ceilings alpha <= / < ceiling of the ((ceiling, flatness_ok), condition
+    label) pairs in bounds; appends each ceiling's condition to conditions."""
+    hi_strict = False
+    for (ceiling, _), label in bounds:
+        conditions.append(ConditionReport(label, "satisfied", ceiling))
         if ceiling < hi or (ceiling == hi and not closed and not hi_strict):
             hi, hi_strict = ceiling, not closed
-    return GuaranteedInterval(interval.lo, hi, interval.lo_strict, hi_strict, interval.count, tuple(conds))
+    return hi, hi_strict
 
 
 def _endpoint_flatness(f, required_order):
@@ -567,16 +592,19 @@ def example_interval(example, f=None, **params):
     if recipe.route in ("double", "triple"):
         if f is not None:
             raise PreconditionError("example %r fixes the constant weight f = 1" % (example,))
+        band = _constant_f_band(p, *recipe.windows(cfg), *family)
+        if recipe.route == "double":
+            return _double(*band)
         # triple's upper endpoint is attained: at alpha = hi the equation is
         # the scalar-curvature one and the same three solutions persist
-        double, triple = _constant_f_intervals(p, *recipe.windows(cfg), *family, False)
-        return double if recipe.route == "double" else triple
-    bounds = [(existence_alpha_bound(p, getattr(cfg, a), f), label) for a, label in recipe.ceilings]
-    if not all(bound.flatness_ok for bound, _ in bounds):
+        return _triple(*band, False)
+    bounds = [(_existence_ceiling(p, getattr(cfg, a), f), label) for a, label in recipe.ceilings]
+    if not all(flat for (_, flat), _ in bounds):
         raise PreconditionError(
             "example %r requires a peak-flat weight (zero Laplacian at the maximum)" % (example,)
         )
-    route = critical_interval if recipe.route == "critical" else invariant_interval
-    out = route(p, *recipe.windows(cfg), *family, f, gap_strict=False)
+    route = _critical_band if recipe.route == "critical" else _invariant_band
+    lo, hi, lo_strict, conds = route(p, *recipe.windows(cfg), *family, f, False)
     closed = recipe.flatness is not None and _endpoint_flatness(f, recipe.flatness(p.n))
-    return _cap(out, bounds, closed)
+    hi, hi_strict = _cap(hi, conds, bounds, closed)
+    return GuaranteedInterval(lo, hi, lo_strict, hi_strict, 2, tuple(conds))

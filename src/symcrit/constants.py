@@ -23,6 +23,7 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._lazy import lazy_import
 from .errors import PreconditionError
 
 __all__ = [
@@ -40,6 +41,8 @@ MAX_SPHERE_DIM = 342
 # that each converts to a float and a product of two of them, such as the
 # group order's square in best_constants._b0_quotient_sphere, stays a finite one.
 MAX_INTEGER_INPUT = 10**150
+
+np = lazy_import("numpy")
 
 
 def _real(x, what):
@@ -76,6 +79,20 @@ def _integer(x, what, least=1):
             "%s must be an integer in [%d, %.0e], got %r" % (what, least, MAX_INTEGER_INPUT, x)
         )
     return int(x)
+
+
+def _real_array(x):
+    """x as a float ndarray if numpy reads it as an array of real numbers, else None.
+
+    Real means numpy's signed, unsigned or floating dtypes: an array of
+    bools, complex numbers, text or objects is none, so "1.0" is not
+    parsed as a number.  A ragged x gives None too.
+    """
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return np.asarray(a, dtype=float) if a.dtype.kind in "iuf" else None
 
 
 def sphere_volume(dim):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ._lazy import lazy_import
 from .best_constants import _concentration_ceiling
-from .constants import _above, _concentration_threshold, _finite, _integer, sphere_volume
+from .constants import _above, _concentration_threshold, _finite, _integer, _real_array, sphere_volume
 from .errors import PreconditionError
 
 __all__ = [
@@ -88,10 +88,7 @@ class ExpansionConfig:
             object.__setattr__(self, "curvature", _above(self.curvature, "curvature", 0.0))
             if math.sqrt(self.curvature) * self.delta >= math.pi:
                 raise PreconditionError("delta exceeds the injectivity scale of the curvature")
-        try:
-            eps = np.asarray(self.epsilons, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            eps = None
+        eps = _real_array(self.epsilons)
         if eps is None or eps.ndim != 1:
             raise PreconditionError("epsilons must be a 1-d sequence of numbers")
         if not eps.size:

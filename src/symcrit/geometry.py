@@ -197,9 +197,10 @@ def _circle_sphere_sphere(n, a, b):
     return volume, _equation_params(n, 3), first, second
 
 
-def _fibre_rotation(t):
-    _require(t > 1.0, "circle radius t > 1 required so the fiber orbits are the smaller ones")
-    first = GroupActionSpec(
+@lru_cache(maxsize=1)
+def _fibre_action():
+    """The diagonal rotation along the fibres; no input changes it."""
+    return GroupActionSpec(
         name="diagonal rotation along the fibers",
         k=1,
         orbit_volume=2.0 * math.pi,
@@ -207,20 +208,29 @@ def _fibre_rotation(t):
         quotient_scal_lower=8.0,
         principal_constant_volume=True,
     )
-    return _cylinder_volume(t, 4), _equation_params(4, 1), first, _circle_factor_rotations(4, t)
 
 
-def _sphere_collapse(n, t):
-    _require(n >= 4, "dimension n >= 4 required")
-    _require(t > 1.0, "circle radius t > 1 required so the sphere orbits are the smaller ones")
-    first = GroupActionSpec(
+def _fibre_rotation(t):
+    _require(t > 1.0, "circle radius t > 1 required so the fiber orbits are the smaller ones")
+    return _cylinder_volume(t, 4), _equation_params(4, 1), _fibre_action(), _circle_factor_rotations(4, t)
+
+
+@lru_cache(maxsize=128)
+def _collapse_action(n):
+    """The bi-spherical collapse of the S^{n-1} factor; n alone fixes it."""
+    return GroupActionSpec(
         name="bi-spherical collapse of the sphere factor",
         k=1,
         orbit_volume=2.0 * math.pi,
         quotient_scal_lower=product_scal_lower(0.0, n - 2, 2),
         principal_constant_volume=False,
     )
-    return _cylinder_volume(t, n), _equation_params(n, 1), first, _circle_factor_rotations(n, t)
+
+
+def _sphere_collapse(n, t):
+    _require(n >= 4, "dimension n >= 4 required")
+    _require(t > 1.0, "circle radius t > 1 required so the sphere orbits are the smaller ones")
+    return _cylinder_volume(t, n), _equation_params(n, 1), _collapse_action(n), _circle_factor_rotations(n, t)
 
 
 def _finite_circle(cfg, index):

@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import flapack, lazy_import
-from .constants import _above, _concentration_threshold, _integer
+from .constants import _above, _concentration_threshold, _integer, _real_array
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
 
@@ -194,9 +194,11 @@ class ReducedProblem:
             ("p", "exponent p", 1.0),
         ):
             object.__setattr__(self, name, _above(getattr(self, name), what, floor))
-        f = np.asarray(self.f_samples, dtype=float)
-        if f.ndim != 1 or f.size < MIN_GRID:
-            raise PreconditionError("f_samples must be a 1-d array with at least %d nodes" % MIN_GRID)
+        f = _real_array(self.f_samples)
+        if f is None or f.ndim != 1 or f.size < MIN_GRID:
+            raise PreconditionError(
+                "f_samples must be a 1-d array of real numbers with at least %d nodes" % MIN_GRID
+            )
         if not np.all(np.isfinite(f)) or not np.all(f > 0.0):
             raise PreconditionError("f samples must be positive and finite")
         f = f.copy()
@@ -415,10 +417,7 @@ def _energy(problem, u, fau):
 
 def _circle_vector(problem, u):
     """u as a float array; a PreconditionError naming u unless it is 1-d with the circle's m nodes, all finite."""
-    try:
-        u = np.asarray(u, dtype=float)
-    except (TypeError, ValueError):
-        u = None
+    u = _real_array(u)
     if u is None or u.shape != (problem.m,) or not np.all(np.isfinite(u)):
         raise PreconditionError("u must be a 1-d array of %d finite values, one per node" % problem.m)
     return u
@@ -743,10 +742,15 @@ def _soliton(problem, n):
     """Line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2) at the first node k where f peaks, on nodes 0, ..., n-1.
 
     A^{p-1} = (p+1) alpha / (2 f_k), and x = (s - s_k + L/2) mod L - L/2.
+    On the half grid (n < m) f is constant, so k = 0 and |x| = s.
     """
-    m, p, k = problem.m, problem.p, int(np.argmax(problem.f_samples))
-    x = ((np.arange(n) - k + m // 2) % m - m // 2) * problem.h
-    e = np.exp(-0.5 * (p - 1.0) * math.sqrt(problem.alpha) * np.abs(x))
+    m, p = problem.m, problem.p
+    if n < m:  # the half grid: f is constant, so k = 0 and node j lies j h from it
+        k, distance = 0, np.arange(n) * problem.h
+    else:
+        k = int(np.argmax(problem.f_samples))
+        distance = np.abs(((np.arange(n) - k + m // 2) % m - m // 2) * problem.h)
+    e = np.exp(-0.5 * (p - 1.0) * math.sqrt(problem.alpha) * distance)
     amplitude = ((p + 1.0) * problem.alpha / (2.0 * float(problem.f_samples[k]))) ** (1.0 / (p - 1.0))
     return amplitude * (2.0 * e / (1.0 + e * e)) ** (2.0 / (p - 1.0))  # sech, without cosh's overflow
 

@@ -46,6 +46,8 @@ MUTANTS = [
      "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
     (SOLVER, "(2.0 * float(problem.f_samples[k]))", "(2.2 * float(problem.f_samples[k]))",
      "tests/test_solver.py::test_the_soliton_start_peaks_where_the_weight_does"),
+    (SOLVER, "k, distance = 0, np.arange(n) * problem.h", "k, distance = 0, np.arange(n) * (problem.h * (1.0 + 1e-12))",
+     "tests/test_solver.py::test_the_half_grid_soliton_is_the_circle_solitons_first_half[1024]"),
     (SOLVER, "\nDESCENT_TOL = 1e-4\n", "\nDESCENT_TOL = 1e-3\n",
      "tests/test_solver.py::test_the_soliton_start_descends_in_a_handful_of_evaluations[1-1024]"),
     (SOLVER, "        if short_steps == 2:\n            break\n", "        if short_steps == 2:\n            pass\n",
@@ -103,6 +105,8 @@ MUTANTS = [
      "tests/test_solver.py::test_the_public_kernels_reject_any_u_but_the_circles_finite_vector_by_name[half-grid-energy]"),
     (SOLVER, "    index = _integer(index, \"index\")\n", "",
      "tests/test_solver.py::test_circle_reduction_rejects_an_index_other_than_1_or_2_by_name[True]"),
+    (CONSTANTS, 'if a.dtype.kind in "iuf" else None', 'if a.dtype.kind in "iufU" else None',
+     "tests/test_solver.py::test_f_samples_of_no_real_numbers_are_rejected_by_name[text]"),
     (CONSTANTS, "if not hi >= lo:", "if hi < lo:",
      "tests/test_constants.py::test_a_bad_bound_endpoint_is_rejected_by_name[hi-nan]"),
     (CONSTANTS, "/ math.gamma(0.5 * (n + 1))", "/ math.gamma(0.5 * (n + 1)) * (1.0 + 1e-13)",
@@ -133,6 +137,18 @@ MUTANTS = [
      "tests/test_cli.py::test_solve_rejects_a_grid_below_the_minimum[63-explicit]"),
     (CONDITIONS, "return (hi - term2) + term1", "return hi - (term2 - term1)",
      "tests/test_conditions.py::test_the_gap_endpoint_cancels_hi_against_the_larger_orbit_term_first"),
+    # example_interval's closing comparisons: the ceiling tie, the lower endpoint's
+    # tie, the triple's floor at the constant solution's term and the requested interval
+    (CONDITIONS, "ceiling == hi and not closed and not hi_strict", "ceiling == hi and not closed and hi_strict",
+     "tests/test_conditions.py::test_example_interval_is_the_public_routes_composed_by_hand[triple-product]"),
+    (CONDITIONS, "(lo3, gap_strict) if lo3 > floor", "(lo3, gap_strict) if lo3 >= floor",
+     "tests/test_conditions.py::test_merge_lo_breaks_a_tie_toward_the_floor[False]"),
+    (CONDITIONS, "gap_strict and lo3 == floor)", "gap_strict)",
+     "tests/test_conditions.py::test_merge_lo_breaks_a_tie_toward_the_floor[True]"),
+    (CONDITIONS, "max(lo, a2t)", "lo",
+     "tests/test_conditions.py::test_the_triple_starts_at_the_constant_solutions_term_above_the_gap_endpoint"),
+    (CONDITIONS, 'if recipe.route == "double":', 'if recipe.route != "double":',
+     "tests/test_conditions.py::test_example_interval_is_the_public_routes_composed_by_hand[hopf]"),
     (GEOMETRY, "return 2.0 * math.pi * t * sphere_volume(n - 1)",
      "return 2.0 * math.pi * t * sphere_volume(n - 1) * (1.0 + 1e-14)",
      "tests/test_geometry.py::test_manifold_volumes"),

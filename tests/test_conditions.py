@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import direct_routes
 import numpy as np
@@ -7,14 +9,20 @@ from hypothesis import given, strategies as st
 
 from symcrit import conditions
 from symcrit import (
+    ConditionReport,
     ConstantBound,
+    EXAMPLE_DEFAULTS,
+    EXAMPLE_IDS,
     EquationParams,
     FProfile,
     GenericIneqParams,
     GuaranteedInterval,
     PreconditionError,
+    b0_circle_sphere,
+    b0_lower_general,
     b0_quotient_sphere,
     b0_sphere,
+    b0_transfer_principal,
     constant_f_intervals,
     critical_interval,
     energy_ordering_check,
@@ -97,6 +105,17 @@ def test_merge_lo_matches_the_oracle_and_keeps_the_floors_zero(floor, lo3, gap_s
     assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
 
 
+@pytest.mark.parametrize("gap_strict", [False, True])
+def test_merge_lo_breaks_a_tie_toward_the_floor(gap_strict):
+    # a tie keeps the floor's value, its sign of zero and the gap's strictness
+    lo, lo_strict = conditions._merge_lo(0.0, -0.0, gap_strict)
+    assert (lo, math.copysign(1.0, lo), lo_strict) == (0.0, 1.0, gap_strict)
+    assert conditions._merge_lo(1.5, 1.5, gap_strict) == (1.5, gap_strict)
+    # a gap endpoint below the floor leaves the floor closed; above it, it binds
+    assert conditions._merge_lo(1.5, 1.0, gap_strict) == (1.5, False)
+    assert conditions._merge_lo(1.0, 1.5, gap_strict) == (1.5, gap_strict)
+
+
 def test_interval_to_json_shape():
     iv = GuaranteedInterval(0.5, 1.5, count=3)
     d = iv.to_json()
@@ -151,6 +170,19 @@ def test_cylinder_triple_display():
     assert iv.hi == pytest.approx((n - 2.0) ** 2 / 4.0, rel=REL, abs=0.0)
     assert iv.count == 3
     assert not iv.lo_strict and not iv.hi_strict
+
+
+def test_the_triple_starts_at_the_constant_solutions_term_above_the_gap_endpoint():
+    # with a2 = 5 on S^1(5) x S^4 the constant solution's orbit term passes
+    # the energy-gap endpoint and stays below hi, so it is the lower endpoint
+    n, t, a2 = 5, 5.0, 5
+    iv = example_interval("cylinder-triple", n=n, t=t, a1=1, a2=a2)
+    conds = {c.label: c.value for c in iv.conditions}
+    vol = 2.0 * math.pi * t * sphere_volume(n - 1)
+    a2t = a2 ** (2.0 / n) / (sobolev_constant(n) * vol ** (2.0 / n))
+    assert conds["constant-dominated"] == pytest.approx(a2t, rel=REL, abs=0.0)
+    assert conds["energy-gap"] < a2t < iv.hi
+    assert iv.lo == conds["constant-dominated"] and not iv.empty
 
 
 @pytest.mark.parametrize("t", [1.5, 2.0, 8.0, 100.0])
@@ -546,6 +578,119 @@ def test_endpoint_flatness_controls_ceiling_strictness():
     assert example_interval("sphere-quotients", f=unknown).hi_strict
     assert example_interval("sphere-quotients", f=shallow).hi_strict
     assert not example_interval("sphere-quotients", f=deep).hi_strict
+
+
+# Each example by hand: its route, its windows from the public constants, the
+# labels of its existence ceilings and the weight vanishing order that closes them.
+_COMPOSITIONS = {
+    "sphere-quotients": (
+        "critical", lambda c: (b0_sphere(c.params.n), b0_quotient_sphere(c.params.n, c.inputs["a2"])),
+        (("second", "existence-ceiling"),), lambda n: n - 3,
+    ),
+    "cylinder-weighted": (
+        "critical", lambda c: (b0_circle_sphere(c.inputs["t"], c.params.n),) * 2,
+        (("second", "existence-ceiling"),), lambda n: n - 2,
+    ),
+    "triple-product": (
+        "invariant", lambda c: (b0_transfer_principal(c.second, b0_sphere(c.params.reduced_dim)),),
+        (("second", "existence-ceiling-second"), ("first", "existence-ceiling-first")), None,
+    ),
+    "cylinder-triple": (
+        "triple", lambda c: tuple(b0_circle_sphere(c.inputs["t"] / c.inputs[a], c.params.n) for a in ("a1", "a2")),
+        (), None,
+    ),
+    "hopf": (
+        "double", lambda c: (b0_lower_general(c.params, c.volume, c.first),
+                             b0_transfer_principal(c.second, b0_sphere(c.params.reduced_dim))),
+        (), None,
+    ),
+}
+_COMPOSITIONS["cylinder-overcritical"] = _COMPOSITIONS["hopf"]
+
+
+def _composed_interval(example, f=None, **params):
+    """example_interval rebuilt from the public routes: constant_f_intervals,
+    critical_interval or invariant_interval, then each ceiling of
+    existence_alpha_bound, alpha <= ceiling where the weight vanishes to the
+    closing order at its peak and alpha < ceiling otherwise."""
+    cfg = example_configuration(example, **params)
+    route, windows, ceilings, flatness = _COMPOSITIONS[example]
+    p = cfg.params
+    family = (cfg.first.orbit_volume, cfg.second.orbit_volume, cfg.volume)
+    if route in ("double", "triple"):
+        if f is not None:
+            raise PreconditionError("example %r fixes the constant weight f = 1" % (example,))
+        double, triple = constant_f_intervals(p, *windows(cfg), *family)
+        # the example's triple is closed at its upper endpoint
+        return double if route == "double" else dataclasses.replace(triple, hi_strict=False)
+    bounds = [(existence_alpha_bound(p, getattr(cfg, a), f), label) for a, label in ceilings]
+    if not all(b.flatness_ok for b, _ in bounds):
+        raise PreconditionError(
+            "example %r requires a peak-flat weight (zero Laplacian at the maximum)" % (example,)
+        )
+    build = critical_interval if route == "critical" else invariant_interval
+    iv = build(p, *windows(cfg), *family, f, gap_strict=False)
+    closed = flatness is not None and (
+        f is None or (f.vanishing_order is not None and f.vanishing_order >= flatness(p.n))
+    )
+    hi, hi_strict, conds = iv.hi, iv.hi_strict, list(iv.conditions)
+    for b, label in bounds:
+        conds.append(ConditionReport(label, "satisfied", b.ceiling))
+        if b.ceiling < hi:
+            hi, hi_strict = b.ceiling, not closed
+        elif b.ceiling == hi and not closed:
+            hi_strict = True
+    return GuaranteedInterval(iv.lo, hi, iv.lo_strict, hi_strict, iv.count, tuple(conds))
+
+
+def _example_points(example, rng):
+    """About 100 parameter points of one example, some outside its hypotheses."""
+    out = []
+    for _ in range(100):
+        point = {}
+        for name, default in EXAMPLE_DEFAULTS[example].items():
+            if isinstance(default, int):
+                point[name] = default + rng.randint(-2 if name == "n" else -1, 4)
+            else:
+                point[name] = default * 10.0 ** rng.uniform(-0.8, 0.8)
+        out.append(point)
+    return out
+
+
+def _profiles(rng):
+    """A weight flat to each vanishing order (None and inf included) and one that is not flat."""
+    out = []
+    for order in (None, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, math.inf):
+        f_min = rng.uniform(0.2, 1.0)
+        f_avg = f_min * rng.uniform(1.0, 2.0)
+        f_max = f_avg * rng.uniform(1.0, 50.0)
+        out.append(FProfile(f_max, f_min, f_avg, f_max, 0.0, order))
+    return out + [FProfile(2.0, 1.0, 1.5, 2.0, laplacian_at_peak=-0.5), FProfile.constant()]
+
+
+def _outcome(build, example, f, point):
+    """The interval's fields, each by repr, or the PreconditionError's text."""
+    try:
+        iv = build(example, f=f, **point)
+    except PreconditionError as exc:
+        return "PreconditionError: %s" % exc
+    return [repr(getattr(iv, field.name)) for field in dataclasses.fields(iv)]
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_example_interval_is_the_public_routes_composed_by_hand(example):
+    rng = random.Random(example)
+    points = _example_points(example, rng)
+    profiles = _profiles(rng)
+    valid = [point for point in points if isinstance(_outcome(example_interval, example, None, point), list)]
+    cases = [(None, point) for point in points] + [(f, point) for point in valid[:8] for f in profiles]
+    outcomes = [(_outcome(example_interval, example, f, point), _outcome(_composed_interval, example, f, point))
+                for f, point in cases]
+    for (got, want), (f, point) in zip(outcomes, cases):
+        assert got == want, (point, f)
+    # both the intervals and the refusals are exercised
+    assert any(isinstance(got, list) for got, _ in outcomes)
+    assert any(isinstance(got, str) for got, _ in outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -470,6 +470,16 @@ def test_epsilons_that_are_no_1d_sequence_of_numbers_are_rejected(bad):
         _config(epsilons=bad)
 
 
+@pytest.mark.parametrize(
+    "bad", [("1e-3", "1e-4"), np.array(["1e-3", "1e-4"]), np.array([1e-3, 1e-4], dtype=object), (1e-3 + 0j, 1e-4 + 0j)],
+    ids=["text", "text-array", "objects", "complex"],
+)
+def test_epsilons_of_no_real_numbers_are_rejected_by_name(bad):
+    # numpy parsed "1e-3", so a ladder of text became (0.001, 0.0001)
+    with pytest.raises(PreconditionError, match="^epsilons must be a 1-d sequence of numbers"):
+        _config(epsilons=bad)
+
+
 def test_branch_dispatch_validation():
     with pytest.raises(PreconditionError):
         fit_and_compare(_config(dim=4))

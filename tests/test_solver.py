@@ -104,6 +104,26 @@ def test_the_public_kernels_reject_any_u_but_the_circles_finite_vector_by_name(k
         kernel(problem, bad_u)
 
 
+_NOT_REAL = {
+    "text": ["1.0"] * 64, "text-array": np.full(64, "1.0"), "bools": [True] * 64,
+    "complex": np.ones(64, dtype=complex), "objects": np.ones(64, dtype=object),
+}
+
+
+@pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: k.__name__)
+@pytest.mark.parametrize("bad", sorted(_NOT_REAL))
+def test_the_public_kernels_reject_a_u_of_no_real_numbers_by_name(kernel, bad):
+    # numpy parsed "1.0" and read True as 1.0, so such a u was evaluated
+    with pytest.raises(PreconditionError, match="^u must be a 1-d array of 64 finite values"):
+        kernel(_problem(m=64), _NOT_REAL[bad])
+
+
+@pytest.mark.parametrize("bad", sorted(_NOT_REAL))
+def test_f_samples_of_no_real_numbers_are_rejected_by_name(bad):
+    with pytest.raises(PreconditionError, match="^f_samples must be a 1-d array of real numbers"):
+        _problem(m=64, f=_NOT_REAL[bad])
+
+
 @pytest.mark.parametrize("kernel", _KERNELS, ids=lambda k: k.__name__)
 def test_the_public_kernels_take_any_sequence_of_the_circles_m_values(kernel):
     problem = _problem(m=97, f=np.linspace(0.5, 1.5, 97))
@@ -902,6 +922,15 @@ def test_the_soliton_start_peaks_where_the_weight_does(phase):
     # evenness about s_k in the periodic distance
     assert u0[k] == pytest.approx((6.0 * 3.0 / (2.0 * f[k])) ** 0.25, rel=1e-15, abs=0.0)
     assert np.array_equal(np.roll(u0, -k)[1:], np.roll(u0, -k)[:0:-1])
+
+
+@pytest.mark.parametrize("m", [64, 1024, 4096])
+def test_the_half_grid_soliton_is_the_circle_solitons_first_half(m):
+    # on the half grid the distance from the peak is s itself, with no argmax
+    # and no periodic modulo; it must give the circle formula's nodes bitwise
+    for alpha in (0.3, 2.5):
+        problem = _problem(alpha=alpha, m=m)
+        assert np.array_equal(solver._soliton(problem, m // 2 + 1), solver._soliton(problem, m)[:m // 2 + 1])
 
 
 def test_the_soliton_start_of_a_constant_weight_peaks_where_cos1_does():
