@@ -13,7 +13,8 @@ two-sided estimates are carried around as ConstantBound intervals
 [lo, hi]; hi may be +inf when no upper estimate is available.
 
 The input checks every record of the package shares (_finite, _above,
-_integer) sit here, in the module the others build on.
+_integer, and _real_array for arrays) sit here, in the module the others
+build on.
 """
 
 from __future__ import annotations

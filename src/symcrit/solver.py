@@ -745,7 +745,7 @@ def _soliton(problem, n):
     On the half grid (n < m) f is constant, so k = 0 and |x| = s.
     """
     m, p = problem.m, problem.p
-    if n < m:  # the half grid: f is constant, so k = 0 and node j lies j h from it
+    if n < m:  # the half grid
         k, distance = 0, np.arange(n) * problem.h
     else:
         k = int(np.argmax(problem.f_samples))
