@@ -52,10 +52,10 @@ or a nonconstant f solves with all of the cyclic tridiagonal J, cut open
 at the node where |v'| is largest (see _cut): the rest of J is a plain
 tridiagonal block T, so one gtsv with T and a Schur complement for the
 cut node give the step (_cut_solve).
-With constant f, J is singular along the translation tau = v' at a
-solution, and that step is bordered with tau; the Schur system is then
-2x2 (Govaerts & Pryce 1990).  The cut keeps T away from that
-singularity, since tau is largest at the cut node.  Each iterate's power
+With constant f, J is nearly singular along the translation v' near a
+solution, and the step may move the iterate along it.  The cut keeps T
+away from that near-singularity, since |v'| is largest at the cut node,
+and leaves it to the cut node's Schur complement.  Each iterate's power
 a = v^{p-1} is evaluated once (_power), by its residual (_residual): the
 nonlinearity f a v, the Newton step's diagonal of J, and for the last
 iterate the Morse count and the energy w h <f a v, v> read that array.
@@ -125,9 +125,9 @@ ZERO_MODE_TOL = 1e-6
 # m = 512 and 1024 take 3.
 DESCENT_TOL = 1e-4
 
-# With a nonconstant f, Newton has no border, and its basin along the translation of
-# a bump narrows as f flattens, while the descent's gradient along it, of order
-# (max f - min f) times the offset, falls under the tolerance: so the descent stops
+# With a nonconstant f a translated bump is no solution, and Newton's basin along the
+# bump's translation narrows as f flattens, while the descent's gradient along it, of
+# order (max f - min f) times the offset, falls under the tolerance: so the descent stops
 # at WEIGHTED_DESCENT_TOL instead.  At DESCENT_TOL, some default solves on
 # f = 1 + a (cos(s - phi) + 0.4 cos(2 s - psi)) with a = 3e-3 to 3e-2 raise
 # ConvergenceError, and on f = 1 + a cos(s - phi) with a = 5e-6 to 5e-4 the
@@ -478,43 +478,42 @@ def _ring(x, k):
 
 
 def _cut(problem, v, a):
-    """J = -Delta_h + diag(alpha - p f a) cut open at k = argmax |tau|, a = v^{p-1} from _residual.
+    """J = -Delta_h + diag(alpha - p f a) cut open at k = argmax |v'|, a = v^{p-1} from _residual.
 
-    tau = v' is formed once, by central differences.  Returns k, J's
-    diagonal and tau in the ring order (_ring), and the coupling off of
-    _stencil.  In the ring order J = [[T, w], [w', c]]: T is plain
-    tridiagonal and w holds the coupling in its first and last entries.
-    T's eigenvalues interlace J's; cutting where tau, J's null direction
-    at a constant-f solution, is largest keeps T well away from singular.
+    tau = 2 h v', by central differences, only picks k.  Returns k, J's
+    diagonal in the ring order (_ring), and the coupling off of _stencil.
+    In the ring order J = [[T, w], [w', c]]: T is plain tridiagonal and w
+    holds the coupling in its first and last entries.  T's eigenvalues
+    interlace J's.  With constant f, J is nearly singular along v' near a
+    solution; cutting where |v'| is largest keeps T well away from
+    singular.
     """
-    m, h = problem.m, problem.h
-    d, off = _stencil(h)
+    m = problem.m
+    d, off = _stencil(problem.h)
     tau = np.empty(m)
     np.subtract(v[2:], v[:-2], out=tau[1:-1])
     tau[0] = v[1] - v[-1]
     tau[-1] = v[0] - v[-2]
-    tau /= 2.0 * h
     k = int(np.argmax(np.abs(tau)))
     diag = d + problem.alpha - problem.p * problem.f_samples * a
-    return k, _ring(diag, k), _ring(tau, k), off
+    return k, _ring(diag, k), off
 
 
-def _cut_solve(diag, off, *cols):
-    """T^{-1} [cols, w] and w' times it, for J cut open by _cut; None on a zero pivot.
+def _cut_solve(diag, off, b):
+    """T^{-1} [b, w] and w' times it, for J cut open by _cut; None on a zero pivot.
 
     T has the diagonal diag[:-1] and the off-diagonal off, and w holds off
     in its first and last entries, so w' x = off (x[0] + x[-1]): the cut
-    node's Schur term.  One LAPACK tridiagonal solve (dgtsv) takes every
-    column; it comes from scipy's LAPACK extension, loaded by itself
+    node's Schur term.  One LAPACK tridiagonal solve (dgtsv) takes both
+    columns; it comes from scipy's LAPACK extension, loaded by itself
     (_lazy.flapack), not through scipy.linalg's package.
     """
     n = diag.size - 1
-    b = np.zeros((n, len(cols) + 1), order="F")  # in dgtsv's column order, so f2py passes it uncopied
-    for j, col in enumerate(cols):
-        b[:, j] = col
-    b[0, -1] = b[-1, -1] = off
+    rhs = np.zeros((n, 2), order="F")  # in dgtsv's column order, so f2py passes it uncopied
+    rhs[:, 0] = b
+    rhs[0, 1] = rhs[-1, 1] = off
     e = np.full(n - 1, off)
-    x, info = flapack().dgtsv(e, diag[:-1], e, b, overwrite_b=1)[3:]
+    x, info = flapack().dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
     return None if info else (x, off * (x[0] + x[-1]))
 
 
@@ -604,7 +603,7 @@ def _morse_counts(problem, v, a):
         off[0] = off[mid - 1] = math.sqrt(2.0) * coupling
         off[mid] = 0.0
     else:
-        _, diag, _, off = _cut(problem, v, a)
+        _, diag, off = _cut(problem, v, a)
         t = diag[:-1]
         w = np.zeros(problem.m - 1)
         w[0] = w[-1] = off
@@ -868,9 +867,9 @@ def _descend(problem, u):
     u, u - P^{-1} g / (2 w h) = lambda P^{-1}(f u^{q-1}) is the Picard
     iterate of the Euler-Lagrange equation, so that step rarely
     backtracks.  The stopping test is on g itself, at DESCENT_TOL for a
-    constant f, whose Newton step does not move along the translation
-    (it is bordered, or even about node 0 on the half grid), and at
-    WEIGHTED_DESCENT_TOL otherwise.
+    constant f, where every translate of a solution is one, so Newton
+    need not settle the bump's position, and at WEIGHTED_DESCENT_TOL
+    otherwise.
 
     P is factored only once the stopping test has failed, and P^{-1}
     applied once per step taken: an iterate that passes the test, such as
@@ -925,35 +924,20 @@ def _newton_step(problem, v, r, a):
     """Newton step delta solving J delta = -r at v, a = v^{p-1}; None on a zero pivot of T.
 
     With J cut open at node k (_cut), one _cut_solve gives T^{-1} b_T
-    (and T^{-1} tau_T) beside T^{-1} w, and a Schur system for the cut
-    node closes the step.  With constant f the equation is
-    translation invariant and J is singular along tau = v' at a solution,
-    so the step is bordered with tau: [J tau; tau' 0] [delta; mu] =
-    [-r; 0], and the Schur system is the symmetric 2x2 one in
-    (delta_k, mu).  A nonconstant f breaks that symmetry, and the border
-    would only keep Newton from converging quadratically.  A zero Schur
-    pivot leaves the step non-finite, which _newton rejects.
+    beside T^{-1} w, and the cut node's Schur complement
+    s = c - w' T^{-1} w closes the step: delta_k = (b_k - w' T^{-1} b_T) / s
+    and the rest is T^{-1} b_T - delta_k T^{-1} w.  A zero s leaves the
+    step non-finite, which _newton rejects.
     """
     m = problem.m
-    k, diag, t, off = _cut(problem, v, a)
-    bordered = problem.constant_weight and np.abs(t).max() > 1e-13 * np.abs(v).max()
+    k, diag, off = _cut(problem, v, a)
     b = -_ring(r, k)
-    solved = _cut_solve(diag, off, b[:-1], *((t[:-1],) if bordered else ()))
+    solved = _cut_solve(diag, off, b[:-1])
     if solved is None:
         return None
-    x, wx = solved  # T^{-1} [b_T, (tau_T,) w] and w' times it
-    s = diag[-1] - wx[-1]
-    if bordered:
-        tx = t[:-1] @ x
-        c = t[-1] - wx[1]  # = t[-1] - tx[2], as T is symmetric
-        det = -s * tx[1] - c * c
-        gk, gm = b[-1] - wx[0], -tx[0]
-        dk = (-tx[1] * gk - c * gm) / det
-        mu = (s * gm - c * gk) / det
-        y = x[:, 0] - dk * x[:, -1] - mu * x[:, 1]
-    else:
-        dk = (b[-1] - wx[0]) / s
-        y = x[:, 0] - dk * x[:, -1]
+    x, wx = solved  # T^{-1} [b_T, w] and w' times it
+    dk = (b[-1] - wx[0]) / (diag[-1] - wx[-1])
+    y = x[:, 0] - dk * x[:, -1]
     n = m - 1 - k  # y holds nodes k+1, ..., m-1, then 0, ..., k-1
     delta = np.empty(m)
     delta[k + 1:] = y[:n]
@@ -969,9 +953,8 @@ def _even_step(problem, r, a):
     0, and for an even r the step is even: one LAPACK tridiagonal solve
     (dgtsv) with J's even block (_even_block) on the m/2 + 1 nodes 0, ...,
     m/2 gives it.  J's translation mode, v' at a solution, is odd, so the
-    even block needs no border, and an even delta meets the border's
-    constraint <v', delta> = 0: on an even r this is _newton_step's
-    bordered step.
+    even block needs no border: an even delta is orthogonal to v'.  On an
+    even r this is _newton_step's cut step.
     """
     diag, off = _even_block(problem, a)
     lower = np.full(diag.size - 1, off)
@@ -992,9 +975,8 @@ def _newton(problem, v, config):
     A zero pivot or a non-finite step ends the iteration unconverged.
     It also ends after NEWTON_MAX_ITER steps, and after two consecutive
     steps accepted only with theta < 1/8: such a start sits by a saddle
-    whose null modes the border does not remove (e.g. the relative
-    positions of several bumps), where damped Newton would grind to its
-    cap.
+    with near-null modes (e.g. the relative positions of several bumps),
+    where damped Newton would grind to its cap.
     On the half grid v and every iterate hold nodes 0, ..., m/2.
     Returns the last iterate, its power, the steps taken, the residual's
     max norm and whether it converged.

@@ -72,6 +72,9 @@ MUTANTS = [
      "tests/test_solver.py::test_morse_count_moves_its_shift_off_a_zero_middle_pivot"),
     (SOLVER, "np.concatenate((x[k + 1:], x[:k + 1]))", "np.concatenate((x[k:], x[:k]))",
      "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
+    # J cut open at a fixed node, not where |v'| is largest
+    (SOLVER, "k = int(np.argmax(np.abs(tau)))", "k = m - 1",
+     "tests/test_solver.py::test_newton_step_is_accurate_wherever_the_peak_sits[triple-m1024]"),
     (SOLVER, "\nDESCENT_MAX_ITER = 2000\n", "\nDESCENT_MAX_ITER = 20000\n",
      "tests/test_solver.py::test_the_descent_cap_binds_on_a_nearly_constant_weight"),
     (SOLVER, "\nDESCENT_MAX_ITER = 2000\n", "\nDESCENT_MAX_ITER = 1000\n",
@@ -80,7 +83,7 @@ MUTANTS = [
      "tests/test_solver.py::test_the_operator_pieces_agree_with_one_stencil[64]"),
     # J's even and odd blocks about node 0
     (SOLVER, "lower[-1] = upper[0] = 2.0 * off", "lower[-1] = upper[0] = off",
-     "tests/test_solver.py::test_the_even_step_is_the_bordered_step_on_an_even_residual[1]"),
+     "tests/test_solver.py::test_the_even_step_is_the_cut_step_on_an_even_residual[1]"),
     (SOLVER, "math.sqrt(2.0) * coupling", "1.0 * coupling",
      "tests/test_solver.py::test_split_morse_counts_equal_the_cut_counts_and_dense_eigenvalues[64]"),
     (SOLVER, "off[mid] = 0.0", "off[mid] = coupling",
