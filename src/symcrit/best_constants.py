@@ -44,10 +44,25 @@ def b0_circle_sphere(t, n):
 
     [ (n-2)^2/4 ,  (n-2)^2/4 + 1/(4 t^2) ].
     """
+    return ConstantBound(*_circle_sphere_window(t, n))
+
+
+def _circle_sphere_window(t, n):
+    """b0_circle_sphere's window as its two ends (lo, hi), with no record built.
+
+    Below a radius t of about 3.7e-155, 1/(4 t^2) overflows a float (below
+    about 1e-162 the square itself is 0), so no finite window exists.
+    """
     n = _integer(n, "the product constant's dimension n", 3)
     t = _above(t, "the product constant's circle radius t", 0.0)
     base = (n - 2) ** 2 / 4.0
-    return ConstantBound(base, base + 1.0 / (4.0 * t * t))
+    quarter = 4.0 * t * t
+    hi = base + 1.0 / quarter if quarter else math.inf
+    if hi == math.inf:
+        raise PreconditionError(
+            "the product constant's circle radius t must keep 1/(4 t^2) a finite float, got %r" % (t,)
+        )
+    return base, hi
 
 
 def b0_quotient_sphere(n, order):
@@ -82,13 +97,10 @@ def _concentration_ceiling(N, scal, q):
     return (N - 2) / (4.0 * (N - 1)) * (scal + 3.0 * q)
 
 
-def _curvature_term(params, action):
-    """The concentration ceiling from certified lower bounds of S_quotient and lap(v_H)."""
-    return _concentration_ceiling(
-        params.reduced_dim,
-        action.quotient_scal_lower,
-        action.vh_laplacian_lower / action.orbit_volume,
-    )
+def _curvature_term(N, orbit_volume, scal, laplacian):
+    """The concentration ceiling from an action's orbit volume and certified
+    lower bounds of S_quotient and lap(v_H)."""
+    return _concentration_ceiling(N, scal, laplacian / orbit_volume)
 
 
 def b0_lower_general(params, volume, action):
@@ -100,14 +112,23 @@ def b0_lower_general(params, volume, action):
     using certified lower bounds for the quotient scalar curvature and
     for the orbit-volume Laplacian.  Needs N = n - k >= 3.
     """
+    lo = _lower_general(
+        params, volume, action.k, action.orbit_volume, action.quotient_scal_lower, action.vh_laplacian_lower
+    )
+    return ConstantBound(lo, math.inf)
+
+
+def _lower_general(params, volume, k, orbit_volume, scal, laplacian):
+    """b0_lower_general's lower end from an action's numbers: its orbit
+    dimension k, orbit volume and the two curvature lower bounds."""
     N = params.reduced_dim
     if N < 3:
         raise PreconditionError("curvature lower bound needs n - k >= 3, got %d" % N)
-    if params.k != action.k:
-        raise PreconditionError("action orbit dimension %d does not match k=%d" % (action.k, params.k))
+    if params.k != k:
+        raise PreconditionError("action orbit dimension %d does not match k=%d" % (k, params.k))
     volume = _above(volume, "the curvature bound's manifold volume", 0.0)
-    vol_term = _volume_term(N, action.orbit_volume, volume)
-    return ConstantBound(max(vol_term, _curvature_term(params, action)), math.inf)
+    vol_term = _volume_term(N, orbit_volume, volume)
+    return max(vol_term, _curvature_term(N, orbit_volume, scal, laplacian))
 
 
 def b0_transfer_principal(action, quotient_bound):
@@ -115,10 +136,10 @@ def b0_transfer_principal(action, quotient_bound):
 
     When all orbits are principal with constant volume, the invariant
     constant upstairs equals the plain constant of the quotient, so the
-    window passes through unchanged.
+    window passes through unchanged: the same record comes back.
     """
     if not action.principal_constant_volume:
         raise PreconditionError(
             "transfer requires principal orbits of constant volume (action %r)" % (action.name,)
         )
-    return ConstantBound(quotient_bound.lo, quotient_bound.hi)
+    return quotient_bound

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .best_constants import _curvature_term, _volume_term
 from .constants import _above, _concentration_threshold, _finite, _real, sobolev_constant
 from .errors import PreconditionError
-from .geometry import _EXAMPLES, example_configuration
+from .geometry import _EXAMPLES, _configuration_numbers, example_configuration
 
 __all__ = [
     "FProfile",
@@ -223,20 +223,23 @@ def existence_alpha_bound(params, action, f=None):
 
     is sufficient, evaluated here with certified lower bounds.
     """
-    return ExistenceBound(*_existence_ceiling(params, action, f))
+    numbers = (action.orbit_volume, action.quotient_scal_lower, action.vh_laplacian_lower)
+    return ExistenceBound(*_existence_ceiling(params, action.k, numbers, f))
 
 
-def _existence_ceiling(params, action, f):
-    """(ceiling, flatness_ok) of existence_alpha_bound, with no record built."""
+def _existence_ceiling(params, k, numbers, f):
+    """(ceiling, flatness_ok) of existence_alpha_bound, with no record built,
+    for an action with k-dimensional orbits and the numbers (orbit volume,
+    scal lower bound, orbit-volume Laplacian lower bound)."""
     N = params.reduced_dim
     if N < 4:
         raise PreconditionError("the concentration bound needs n - k >= 4, got %d" % N)
-    if params.k != action.k:
+    if params.k != k:
         raise PreconditionError("action orbit dimension does not match the parameters")
     flat = True
     if f is not None and N > 4:
         flat = f.laplacian_at_peak == 0.0
-    return _curvature_term(params, action), flat
+    return _curvature_term(N, *numbers), flat
 
 
 def _check_family(params, orbit1, orbit2, volume):
@@ -282,9 +285,10 @@ def _energy_gap(params, crit, c, P, rho, orbit2, volume, f):
     )
 
 
-def _band(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_strict):
+def _band(params, crit, c, P, D, second_lo, second_hi, orbit1, orbit2, volume, f, gap_strict):
     """(lo, hi, lo_strict, conditions) of generic_interval for the band
-    inequality (crit, P, D); its upper endpoint hi is closed.
+    inequality (crit, P, D) and the window [second_lo, second_hi] of the
+    second constant; its upper endpoint hi is closed.
 
     c = c(crit) is passed in, not recomputed: crit (4 - crit) / 4 and a
     route's closed form differ by an ulp at some n, and the floor c D
@@ -293,7 +297,7 @@ def _band(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_st
     existence ceilings before it builds the one interval it returns.
     """
     _check_family(params, orbit1, orbit2, volume)
-    hi = bound_second.lo
+    hi = second_lo
     if math.isinf(D):
         floor, defect = math.inf, _UNKNOWN_DEFECT
     else:
@@ -301,11 +305,11 @@ def _band(params, crit, c, P, D, bound_second, orbit1, orbit2, volume, f, gap_st
         defect = ConditionReport("dominate-defect", "satisfied", floor)
     if f is None:
         lo, lo_strict, gap = floor, False, _ASSUMED_GAP
-    elif math.isinf(bound_second.hi):
+    elif math.isinf(second_hi):
         lo, lo_strict, gap = math.inf, True, _UNKNOWN_GAP
     else:
         rho = (orbit2 / orbit1) ** (2.0 / params.reduced_dim) - 1.0
-        lo3 = bound_second.hi - _energy_gap(params, crit, c, P, rho, orbit2, volume, f)
+        lo3 = second_hi - _energy_gap(params, crit, c, P, rho, orbit2, volume, f)
         gap = ConditionReport("energy-gap", "satisfied", lo3)
         lo, lo_strict = _merge_lo(floor, lo3, gap_strict)
     return lo, hi, lo_strict, [ConditionReport("stay-below", "satisfied", hi), defect, gap]
@@ -331,7 +335,7 @@ def generic_interval(params, ineq, bound_second, orbit1, orbit2, volume, f=None,
     """
     return _band_interval(*_band(
         params, ineq.crit, ineq.band_factor, ineq.P, ineq.D,
-        bound_second, orbit1, orbit2, volume, f, gap_strict,
+        bound_second.lo, bound_second.hi, orbit1, orbit2, volume, f, gap_strict,
     ))
 
 
@@ -350,17 +354,18 @@ def critical_interval(
     dominate-defect unknown.  Needs n > 4.
     """
     return _band_interval(*_critical_band(
-        params, bound_ambient, bound_second, orbit1, orbit2, volume, f, gap_strict,
+        params, bound_ambient.hi, bound_second.lo, bound_second.hi, orbit1, orbit2, volume, f, gap_strict,
     ))
 
 
-def _critical_band(params, bound_ambient, bound_second, orbit1, orbit2, volume, f, gap_strict):
-    """critical_interval's (lo, hi, lo_strict, conditions); see _band."""
+def _critical_band(params, ambient_hi, second_lo, second_hi, orbit1, orbit2, volume, f, gap_strict):
+    """critical_interval's (lo, hi, lo_strict, conditions) from the window
+    ends it reads; see _band."""
     n = params.n
     if n <= 4:
         raise PreconditionError("the ambient route needs n > 4, got n=%d" % n)
     return _band(
-        params, *_ambient_band(n), bound_ambient.hi, bound_second, orbit1, orbit2, volume, f, gap_strict,
+        params, *_ambient_band(n), ambient_hi, second_lo, second_hi, orbit1, orbit2, volume, f, gap_strict,
     )
 
 
@@ -371,25 +376,28 @@ def invariant_interval(params, bound_second, orbit1, orbit2, volume, f=None, *, 
     D = bound_second.hi, with c(crit) = N(N-4)/(N-2)^2; an infinite
     bound_second.hi leaves dominate-defect unknown.  Needs n - k > 4.
     """
-    return _band_interval(*_invariant_band(params, bound_second, orbit1, orbit2, volume, f, gap_strict))
+    return _band_interval(*_invariant_band(
+        params, bound_second.lo, bound_second.hi, orbit1, orbit2, volume, f, gap_strict,
+    ))
 
 
-def _invariant_band(params, bound_second, orbit1, orbit2, volume, f, gap_strict):
-    """invariant_interval's (lo, hi, lo_strict, conditions); see _band."""
+def _invariant_band(params, second_lo, second_hi, orbit1, orbit2, volume, f, gap_strict):
+    """invariant_interval's (lo, hi, lo_strict, conditions) from the window
+    ends it reads; see _band."""
     N = params.reduced_dim
     if N <= 4:
         raise PreconditionError("the invariant route needs n - k > 4, got %d" % N)
     return _band(
         params, params.two_sharp, N * (N - 4.0) / (N - 2.0) ** 2,
-        sobolev_constant(N) / orbit2 ** (2.0 / N), bound_second.hi,
-        bound_second, orbit1, orbit2, volume, f, gap_strict,
+        sobolev_constant(N) / orbit2 ** (2.0 / N), second_hi,
+        second_lo, second_hi, orbit1, orbit2, volume, f, gap_strict,
     )
 
 
-def _orbit_gap(params, bound_second, orbit1, orbit2, volume, scale=1.0):
+def _orbit_gap(params, second_hi, orbit1, orbit2, volume, scale=1.0):
     """Orbit terms t_i = scale A_i^{2/N} / (K_N V^{2/N}) and the energy-gap
-    condition alpha >= bound_second.hi - (t2 - t1); its endpoint is inf
-    when bound_second.hi is unknown.
+    condition alpha >= second_hi - (t2 - t1), second_hi the second
+    window's upper end; its endpoint is inf when second_hi is unknown.
 
     Returns (t1, t2, endpoint, condition report).
     """
@@ -397,9 +405,9 @@ def _orbit_gap(params, bound_second, orbit1, orbit2, volume, scale=1.0):
     N = params.reduced_dim
     t1 = _volume_term(N, orbit1, volume) * scale
     t2 = _volume_term(N, orbit2, volume) * scale
-    if math.isinf(bound_second.hi):
+    if math.isinf(second_hi):
         return t1, t2, math.inf, _UNKNOWN_GAP
-    lo = _gap_lower(bound_second.hi, t1, t2)
+    lo = _gap_lower(second_hi, t1, t2)
     return t1, t2, lo, ConditionReport("energy-gap", "satisfied", lo)
 
 
@@ -412,7 +420,7 @@ def minf_interval(params, bound_second, orbit1, orbit2, volume, f, *, gap_strict
               * f_min / ( f_max^{2/two_sharp} f_avg^{2/N} ).
     """
     ffac = f.f_min / (f.f_max ** (2.0 / params.two_sharp) * f.f_avg ** (2.0 / params.reduced_dim))
-    _, _, lo, gap = _orbit_gap(params, bound_second, orbit1, orbit2, volume, ffac)
+    _, _, lo, gap = _orbit_gap(params, bound_second.hi, orbit1, orbit2, volume, ffac)
     hi = bound_second.lo
     conds = (ConditionReport("stay-below", "satisfied", hi), gap)
     return GuaranteedInterval(lo, hi, gap_strict or math.isinf(lo), False, 2, conds)
@@ -426,16 +434,19 @@ def constant_f_intervals(params, bound_first, bound_second, orbit1, orbit2, volu
     solution alpha^{(n-2-k)/4}.  Both are closed at the lower endpoint
     and open at the upper endpoint min of the windows' lower ends.
     """
-    band = _constant_f_band(params, bound_first, bound_second, orbit1, orbit2, volume)
+    band = _constant_f_band(
+        params, bound_first.lo, bound_second.lo, bound_second.hi, orbit1, orbit2, volume
+    )
     return _double(*band), _triple(*band, True)
 
 
-def _constant_f_band(params, bound_first, bound_second, orbit1, orbit2, volume):
+def _constant_f_band(params, first_lo, second_lo, second_hi, orbit1, orbit2, volume):
     """(lo, hi, a2t, conditions) that double and triple share, a2t the
-    second orbit term; example_interval builds only the one it returns."""
-    a1t, a2t, lo, gap = _orbit_gap(params, bound_second, orbit1, orbit2, volume)
-    hi = min(bound_first.lo, bound_second.lo)
-    sep = _SEPARATED if bound_second.hi - a2t < bound_first.lo - a1t else _NOT_SEPARATED
+    second orbit term, from the window ends they read; example_interval
+    builds only the one it returns."""
+    a1t, a2t, lo, gap = _orbit_gap(params, second_hi, orbit1, orbit2, volume)
+    hi = min(first_lo, second_lo)
+    sep = _SEPARATED if second_hi - a2t < first_lo - a1t else _NOT_SEPARATED
     return lo, hi, a2t, (ConditionReport("stay-below", "satisfied", hi), sep, gap)
 
 
@@ -585,26 +596,25 @@ def example_interval(example, f=None, **params):
     is peak-flat to the documented order and satisfies the example's
     peak-ratio condition.
     """
-    cfg = example_configuration(example, **params)
-    recipe = _EXAMPLES[example]
-    p = cfg.params
-    family = (cfg.first.orbit_volume, cfg.second.orbit_volume, cfg.volume)
+    recipe, inputs, x = _configuration_numbers(example, params)
+    p = x.params
+    family = (x.first[0], x.second[0], x.volume)
     if recipe.route in ("double", "triple"):
         if f is not None:
             raise PreconditionError("example %r fixes the constant weight f = 1" % (example,))
-        band = _constant_f_band(p, *recipe.windows(cfg), *family)
+        band = _constant_f_band(p, *recipe.windows(inputs, x), *family)
         if recipe.route == "double":
             return _double(*band)
         # triple's upper endpoint is attained: at alpha = hi the equation is
         # the scalar-curvature one and the same three solutions persist
         return _triple(*band, False)
-    bounds = [(_existence_ceiling(p, getattr(cfg, a), f), label) for a, label in recipe.ceilings]
+    bounds = [(_existence_ceiling(p, p.k, getattr(x, a), f), label) for a, label in recipe.ceilings]
     if not all(flat for (_, flat), _ in bounds):
         raise PreconditionError(
             "example %r requires a peak-flat weight (zero Laplacian at the maximum)" % (example,)
         )
     route = _critical_band if recipe.route == "critical" else _invariant_band
-    lo, hi, lo_strict, conds = route(p, *recipe.windows(cfg), *family, f, False)
+    lo, hi, lo_strict, conds = route(p, *recipe.windows(inputs, x), *family, f, False)
     closed = recipe.flatness is not None and _endpoint_flatness(f, recipe.flatness(p.n))
     hi, hi_strict = _cap(hi, conds, bounds, closed)
     return GuaranteedInterval(lo, hi, lo_strict, hi_strict, 2, tuple(conds))

@@ -8,10 +8,19 @@ keeps that number and no manifold record.  Each action carries the data
 the bound machinery needs downstream: a lower bound for the scalar
 curvature of the relevant quotient and a lower bound for the Laplacian
 of the orbit-volume function at the distinguished orbit.  Everything
-the package knows about one example (defaults, builder, interval recipe,
+the package knows about one example (defaults, numbers, interval recipe,
 circle reduction and peak-ratio condition) sits in its record in
 _EXAMPLES; the other modules look the record up and never branch on an
 example's name.
+
+Each record's numbers helper validates the inputs and returns the plain
+numbers of the configuration (_Numbers): the volume, the equation
+parameters (n and k), and each action's orbit volume, scalar-curvature
+bound and orbit-volume-Laplacian bound.  The record's windows turn them
+into the window ends its interval route reads.  example_interval reads
+only these numbers and builds no configuration or action record;
+example_configuration builds its public records from the same numbers,
+so each formula and each precondition is written once.
 """
 
 from __future__ import annotations
@@ -20,14 +29,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
-from .best_constants import (
-    b0_circle_sphere,
-    b0_lower_general,
-    b0_quotient_sphere,
-    b0_sphere,
-    b0_transfer_principal,
-)
+from .best_constants import _circle_sphere_window, _lower_general, b0_quotient_sphere, b0_sphere
 from .constants import EquationParams, _above, _finite, _integer, sobolev_constant, sphere_volume
 from .errors import PreconditionError
 
@@ -65,11 +69,22 @@ class GroupActionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "k", _integer(self.k, "orbit dimension k", least=0))
-        object.__setattr__(self, "orbit_volume", _above(self.orbit_volume, "orbit volume", 0.0))
-        scal = _finite(self.quotient_scal_lower, "quotient scalar curvature bound")
+        orbit, scal, laplacian = _action_numbers(
+            self.orbit_volume, self.quotient_scal_lower, self.vh_laplacian_lower
+        )
+        object.__setattr__(self, "orbit_volume", orbit)
         object.__setattr__(self, "quotient_scal_lower", scal)
-        laplacian = _finite(self.vh_laplacian_lower, "orbit-volume Laplacian lower bound")
         object.__setattr__(self, "vh_laplacian_lower", laplacian)
+
+
+def _action_numbers(orbit_volume, quotient_scal_lower, vh_laplacian_lower=0.0):
+    """One action's (orbit volume, scal bound, Laplacian bound), checked as
+    GroupActionSpec checks them, with no record built."""
+    return (
+        _above(orbit_volume, "orbit volume", 0.0),
+        _finite(quotient_scal_lower, "quotient scalar curvature bound"),
+        _finite(vh_laplacian_lower, "orbit-volume Laplacian lower bound"),
+    )
 
 
 def product_scal_lower(base_scal, r1, r2):
@@ -100,11 +115,14 @@ class ExampleConfig:
     inputs: dict
 
     def __post_init__(self):
-        if not self.first.orbit_volume < self.second.orbit_volume:
-            raise PreconditionError(
-                "orbit volumes must be ordered: orbit1 < orbit2, got %r >= %r"
-                % (self.first.orbit_volume, self.second.orbit_volume)
-            )
+        _check_orbit_order(self.first.orbit_volume, self.second.orbit_volume)
+
+
+def _check_orbit_order(orbit1, orbit2):
+    if not orbit1 < orbit2:
+        raise PreconditionError(
+            "orbit volumes must be ordered: orbit1 < orbit2, got %r >= %r" % (orbit1, orbit2)
+        )
 
 
 def _require(cond, message):
@@ -112,27 +130,28 @@ def _require(cond, message):
         raise PreconditionError(message)
 
 
-# Builders take validated inputs and return (volume, params, first, second).
-# What integers alone determine is built once per key and shared: the
-# records are frozen.  Each cache is bounded, since a caller picks n and
-# the group orders freely.
+class _Numbers(NamedTuple):
+    """What the interval routes read of one configuration: plain numbers.
+
+    first and second are each an action's (orbit volume, quotient scalar
+    curvature lower bound, orbit-volume Laplacian lower bound); both
+    actions have params.k-dimensional orbits.
+    """
+
+    volume: float
+    params: EquationParams
+    first: tuple
+    second: tuple
+
+
+# Each numbers helper takes validated inputs and returns _Numbers.  The
+# equation parameters are built once per key and shared: they are
+# frozen.  The cache is bounded, since a caller picks n freely.  A
+# finite group's orbit volume is its order, an integer in [1,
+# MAX_INTEGER_INPUT], and a scal bound made of integers is a finite
+# float: such numbers need no check.
 
 _equation_params = lru_cache(maxsize=128)(EquationParams)
-
-
-@lru_cache(maxsize=256)
-def _finite_rotations(name, a, quotient_scal_lower):
-    """A free action of a finite group of order a: its orbits are a points.
-
-    name is a format for a and quotient_scal_lower an integer.
-    """
-    return GroupActionSpec(
-        name=name % a,
-        k=0,
-        orbit_volume=float(a),
-        quotient_scal_lower=float(quotient_scal_lower),
-        principal_constant_volume=True,
-    )
 
 
 def _cylinder_volume(t, n):
@@ -140,97 +159,104 @@ def _cylinder_volume(t, n):
     return 2.0 * math.pi * t * sphere_volume(n - 1)
 
 
-def _circle_factor_rotations(n, t):
+def _circle_factor(n, t):
     """Rotations of the circle factor of S^1(t) x S^{n-1}; the quotient is S^{n-1}."""
-    return GroupActionSpec(
-        name="rotations of the circle factor",
-        k=1,
-        orbit_volume=2.0 * math.pi * t,
-        quotient_scal_lower=float((n - 1) * (n - 2)),
-        principal_constant_volume=True,
-    )
+    return _action_numbers(2.0 * math.pi * t, float((n - 1) * (n - 2)))
 
 
 def _sphere_rotations(n, a1, a2):
     _require(n >= 5 and n % 2 == 1, "odd dimension n >= 5 required so spheres admit free actions")
     _require(a1 < a2, "group orders must satisfy a1 < a2")
-    scal = n * (n - 1)
-    first = _finite_rotations("order-%d rotations", a1, scal)
-    second = _finite_rotations("order-%d rotations", a2, scal)
-    return sphere_volume(n), _equation_params(n, 0), first, second
+    scal = float(n * (n - 1))
+    first, second = (float(a1), scal, 0.0), (float(a2), scal, 0.0)
+    return _Numbers(sphere_volume(n), _equation_params(n, 0), first, second)
 
 
 def _circle_rotations(n, t, a1, a2, n_min):
     _require(n >= n_min, "dimension n >= %d required" % n_min)
     _require(t > 0.0, "circle radius t must be positive")
     _require(a1 < a2, "rotation orders must satisfy a1 < a2")
-    scal = (n - 1) * (n - 2)
-    first = _finite_rotations("order-%d circle rotations", a1, scal)
-    second = _finite_rotations("order-%d circle rotations", a2, scal)
-    return _cylinder_volume(t, n), _equation_params(n, 0), first, second
+    scal = float((n - 1) * (n - 2))
+    first, second = (float(a1), scal, 0.0), (float(a2), scal, 0.0)
+    return _Numbers(_cylinder_volume(t, n), _equation_params(n, 0), first, second)
 
 
 def _circle_sphere_sphere(n, a, b):
     _require(n >= 10, "triple product needs n >= 10")
     _require(a > 0.0 and b > 0.0, "factor radii must be positive")
+    try:
+        b2 = b**2
+    except OverflowError:
+        raise PreconditionError(
+            "factor radii a=%r, b=%r overflow: b^2 is not a finite float" % (a, b)
+        ) from None
     orbit1 = 2.0 * math.pi**2
-    orbit2 = 8.0 * math.pi**2 * a * b**2
+    orbit2 = 8.0 * math.pi**2 * a * b2
     _require(
         orbit1 < orbit2,
-        "orbit volumes must satisfy orbit1 < orbit2, which needs 4 a b^2 > 1 (got %r)" % (4 * a * b**2,),
+        "orbit volumes must satisfy orbit1 < orbit2, which needs 4 a b^2 > 1 (got %r)" % (4 * a * b2,),
     )
-    first = GroupActionSpec(
-        name="bi-spherical collapse of the large factor",
-        k=3,
-        orbit_volume=orbit1,
-        quotient_scal_lower=product_scal_lower(2.0 / b**2, n - 6, 4),
-        principal_constant_volume=False,
-    )
-    second = GroupActionSpec(
-        name="rotations of the circle and small sphere",
-        k=3,
-        orbit_volume=orbit2,
-        quotient_scal_lower=float((n - 3) * (n - 4)),
-        principal_constant_volume=True,
-    )
-    volume = 2.0 * math.pi * a * 4.0 * math.pi * b**2 * sphere_volume(n - 3)  # S^1(a) x S^2(b) x S^{n-3}
-    return volume, _equation_params(n, 3), first, second
-
-
-@lru_cache(maxsize=1)
-def _fibre_action():
-    """The diagonal rotation along the fibres; no input changes it."""
-    return GroupActionSpec(
-        name="diagonal rotation along the fibers",
-        k=1,
-        orbit_volume=2.0 * math.pi,
-        # quotient S^1(t) x S^2(1/2): scal = 2 / (1/2)^2
-        quotient_scal_lower=8.0,
-        principal_constant_volume=True,
-    )
+    # the bi-spherical collapse of the large factor, then the rotations of
+    # the circle and the small sphere
+    first = _action_numbers(orbit1, product_scal_lower(2.0 / b2, n - 6, 4))
+    second = _action_numbers(orbit2, float((n - 3) * (n - 4)))
+    volume = 2.0 * math.pi * a * 4.0 * math.pi * b2 * sphere_volume(n - 3)  # S^1(a) x S^2(b) x S^{n-3}
+    return _Numbers(volume, _equation_params(n, 3), first, second)
 
 
 def _fibre_rotation(t):
     _require(t > 1.0, "circle radius t > 1 required so the fiber orbits are the smaller ones")
-    return _cylinder_volume(t, 4), _equation_params(4, 1), _fibre_action(), _circle_factor_rotations(4, t)
-
-
-@lru_cache(maxsize=128)
-def _collapse_action(n):
-    """The bi-spherical collapse of the S^{n-1} factor; n alone fixes it."""
-    return GroupActionSpec(
-        name="bi-spherical collapse of the sphere factor",
-        k=1,
-        orbit_volume=2.0 * math.pi,
-        quotient_scal_lower=product_scal_lower(0.0, n - 2, 2),
-        principal_constant_volume=False,
-    )
+    # the diagonal rotation along the fibres: quotient S^1(t) x S^2(1/2), scal = 2 / (1/2)^2
+    fibres = (2.0 * math.pi, 8.0, 0.0)
+    return _Numbers(_cylinder_volume(t, 4), _equation_params(4, 1), fibres, _circle_factor(4, t))
 
 
 def _sphere_collapse(n, t):
     _require(n >= 4, "dimension n >= 4 required")
     _require(t > 1.0, "circle radius t > 1 required so the sphere orbits are the smaller ones")
-    return _cylinder_volume(t, n), _equation_params(n, 1), _collapse_action(n), _circle_factor_rotations(n, t)
+    # the bi-spherical collapse of the S^{n-1} factor
+    collapse = (2.0 * math.pi, product_scal_lower(0.0, n - 2, 2), 0.0)
+    return _Numbers(_cylinder_volume(t, n), _equation_params(n, 1), collapse, _circle_factor(n, t))
+
+
+# Windows take the validated inputs and the _Numbers and return the window
+# ends the example's route reads, in its argument order (conditions):
+# critical (ambient hi, second lo, second hi), invariant (second lo,
+# second hi), double and triple (first lo, second lo, second hi).
+
+
+def _quotient_windows(inputs, x):
+    n = x.params.n
+    second = b0_quotient_sphere(n, inputs["a2"])
+    return b0_sphere(n).hi, second.lo, second.hi
+
+
+def _cylinder_windows(inputs, x):
+    """The ambient and the second window are both S^1(t) x S^{n-1}'s."""
+    lo, hi = _circle_sphere_window(inputs["t"], x.params.n)
+    return hi, lo, hi
+
+
+def _transferred_window(x):
+    """The second group's window: the round S^N constant of its quotient.
+
+    The second action's orbits are principal of constant volume, so
+    b0_transfer_principal passes this window through unchanged.
+    """
+    window = b0_sphere(x.params.reduced_dim)
+    return window.lo, window.hi
+
+
+def _finite_circle_windows(inputs, x):
+    """S^1(t / a_i) x S^{n-1}'s window for each group order a_i."""
+    t, n = inputs["t"], x.params.n
+    first = _circle_sphere_window(t / inputs["a1"], n)
+    return (first[0], *_circle_sphere_window(t / inputs["a2"], n))
+
+
+def _fibred_windows(inputs, x):
+    lo = _lower_general(x.params, x.volume, x.params.k, *x.first)
+    return (lo, *_transferred_window(x))
 
 
 def _finite_circle(cfg, index):
@@ -243,15 +269,6 @@ def _first_circle(cfg, index):
     """Reduction by the first group along S^1(t)."""
     _require(index == 1, "the second group forces functions constant along the circle")
     return 2.0 * math.pi * cfg.inputs["t"], sphere_volume(cfg.params.n - 1), cfg.first.orbit_volume
-
-
-def _transferred_window(cfg):
-    """The second group's window: the round S^N constant of its quotient."""
-    return b0_transfer_principal(cfg.second, b0_sphere(cfg.params.reduced_dim))
-
-
-def _fibred_windows(cfg):
-    return b0_lower_general(cfg.params, cfg.volume, cfg.first), _transferred_window(cfg)
 
 
 def _quotient_ratio(cfg, f):
@@ -296,33 +313,35 @@ class _Example:
     """Everything the package knows about one packaged example."""
 
     defaults: dict  # an integer default marks an integer input
-    build: Callable  # validated inputs -> (volume, params, first, second)
+    numbers: Callable  # validated inputs -> _Numbers, raising the precondition they break
+    actions: tuple  # (name, principal_constant_volume) per action; a name is a format of the inputs
     route: str  # "critical" | "invariant" (weighted), "double" | "triple" (f = 1)
-    windows: Callable  # cfg -> the route's ConstantBound arguments, in order
-    ceilings: tuple = ()  # (action attribute, condition label) per existence ceiling
+    windows: Callable  # (inputs, _Numbers) -> the window ends the route reads, in order
+    ceilings: tuple = ()  # (_Numbers action field, condition label) per existence ceiling
     flatness: Callable | None = None  # n -> weight vanishing order closing the ceilings
     circle: Callable | None = None  # (cfg, index) -> (length, weight, orbit volume)
     ratio: Callable | None = None  # (cfg, f) -> (lhs, rhs) of the peak-ratio condition
 
 
+_CIRCLE_ROTATIONS = (("order-%(a1)d circle rotations", True), ("order-%(a2)d circle rotations", True))
+
 _EXAMPLES = {
     "sphere-quotients": _Example(
         defaults={"n": 5, "a1": 2, "a2": 4},
-        build=_sphere_rotations,
+        numbers=_sphere_rotations,
+        actions=(("order-%(a1)d rotations", True), ("order-%(a2)d rotations", True)),
         route="critical",
-        windows=lambda cfg: (
-            b0_sphere(cfg.params.n),
-            b0_quotient_sphere(cfg.params.n, cfg.inputs["a2"]),
-        ),
+        windows=_quotient_windows,
         ceilings=(("second", "existence-ceiling"),),
         flatness=lambda n: n - 3,
         ratio=_quotient_ratio,
     ),
     "cylinder-weighted": _Example(
         defaults={"n": 6, "t": 1.0, "a1": 1, "a2": 2},
-        build=partial(_circle_rotations, n_min=5),
+        numbers=partial(_circle_rotations, n_min=5),
+        actions=_CIRCLE_ROTATIONS,
         route="critical",
-        windows=lambda cfg: (b0_circle_sphere(cfg.inputs["t"], cfg.params.n),) * 2,
+        windows=_cylinder_windows,
         ceilings=(("second", "existence-ceiling"),),
         flatness=lambda n: n - 2,
         circle=_finite_circle,
@@ -330,31 +349,39 @@ _EXAMPLES = {
     ),
     "triple-product": _Example(
         defaults={"n": 10, "a": 4.0, "b": 0.28},
-        build=_circle_sphere_sphere,
+        numbers=_circle_sphere_sphere,
+        actions=(
+            ("bi-spherical collapse of the large factor", False),
+            ("rotations of the circle and small sphere", True),
+        ),
         route="invariant",
-        windows=lambda cfg: (_transferred_window(cfg),),
+        windows=lambda inputs, x: _transferred_window(x),
         ceilings=(("second", "existence-ceiling-second"), ("first", "existence-ceiling-first")),
         ratio=_product_ratio,
     ),
     "cylinder-triple": _Example(
         defaults={"n": 5, "t": 40.0, "a1": 1, "a2": 2},
-        build=partial(_circle_rotations, n_min=3),
+        numbers=partial(_circle_rotations, n_min=3),
+        actions=_CIRCLE_ROTATIONS,
         route="triple",
-        windows=lambda cfg: tuple(
-            b0_circle_sphere(cfg.inputs["t"] / cfg.inputs[a], cfg.params.n) for a in ("a1", "a2")
-        ),
+        windows=_finite_circle_windows,
         circle=_finite_circle,
     ),
     "hopf": _Example(
         defaults={"t": 8.0},
-        build=_fibre_rotation,
+        numbers=_fibre_rotation,
+        actions=(("diagonal rotation along the fibers", True), ("rotations of the circle factor", True)),
         route="double",
         windows=_fibred_windows,
         circle=_first_circle,
     ),
     "cylinder-overcritical": _Example(
         defaults={"n": 5, "t": 8.0},
-        build=_sphere_collapse,
+        numbers=_sphere_collapse,
+        actions=(
+            ("bi-spherical collapse of the sphere factor", False),
+            ("rotations of the circle factor", True),
+        ),
         route="double",
         windows=_fibred_windows,
         circle=_first_circle,
@@ -366,8 +393,8 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 EXAMPLE_DEFAULTS = {ex: dict(record.defaults) for ex, record in _EXAMPLES.items()}
 
 
-def example_configuration(example, **params):
-    """Build one packaged configuration; parameters default per EXAMPLE_DEFAULTS."""
+def _configuration_numbers(example, params):
+    """(record, validated inputs, _Numbers) of one packaged configuration; no record built."""
     if not isinstance(example, str):
         raise PreconditionError(
             "example must be an example id (one of: %s), got a %s"
@@ -388,5 +415,17 @@ def example_configuration(example, **params):
         name: (_integer if isinstance(default, int) else _finite)(params.get(name, default), name)
         for name, default in record.defaults.items()
     }
-    return ExampleConfig(example, *record.build(**inputs), inputs)
+    x = record.numbers(**inputs)
+    _check_orbit_order(x.first[0], x.second[0])
+    _finite(x.volume, "manifold volume")
+    return record, inputs, x
 
+
+def example_configuration(example, **params):
+    """Build one packaged configuration; parameters default per EXAMPLE_DEFAULTS."""
+    record, inputs, x = _configuration_numbers(example, params)
+    first, second = (
+        GroupActionSpec(name % inputs, x.params.k, orbit, scal, principal, laplacian)
+        for (name, principal), (orbit, scal, laplacian) in zip(record.actions, (x.first, x.second))
+    )
+    return ExampleConfig(example, x.volume, x.params, first, second, inputs)

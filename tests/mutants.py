@@ -39,8 +39,7 @@ MUTANTS = [
      "tests/test_acceptance.py::test_c2_all_examples_match_closed_forms"),
     (CEILING, "(scal + 3.0 * q)", "(scal + 2.9 * q)",
      "tests/test_acceptance.py::test_c8_expansion_fit_matches_prediction"),
-    (CEILING, "action.vh_laplacian_lower / action.orbit_volume",
-     "action.vh_laplacian_lower * 0.9 / action.orbit_volume",
+    (CEILING, "laplacian / orbit_volume", "laplacian * 0.9 / orbit_volume",
      "tests/test_expansion.py::test_the_ceiling_reads_the_orbit_volume_laplacian_as_q_times_the_orbit_volume[2.0-7]"),
     (SOLVER, "\nZERO_MODE_TOL = 1e-6\n", "\nZERO_MODE_TOL = 1e-4\n",
      "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
@@ -155,6 +154,45 @@ MUTANTS = [
     (GEOMETRY, "return 2.0 * math.pi * t * sphere_volume(n - 1)",
      "return 2.0 * math.pi * t * sphere_volume(n - 1) * (1.0 + 1e-14)",
      "tests/test_geometry.py::test_manifold_volumes"),
+    # the examples' numbers helpers: an orbit volume, window ends, the orbit-order
+    # check, and each precondition's strictness at its boundary
+    (GEOMETRY, "_action_numbers(2.0 * math.pi * t,", "_action_numbers(2.0 * math.pi * t * (1.0 + 1e-9),",
+     "tests/test_acceptance.py::test_c2_all_examples_match_closed_forms"),
+    (GEOMETRY, 'first[0], *_circle_sphere_window(t / inputs["a2"], n)',
+     'first[0], *_circle_sphere_window(t / inputs["a1"], n)',
+     "tests/test_conditions.py::test_example_interval_is_the_public_routes_composed_by_hand[cylinder-triple]"),
+    (GEOMETRY, "return hi, lo, hi", "return lo, lo, hi",
+     "tests/test_conditions.py::test_example_interval_is_the_public_routes_composed_by_hand[cylinder-weighted]"),
+    (GEOMETRY, "if not orbit1 < orbit2:", "if not orbit1 <= orbit2:",
+     "tests/test_geometry.py::test_group_orders_with_equal_float_orbit_volumes_are_refused_by_the_order_check"
+     "[sphere-quotients-example_interval]"),
+    (GEOMETRY, '_require(t > 1.0, "circle radius t > 1 required so the fiber',
+     '_require(t >= 1.0, "circle radius t > 1 required so the fiber',
+     "tests/test_geometry.py::test_each_precondition_is_refused_at_its_boundary_by_name"
+     "[hopf-t=1.0-example_interval]"),
+    (GEOMETRY, '_require(t > 1.0, "circle radius t > 1 required so the sphere',
+     '_require(t >= 1.0, "circle radius t > 1 required so the sphere',
+     "tests/test_geometry.py::test_each_precondition_is_refused_at_its_boundary_by_name"
+     "[cylinder-overcritical-t=1.0-example_interval]"),
+    (GEOMETRY, '_require(n >= 4, "dimension n >= 4 required")', '_require(n > 4, "dimension n >= 4 required")',
+     "tests/test_geometry.py::test_each_precondition_accepts_the_first_point_past_its_boundary"
+     "[cylinder-overcritical-n=4-example_interval]"),
+    (GEOMETRY, '_require(a1 < a2, "group orders', '_require(a1 <= a2, "group orders',
+     "tests/test_geometry.py::test_each_precondition_is_refused_at_its_boundary_by_name"
+     "[sphere-quotients-a1=4-a2=4-example_configuration]"),
+    (GEOMETRY, '_require(a1 < a2, "rotation orders', '_require(a1 <= a2, "rotation orders',
+     "tests/test_geometry.py::test_each_precondition_is_refused_at_its_boundary_by_name"
+     "[cylinder-triple-a1=2-a2=2-example_interval]"),
+    # refusals past the float range: the overflowing square, the infinite volume
+    # and the window whose upper end overflows
+    (GEOMETRY, "except OverflowError:", "except ZeroDivisionError:",
+     "tests/test_geometry.py::test_triple_product_radii_whose_square_overflows_are_refused_by_name"
+     "[1e+300-1e+300-example_interval]"),
+    (GEOMETRY, '_finite(x.volume, "manifold volume")', "x.volume",
+     "tests/test_geometry.py::test_a_configuration_whose_volume_overflows_is_refused"
+     "[cylinder-triple-t=1.1e+306-example_configuration]"),
+    (CEILING, "if hi == math.inf:", "if hi != hi:",
+     "tests/test_best_constants.py::test_a_radius_whose_window_overflows_is_rejected_by_name[1e-160]"),
     (JSONIO, "sort_keys=True", "sort_keys=False", "tests/test_cli.py::test_table_json_is_pinned_byte_for_byte"),
     # the quadrature rule: each moves a fit's samples by about 1e-15 relative
     (EXPANSION, "\n_GAUSS_NODES = 20 ", "\n_GAUSS_NODES = 24 ",

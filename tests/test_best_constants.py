@@ -34,6 +34,18 @@ def test_circle_sphere_window():
         b0_circle_sphere(0.0, 6)
 
 
+@pytest.mark.parametrize("t", [1e-300, 2e-162, 1e-160, 3e-155])
+def test_a_radius_whose_window_overflows_is_rejected_by_name(t):
+    # 4 t^2 is 0 below about 1e-162; 1/(4 t^2) is inf up to about 3.7e-155
+    with pytest.raises(PreconditionError) as err:
+        b0_circle_sphere(t, 6)
+    assert str(err.value) == (
+        "the product constant's circle radius t must keep 1/(4 t^2) a finite float, got %r" % (t,)
+    )
+    w = b0_circle_sphere(4e-155, 6)
+    assert w.lo == 4.0 and math.isfinite(w.hi)
+
+
 @pytest.mark.parametrize("bad", [None, "2", True, math.nan, math.inf], ids=repr)
 def test_a_bad_radius_or_volume_is_rejected_by_name(bad):
     with pytest.raises(PreconditionError, match="circle radius t"):
@@ -94,6 +106,7 @@ def test_transfer_requires_principal_constant_volume():
     w = b0_sphere(4)
     out = b0_transfer_principal(cfg.second, w)
     assert out == ConstantBound.exact(2.0)  # (n-1)(n-3)/4 at n = 5
+    assert out is w  # the window passes through as it is, not as a copy
     with pytest.raises(PreconditionError):
         b0_transfer_principal(cfg.first, w)
 

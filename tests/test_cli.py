@@ -69,6 +69,23 @@ def test_exit_code_precondition_on_an_integer_past_the_float_range(capsys):
     assert "precondition violated: n must be an integer in [1, 1e+150], got 999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--example", "cylinder-weighted", "--t", "1e-300"], "circle radius t must keep 1/(4 t^2) a finite float"),
+        (["--example", "cylinder-triple", "--t", "1e-160"], "circle radius t must keep 1/(4 t^2) a finite float"),
+        (["--example", "triple-product", "--a", "1e300", "--b", "1e300"], "factor radii a=1e+300, b=1e+300"),
+        (["--example", "cylinder-triple", "--t", "1.1e306"], "manifold volume must be finite"),
+    ],
+)
+def test_interval_names_a_radius_past_the_float_range(capsys, argv, named):
+    # once a bare ZeroDivisionError or OverflowError (exit 1), or an interval
+    # computed from an infinite window or volume (exit 0)
+    assert main(["interval", *argv]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and named in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize(
     "example, flag",

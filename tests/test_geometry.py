@@ -238,8 +238,8 @@ def test_numpy_numbers_are_accepted_as_their_values():
 
 @pytest.mark.parametrize("example", EXAMPLE_IDS)
 def test_equal_integer_inputs_give_equal_frozen_records(example):
-    # the records integers alone determine are built once and shared, so
-    # they must stay frozen; the configuration itself is built per call
+    # the equation parameters are built once per key and shared, so they
+    # must stay frozen; the configuration and its actions are built per call
     first, again = example_configuration(example), example_configuration(example, **EXAMPLE_DEFAULTS[example])
     assert first == again and first is not again and first.inputs is not again.inputs
     assert first.params is again.params
@@ -249,14 +249,128 @@ def test_equal_integer_inputs_give_equal_frozen_records(example):
             setattr(record, field, getattr(record, field))
 
 
-def test_finite_rotations_are_shared_between_calls():
+def test_finite_rotations_are_named_by_their_order():
     a = example_configuration("sphere-quotients", n=7, a1=3, a2=5)
     b = example_configuration("sphere-quotients", n=7.0, a1=3.0, a2=5.0)
-    assert a.first is b.first and a.second is b.second
+    assert a.first == b.first and a.second == b.second
     assert (a.first.name, a.first.orbit_volume, a.first.quotient_scal_lower) == ("order-3 rotations", 3.0, 42.0)
+    assert a.second.name == "order-5 rotations"
     assert example_configuration("sphere-quotients", n=9, a1=3, a2=5).first.quotient_scal_lower == 72.0
+    cylinder = example_configuration("cylinder-triple", a1=2, a2=3)
+    assert (cylinder.first.name, cylinder.second.name) == ("order-2 circle rotations", "order-3 circle rotations")
 
 
-@pytest.mark.parametrize("cache", [geometry._equation_params, geometry._finite_rotations], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cache", [geometry._equation_params], ids=lambda c: c.__name__)
 def test_geometry_caches_are_bounded(cache):
     assert 0 < cache.cache_info().maxsize < math.inf
+
+
+def _case(example, params):
+    """A test id such as hopf-t=1.0."""
+    return "-".join([example] + ["%s=%r" % item for item in params.items()])
+
+
+# Each precondition of the examples' numbers helpers at its boundary, with its
+# exact text, through both entry points: the configuration and the interval.
+BOUNDARIES = [
+    ("hopf", {"t": 1.0}, "circle radius t > 1 required so the fiber orbits are the smaller ones"),
+    ("cylinder-overcritical", {"t": 1.0}, "circle radius t > 1 required so the sphere orbits are the smaller ones"),
+    ("cylinder-overcritical", {"n": 3}, "dimension n >= 4 required"),
+    ("sphere-quotients", {"a1": 4, "a2": 4}, "group orders must satisfy a1 < a2"),
+    ("cylinder-weighted", {"a1": 2, "a2": 2}, "rotation orders must satisfy a1 < a2"),
+    ("cylinder-triple", {"a1": 2, "a2": 2}, "rotation orders must satisfy a1 < a2"),
+    # 4 a b^2 = 1 exactly: then orbit2 = 8 pi^2 a b^2 is exactly orbit1 = 2 pi^2
+    ("triple-product", {"a": 1.0, "b": 0.5},
+     "orbit volumes must satisfy orbit1 < orbit2, which needs 4 a b^2 > 1 (got 1.0)"),
+    ("triple-product", {"a": 0.0}, "factor radii must be positive"),
+    ("cylinder-weighted", {"t": 0.0}, "circle radius t must be positive"),
+]
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval], ids=lambda b: b.__name__)
+@pytest.mark.parametrize(
+    "example, params, message", BOUNDARIES, ids=[_case(ex, p) for ex, p, _ in BOUNDARIES]
+)
+def test_each_precondition_is_refused_at_its_boundary_by_name(build, example, params, message):
+    with pytest.raises(PreconditionError) as err:
+        build(example, **params)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval], ids=lambda b: b.__name__)
+@pytest.mark.parametrize(
+    "example, params",
+    [
+        ("cylinder-overcritical", {"n": 4}),
+        ("hopf", {"t": math.nextafter(1.0, 2.0)}),
+        ("cylinder-overcritical", {"t": math.nextafter(1.0, 2.0)}),
+        ("sphere-quotients", {"a1": 3, "a2": 4}),
+        ("cylinder-triple", {"a1": 1, "a2": 2}),
+        ("triple-product", {"a": 1.0, "b": math.nextafter(0.5, 1.0)}),
+    ],
+    ids=lambda v: v if isinstance(v, str) else _case("", v)[1:],
+)
+def test_each_precondition_accepts_the_first_point_past_its_boundary(build, example, params):
+    assert build(example, **params) is not None
+
+
+def test_cylinder_overcritical_at_n_4_reduces_to_the_hopf_shape():
+    # S^1(t) x S^3 with the sphere collapse: k = 1, N = 3, and the double
+    # interval (n-1)(n-3) / (4 t^{2/(n-1)}) <= alpha < (n-3)^2 / 4
+    cfg = example_configuration("cylinder-overcritical", n=4, t=8.0)
+    assert (cfg.params.n, cfg.params.k) == (4, 1)
+    iv = example_interval("cylinder-overcritical", n=4, t=8.0)
+    assert iv.lo == pytest.approx(3.0 / (4.0 * 8.0 ** (2.0 / 3.0)), rel=1e-14, abs=0.0)
+    assert iv.hi == 0.25 and iv.hi_strict and not iv.empty
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("example", ["sphere-quotients", "cylinder-triple"])
+def test_group_orders_with_equal_float_orbit_volumes_are_refused_by_the_order_check(build, example):
+    # 2^53 < 2^53 + 1 as integers, but both are the orbit volume 2^53 as floats
+    with pytest.raises(PreconditionError) as err:
+        build(example, a1=2**53, a2=2**53 + 1)
+    assert str(err.value) == (
+        "orbit volumes must be ordered: orbit1 < orbit2, got 9007199254740992.0 >= 9007199254740992.0"
+    )
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval], ids=lambda b: b.__name__)
+@pytest.mark.parametrize(
+    "example, params",
+    [("cylinder-triple", {"t": 1.1e306}), ("cylinder-weighted", {"t": 1.1e306}), ("hopf", {"t": 2e306}),
+     ("cylinder-overcritical", {"t": 2e306}), ("triple-product", {"a": 1e305, "b": 1.0})],
+    ids=lambda v: v if isinstance(v, str) else _case("", v)[1:],
+)
+def test_a_configuration_whose_volume_overflows_is_refused(build, example, params):
+    # each orbit volume here is finite; the manifold's volume is not
+    with pytest.raises(PreconditionError) as err:
+        build(example, **params)
+    assert str(err.value) == "manifold volume must be finite, got inf"
+
+
+def test_a_volume_just_below_the_float_range_is_kept():
+    cfg = example_configuration("cylinder-triple", t=1e306)
+    assert math.isfinite(cfg.volume) and cfg.volume > 1e308
+    assert not example_interval("cylinder-triple", t=1e306).empty
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval], ids=lambda b: b.__name__)
+@pytest.mark.parametrize("a, b", [(1e300, 1e300), (4.0, 1e155), (1e-300, 1e200)])
+def test_triple_product_radii_whose_square_overflows_are_refused_by_name(build, a, b):
+    with pytest.raises(PreconditionError) as err:
+        build("triple-product", a=a, b=b)
+    assert str(err.value) == "factor radii a=%r, b=%r overflow: b^2 is not a finite float" % (a, b)
+
+
+@pytest.mark.parametrize("example, t", [("cylinder-weighted", 1e-300), ("cylinder-weighted", 1e-160),
+                                         ("cylinder-triple", 1e-300), ("cylinder-triple", 1e-160)])
+def test_a_circle_too_thin_for_a_finite_window_is_refused_by_name(example, t):
+    # below t of about 1e-162, 4 t^2 is 0; above it, up to about 3.7e-155,
+    # 1/(4 t^2) overflows, which once read as an unknown constant
+    with pytest.raises(PreconditionError) as err:
+        example_interval(example, t=t)
+    assert str(err.value) == (
+        "the product constant's circle radius t must keep 1/(4 t^2) a finite float, got %r" % (t,)
+    )
+    assert example_configuration(example, t=t).inputs["t"] == t  # the manifold itself is fine
