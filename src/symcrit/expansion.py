@@ -132,19 +132,28 @@ class ExpansionConfig:
 
 
 def density(config, r):
-    """rho(r): orbit volume times quadratic correction times area element."""
-    N = config.dim
+    """rho(r) at radii r >= 0: orbit volume times quadratic correction times area element."""
     r = np.asarray(r, dtype=float)
+    return _density(config, r, r * r)
+
+
+def _density(config, r, r2):
+    """rho at r, given r2 = r * r; the flat area element r^{N-1} is read as r2^{(N-1)/2}."""
+    N = config.dim
+    scale = config.orbit_volume * sphere_volume(N - 1)  # A omega_{N-1}
     if config.curvature is None:
-        sigma = sphere_volume(N - 1) * r ** (N - 1.0)
+        area = r2 ** ((N - 1.0) / 2.0)
     else:
         rc = math.sqrt(config.curvature)
-        sigma = sphere_volume(N - 1) * (np.sin(rc * r) / rc) ** (N - 1.0)
-    return config.orbit_volume * (1.0 - config.vh_quadratic_coeff * r * r / (2.0 * N)) * sigma
+        area = np.sin(rc * r) ** (N - 1.0)
+        scale /= rc ** (N - 1.0)
+    area *= scale - scale * config.vh_quadratic_coeff / (2.0 * N) * r2
+    return area
 
 
-def _weight(config, r):
-    return config.f_peak - config.f_laplacian * r * r / (2.0 * config.dim)
+def _weight(config, r2):
+    """f at the radius whose square is r2."""
+    return config.f_peak - config.f_laplacian / (2.0 * config.dim) * r2
 
 
 @functools.cache
@@ -195,8 +204,9 @@ def quad(fn, a, b, scales):
     delta, sqrt of the eps ladder), and is built once per ladder in a
     bounded cache; repeated fits on one ladder reuse it.  fn is called
     once, on the read-only nodes of every row (shape (rows, nodes per
-    panel, panels)), and may stack several integrands on leading axes; the
-    result has fn's leading shape and one integral per row.
+    panel, panels)), and may return several integrands along leading axes
+    of one array; the result has fn's leading shape and one integral per
+    row.
     perfbench/tracing.py wraps this function by name.
     """
     nodes, rad = _rule(float(a), float(b), tuple(np.asarray(scales, dtype=float).tolist()))
@@ -208,15 +218,18 @@ def rayleigh_quotient(config, eps):
     """I(u_eps) by graded Gauss-Legendre quadrature, at one eps or at each of a 1-d sequence.
 
     Like a ufunc: a float for a number, an array for a sequence.  Every
-    sample goes through one quad call, on the numerator and denominator
-    integrands stacked together.
+    sample goes through one quad call, whose integrand writes the
+    numerator and denominator integrands into one array and multiplies
+    it by rho once.  On the nodes r, with s = eps + r^2, it computes r^2
+    and s^{1-N/2} once each: u = s^{1-N/2} - tail and
+    u' = (2 - N) r s^{1-N/2} / s.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim > 1:
         raise PreconditionError("eps must be a number or a 1-d sequence")
-    if not np.all(eps > 0.0):
+    if not eps.min(initial=math.inf) > 0.0:
         raise PreconditionError("eps must be positive")
-    samples = np.atleast_1d(eps)
+    samples = eps.reshape(-1)
     N = config.dim
     delta = config.delta
     power = 1.0 - N / 2.0
@@ -224,14 +237,28 @@ def rayleigh_quotient(config, eps):
     tail = (e + delta * delta) ** power
 
     def integrands(r):
-        s = e + r * r
-        u = s**power - tail
-        du = 2.0 * power * r * s ** (power - 1.0)
-        rho = density(config, r)
-        return np.stack(((du**2 + config.alpha * u**2) * rho, _weight(config, r) * u**config.two_sharp * rho))
+        # each pass writes into an array it owns: u overwrites s^{1-N/2},
+        # and s, once read, holds alpha u^2
+        r2 = r * r
+        s = e + r2
+        u = s**power  # s^{1-N/2}
+        out = np.empty((2,) + s.shape)
+        num, den = out
+        np.divide(u, s, out=num)  # s^{-N/2}
+        num *= num
+        num *= r2
+        num *= 4.0 * power * power  # u'^2 = (2 - N)^2 r^2 s^{-N}
+        u -= tail
+        np.power(u, config.two_sharp, out=den)
+        np.square(u, out=s)
+        s *= config.alpha
+        num += s
+        den *= _weight(config, r2)
+        out *= _density(config, r, r2)
+        return out
 
     num, den = quad(integrands, 0.0, delta, np.sqrt(samples))
-    if not np.all(den > 0.0):
+    if not den.min(initial=math.inf) > 0.0:
         raise PreconditionError("degenerate test function: zero denominator")
     values = num / den ** (2.0 / config.two_sharp)
     return float(values[0]) if eps.ndim == 0 else values
@@ -244,7 +271,10 @@ class ExpansionReport:
     predicted_limit: float
     predicted_c1: float
     fitted_limit: float
-    fitted_c1: float
+    fitted_c1: float  # extrapolated when c1_resolved, else secant_c1
+    secant_c1: float
+    c1_error: float  # inf when not c1_resolved
+    c1_resolved: bool
     pair_slopes: tuple
 
     def to_json(self):
@@ -254,16 +284,42 @@ class ExpansionReport:
             "predicted_c1": self.predicted_c1,
             "fitted_limit": self.fitted_limit,
             "fitted_c1": self.fitted_c1,
+            "secant_c1": self.secant_c1,
+            "c1_error": self.c1_error,
+            "c1_resolved": self.c1_resolved,
             "pair_slopes": list(self.pair_slopes),
         }
+
+
+def _aitken(slopes):
+    """Aitken's Delta^2 limit of three consecutive pair slopes, else None.
+
+    On a geometric eps ladder the leading remainder of the slopes shrinks
+    by one ratio per step, and Delta^2 removes it.  None when fewer than
+    three slopes are given or their two differences do not shrink, that
+    is, when the ratio of the second to the first lies outside (0, 1).
+    """
+    if len(slopes) == 3:
+        a, b, c = slopes
+        d1, d2 = b - a, c - b
+        if d1 != 0.0 and 0.0 < d2 / d1 < 1.0:
+            return c - d2 * d2 / (d2 - d1)
+    return None
 
 
 def fit_and_compare(config):
     """Sample I(u_eps) along config.epsilons and fit the linear model.
 
-    The fitted limit and slope come from the secant through the two
-    smallest eps; pair_slopes lists all consecutive secant slopes so a
-    caller can judge whether the linear regime was reached.
+    The fitted limit and secant_c1 come from the secant through the two
+    smallest eps.  fitted_c1 extrapolates the slope by Aitken's Delta^2 on
+    the last three pair_slopes.  Its error bar c1_error is |fitted_c1 -
+    secant_c1|, or, when larger, the change from Delta^2 on the three
+    slopes before: where two remainder terms of different order nearly
+    cancel at the smallest eps, the secant is close to Delta^2 while both
+    are still off.  When the last slopes do not settle, fitted_c1 is the
+    secant's, c1_resolved is False and c1_error is inf.  pair_slopes
+    lists all consecutive secant slopes so a caller can judge whether the
+    linear regime was reached.
     """
     if config.dim < 5:
         raise PreconditionError("the linear model needs dim >= 5")
@@ -275,15 +331,26 @@ def fit_and_compare(config):
         for (e1, v1), (e2, v2) in zip(samples, samples[1:])
     )
     e2, v2 = samples[-1]
-    slope = slopes[-1]
-    fitted_limit = v2 - slope * e2
+    fitted_limit = v2 - slopes[-1] * e2
+    secant_c1 = slopes[-1] / fitted_limit
+    last, before = _aitken(slopes[-3:]), _aitken(slopes[-4:-1])
+    if last is None:
+        fitted_c1, c1_error = secant_c1, math.inf
+    else:
+        fitted_c1 = last / fitted_limit
+        c1_error = abs(fitted_c1 - secant_c1)
+        if before is not None:
+            c1_error = max(c1_error, abs(last - before) / fitted_limit)
     return ExpansionReport(
         config=config,
         samples=samples,
         predicted_limit=config.predicted_limit,
         predicted_c1=config.predicted_c1,
         fitted_limit=fitted_limit,
-        fitted_c1=slope / fitted_limit,
+        fitted_c1=fitted_c1,
+        secant_c1=secant_c1,
+        c1_error=c1_error,
+        c1_resolved=last is not None,
         pair_slopes=slopes,
     )
 

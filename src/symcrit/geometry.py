@@ -116,6 +116,7 @@ class ExampleConfig:
 
     def __post_init__(self):
         _check_orbit_order(self.first.orbit_volume, self.second.orbit_volume)
+        _require(self.volume > 0.0, "manifold volume must be positive")
 
 
 def _check_orbit_order(orbit1, orbit2):

@@ -201,6 +201,25 @@ MUTANTS = [
      "tests/test_expansion.py::test_the_rule_matches_an_independent_construction[0.0-1.0]"),
     (EXPANSION, "\n_RIGHT_PANELS = 8 ", "\n_RIGHT_PANELS = 6 ",
      "tests/test_expansion.py::test_the_rule_matches_an_independent_construction[0.0-1.0]"),
+    # the integrand: s^{-N/2} as s^{1-N/2} / s, one rho for both integrands and
+    # the flat area element as r^2 to the power (N-1)/2
+    (EXPANSION, "np.divide(u, s, out=num)", "np.divide(u, s * (1.0 + 1e-12), out=num)",
+     "tests/test_expansion.py::test_quotient_against_tight_panel_reference[flat-0.3-6]"),
+    (EXPANSION, "out *= _density(config, r, r2)", "num *= _density(config, r, r2)",
+     "tests/test_expansion.py::test_quotient_against_tight_panel_reference[round-2.0-7]"),
+    (EXPANSION, "r2 ** ((N - 1.0) / 2.0)", "r2 ** ((N - 1.0) / 2.0 + 1e-12)",
+     "tests/test_expansion.py::test_quotient_against_tight_panel_reference[flat-0.3-6]"),
+    # the extrapolated c1: Delta^2's fallback and the error bar's second term
+    (EXPANSION, "0.0 < d2 / d1 < 1.0", "0.0 < d2 / d1",
+     "tests/test_expansion.py::test_aitken_refuses_slopes_whose_differences_do_not_shrink[growing]"),
+    (EXPANSION, "0.0 < d2 / d1 < 1.0", "d2 / d1 < 1.0",
+     "tests/test_expansion.py::test_aitken_refuses_slopes_whose_differences_do_not_shrink[alternating]"),
+    (EXPANSION, "d1 != 0.0 and ", "",
+     "tests/test_expansion.py::test_aitken_refuses_slopes_whose_differences_do_not_shrink[flat-then-moving]"),
+    (EXPANSION, "abs(last - before) / fitted_limit)", "0.0)",
+     "tests/test_expansion.py::test_the_error_bar_holds_where_the_secant_agrees_with_the_extrapolation"),
+    (GEOMETRY, "_require(self.volume > 0.0,", "_require(self.volume >= 0.0,",
+     "tests/test_geometry.py::test_a_configuration_whose_volume_underflows_is_refused[1e-140]"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

@@ -444,7 +444,10 @@ def test_package_import_loads_every_module():
     # five modules from `python -X importtime -c "import symcrit; import
     # symcrit.cli"` and fails when one is missing.  Deferring a symcrit
     # module (a lazy __init__, per-subcommand imports in cli) would drop it
-    # from that line; the cost to defer is numpy's and scipy's, inside them.
+    # from that line.  The import loads no numpy or scipy (asserted below),
+    # so what deferring would spare is symcrit's own modules: where no
+    # bytecode is cached, every cold process compiles all of them, solver
+    # and expansion too, which `interval` and `table` never run.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import json, sys, symcrit, symcrit.cli; print(json.dumps(sorted(sys.modules)))"],

@@ -20,6 +20,7 @@ from symcrit import (
 )
 from symcrit import expansion
 from symcrit.cli import main
+from symcrit.jsonio import canonical_json
 
 
 def _config(**kw):
@@ -73,8 +74,9 @@ def test_quotient_against_trapezoid_rebuild():
 
 # Oracle: each integral as a sum of adaptive scipy quad calls on explicit
 # panels, halving toward r = 0 from sqrt(eps) and toward r = delta, at a
-# tolerance tighter than the rule under test.  Test-only, like the sphere
-# volume recursion in test_constants.py.
+# tolerance tighter than the rule under test, with the density written out
+# in plain floats.  Test-only, like the sphere volume recursion in
+# test_constants.py.
 def _tight_quotient(cfg, eps):
     N, delta = cfg.dim, cfg.delta
     power = 1.0 - N / 2.0
@@ -83,13 +85,18 @@ def _tight_quotient(cfg, eps):
     def u(r):
         return (eps + r * r) ** power - tail
 
+    def rho(r):
+        radius = r if cfg.curvature is None else math.sin(math.sqrt(cfg.curvature) * r) / math.sqrt(cfg.curvature)
+        decay = 1.0 - cfg.vh_quadratic_coeff * r * r / (2.0 * N)
+        return cfg.orbit_volume * decay * sphere_volume(N - 1) * radius ** (N - 1)
+
     def num(r):
         du = 2.0 * power * r * (eps + r * r) ** (power - 1.0)
-        return (du * du + cfg.alpha * u(r) ** 2) * float(density(cfg, r))
+        return (du * du + cfg.alpha * u(r) ** 2) * rho(r)
 
     def den(r):
         weight = cfg.f_peak - cfg.f_laplacian * r * r / (2.0 * N)
-        return weight * u(r) ** cfg.two_sharp * float(density(cfg, r))
+        return weight * u(r) ** cfg.two_sharp * rho(r)
 
     half = 0.5 * delta
     left = [0.0] + [math.sqrt(eps) * 2.0**j for j in range(60) if math.sqrt(eps) * 2.0**j < half]
@@ -105,12 +112,13 @@ def _tight_quotient(cfg, eps):
     return integral(num) / integral(den) ** (2.0 / cfg.two_sharp)
 
 
-@pytest.mark.parametrize("dim", [4, 5, 7, 11])
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8, 11])
 @pytest.mark.parametrize("delta", [0.3, 2.0])
-def test_quotient_against_tight_panel_reference(dim, delta):
-    # alternate flat / round and the other parameters across the grid, and
-    # span eps from delta^2 / 4 (the largest allowed) down to 1e-16 delta^2
-    curved = (dim + (delta > 1.0)) % 2 == 1
+@pytest.mark.parametrize("curved", [False, True], ids=["flat", "round"])
+def test_quotient_against_tight_panel_reference(dim, delta, curved):
+    # both area elements at both parities of N (the flat one is r^2 to a
+    # half-integer power at even N), and eps from delta^2 / 4 (the largest
+    # allowed) down to 1e-16 delta^2
     cfg = _config(
         dim=dim, delta=delta, alpha=1.3, orbit_volume=0.7,
         vh_quadratic_coeff=-1.0 if curved else 1.0, f_peak=1.1, f_laplacian=0.5,
@@ -309,19 +317,78 @@ def test_curved_model_shifts_the_slope():
 
 def test_fit_error_near_a_cancelling_c1_shrinks_with_eps():
     # 5 alpha and scal = 30 curvature nearly cancel in c1 = (5 alpha - scal) / 12,
-    # so the secant fit's relative error, of order eps_min / |c1|, is large at
-    # the default eps (outside a 10 % band) and shrinks tenfold per decade of eps
+    # so the secant's relative error, of order eps_min / |c1|, is large at
+    # the default eps (outside a 10 % band) and shrinks tenfold per decade of
+    # eps; the extrapolated c1 is within 1e-3 already at the default eps
     kw = dict(dim=6, alpha=1.0373, curvature=0.1728)
     default = _config(**kw).epsilons
     errors = []
     for scale in (1.0, 0.1, 0.01):
         report = fit_and_compare(_config(epsilons=tuple(scale * e for e in default), **kw))
         assert report.predicted_c1 == pytest.approx((5.0 * 1.0373 - 30.0 * 0.1728) / 12.0, rel=1e-12, abs=0.0)
-        errors.append(abs(report.fitted_c1 / report.predicted_c1 - 1.0))
+        errors.append(abs(report.secant_c1 / report.predicted_c1 - 1.0))
+        assert report.c1_resolved
+        assert report.fitted_c1 == pytest.approx(report.predicted_c1, rel=1e-3, abs=0.0)
+        assert abs(report.fitted_c1 - report.predicted_c1) <= report.c1_error
     assert 0.15 < errors[0] < 0.25
     for coarse, fine in zip(errors, errors[1:]):
         assert 9.0 < coarse / fine < 11.0
     assert errors[-1] < 2.5e-3
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7, 8])
+@pytest.mark.parametrize("curvature", [None, 0.1], ids=["flat", "round"])
+def test_the_error_bar_covers_the_predicted_c1(dim, curvature):
+    # the lab's grid: three alphas around the ceiling's scale and three
+    # orbit-volume decays; a fit whose slopes settle brackets the true c1
+    resolved = 0
+    for alpha in (0.5, 1.0, 2.0):
+        for q in (-1.0, 0.0, 2.0):
+            report = fit_and_compare(_config(dim=dim, alpha=alpha, vh_quadratic_coeff=q, curvature=curvature))
+            if report.c1_resolved:
+                resolved += 1
+                assert 0.0 < report.c1_error < 0.02  # the secant's own error at dim 5, eps^{1/2}
+                assert abs(report.fitted_c1 - report.predicted_c1) <= report.c1_error
+            else:
+                assert report.fitted_c1 == report.secant_c1 and report.c1_error == math.inf
+    assert resolved >= 7
+
+
+def test_the_error_bar_holds_where_the_secant_agrees_with_the_extrapolation():
+    # at dim 7 the slopes carry remainders of two orders in eps that nearly
+    # cancel at the smallest eps (the last ratio of slope differences is
+    # 0.03, the one before 0.12): |fitted - secant| is 1.5e-9 while
+    # fitted_c1 is 1e-7 off, which the change from the extrapolation of
+    # the three slopes before covers
+    report = fit_and_compare(_config(dim=7, alpha=1.0879964157305164, vh_quadratic_coeff=-1.0,
+                                     curvature=0.05347541255917548))
+    assert report.c1_resolved
+    assert abs(report.fitted_c1 - report.secant_c1) < abs(report.fitted_c1 - report.predicted_c1)
+    assert abs(report.fitted_c1 - report.predicted_c1) <= report.c1_error < 1e-5 * abs(report.predicted_c1)
+
+
+def test_aitken_removes_a_geometric_remainder():
+    # slopes 1 + 2^-k: Delta^2 recovers 1 exactly
+    assert expansion._aitken((1.5, 1.25, 1.125)) == 1.0
+    assert expansion._aitken((0.5, 0.75, 0.875)) == 1.0
+
+
+@pytest.mark.parametrize(
+    "slopes",
+    [(1.0, 2.0, 4.0), (1.0, 2.0, 1.5), (1.0, 1.0, 1.5), (1.0, 2.0, 2.0), (1.0, 2.0)],
+    ids=["growing", "alternating", "flat-then-moving", "settled", "two-slopes"],
+)
+def test_aitken_refuses_slopes_whose_differences_do_not_shrink(slopes):
+    # the second difference over the first must lie in (0, 1)
+    assert expansion._aitken(slopes) is None
+
+
+def test_a_fit_without_three_settling_slopes_is_the_secant_and_unresolved():
+    report = fit_and_compare(_config(dim=6, epsilons=(1e-3, 1e-4, 1e-5)))
+    assert not report.c1_resolved
+    assert report.fitted_c1 == report.secant_c1 == report.pair_slopes[-1] / report.fitted_limit
+    assert report.c1_error == math.inf
+    assert json.loads(canonical_json(report))["c1_error"] is None
 
 
 def test_weight_curvature_enters_for_dim_above_four():
@@ -508,5 +575,5 @@ def test_report_json_shape():
     assert len(d["samples"]) == 2
     assert set(d) == {
         "samples", "predicted_limit", "predicted_c1",
-        "fitted_limit", "fitted_c1", "pair_slopes",
+        "fitted_limit", "fitted_c1", "secant_c1", "c1_error", "c1_resolved", "pair_slopes",
     }

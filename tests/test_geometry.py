@@ -349,6 +349,20 @@ def test_a_configuration_whose_volume_overflows_is_refused(build, example, param
     assert str(err.value) == "manifold volume must be finite, got inf"
 
 
+@pytest.mark.parametrize("t", [1e-140, 1e-320])
+def test_a_configuration_whose_volume_underflows_is_refused(t):
+    # 2 pi t omega_299 is 0.0 (omega_299 is about 2e-186); example_interval
+    # refuses the same point by the same text, or at t = 1e-320 earlier, by
+    # the circle window's
+    with pytest.raises(PreconditionError) as err:
+        example_configuration("cylinder-triple", n=300, t=t)
+    assert str(err.value) == "manifold volume must be positive"
+    with pytest.raises(PreconditionError) as err:
+        example_interval("cylinder-triple", n=300, t=t)
+    assert str(err.value) == ("manifold volume must be positive" if t == 1e-140 else
+                              "the product constant's circle radius t must keep 1/(4 t^2) a finite float, got 1e-320")
+
+
 def test_a_volume_just_below_the_float_range_is_kept():
     cfg = example_configuration("cylinder-triple", t=1e306)
     assert math.isfinite(cfg.volume) and cfg.volume > 1e308
