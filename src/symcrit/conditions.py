@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .best_constants import _curvature_term, _volume_term
+from .best_constants import _curvature_term
 from .constants import _above, _concentration_threshold, _finite, _real, sobolev_constant
 from .errors import PreconditionError
 from .geometry import _EXAMPLES, _configuration_numbers, example_configuration
@@ -122,11 +122,22 @@ class GenericIneqParams:
         return self.crit * (4.0 - self.crit) / 4.0
 
 
-@dataclass(frozen=True, slots=True)
+# ConditionReport and GuaranteedInterval are built on every example_interval
+# call, so each has a hand-written __init__ that stores its fields through
+# their slot descriptors, bound once below each class: the generated frozen
+# __init__ looks object.__setattr__ up again for every field.
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ConditionReport:
     label: str
     status: str  # "satisfied" | "unsatisfiable" | "needs-unknown-constant" | "assumed"
     value: float | None = None
+
+    def __init__(self, label, status, value=None):
+        _set_label(self, label)
+        _set_status(self, status)
+        _set_value(self, value)
 
     def to_json(self):
         d = {"label": self.label, "status": self.status}
@@ -134,6 +145,10 @@ class ConditionReport:
             d["value"] = self.value
         return d
 
+
+_set_label = ConditionReport.label.__set__
+_set_status = ConditionReport.status.__set__
+_set_value = ConditionReport.value.__set__
 
 # The condition reports that carry no value, built once and shared: they are frozen.
 _ASSUMED_GAP = ConditionReport("energy-gap", "assumed")
@@ -143,7 +158,7 @@ _SEPARATED = ConditionReport("separation-window", "satisfied")
 _NOT_SEPARATED = ConditionReport("separation-window", "unsatisfiable")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GuaranteedInterval:
     """Alpha interval on which the advertised conclusion is guaranteed.
 
@@ -157,9 +172,15 @@ class GuaranteedInterval:
     count: int = 2
     conditions: tuple = ()
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
+    def __init__(self, lo, hi, lo_strict=False, hi_strict=False, count=2, conditions=()):
+        if math.isnan(lo) or math.isnan(hi):
             raise PreconditionError("interval endpoints must not be NaN")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_lo_strict(self, lo_strict)
+        _set_hi_strict(self, hi_strict)
+        _set_count(self, count)
+        _set_conditions(self, conditions)
 
     @property
     def empty(self):
@@ -188,6 +209,14 @@ class GuaranteedInterval:
             "count": self.count,
             "conditions": list(self.conditions),
         }
+
+
+_set_lo = GuaranteedInterval.lo.__set__
+_set_hi = GuaranteedInterval.hi.__set__
+_set_lo_strict = GuaranteedInterval.lo_strict.__set__
+_set_hi_strict = GuaranteedInterval.hi_strict.__set__
+_set_count = GuaranteedInterval.count.__set__
+_set_conditions = GuaranteedInterval.conditions.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,8 +432,10 @@ def _orbit_gap(params, second_hi, orbit1, orbit2, volume, scale=1.0):
     """
     _check_family(params, orbit1, orbit2, volume)
     N = params.reduced_dim
-    t1 = _volume_term(N, orbit1, volume) * scale
-    t2 = _volume_term(N, orbit2, volume) * scale
+    # best_constants._volume_term's float operations, with its denominator formed once
+    denominator = sobolev_constant(N) * volume ** (2.0 / N)
+    t1 = orbit1 ** (2.0 / N) / denominator * scale
+    t2 = orbit2 ** (2.0 / N) / denominator * scale
     if math.isinf(second_hi):
         return t1, t2, math.inf, _UNKNOWN_GAP
     lo = _gap_lower(second_hi, t1, t2)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -322,6 +322,14 @@ class _Example:
     flatness: Callable | None = None  # n -> weight vanishing order closing the ceilings
     circle: Callable | None = None  # (cfg, index) -> (length, weight, orbit volume)
     ratio: Callable | None = None  # (cfg, f) -> (lhs, rhs) of the peak-ratio condition
+    # (name, default, check) per input, the check chosen once from the default's type
+    checks: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(
+            (name, default, _integer if isinstance(default, int) else _finite)
+            for name, default in self.defaults.items()
+        ))
 
 
 _CIRCLE_ROTATIONS = (("order-%(a1)d circle rotations", True), ("order-%(a2)d circle rotations", True))
@@ -406,16 +414,13 @@ def _configuration_numbers(example, params):
             "unknown example %r; available: %s" % (example, ", ".join(EXAMPLE_IDS))
         )
     record = _EXAMPLES[example]
-    extra = set(params) - set(record.defaults)
-    if extra:
+    if not params.keys() <= record.defaults.keys():
+        extra = set(params) - set(record.defaults)
         raise PreconditionError(
             "example %r does not take parameter(s) %s; allowed: %s"
             % (example, ", ".join(sorted(extra)), ", ".join(sorted(record.defaults)))
         )
-    inputs = {
-        name: (_integer if isinstance(default, int) else _finite)(params.get(name, default), name)
-        for name, default in record.defaults.items()
-    }
+    inputs = {name: check(params.get(name, default), name) for name, default, check in record.checks}
     x = record.numbers(**inputs)
     _check_orbit_order(x.first[0], x.second[0])
     _finite(x.volume, "manifold volume")

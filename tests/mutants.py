@@ -220,6 +220,22 @@ MUTANTS = [
      "tests/test_expansion.py::test_the_error_bar_holds_where_the_secant_agrees_with_the_extrapolation"),
     (GEOMETRY, "_require(self.volume > 0.0,", "_require(self.volume >= 0.0,",
      "tests/test_geometry.py::test_a_configuration_whose_volume_underflows_is_refused[1e-140]"),
+    # the records built through their slots, the orbit terms over one denominator,
+    # the known-keys test and the input checks chosen once per example
+    (CONDITIONS, "if math.isnan(lo) or math.isnan(hi):", "if math.isnan(lo):",
+     "tests/test_conditions.py::test_a_nan_endpoint_is_refused_by_name[hi]"),
+    (CONDITIONS, "_set_status(self, status)\n        _set_value(self, value)",
+     "_set_status(self, value)\n        _set_value(self, status)",
+     "tests/test_conditions.py::test_a_hand_built_record_stores_each_argument_in_its_own_field[ConditionReport]"),
+    (CONDITIONS, "t2 = orbit2 ** (2.0 / N) / denominator", "t2 = orbit1 ** (2.0 / N) / denominator",
+     "tests/test_conditions.py::test_the_orbit_terms_are_the_volume_terms_bit_for_bit[cylinder-triple-1.0]"),
+    (GEOMETRY, "if not params.keys() <= record.defaults.keys():", "if params.keys() <= record.defaults.keys():",
+     "tests/test_geometry.py::test_parameters_the_example_does_not_take_are_refused_by_name[hopf-example_interval]"),
+    (GEOMETRY, "_integer if isinstance(default, int) else _finite", "_finite",
+     "tests/test_geometry.py::test_each_input_check_is_chosen_once_from_its_defaults_type[sphere-quotients]"),
+    # the floor end of the ordering check's admissibility window is closed
+    (CONDITIONS, "if not (floor <= alpha <= ceiling):", "if not (floor < alpha <= ceiling):",
+     "tests/test_conditions.py::test_ordering_verdict_matches_gap_endpoint"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
 import random
 
 import direct_routes
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symcrit import conditions
+from symcrit.best_constants import _volume_term
 from symcrit import (
     ConditionReport,
     ConstantBound,
@@ -59,8 +63,6 @@ def test_interval_emptiness_and_midpoint():
     assert degenerate.midpoint == 1.0
     with pytest.raises(PreconditionError):
         _ = GuaranteedInterval(2.0, 1.0).midpoint
-    with pytest.raises(PreconditionError):
-        GuaranteedInterval(math.nan, 1.0)
 
 
 def test_interval_contains_respects_strictness():
@@ -114,6 +116,72 @@ def test_merge_lo_breaks_a_tie_toward_the_floor(gap_strict):
     # a gap endpoint below the floor leaves the floor closed; above it, it binds
     assert conditions._merge_lo(1.5, 1.0, gap_strict) == (1.5, False)
     assert conditions._merge_lo(1.0, 1.5, gap_strict) == (1.5, gap_strict)
+
+
+# ConditionReport and GuaranteedInterval have hand-written constructors that
+# store each field through its slot; every other dataclass behaviour stays.
+
+_HAND_BUILT = {
+    ConditionReport: ("stay-below", "satisfied", 1.5),
+    GuaranteedInterval: (0.5, 1.5, True, False, 3, (ConditionReport("energy-gap", "assumed"),)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_HAND_BUILT), ids=lambda c: c.__name__)
+def test_a_hand_written_constructor_takes_exactly_the_dataclass_fields(cls):
+    # a field added later cannot be skipped by __init__
+    params = list(inspect.signature(cls).parameters.values())
+    fields = dataclasses.fields(cls)
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default for f in fields
+    ]
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    assert cls.__match_args__ == tuple(f.name for f in fields)
+
+
+@pytest.mark.parametrize("cls", list(_HAND_BUILT), ids=lambda c: c.__name__)
+def test_a_hand_built_record_stores_each_argument_in_its_own_field(cls):
+    args = _HAND_BUILT[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    for record in (cls(*args), cls(**dict(zip(names, args)))):
+        assert [getattr(record, name) for name in names] == list(args)
+        assert record == cls(*args) and hash(record) == hash(cls(*args))
+
+
+@pytest.mark.parametrize("cls", list(_HAND_BUILT), ids=lambda c: c.__name__)
+def test_a_hand_built_record_survives_replace_pickle_and_deepcopy(cls):
+    record = cls(*_HAND_BUILT[cls])
+    for copied in (dataclasses.replace(record), pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert copied == record and type(copied) is cls
+    first = dataclasses.fields(cls)[0].name
+    changed = dataclasses.replace(record, **{first: 4.0})
+    assert getattr(changed, first) == 4.0 and changed != record
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+
+
+@pytest.mark.parametrize("endpoints", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)],
+                         ids=["lo", "hi", "both"])
+def test_a_nan_endpoint_is_refused_by_name(endpoints):
+    with pytest.raises(PreconditionError, match="^interval endpoints must not be NaN$"):
+        GuaranteedInterval(*endpoints)
+    with pytest.raises(PreconditionError, match="^interval endpoints must not be NaN$"):
+        dataclasses.replace(GuaranteedInterval(0.0, 1.0), lo=endpoints[0], hi=endpoints[1])
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_the_orbit_terms_are_the_volume_terms_bit_for_bit(example, scale):
+    # _orbit_gap forms K_N V^{2/N} once; each term stays _volume_term's float operations
+    cfg = example_configuration(example)
+    orbit1, orbit2 = cfg.first.orbit_volume, cfg.second.orbit_volume
+    N = cfg.params.reduced_dim
+    t1, t2, lo, _ = conditions._orbit_gap(cfg.params, 7.5, orbit1, orbit2, cfg.volume, scale)
+    assert t1 == _volume_term(N, orbit1, cfg.volume) * scale
+    assert t2 == _volume_term(N, orbit2, cfg.volume) * scale
+    assert t1 < t2 and lo == (7.5 - t2) + t1
 
 
 def test_interval_to_json_shape():
@@ -712,7 +780,8 @@ def _ordering_setup():
 def test_ordering_verdict_matches_gap_endpoint():
     params, volume, _, groups, boundary = _ordering_setup()
     assert 4.5 < boundary < 5.9  # the comparison window is [4.5, 5.9]
-    for alpha in (4.6, 5.0, boundary - 1e-3, boundary + 1e-3, 5.8, 5.9):
+    # 4.5 is the window's floor 0.75 * 6.0, exactly
+    for alpha in (4.5, 4.6, 5.0, boundary - 1e-3, boundary + 1e-3, 5.8, 5.9):
         report = energy_ordering_check(params, groups, alpha, b0_sphere(6), volume)
         (verdict,) = report.pairs
         assert verdict.separated == (alpha > boundary)
@@ -724,6 +793,8 @@ def test_ordering_window_and_input_preconditions():
     params, volume, _, groups, _ = _ordering_setup()
     with pytest.raises(PreconditionError):
         energy_ordering_check(params, groups, 4.0, b0_sphere(6), volume)  # below floor
+    with pytest.raises(PreconditionError, match="outside the admissibility window"):
+        energy_ordering_check(params, groups, math.nextafter(4.5, 0.0), b0_sphere(6), volume)
     with pytest.raises(PreconditionError):
         energy_ordering_check(params, groups, 6.2, b0_sphere(6), volume)  # above ceiling
     with pytest.raises(PreconditionError):

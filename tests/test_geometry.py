@@ -185,6 +185,25 @@ def test_unknown_example_and_extra_params():
 
 
 @pytest.mark.parametrize("build", [example_configuration, example_interval])
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_parameters_the_example_does_not_take_are_refused_by_name(example, build):
+    build(example, **EXAMPLE_DEFAULTS[example])  # every known parameter, given explicitly
+    allowed = ", ".join(sorted(EXAMPLE_DEFAULTS[example]))
+    with pytest.raises(PreconditionError) as err:
+        build(example, **EXAMPLE_DEFAULTS[example], zeta=1, alpha=2.0)
+    assert str(err.value) == "example %r does not take parameter(s) alpha, zeta; allowed: %s" % (example, allowed)
+
+
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_each_input_check_is_chosen_once_from_its_defaults_type(example):
+    record = geometry._EXAMPLES[example]
+    assert [(name, default) for name, default, _ in record.checks] == list(record.defaults.items())
+    for name, default, check in record.checks:
+        assert check is (geometry._integer if type(default) is int else geometry._finite), name
+    assert dataclasses.replace(record).checks == record.checks
+
+
+@pytest.mark.parametrize("build", [example_configuration, example_interval])
 @pytest.mark.parametrize(
     "example", [example_configuration("hopf"), {"example": "hopf"}], ids=["config", "dict"]
 )
