@@ -29,7 +29,16 @@ The default nonconstant start is the line soliton
 A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
 (2 f), centred where f peaks: on a long circle (sqrt(alpha) length >> 1)
 it is the minimizer up to O(e^{-sqrt(alpha) length}), so the descent
-takes a handful of steps before Newton.
+takes a handful of steps before Newton.  The descent's last evaluation
+hands Newton its first iterate with that iterate's residual and power
+(_handoff): at the unit-energy point Q's gradient g, from which the
+descent forms its Sobolev direction P^{-1} g (Neuberger 1997), is the
+rescaled iterate's residual times a scalar, so Newton's first iterate
+evaluates neither.  The constant start on a constant f is the exact solution
+c = (alpha/f)^{1/(p-1)}, the level from which the invariant solutions'
+energies are told apart: minimize scores it in closed form
+(_closed_form), with no descent and no Newton, and constant_solution
+reports that same result.
 
 With a constant f (ReducedProblem.constant_weight, decided once per
 problem) and m even, the reflection about node 0 maps the grid to itself
@@ -55,12 +64,13 @@ cut node give the step (_cut_solve).
 With constant f, J is nearly singular along the translation v' near a
 solution, and the step may move the iterate along it.  The cut keeps T
 away from that near-singularity, since |v'| is largest at the cut node,
-and leaves it to the cut node's Schur complement.  Each iterate's power
-a = v^{p-1} is evaluated once (_power), by its residual (_residual): the
-nonlinearity f a v, the Newton step's diagonal of J, and for the last
+and leaves it to the cut node's Schur complement.  Each Newton iterate's
+power a = v^{p-1} is computed once: the first iterate's by _handoff from
+the descent's last power, each later one's by its residual (_residual).
+The nonlinearity f a v, the Newton step's diagonal of J, and for the last
 iterate the Morse count and the energy w h <f a v, v> read that array.
-A descent iterate's one power likewise gives its energy, scale and
-gradient (_evaluate).
+A descent iterate's one power (_power) likewise gives its energy, scale
+and gradient (_evaluate).
 
 Every report carries a second-order certificate: the Morse index of the
 solution, the number of negative eigenvalues of J, counted from the
@@ -73,8 +83,8 @@ positive solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a
 constrained local minimizer of Q has index exactly 1; a larger index
 marks a saddle.
 A report's quotient, energy, classification and residual are the ones
-minimize ranked the starts by and Newton stopped at, not a second
-computation.
+minimize ranked the starts by and Newton stopped at, or the closed
+form's, not a second computation.
 """
 
 from __future__ import annotations
@@ -430,9 +440,9 @@ def energy(problem, u):
 
 
 def _quotient(problem, u, den):
-    """Q(u) from u's energy den, the base of Q's denominator."""
-    if not den > 0.0:
-        raise PreconditionError("quotient undefined: f-weighted integral vanishes")
+    """Q(u) from u's energy den, the base of Q's denominator; a PreconditionError unless 0 < den < inf."""
+    if not 0.0 < den < math.inf:
+        raise PreconditionError("quotient undefined: f-weighted integral vanishes or overflows")
     num = _numerator(problem, u, _differences(u, problem.h, _half(problem, u)))
     return num / den ** (2.0 / problem.two_sharp)
 
@@ -448,7 +458,7 @@ def quotient_gradient(problem, u):
     Q is scale-invariant, so grad Q(x) = s grad Q(s x), with s x the
     unit-energy point where the descent's _evaluate works.
     """
-    _, _, g, scale = _evaluate(problem, _circle_vector(problem, u))
+    _, _, g, scale, _ = _evaluate(problem, _circle_vector(problem, u))
     return scale * g
 
 
@@ -713,16 +723,34 @@ class SolveReport:
         return d
 
 
+def _closed_form(problem, label):
+    """The _StartResult of the constant solution c = (alpha/f)^{1/(p-1)} of a constant f, with 0 Newton steps.
+
+    -Delta_h c = 0, so c's residual alpha c - f c^{p-1} c is one scalar
+    at every node: rounding alone, below Newton's rounding floor
+    eps |J|_inf c, since |J|_inf > (p+1) alpha.  A constant is even about
+    node 0, so on an even grid it holds nodes 0, ..., m/2 (_on_half_grid)
+    and its sums and Morse count are the half grid's.  minimize scores a
+    constant start on a constant f by it, and constant_solution reports
+    it, so the two agree bitwise.
+    """
+    f = float(problem.f_samples[0])
+    c = (problem.alpha / f) ** (1.0 / (problem.p - 1.0))
+    a = c ** (problem.p - 1.0)
+    n = problem.m // 2 + 1 if _on_half_grid(problem, label) else problem.m
+    residual = abs(problem.alpha * c - f * a * c)
+    return _start_result(problem, label, np.full(n, c), np.full(n, a), 0, residual, True, False)
+
+
 def constant_solution(problem):
-    """Closed-form constant solution (alpha/f)^{1/(p-1)}; needs constant f."""
+    """Closed-form constant solution (alpha/f)^{1/(p-1)}; needs constant f.
+
+    Its fields are those of minimize's constant start on the same problem,
+    bitwise (_closed_form), with the label "closed-form".
+    """
     if not problem.constant_weight:
         raise PreconditionError("the constant solution needs a constant weight f")
-    u = np.full(problem.m, (problem.alpha / float(problem.f_samples[0])) ** (1.0 / (problem.p - 1.0)))
-    r, a = _residual(problem, u)
-    run = _start_result(problem, "closed-form", u, a, 0, float(np.max(np.abs(r))), True, False)
-    if problem.m % 2 == 0:  # a constant is even about node 0: J's even and odd blocks give its Morse count
-        run = run._replace(v=u[:problem.m // 2 + 1], power=a[:problem.m // 2 + 1])
-    return _report(problem, run)
+    return _report(problem, _closed_form(problem, "closed-form"))
 
 
 def _on_half_grid(problem, label):
@@ -775,21 +803,23 @@ def _starts(problem, config):
 
 
 def _evaluate(problem, x):
-    """x scaled to unit energy, with Q and grad Q at that point, and the scale.
+    """(u, qv, g, scale, a): x scaled to unit energy, Q and grad Q at that point, the scale and x's power.
 
     Q is scale-invariant, so Q(x) is Q at the scaled point, and x's
-    nonlinearity f |x|^{p-1} x, from one power, serves the energy, the
-    scale and the gradient's weighted term.  The forward differences du
-    serve both Q's numerator (_numerator) and -Delta_h u.
+    nonlinearity f |x|^{p-1} x, from its one power a = |x|^{p-1}, serves
+    the energy, the scale and the gradient's weighted term; _handoff
+    rescales a for Newton.  The forward differences du serve both Q's
+    numerator (_numerator) and -Delta_h u.
     The scale is energy(problem, x)^{-1/two_sharp}, bitwise.  On the half
     grid the gradient is the full circle's at nodes 0, ..., m/2.
     """
     h, w, q = problem.h, problem.weight, problem.two_sharp
     half = _half(problem, x)
-    fa = _nonlinearity(problem, x, _power(problem, x))
+    a = _power(problem, x)
+    fa = _nonlinearity(problem, x, a)
     den = _energy(problem, x, fa)
     if not 0.0 < den < math.inf:
-        raise PreconditionError("quotient undefined: f-weighted integral vanishes")
+        raise PreconditionError("quotient undefined: f-weighted integral vanishes or overflows")
     scale = den ** (-1.0 / q)
     u = scale * x
     du = _differences(u, h, half)
@@ -798,7 +828,7 @@ def _evaluate(problem, x):
     g += problem.alpha * u
     g -= (qv * scale ** (q - 1.0)) * fa
     g *= 2.0 * w * h
-    return u, qv, g, scale
+    return u, qv, g, scale, a
 
 
 def _p_inverse(problem, half=False):
@@ -873,19 +903,23 @@ def _descend(problem, u):
 
     P is factored only once the stopping test has failed, and P^{-1}
     applied once per step taken: an iterate that passes the test, such as
-    the constant start on a constant f, needs no direction, so a descent
-    of k steps applies P^{-1} k times.
+    a constant on a constant f (where minimize takes the closed form and
+    does not descend), needs no direction, so a descent of k steps
+    applies P^{-1} k times.
 
     On the half grid u holds nodes 0, ..., m/2, and so does every iterate,
     gradient and direction; the inner products weigh the nodes as _dot
     does.
 
-    Returns the last iterate, its quotient, and whether the descent used
-    all of DESCENT_MAX_ITER iterations without meeting its stopping test.
+    Returns the last iterate's evaluation, the tuple (u, qv, g, scale, a)
+    of _evaluate, which _handoff turns into Newton's first iterate, and
+    whether the descent used all of DESCENT_MAX_ITER iterations without
+    meeting its stopping test.
     """
     floor = POSITIVITY_FLOOR
     half = _half(problem, u)
-    u, qv, g, _ = _evaluate(problem, np.maximum(u, floor))
+    last = _evaluate(problem, np.maximum(u, floor))
+    u, qv, g = last[:3]
     scale = 2.0 * problem.weight * problem.h  # gradient per unit EL residual
     tol = DESCENT_TOL if problem.constant_weight else WEIGHTED_DESCENT_TOL
 
@@ -893,7 +927,7 @@ def _descend(problem, u):
         return float(np.abs(g).max()) <= tol * scale * max(1.0, qv)
 
     if stationary():
-        return u, qv, False
+        return last, False
     p_inverse = _p_inverse(problem, half)
     step = 1.0 / scale
     u_prev = g_prev = d_prev = None
@@ -907,17 +941,35 @@ def _descend(problem, u):
         slope = _dot(g, d, half)
         trial_step = step
         for _ in range(30):
-            cand, q_cand, g_cand, _ = _evaluate(problem, np.maximum(u - trial_step * d, floor))
-            if q_cand <= qv - 1e-4 * trial_step * slope:
+            cand = _evaluate(problem, np.maximum(u - trial_step * d, floor))
+            if cand[1] <= qv - 1e-4 * trial_step * slope:  # cand[1] is its quotient
                 break
             trial_step *= 0.5
         else:
-            return u, qv, False  # no descent direction left at this resolution
+            return last, False  # no descent direction left at this resolution
         u_prev, g_prev, d_prev = u, g, d
-        u, qv, g = cand, q_cand, g_cand
+        last = cand
+        u, qv, g = last[:3]
         if stationary():
-            return u, qv, False
-    return u, qv, True
+            return last, False
+    return last, True
+
+
+def _handoff(problem, u, qv, g, scale, a):
+    """(v, r, a_v): the descent's last evaluation (_evaluate's tuple) as Newton's first iterate, its residual and power.
+
+    The descent stops at the unit-energy point u = scale x, where qv is
+    Q(u), so v = s u with s = qv^{1/(p-1)} solves the equation when u
+    minimizes Q.  Its residual and power follow from what the evaluation
+    holds, by two identities exact up to rounding: with q - 1 = p,
+    f v^p = s qv scale^p f x^p, so r(v) = s (-Delta_h u + alpha u - qv
+    scale^p f a x) = (s / (2 w h)) g, and v^{p-1} = qv scale^{p-1} a,
+    a = x^{p-1}.  Newton's first iterate thus takes no residual and no
+    power of its own.
+    """
+    s = qv ** (1.0 / (problem.p - 1.0))
+    r = (s / (2.0 * problem.weight * problem.h)) * g
+    return s * u, r, (qv * scale ** (problem.p - 1.0)) * a
 
 
 def _newton_step(problem, v, r, a):
@@ -964,8 +1016,14 @@ def _even_step(problem, r, a):
     return None if info else y
 
 
-def _newton(problem, v, config):
+def _newton(problem, v, config, handed=None):
     """Damped Newton for -v'' + alpha v = f v^p, stepping by _newton_step or, on the half grid, _even_step.
+
+    handed, when given, is v's (residual, power) from _handoff, _residual's
+    up to rounding under the floor eps |J|_inf |v|_inf below.  Newton
+    takes it for its first iterate unless the positivity floor would move
+    v, and then evaluates the clamped v as it does without it; each later
+    iterate's residual and power come from _residual.
 
     It has converged once the residual's max norm is at most max(newton_tol,
     eps |J|_inf |v|_inf), |J|_inf <= |-Delta_h|_inf + alpha + p max f max v^{p-1}
@@ -989,8 +1047,11 @@ def _newton(problem, v, config):
         jac = d - 2.0 * off + problem.alpha + problem.p * f_max * v_max ** (problem.p - 1.0)
         return rn <= max(config.newton_tol, math.ulp(1.0) * jac * v_max)
 
-    v = np.maximum(v, POSITIVITY_FLOOR)
-    r, a = _residual(problem, v)
+    if handed is not None and v.min() >= POSITIVITY_FLOOR:  # the floor would leave v as it is
+        r, a = handed
+    else:
+        v = np.maximum(v, POSITIVITY_FLOOR)
+        r, a = _residual(problem, v)
     rn = float(np.abs(r).max())
     iters = 0
     short_steps = 0
@@ -1021,12 +1082,13 @@ def _solve_one(problem, label, u0, config):
     """Descent from u0, then Newton from its rescaled result.
 
     A u0 on m/2 + 1 nodes solves on the half grid (_starts).  The descent
-    returns u at unit energy, where its qv is Q(u), so v = qv^{1/(p-1)} u
-    solves the equation when u minimizes Q.
+    returns its last evaluation at unit energy, and _handoff rescales it
+    to Newton's first iterate v = qv^{1/(p-1)} u with v's residual and
+    power, which Newton takes instead of evaluating them again.
     """
-    u, qv, capped = _descend(problem, u0)
-    v = qv ** (1.0 / (problem.p - 1.0)) * u
-    return _start_result(problem, label, *_newton(problem, v, config), capped)
+    last, capped = _descend(problem, u0)
+    v, r, a = _handoff(problem, *last)
+    return _start_result(problem, label, *_newton(problem, v, config, (r, a)), capped)
 
 
 def minimize(problem, config=None):
@@ -1040,13 +1102,21 @@ def minimize(problem, config=None):
     starts that converge to one solution differ by 0-3 ulps on coarse
     grids, and by 35 on cylinder-weighted's constant at m = 8192.
 
+    A constant start on a constant f is the closed form (_closed_form), the
+    report constant_solution gives; every other start descends and runs
+    Newton (_solve_one).
+
     Raises ConvergenceError (with the best partial result attached as
     .best) when no start reaches the Newton tolerance.
     """
     config = SolveConfig() if config is None else config
     if not isinstance(config, SolveConfig):
         raise PreconditionError("config must be a SolveConfig or None, got %r" % (config,))
-    results = [_solve_one(problem, label, u0, config) for label, u0 in _starts(problem, config)]
+    results = [
+        _closed_form(problem, label) if label == "constant" and problem.constant_weight
+        else _solve_one(problem, label, u0, config)
+        for label, u0 in _starts(problem, config)
+    ]
     capped = tuple(r.label for r in results if r.descent_capped)
     converged = [r for r in results if r.converged]
     if not converged:

@@ -31,7 +31,7 @@ GEOMETRY = "src/symcrit/geometry.py"
 JSONIO = "src/symcrit/jsonio.py"
 
 # The list may not shrink below this many mutants unnoticed.
-MIN_MUTANTS = 30
+MIN_MUTANTS = 91
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -236,6 +236,20 @@ MUTANTS = [
     # the floor end of the ordering check's admissibility window is closed
     (CONDITIONS, "if not (floor <= alpha <= ceiling):", "if not (floor < alpha <= ceiling):",
      "tests/test_conditions.py::test_ordering_verdict_matches_gap_endpoint"),
+    # the descent's hand-off to Newton, the closed-form constant start and the
+    # solver's two decision comparisons at their boundaries
+    (SOLVER, "r = (s / (2.0 * problem.weight * problem.h)) * g", "r = (s / (problem.weight * problem.h)) * g",
+     "tests/test_solver.py::test_the_handoff_is_the_rescaled_points_residual_and_power[half-5.0]"),
+    (SOLVER, "(qv * scale ** (problem.p - 1.0)) * a", "qv * a",
+     "tests/test_solver.py::test_the_handoff_is_the_rescaled_points_residual_and_power[cut-3.0]"),
+    (SOLVER, "c = (problem.alpha / f) ** (1.0 / (problem.p - 1.0))", "c = (problem.alpha / f) ** (1.0 / problem.p)",
+     "tests/test_solver.py::test_the_closed_form_is_alpha_over_f_to_the_one_over_p_minus_1"),
+    (SOLVER, "if handed is not None and v.min() >= POSITIVITY_FLOOR:", "if handed is not None:",
+     "tests/test_solver.py::test_newton_evaluates_a_start_that_the_floor_would_move"),
+    (SOLVER, "return rn <= max(config.newton_tol,", "return rn < max(config.newton_tol,",
+     "tests/test_solver.py::test_newton_has_converged_at_a_residual_equal_to_its_tolerance"),
+    (SOLVER, "(hi - lo) > OSCILLATION_TOL * hi", "(hi - lo) >= OSCILLATION_TOL * hi",
+     "tests/test_solver.py::test_classify_calls_a_range_of_exactly_oscillation_tol_times_the_max_constant"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

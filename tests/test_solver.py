@@ -188,7 +188,7 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
             f_samples=rng.uniform(0.5, 2.0, m),
         )
         x = float(rng.uniform(0.1, 10.0)) * rng.uniform(0.5, 2.0, m)
-        u, q, g, scale = solver._evaluate(problem, x)
+        u, q, g, scale, a = solver._evaluate(problem, x)
         normalized = x / energy(problem, x) ** (1.0 / problem.two_sharp)
         g_ref = quotient_oracle.quotient_gradient(problem, normalized)
         assert float(np.max(np.abs(u - normalized))) <= 1e-13 * float(np.max(normalized))
@@ -196,8 +196,10 @@ def test_fused_evaluation_matches_quotient_and_gradient(m):
         assert float(np.max(np.abs(g - g_ref))) <= 1e-13 * float(np.max(np.abs(g_ref)))
         # the numerator shares the gradient's differences and stays quotient_value's, bitwise
         assert q == solver._numerator(problem, u, solver._differences(u, problem.h))
-        # the scale is energy(x)^{-1/two_sharp}, bitwise, from the same power
+        # the scale is energy(x)^{-1/two_sharp}, bitwise, from the same power,
+        # which the evaluation hands back
         assert scale == energy(problem, x) ** (-1.0 / problem.two_sharp)
+        assert np.array_equal(a, solver._power(problem, x))
 
 
 @pytest.mark.parametrize("m", [64, 97, 1024, 4096])
@@ -397,21 +399,32 @@ def test_zero_pivot_ends_newton_unconverged():
         assert rn == 2.0
 
 
-def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
+def test_each_newton_iterate_power_is_computed_once(monkeypatch):
     # J's diagonal, in each Newton step and in the report's Morse count,
-    # reads the array v^{p-1} that the iterate's residual evaluated: through
-    # J's even block on the half grid of an even one, through the cut J on
-    # an odd one
+    # reads the array v^{p-1} that was computed once for its iterate: for
+    # Newton's first iterate the one _handoff derived from the descent's
+    # last evaluation, for each later one the one its residual evaluated.
+    # No power is taken but by an evaluation or a residual, and no residual
+    # is taken of the first iterate.  Through J's even block on the half
+    # grid of an even start, through the cut J on an odd grid; the constant
+    # start is the closed form and takes no power array.
     alpha = example_interval("cylinder-triple").midpoint
     config = example_configuration("cylinder-triple")
-    residual, cut, even_block = solver._residual, solver._cut, solver._even_block
+    power, evaluate, residual = solver._power, solver._evaluate, solver._residual
+    handoff, cut, even_block = solver._handoff, solver._cut, solver._even_block
     for grid, path in ((1024, "_even_block"), (1025, "_cut")):
-        evaluated, read = [], {"_cut": [], "_even_block": []}
+        powers, evaluations, residuals, handed = [], [], [], []
+        read = {"_cut": [], "_even_block": []}
 
         def counted_residual(pr, u):
             r, a = residual(pr, u)
-            evaluated.append(a)
+            residuals.append((u, a))
             return r, a
+
+        def counted_handoff(pr, *last):
+            v, r, a = handoff(pr, *last)
+            handed.append((v, a))
+            return v, r, a
 
         def counted_cut(pr, v, a):
             read["_cut"].append(a)
@@ -421,13 +434,83 @@ def test_each_iterate_power_is_evaluated_once_by_its_residual(monkeypatch):
             read["_even_block"].append(a)
             return even_block(pr, a)
 
+        monkeypatch.setattr(solver, "_power", lambda pr, u: powers.append(1) or power(pr, u))
+        monkeypatch.setattr(solver, "_evaluate", lambda pr, x: evaluations.append(1) or evaluate(pr, x))
         monkeypatch.setattr(solver, "_residual", counted_residual)
+        monkeypatch.setattr(solver, "_handoff", counted_handoff)
         monkeypatch.setattr(solver, "_cut", counted_cut)
         monkeypatch.setattr(solver, "_even_block", counted_even_block)
         report = minimize(circle_reduction(config, 1, alpha, grid=grid))
-        assert report.newton_iterations >= 1 and len(read[path]) >= 2  # a Newton step and the Morse count
+        assert report.start_label == "soliton" and report.newton_iterations >= 1
+        assert len(read[path]) >= 2  # a Newton step and the Morse count
         assert sum(map(len, read.values())) == len(read[path])  # one path throughout
-        assert all(any(a is b for b in evaluated) for a in read[path])
+        (v0, a0), = handed  # the soliton's; the constant start hands nothing off
+        assert read[path][0] is a0
+        assert all(any(a is b for _, b in residuals) for a in read[path][1:])
+        assert len(powers) == len(evaluations) + len(residuals)
+        assert not any(np.array_equal(u, v0) for u, _ in residuals)
+
+
+@pytest.mark.parametrize("p", [5.0, 3.0, 7.0 / 3.0])
+@pytest.mark.parametrize("path", ["half", "full", "cut"])
+def test_the_handoff_is_the_rescaled_points_residual_and_power(path, p):
+    # r(v) = (s / (2 w h)) g and v^{p-1} = qv scale^{p-1} x^{p-1}, with
+    # v = s u and s = qv^{1/(p-1)}, hold to rounding: the residual to
+    # Newton's rounding floor eps |J|_inf |v|_inf (within 0.8 of it over 200
+    # draws of each case), the power to 3 p ulps, since the reference power
+    # raises v's own few ulps of rounding to p - 1 (at most 10 ulps at p = 5
+    # over those draws).  On the half grid of a constant f, on its whole
+    # circle and on the cut path of a nonconstant f alike.
+    m = 256
+    rng = np.random.default_rng([m, int(3 * p)])
+    n = m // 2 + 1 if path == "half" else m
+    for _ in range(10):
+        problem = _problem(
+            length=float(rng.uniform(3.0, 20.0)), weight=float(rng.uniform(0.5, 3.0)),
+            alpha=float(rng.uniform(0.1, 3.0)), p=p, m=m,
+            f=rng.uniform(0.5, 2.0, m) if path == "cut" else np.full(m, float(rng.uniform(0.5, 2.0))),
+        )
+        x = float(rng.uniform(0.01, 100.0)) * rng.uniform(0.5, 2.0, n)
+        v, r, a = solver._handoff(problem, *solver._evaluate(problem, x))
+        r_ref, a_ref = solver._residual(problem, v)
+        jac = 4.0 / problem.h**2 + problem.alpha + p * problem.f_samples.max() * v.max() ** (p - 1.0)
+        assert float(np.abs(r - r_ref).max()) <= math.ulp(1.0) * jac * v.max()
+        assert np.all(np.abs(a - a_ref) <= 3.0 * p * np.spacing(a_ref))
+
+
+def test_newton_evaluates_a_start_that_the_floor_would_move(monkeypatch):
+    # a handed residual and power hold for v as given; where the positivity
+    # floor clamps v, Newton evaluates the clamped v's own, as without them
+    problem = _problem(alpha=0.7, m=64)
+    v = 0.7 ** 0.25 * (1.0 + 0.1 * np.cos(problem.grid()))
+    bogus = (np.zeros(64), np.ones(64))
+    calls = []
+    residual = solver._residual
+    monkeypatch.setattr(solver, "_residual", lambda pr, u: calls.append(u) or residual(pr, u))
+    # above the floor the handed pair is taken: a zero residual has converged
+    assert solver._newton(problem, v, SolveConfig(), bogus)[2:] == (0, 0.0, True) and not calls
+    v[5] = 0.5 * solver.POSITIVITY_FLOOR
+    want = solver._newton(problem, v, SolveConfig())
+    calls.clear()
+    got = solver._newton(problem, v, SolveConfig(), bogus)
+    assert calls[0][5] == solver.POSITIVITY_FLOOR
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]) and got[2:] == want[2:]
+
+
+def test_newton_has_converged_at_a_residual_equal_to_its_tolerance():
+    # the soliton start's residual is far above the rounding floor, so at
+    # newton_tol equal to it Newton has converged with 0 steps, and one
+    # float below it Newton steps; the start's tail is clamped beforehand,
+    # as Newton would clamp it
+    alpha = example_interval("cylinder-triple").midpoint
+    problem = circle_reduction(example_configuration("cylinder-triple"), 1, alpha, grid=512)
+    soliton = np.maximum(solver._soliton(problem, problem.m // 2 + 1), solver.POSITIVITY_FLOOR)
+    rn = float(np.abs(solver._residual(problem, soliton)[0]).max())
+    assert rn > 1e-3
+    v, _, iters, residual, converged = solver._newton(problem, soliton, SolveConfig(newton_tol=rn))
+    assert (iters, residual, converged) == (0, rn, True) and np.array_equal(v, soliton)
+    below = SolveConfig(newton_tol=math.nextafter(rn, 0.0))
+    assert solver._newton(problem, soliton, below)[2] >= 1
 
 
 @pytest.mark.parametrize(
@@ -466,7 +549,7 @@ def test_a_solve_reads_its_energies_from_the_powers_it_took(monkeypatch, case):
 def _recomputed(report):
     """(Q, energy) of report.u, computed as its solve computed them: on the half grid for a start that solved there."""
     problem = report.problem
-    half = report.start_label != "closed-form" and solver._on_half_grid(problem, report.start_label)
+    half = solver._on_half_grid(problem, report.start_label)
     u = report.u[:problem.m // 2 + 1] if half else report.u
     e = solver._energy(problem, u, solver._nonlinearity(problem, u, solver._power(problem, u)))
     return solver._quotient(problem, u, e), e
@@ -545,6 +628,70 @@ def test_constant_solution_needs_constant_weight():
     f[3] = 1.5
     with pytest.raises(PreconditionError):
         constant_solution(_problem(m=96, f=f))
+
+
+_CLOSED_FORM_FIELDS = ("quotient_value", "energy", "el_residual", "morse_index", "zero_modes", "classification")
+
+
+@pytest.mark.parametrize("m", [64, 65, 96, 97, 1024, 1025])
+def test_a_constant_start_on_a_constant_weight_is_the_closed_form_bitwise(m):
+    # minimize scores the constant start by the closed form that
+    # constant_solution reports, so the two agree in every bit; before, the
+    # constant start descended and Newton-polished its own copy, whose Q
+    # and energy differed in the last bits on most such problems.  The
+    # closed form's residual is rounding alone, below Newton's floor.
+    eps = math.ulp(1.0)
+    for length in (2.0 * math.pi, 9.0):
+        for f in (1.0, 2.5):
+            for p in (5.0, 7.0 / 3.0):
+                for alpha in (0.05, 0.3, 1.0, 2.18, 7.5):
+                    problem = _problem(length=length, alpha=alpha, p=p, m=m, f=np.full(m, f))
+                    closed = constant_solution(problem)
+                    report = minimize(problem, SolveConfig(starts=("constant",)))
+                    assert np.array_equal(report.u, closed.u)
+                    for name in _CLOSED_FORM_FIELDS:
+                        assert getattr(report, name) == getattr(closed, name), name
+                    assert (report.newton_iterations, report.winning_starts) == (0, ("constant",))
+                    c = closed.u[0]
+                    jac = 4.0 / problem.h**2 + (p + 1.0) * alpha
+                    assert closed.el_residual <= eps * jac * c
+
+
+def test_a_constant_start_on_a_constant_weight_neither_descends_nor_runs_newton(monkeypatch):
+    # the closed form takes no descent, no P^{-1}, no Newton and no
+    # residual; on a nonconstant weight the constant start descends
+    def raises(*args):
+        raise AssertionError("the closed form computed what it knows")
+
+    descend, calls = solver._descend, []
+    for name in ("_descend", "_p_inverse", "_newton", "_residual"):
+        monkeypatch.setattr(solver, name, raises)
+    for m in (96, 97):
+        problem = _problem(alpha=0.3, m=m)
+        assert minimize(problem, SolveConfig(starts=("constant",))).start_label == "constant"
+        assert constant_solution(problem).start_label == "closed-form"
+    monkeypatch.undo()
+    monkeypatch.setattr(solver, "_descend", lambda pr, u: calls.append(1) or descend(pr, u))
+    s = np.arange(128) * (2.0 * math.pi / 128)
+    minimize(_problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(s)), SolveConfig(starts=("constant",)))
+    assert calls == [1]
+
+
+def test_a_constant_whose_energy_overflows_is_refused_by_name():
+    # c = 1e3^{100} has c^{p+1} = inf: the closed form raises where the
+    # descent of the constant start raised, and reports no Q of nan
+    problem = _problem(length=6.0, alpha=1e3, p=1.01, m=64)
+    for solve in (constant_solution, lambda pr: minimize(pr, SolveConfig(starts=("constant",)))):
+        with np.errstate(over="ignore"), pytest.raises(
+            PreconditionError, match="^quotient undefined: f-weighted integral vanishes or overflows"
+        ):
+            solve(problem)
+
+
+def test_the_closed_form_is_alpha_over_f_to_the_one_over_p_minus_1():
+    for m, p in ((96, 5.0), (97, 7.0 / 3.0)):
+        report = constant_solution(_problem(alpha=0.3, p=p, m=m, f=np.full(m, 2.5)))
+        assert np.all(report.u == (0.3 / 2.5) ** (1.0 / (p - 1.0)))
 
 
 def test_nonconstant_branch_above_bifurcation():
@@ -669,10 +816,10 @@ def test_descent_stops_by_its_tolerance_near_the_bifurcation(monkeypatch, alpha)
     calls = []
     evaluate = solver._evaluate
     monkeypatch.setattr(solver, "_evaluate", lambda pr, x: calls.append(1) or evaluate(pr, x))
-    u, _, capped = solver._descend(problem, u0)
+    (u, *_), capped = solver._descend(problem, u0)
     assert len(calls) <= 100 < solver.DESCENT_MAX_ITER
     assert not capped
-    _, q, g, _ = evaluate(problem, u)
+    _, q, g, _, _ = evaluate(problem, u)
     scale = 2.0 * problem.weight * problem.h
     assert float(np.abs(g).max()) <= solver.DESCENT_TOL * scale * max(1.0, q)
 
@@ -716,7 +863,7 @@ def _counted_p_inverse_descent(monkeypatch, problem, u0, cap=solver.DESCENT_MAX_
     with monkeypatch.context() as patch:
         patch.setattr(solver, "DESCENT_MAX_ITER", cap)
         _count_p_inverse(patch, applications, factors)
-        capped = solver._descend(problem, u0)[2]
+        capped = solver._descend(problem, u0)[1]
     assert len(factors) == (1 if applications else 0)  # P is factored once, and only if used
     return len(applications), capped
 
@@ -744,7 +891,7 @@ def test_rescaling_by_the_descent_numerator_is_quotient_value_bitwise():
     # sqrt(m) eps: so _solve_one rescales by qv, Q(u) to that rounding
     problem = _problem(alpha=0.4, m=128, f=1.0 + 0.15 * np.cos(np.arange(128) * (2.0 * math.pi / 128)))
     (_, u0), = solver._starts(problem, SolveConfig(starts=("cos1",)))
-    u, qv, _ = solver._descend(problem, u0)
+    (u, qv, *_), _ = solver._descend(problem, u0)
     assert qv / energy(problem, u) ** (2.0 / problem.two_sharp) == quotient_value(problem, u)
     assert energy(problem, u) == pytest.approx(1.0, rel=0.0, abs=math.sqrt(problem.m) * math.ulp(1.0))
 
@@ -870,9 +1017,10 @@ def _counted_solve(monkeypatch, index, m, config=None):
 def test_the_soliton_start_descends_in_a_handful_of_evaluations(monkeypatch, index, m):
     # a cos1 start makes more than 100 on each of these problems.  Newton's
     # at most 2 steps are DESCENT_TOL's reason: handed over at 1e-3, index 1
-    # at m = 1024 and 2048 and index 2 at m = 512 and 1024 take 3.
+    # at m = 1024 and 2048 and index 2 at m = 512 and 1024 take 3.  The
+    # constant start is the closed form, so every evaluation is the soliton's.
     _, report, calls = _counted_solve(monkeypatch, index, m)
-    assert len(calls) <= 4
+    assert len(calls) <= 3
     assert report.newton_iterations <= 2
     assert (report.start_label, report.classification, report.morse_index) == ("soliton", "nonconstant", 1)
 
@@ -902,9 +1050,9 @@ def test_every_grid_descends_on_itself_alone(monkeypatch, m):
     assert set(calls) == {m}
     (label, u0), = solver._starts(problem, config)
     run = solver._solve_one(problem, label, u0, config)
-    u, qv, capped = solver._descend(problem, u0)
-    v = qv ** (1.0 / (problem.p - 1.0)) * u
-    v, power, iters, rn, ok = solver._newton(problem, v, config)
+    last, capped = solver._descend(problem, u0)
+    v, r, a = solver._handoff(problem, *last)
+    v, power, iters, rn, ok = solver._newton(problem, v, config, (r, a))
     assert np.array_equal(run.v, v) and np.array_equal(run.power, power)
     assert (run.v.size, run.iters, run.residual) == (m // 2 + 1, iters, rn)
     assert (run.converged, run.descent_capped) == (ok, capped)
@@ -1326,8 +1474,7 @@ def test_the_even_step_is_the_cut_step_on_an_even_residual(index):
     problem = circle_reduction(example_configuration("cylinder-triple"), index, alpha, grid=m)
     (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
     assert u0.size == m // 2 + 1
-    u, qv, _ = solver._descend(problem, u0)
-    y = qv ** (1.0 / (problem.p - 1.0)) * u
+    y = solver._handoff(problem, *solver._descend(problem, u0)[0])[0]
     r_half, a_half = solver._residual(problem, y)
     even = solver._mirror(solver._even_step(problem, r_half, a_half))
     v = solver._mirror(y)
@@ -1433,12 +1580,13 @@ def test_the_half_grid_kernels_are_the_circle_kernels_on_even_vectors(m):
             (energy(problem, u), solver._energy(problem, y, solver._nonlinearity(problem, y, a_half))),
         ):
             assert on_half == pytest.approx(full, rel=0.0, abs=m * eps * solver._dot(np.abs(u), np.abs(w)))
-        x_full, q_full, g_full, s_full = solver._evaluate(problem, u)
-        x_half, q_half, g_half, s_half = solver._evaluate(problem, y)
+        x_full, q_full, g_full, s_full, a_full = solver._evaluate(problem, u)
+        x_half, q_half, g_half, s_half, a_half = solver._evaluate(problem, y)
         assert np.abs(x_half - x_full[:mid + 1]).max() <= 1e-13 * np.abs(x_full).max()
         assert q_half == pytest.approx(q_full, rel=1e-13, abs=0.0)
         assert s_half == pytest.approx(s_full, rel=1e-13, abs=0.0)
         assert np.abs(g_half - g_full[:mid + 1]).max() <= 1e-12 * np.abs(g_full).max()
+        assert np.array_equal(a_half, a_full[:mid + 1])
 
 
 @pytest.mark.parametrize("m", [64, 96, 1024, 16384])
@@ -1756,6 +1904,22 @@ def test_classify_resolves_a_relative_range_of_1e_5_but_not_1e_9():
     s = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
     assert solver._classify(1.0 + 5e-6 * np.cos(s)) == "nonconstant"
     assert solver._classify(1.0 + 5e-10 * np.cos(s)) == "constant"
+
+
+def test_classify_calls_a_range_of_exactly_oscillation_tol_times_the_max_constant():
+    # nonconstant only above the bound: find hi in [1, 2) whose range
+    # x = OSCILLATION_TOL * hi is a multiple of hi's ulp, so that lo = hi - x
+    # and hi - lo = x hold exactly
+    tol = solver.OSCILLATION_TOL
+    for k in range(math.ceil(tol * 2.0**52), math.ceil(tol * 2.0**52) + 1000):
+        x = k * 2.0**-52
+        hi = x / tol
+        if tol * hi == x:
+            break
+    lo = hi - x
+    assert hi - lo == tol * hi
+    assert solver._classify(np.array([lo, hi])) == "constant"
+    assert solver._classify(np.array([math.nextafter(lo, 0.0), hi])) == "nonconstant"
 
 
 def test_threshold_requires_integer_dimension_and_orbit():
