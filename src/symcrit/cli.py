@@ -139,6 +139,9 @@ def _cmd_expansion(parser, args):
         count = _EPS_COUNT if args.eps_count is None else args.eps_count
         if count < 1:
             raise PreconditionError("--eps-count must be at least 1, got %d" % count)
+        if args.eps_min == 0.0 or args.eps_max == 0.0:  # a geometric ladder has no end at 0
+            raise PreconditionError("--eps-min and --eps-max must be positive, got %r and %r"
+                                    % (args.eps_min, args.eps_max))
         fields["epsilons"] = tuple(np.geomspace(args.eps_max, args.eps_min, count))
     elif args.eps_count is not None:
         parser.error("--eps-count requires --eps-min and --eps-max")

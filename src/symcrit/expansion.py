@@ -92,6 +92,10 @@ class ExpansionConfig:
         if eps is None or eps.ndim != 1:
             raise PreconditionError("epsilons must be a 1-d sequence of numbers")
         if not eps.size:
+            if not 1e-6 * d2 > 0.0:
+                raise PreconditionError(
+                    "the default eps ladder 1e-3 delta^2 to 1e-6 delta^2 underflows to 0 at delta = %r" % (self.delta,)
+                )
             eps = np.geomspace(1e-3 * d2, 1e-6 * d2, _EPS_COUNT)
         eps = tuple(_above(e, "each of epsilons", 0.0) for e in eps.tolist())
         if any(b >= a for a, b in zip(eps, eps[1:])):
@@ -99,6 +103,16 @@ class ExpansionConfig:
         if eps[0] > d2 / 4.0:
             raise PreconditionError("largest eps must not exceed delta^2 / 4")
         object.__setattr__(self, "epsilons", eps)
+        if self.curvature is not None:
+            try:
+                scale = math.sqrt(self.curvature) ** (self.dim - 1.0)  # _density divides by it
+            except OverflowError:
+                scale = math.inf
+            if not 0.0 < scale < math.inf:
+                raise PreconditionError(
+                    "the area element's scale sqrt(curvature)^{N-1} = sqrt(%r)^%d must be a finite positive float"
+                    % (self.curvature, self.dim - 1)
+                )
 
     @property
     def two_sharp(self):
@@ -222,16 +236,23 @@ def rayleigh_quotient(config, eps):
     numerator and denominator integrands into one array and multiplies
     it by rho once.  On the nodes r, with s = eps + r^2, it computes r^2
     and s^{1-N/2} once each: u = s^{1-N/2} - tail and
-    u' = (2 - N) r s^{1-N/2} / s.
+    u' = (2 - N) r s^{1-N/2} / s.  It refuses, by name, eps whose panel
+    count leaves the float range and an I that is not a finite positive float.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim > 1:
         raise PreconditionError("eps must be a number or a 1-d sequence")
-    if not eps.min(initial=math.inf) > 0.0:
+    least = eps.min(initial=math.inf)
+    if not least > 0.0:
         raise PreconditionError("eps must be positive")
     samples = eps.reshape(-1)
     N = config.dim
     delta = config.delta
+    if not 0.5 * delta / math.sqrt(least) < math.inf:  # quad grades its panels from sqrt(eps) to delta
+        raise PreconditionError(
+            "the rule's panel count log_3(delta / (2 sqrt(eps))) must be finite, got delta = %r and eps = %r"
+            % (delta, float(least))
+        )
     power = 1.0 - N / 2.0
     e = samples[:, None, None]
     tail = (e + delta * delta) ** power
@@ -261,6 +282,8 @@ def rayleigh_quotient(config, eps):
     if not den.min(initial=math.inf) > 0.0:
         raise PreconditionError("degenerate test function: zero denominator")
     values = num / den ** (2.0 / config.two_sharp)
+    if not all(0.0 < value < math.inf for value in values.tolist()):
+        raise PreconditionError("I(u_eps) must be a finite positive float: the quotient's integrals overflow or vanish")
     return float(values[0]) if eps.ndim == 0 else values
 
 
@@ -341,11 +364,17 @@ def fit_and_compare(config):
         c1_error = abs(fitted_c1 - secant_c1)
         if before is not None:
             c1_error = max(c1_error, abs(last - before) / fitted_limit)
+    predicted_limit, predicted_c1 = config.predicted_limit, config.predicted_c1
+    fit = (predicted_limit, predicted_c1, fitted_limit, fitted_c1, secant_c1, *slopes)
+    if not all(map(math.isfinite, fit)):
+        raise PreconditionError(
+            "the linear fit of I(u_eps) must give finite floats: its slopes, limit or extrapolated c1 overflow"
+        )
     return ExpansionReport(
         config=config,
         samples=samples,
-        predicted_limit=config.predicted_limit,
-        predicted_c1=config.predicted_c1,
+        predicted_limit=predicted_limit,
+        predicted_c1=predicted_c1,
         fitted_limit=fitted_limit,
         fitted_c1=fitted_c1,
         secant_c1=secant_c1,

@@ -21,10 +21,10 @@ _neg_laplacian applies it from the forward differences.
 
 The descent takes its gradient in the H^1 inner product
 <(-Delta_h + alpha) ., .> of Q's numerator (a Sobolev gradient), so its
-iteration count does not grow with m.  That operator P is cut open at
-one node like J below; its tridiagonal block is factored once (LAPACK's
-Cholesky pttrf), and each step the descent takes costs one O(m)
-solve (pttrs) and a scalar Schur closure (see _p_inverse).
+iteration count does not grow with m.  That operator P is cut open
+like J below, at node k = 0; its tridiagonal block is factored once
+(LAPACK's Cholesky pttrf), and each step the descent takes costs one
+O(m) solve (pttrs) and a scalar Schur closure (see _p_inverse).
 The default nonconstant start is the line soliton
 A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2), with A^{p-1} = (p+1) alpha /
 (2 f), centred where f peaks: on a long circle (sqrt(alpha) length >> 1)
@@ -58,9 +58,12 @@ translation mode v' is odd, so the even block needs no border
 (Golubitsky, Stewart & Schaeffer 1988, vol. II).  The report mirrors
 the solution onto all m nodes once (_mirror).  A random start, an odd m
 or a nonconstant f solves with all of the cyclic tridiagonal J, cut open
-at the node where |v'| is largest (see _cut): the rest of J is a plain
-tridiagonal block T, so one gtsv with T and a Schur complement for the
-cut node give the step (_cut_solve).
+at the node k where |v'| is largest (see _cut).  Both cuts, J's at k and
+P's at k = 0, are taken in one ring order about k, nodes k+1, ..., m-1,
+0, ..., k (_ring): the operator is [[T, w], [w', c]], T a plain
+tridiagonal block and w the coupling of T's two ends to the cut node,
+and one Schur term c - w' z (_schur) closes every solve and count with
+T.  One gtsv with T takes the step's two columns (_newton_step).
 With constant f, J is nearly singular along the translation v' near a
 solution, and the step may move the iterate along it.  The cut keeps T
 away from that near-singularity, since |v'| is largest at the cut node,
@@ -78,7 +81,7 @@ pivots of one LDL' factor per shift (LAPACK's pttrf; see _morse_counts).
 For a solution found on the half grid, the factor is that of J's even
 and odd blocks about node 0, one tridiagonal of m rows, since J's
 inertia is the sum of theirs (Sylvester's law of inertia).  Otherwise it
-is the factor of T, with one Schur complement for the cut node.  A
+is the factor of T, with the cut node's Schur term (_schur).  A
 positive solution has <Jv, v> = -(p-1) int f v^{p+1} < 0, so a
 constrained local minimizer of Q has index exactly 1; a larger index
 marks a saddle.
@@ -128,6 +131,13 @@ MIN_GRID = 64
 # is 0.0175 at m = 512 on cylinder-triple and 1.3e-12 at m = 2048, so it
 # counts as a zero mode only on a resolving grid.
 ZERO_MODE_TOL = 1e-6
+
+# The Morse count takes at most this many factors per shift.  A zero pivot
+# means the shift is an eigenvalue of T or of a leading block of it, in
+# floating point, and the next factor moves it 1 % further from 0; where the
+# shift is below J's rounding level, as with J's diagonal about 9e17 against
+# a shift of 1e-6, every factor meets the same pivot.
+_SHIFT_TRIES = 4
 
 # The descent stops at an EL residual of about DESCENT_TOL, where Newton takes over:
 # from there Newton takes at most 2 steps on cylinder-triple at m = 512-16384.  Handed
@@ -218,6 +228,14 @@ class ReducedProblem:
         object.__setattr__(self, "constant_weight", bool(f.max() == f.min()))
         if self.orbit_volume is not None:
             object.__setattr__(self, "orbit_volume", _above(self.orbit_volume, "orbit volume", 0.0))
+        try:  # a stencil that underflows to 0 leaves -Delta_h at 0 to rounding, and solves
+            finite = _stencil(self.h)[0] < math.inf
+        except ZeroDivisionError:  # h^2 underflows to 0
+            finite = False
+        if not finite:
+            raise PreconditionError(
+                "the stencil 2/h^2 of the node spacing h = length / grid = %r overflows a float" % (self.h,)
+            )
 
     __reduce__ = _reduce_by_fields
 
@@ -483,48 +501,56 @@ def _classify(u):
 
 
 def _ring(x, k):
-    """x in the ring order k+1, ..., m-1, 0, ..., k of J cut open at node k."""
+    """x in the ring order k+1, ..., m-1, 0, ..., k of the circle cut open at node k: the cut node last."""
     return np.concatenate((x[k + 1:], x[:k + 1]))
+
+
+def _unring(y, k):
+    """y, in the ring order of the cut at node k (_ring), back in node order."""
+    n = y.size - 1 - k  # y holds nodes k+1, ..., m-1, then 0, ..., k
+    return np.concatenate((y[n:], y[:n]))
+
+
+def _schur(c, off, z):
+    """c - w' z, with w holding off in its first and last entries: the cut node's Schur term.
+
+    An operator with _stencil's coupling off, cut open at a node and taken
+    in the ring order (_ring), is [[T, w], [w', c]]: T is plain tridiagonal
+    and w couples T's two ends to the cut node, so w' z = off (z[0] + z[-1]).
+    With z = T^{-1} w this is the cut node's Schur complement; with
+    z = T^{-1} b_T, the numerator of a solve's value at the cut node.  The
+    descent's P (_p_inverse), the Newton step (_newton_step) and the Morse
+    count (_morse_counts) close their cuts by it.
+    """
+    return c - off * (z[0] + z[-1])
+
+
+def _diagonal(problem, a):
+    """J's diagonal d + alpha - p f a at the nodes a = v^{p-1} holds: the circle's m, or the half grid's m/2 + 1.
+
+    On the half grid f is constant, so f[:m/2 + 1] serves (_nonlinearity).
+    """
+    return _stencil(problem.h)[0] + problem.alpha - problem.p * problem.f_samples[:a.size] * a
 
 
 def _cut(problem, v, a):
     """J = -Delta_h + diag(alpha - p f a) cut open at k = argmax |v'|, a = v^{p-1} from _residual.
 
     tau = 2 h v', by central differences, only picks k.  Returns k, J's
-    diagonal in the ring order (_ring), and the coupling off of _stencil.
-    In the ring order J = [[T, w], [w', c]]: T is plain tridiagonal and w
-    holds the coupling in its first and last entries.  T's eigenvalues
+    diagonal (_diagonal) in the ring order (_ring), and the coupling off
+    of _stencil.  In the ring order J = [[T, w], [w', c]] (_schur): T is
+    plain tridiagonal and c is J's diagonal at node k.  T's eigenvalues
     interlace J's.  With constant f, J is nearly singular along v' near a
     solution; cutting where |v'| is largest keeps T well away from
     singular.
     """
     m = problem.m
-    d, off = _stencil(problem.h)
     tau = np.empty(m)
     np.subtract(v[2:], v[:-2], out=tau[1:-1])
     tau[0] = v[1] - v[-1]
     tau[-1] = v[0] - v[-2]
     k = int(np.argmax(np.abs(tau)))
-    diag = d + problem.alpha - problem.p * problem.f_samples * a
-    return k, _ring(diag, k), off
-
-
-def _cut_solve(diag, off, b):
-    """T^{-1} [b, w] and w' times it, for J cut open by _cut; None on a zero pivot.
-
-    T has the diagonal diag[:-1] and the off-diagonal off, and w holds off
-    in its first and last entries, so w' x = off (x[0] + x[-1]): the cut
-    node's Schur term.  One LAPACK tridiagonal solve (dgtsv) takes both
-    columns; it comes from scipy's LAPACK extension, loaded by itself
-    (_lazy.flapack), not through scipy.linalg's package.
-    """
-    n = diag.size - 1
-    rhs = np.zeros((n, 2), order="F")  # in dgtsv's column order, so f2py passes it uncopied
-    rhs[:, 0] = b
-    rhs[0, 1] = rhs[-1, 1] = off
-    e = np.full(n - 1, off)
-    x, info = flapack().dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
-    return None if info else (x, off * (x[0] + x[-1]))
+    return k, _ring(_diagonal(problem, a), k), _stencil(problem.h)[1]
 
 
 def _mirror(y):
@@ -539,10 +565,10 @@ def _even_block(problem, a):
     m/2, and J maps it to the even vector whose values there are
     off y[j-1] + diag[j] y[j] + off y[j+1], with y[-1] = y[1] and
     y[m/2+1] = y[m/2-1]: a tridiagonal block whose two end rows couple
-    with 2 off.  diag = d + alpha - p f a, and off is _stencil's coupling.
+    with 2 off.  diag is J's diagonal there (_diagonal), and off is
+    _stencil's coupling.
     """
-    d, off = _stencil(problem.h)
-    return d + problem.alpha - problem.p * problem.f_samples[0] * a, off
+    return _diagonal(problem, a), _stencil(problem.h)[1]
 
 
 def _ldl_count(t, off, shift):
@@ -600,35 +626,45 @@ def _morse_counts(problem, v, a):
     J = [[T, w], [w', c]] with T plain tridiagonal, and by Haynsworth's
     inertia additivity J - s has as many negative eigenvalues as T - s,
     counted from one LDL' factor of T - s, plus one if the Schur complement
-    c - s - w' (T - s)^{-1} w is negative: one dpttrs column with the same
-    factor.  The inertia does not depend on where J is cut.  When a factor
-    meets a zero pivot, s moves 1 % further from 0.
+    c - s - w' (T - s)^{-1} w is negative (_schur): one dpttrs column with
+    the same factor.  The inertia does not depend on where J is cut.  When
+    a factor meets a zero pivot, s moves 1 % further from 0, up to
+    _SHIFT_TRIES factors in all; a shift lost in J's rounding meets the
+    same pivot every time, and the count refuses it by name.
     """
     half = _half(problem, v)
     if half:
-        even, coupling = _even_block(problem, a)
-        mid = even.size - 1  # node m/2
-        t = np.concatenate((even, even[1:-1]))  # the even block, then the odd one
+        diag, coupling = _even_block(problem, a)
+        mid = diag.size - 1  # node m/2
+        t = np.concatenate((diag, diag[1:-1]))  # the even block, then the odd one
         off = np.full(t.size - 1, coupling)
         off[0] = off[mid - 1] = math.sqrt(2.0) * coupling
         off[mid] = 0.0
     else:
-        _, diag, off = _cut(problem, v, a)
-        t = diag[:-1]
+        _, diag, coupling = _cut(problem, v, a)
+        t, off = diag[:-1], coupling
         w = np.zeros(problem.m - 1)
-        w[0] = w[-1] = off
+        w[0] = w[-1] = coupling
+    tol = ZERO_MODE_TOL * max(1.0, problem.alpha)
 
     def below(shift):
-        factor = _ldl_count(t, off, shift)
-        if factor is None:  # shift is an eigenvalue of T or of a leading block of it
-            return below(1.01 * shift)
+        for _ in range(_SHIFT_TRIES):
+            factor = _ldl_count(t, off, shift)
+            if factor is not None:
+                break
+            shift *= 1.01  # shift is an eigenvalue of T or of a leading block of it
+        else:
+            rounding = math.ulp(1.0) * (float(np.abs(diag).max()) - 2.0 * coupling)
+            raise PreconditionError(
+                "the Morse count's zero-mode tolerance ZERO_MODE_TOL * max(1, alpha) = %.3g is lost in J's"
+                " rounding level eps |J|_inf = %.3g" % (tol, rounding)
+            )
         n, d, e = factor
         if half:
             return n
         x = flapack().dpttrs(d, e, w)[0]
-        return n + int(diag[-1] - shift - off * (x[0] + x[-1]) < 0.0)
+        return n + int(_schur(diag[-1] - shift, coupling, x) < 0.0)
 
-    tol = ZERO_MODE_TOL * max(1.0, problem.alpha)
     index = below(-tol)
     return index, below(tol) - index
 
@@ -735,9 +771,9 @@ def _closed_form(problem, label):
     it, so the two agree bitwise.
     """
     f = float(problem.f_samples[0])
-    c = (problem.alpha / f) ** (1.0 / (problem.p - 1.0))
+    c = _level(problem, problem.alpha, f)
     a = c ** (problem.p - 1.0)
-    n = problem.m // 2 + 1 if _on_half_grid(problem, label) else problem.m
+    n = _start_nodes(problem, label)
     residual = abs(problem.alpha * c - f * a * c)
     return _start_result(problem, label, np.full(n, c), np.full(n, a), 0, residual, True, False)
 
@@ -765,30 +801,50 @@ def _on_half_grid(problem, label):
     return label != "random" and problem.m % 2 == 0 and problem.constant_weight
 
 
+def _start_nodes(problem, label):
+    """How many nodes a start with this label holds: m/2 + 1 on the half grid (_on_half_grid), else m."""
+    return problem.m // 2 + 1 if _on_half_grid(problem, label) else problem.m
+
+
+def _level(problem, alpha, f, what="the constant level (alpha/f)^{1/(p-1)}"):
+    """(alpha / f)^{1/(p-1)}, a start's level; a PreconditionError naming what unless it is a finite float.
+
+    The constant starts take it with alpha and their f (_starts, _closed_form), and
+    the soliton its amplitude, with (p+1) alpha and 2 f at the peak.  Float ** raises
+    OverflowError where the level passes the float range, and an overflowing
+    alpha / f makes it inf.
+    """
+    try:
+        level = (alpha / f) ** (1.0 / (problem.p - 1.0))
+    except OverflowError:
+        level = math.inf
+    if not level < math.inf:
+        raise PreconditionError("%s overflows a float at alpha = %r, p = %r" % (what, problem.alpha, problem.p))
+    return level
+
+
 def _soliton(problem, n):
     """Line soliton A sech^{2/(p-1)}((p-1) sqrt(alpha) x / 2) at the first node k where f peaks, on nodes 0, ..., n-1.
 
-    A^{p-1} = (p+1) alpha / (2 f_k), and x = (s - s_k + L/2) mod L - L/2.
-    On the half grid (n < m) f is constant, so k = 0 and |x| = s.
+    A^{p-1} = (p+1) alpha / (2 f_k) (_level), and x = (s - s_k + L/2) mod L - L/2,
+    the periodic distance.  On the half grid (n = m/2 + 1) f is constant,
+    so k = 0, and the formula gives |x| = s at nodes 0, ..., m/2, bitwise.
     """
     m, p = problem.m, problem.p
-    if n < m:  # the half grid
-        k, distance = 0, np.arange(n) * problem.h
-    else:
-        k = int(np.argmax(problem.f_samples))
-        distance = np.abs(((np.arange(n) - k + m // 2) % m - m // 2) * problem.h)
+    k = int(np.argmax(problem.f_samples))
+    distance = np.abs(((np.arange(n) - k + m // 2) % m - m // 2) * problem.h)
     e = np.exp(-0.5 * (p - 1.0) * math.sqrt(problem.alpha) * distance)
-    amplitude = ((p + 1.0) * problem.alpha / (2.0 * float(problem.f_samples[k]))) ** (1.0 / (p - 1.0))
+    amplitude = _level(problem, (p + 1.0) * problem.alpha, 2.0 * float(problem.f_samples[k]),
+                       "the soliton amplitude ((p+1) alpha/(2 f))^{1/(p-1)}")
     return amplitude * (2.0 * e / (1.0 + e * e)) ** (2.0 / (p - 1.0))  # sech, without cosh's overflow
 
 
 def _starts(problem, config):
     """(label, start) pairs; a start that solves on the half grid (_on_half_grid) holds nodes 0, ..., m/2 only."""
-    fbar = float(problem.f_samples.mean())
-    c = (problem.alpha / fbar) ** (1.0 / (problem.p - 1.0))
+    c = _level(problem, problem.alpha, float(problem.f_samples.mean()))
     out = []
     for idx, label in enumerate(config.starts):
-        n = problem.m // 2 + 1 if _on_half_grid(problem, label) else problem.m
+        n = _start_nodes(problem, label)
         if label == "constant":
             u0 = np.full(n, c)
         elif label == "soliton":
@@ -826,7 +882,14 @@ def _evaluate(problem, x):
     qv = _numerator(problem, u, du)
     g = _neg_laplacian(du, h, half)
     g += problem.alpha * u
-    g -= (qv * scale ** (q - 1.0)) * fa
+    try:
+        pull = scale ** (q - 1.0)  # den^{-p/(p+1)}
+    except OverflowError:
+        raise PreconditionError(
+            "quotient gradient undefined: the f-weighted integral %.3g is too small for den^{-p/(p+1)}"
+            " to be a float" % den
+        ) from None
+    g -= (qv * pull) * fa
     g *= 2.0 * w * h
     return u, qv, g, scale, a
 
@@ -834,15 +897,17 @@ def _evaluate(problem, x):
 def _p_inverse(problem, half=False):
     """x = P^{-1} g for P = -Delta_h + alpha, as a function of g, factored once.
 
-    P is _stencil's circulant, and every node is alike; cut open at node 0,
-    P = [[c, w'], [w, T]] with c = d + alpha, T plain tridiagonal and w
-    holding off in its first and last entries, as J in _cut.  T is
+    P is _stencil's circulant, and every node is alike, so it is cut open
+    at k = 0 like J in _cut: in the ring order 1, ..., m-1, 0 (_ring),
+    P = [[T, w], [w', c]] with c = d + alpha, T plain tridiagonal on nodes
+    1, ..., m-1 and w holding off in its first and last entries.  T is
     positive definite (every principal block of P is), so LAPACK factors it
     once (dpttrf, Golub & Van Loan 4.3.6); z = T^{-1} w and the cut node's
-    Schur scalar s = c - w' z > 0 come with the factor.  Each application
-    takes one dpttrs column y = T^{-1} g[1:] and closes it:
-    x[0] = (g[0] - w' y) / s and x[1:] = y - x[0] z, that is
-    x = [0, y] + x[0] [1, -z].
+    Schur complement s = _schur(c, off, z) > 0 come with the factor.  Each
+    application takes one dpttrs column y = T^{-1} g[1:] and closes it:
+    x[0] = _schur(g[0], off, y) / s and x[1:] = y - x[0] z.  At k = 0 node
+    order is the ring order with the cut node moved first, so the closure
+    writes x = x[0] [1, -z] + [0, y] in node order, with no _unring.
     On the half grid (half) P acts on an even vector by its even block E,
     whose two end rows couple with 2 off, as J's (_even_block).  Scaled by
     the half grid's node weights W = diag(1, 2, ..., 2, 1) (_dot), W E is
@@ -870,14 +935,14 @@ def _p_inverse(problem, half=False):
     # T is diagonally dominant, so no pivot of dpttrf can vanish
     diag, sub = lapack.dpttrf(np.full(m - 1, d + alpha), np.full(m - 2, off))[:2]
     w = np.zeros(m - 1)
-    w[0] = w[-1] = off  # w' y = off (y[0] + y[-1]), as in _cut_solve
+    w[0] = w[-1] = off
     z = lapack.dpttrs(diag, sub, w)[0]
-    s = d + alpha - off * (z[0] + z[-1])
+    s = _schur(d + alpha, off, z)
     closure = np.append(1.0, -z)
 
     def solve(g):
         y = lapack.dpttrs(diag, sub, g[1:])[0]
-        x = ((g[0] - off * (y[0] + y[-1])) / s) * closure
+        x = (_schur(g[0], off, y) / s) * closure
         x[1:] += y
         return x
 
@@ -975,27 +1040,28 @@ def _handoff(problem, u, qv, g, scale, a):
 def _newton_step(problem, v, r, a):
     """Newton step delta solving J delta = -r at v, a = v^{p-1}; None on a zero pivot of T.
 
-    With J cut open at node k (_cut), one _cut_solve gives T^{-1} b_T
-    beside T^{-1} w, and the cut node's Schur complement
-    s = c - w' T^{-1} w closes the step: delta_k = (b_k - w' T^{-1} b_T) / s
-    and the rest is T^{-1} b_T - delta_k T^{-1} w.  A zero s leaves the
-    step non-finite, which _newton rejects.
+    With J cut open at node k (_cut), J = [[T, w], [w', c]] in the ring
+    order (_ring), and b = -r in that order is [b_T, b_k].  One LAPACK
+    tridiagonal solve (dgtsv) takes the two columns T^{-1} [b_T, w], and
+    the cut node's Schur complement s = _schur(c, off, T^{-1} w) closes the
+    step: delta_k = _schur(b_k, off, T^{-1} b_T) / s and the rest is
+    T^{-1} b_T - delta_k T^{-1} w; _unring puts it in node order.  A zero s
+    leaves the step non-finite, which _newton rejects.  dgtsv comes from
+    scipy's LAPACK extension, loaded by itself (_lazy.flapack), not through
+    scipy.linalg's package.
     """
-    m = problem.m
     k, diag, off = _cut(problem, v, a)
     b = -_ring(r, k)
-    solved = _cut_solve(diag, off, b[:-1])
-    if solved is None:
+    n = b.size - 1
+    rhs = np.zeros((n, 2), order="F")  # in dgtsv's column order, so f2py passes it uncopied
+    rhs[:, 0] = b[:-1]
+    rhs[0, 1] = rhs[-1, 1] = off  # w
+    e = np.full(n - 1, off)
+    x, info = flapack().dgtsv(e, diag[:-1], e, rhs, overwrite_b=1)[3:]
+    if info:
         return None
-    x, wx = solved  # T^{-1} [b_T, w] and w' times it
-    dk = (b[-1] - wx[0]) / (diag[-1] - wx[-1])
-    y = x[:, 0] - dk * x[:, -1]
-    n = m - 1 - k  # y holds nodes k+1, ..., m-1, then 0, ..., k-1
-    delta = np.empty(m)
-    delta[k + 1:] = y[:n]
-    delta[:k] = y[n:]
-    delta[k] = dk
-    return delta
+    dk = _schur(b[-1], off, x[:, 0]) / _schur(diag[-1], off, x[:, 1])
+    return _unring(np.append(x[:, 0] - dk * x[:, 1], dk), k)
 
 
 def _even_step(problem, r, a):

@@ -29,6 +29,7 @@ EXPANSION = "src/symcrit/expansion.py"
 CONDITIONS = "src/symcrit/conditions.py"
 GEOMETRY = "src/symcrit/geometry.py"
 JSONIO = "src/symcrit/jsonio.py"
+CLI = "src/symcrit/cli.py"
 
 # The list may not shrink below this many mutants unnoticed.
 MIN_MUTANTS = 91
@@ -43,10 +44,10 @@ MUTANTS = [
      "tests/test_expansion.py::test_the_ceiling_reads_the_orbit_volume_laplacian_as_q_times_the_orbit_volume[2.0-7]"),
     (SOLVER, "\nZERO_MODE_TOL = 1e-6\n", "\nZERO_MODE_TOL = 1e-4\n",
      "tests/test_solver.py::test_the_constant_just_past_the_bifurcation_is_an_index_3_saddle"),
-    (SOLVER, "(2.0 * float(problem.f_samples[k]))", "(2.2 * float(problem.f_samples[k]))",
+    (SOLVER, "2.0 * float(problem.f_samples[k]),", "2.2 * float(problem.f_samples[k]),",
      "tests/test_solver.py::test_the_soliton_start_peaks_where_the_weight_does"),
-    (SOLVER, "k, distance = 0, np.arange(n) * problem.h", "k, distance = 0, np.arange(n) * (problem.h * (1.0 + 1e-12))",
-     "tests/test_solver.py::test_the_half_grid_soliton_is_the_circle_solitons_first_half[1024]"),
+    (SOLVER, "% m - m // 2) * problem.h)", "% m - m // 2) * (problem.h * (1.0 + 1e-12)))",
+     "tests/test_solver.py::test_the_soliton_start_is_the_line_soliton_in_the_periodic_distance[False]"),
     (SOLVER, "\nDESCENT_TOL = 1e-4\n", "\nDESCENT_TOL = 1e-3\n",
      "tests/test_solver.py::test_the_soliton_start_descends_in_a_handful_of_evaluations[1-1024]"),
     (SOLVER, "        if short_steps == 2:\n            break\n", "        if short_steps == 2:\n            pass\n",
@@ -63,7 +64,10 @@ MUTANTS = [
      "tests/test_solver.py::test_energy_separation_orders_reports"),
     (SOLVER, "else q < thr,", "else q <= thr * (1 + 1e-3),",
      "tests/test_solver.py::test_below_threshold_is_strict_at_a_relative_offset_of_1e_4"),
-    (SOLVER, "off * (x[0] + x[-1]) < 0.0)", "off * (x[0] + x[-1]) > 0.0)",
+    # the one Schur term of every cut, and the Morse count's reading of its sign
+    (SOLVER, "return c - off * (z[0] + z[-1])", "return c + off * (z[0] + z[-1])",
+     "tests/test_solver.py::test_morse_counts_match_dense_eigenvalues"),
+    (SOLVER, "coupling, x) < 0.0)", "coupling, x) > 0.0)",
      "tests/test_solver.py::test_morse_counts_match_dense_eigenvalues"),
     (SOLVER, "        count += 1\n", "        count += 2\n",
      "tests/test_solver.py::test_cylinder_triple_morse_counts_at_c6_alpha"),
@@ -125,7 +129,7 @@ MUTANTS = [
      "tests/test_solver.py::test_fused_evaluation_matches_quotient_and_gradient[64]"),
     (SOLVER, "g[0] = du[-1] - du[0]", "g[0] = du[-2] - du[0]",
      "tests/test_solver.py::test_periodic_differences_equal_the_roll_formulas[97]"),
-    (SOLVER, "s = d + alpha - off * (z[0] + z[-1])", "s = d + alpha + off * (z[0] + z[-1])",
+    (SOLVER, "return c - off * (z[0] + z[-1])", "return c - off * (z[0] - z[-1])",
      "tests/test_solver.py::test_the_descent_p_inverse_inverts_the_circulant_p[2.25-97]"),
     (SOLVER, "closure = np.append(1.0, -z)", "closure = np.append(1.0, z)",
      "tests/test_solver.py::test_the_descent_p_inverse_inverts_the_circulant_p[0.05-1024]"),
@@ -242,7 +246,7 @@ MUTANTS = [
      "tests/test_solver.py::test_the_handoff_is_the_rescaled_points_residual_and_power[half-5.0]"),
     (SOLVER, "(qv * scale ** (problem.p - 1.0)) * a", "qv * a",
      "tests/test_solver.py::test_the_handoff_is_the_rescaled_points_residual_and_power[cut-3.0]"),
-    (SOLVER, "c = (problem.alpha / f) ** (1.0 / (problem.p - 1.0))", "c = (problem.alpha / f) ** (1.0 / problem.p)",
+    (SOLVER, "level = (alpha / f) ** (1.0 / (problem.p - 1.0))", "level = (alpha / f) ** (1.0 / problem.p)",
      "tests/test_solver.py::test_the_closed_form_is_alpha_over_f_to_the_one_over_p_minus_1"),
     (SOLVER, "if handed is not None and v.min() >= POSITIVITY_FLOOR:", "if handed is not None:",
      "tests/test_solver.py::test_newton_evaluates_a_start_that_the_floor_would_move"),
@@ -250,6 +254,37 @@ MUTANTS = [
      "tests/test_solver.py::test_newton_has_converged_at_a_residual_equal_to_its_tolerance"),
     (SOLVER, "(hi - lo) > OSCILLATION_TOL * hi", "(hi - lo) >= OSCILLATION_TOL * hi",
      "tests/test_solver.py::test_classify_calls_a_range_of_exactly_oscillation_tol_times_the_max_constant"),
+    # refusals of inputs past the float range: a start's level, the stencil,
+    # the gradient's energy power and the Morse count's shift, then the
+    # expansion's eps ladder, area element, quotient, panel count and fit
+    (SOLVER, "except OverflowError:\n        level = math.inf", "except ZeroDivisionError:\n        level = math.inf",
+     "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts0]"),
+    (SOLVER, "if not level < math.inf:", "if level != level:",
+     "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts0]"),
+    (SOLVER, "finite = _stencil(self.h)[0] < math.inf", "finite = _stencil(self.h)[0] <= math.inf",
+     "tests/test_solver.py::test_a_node_spacing_whose_stencil_overflows_is_refused_by_name"),
+    (SOLVER, "            finite = False\n", "            finite = True\n",
+     "tests/test_solver.py::test_a_node_spacing_whose_stencil_overflows_is_refused_by_name"),
+    (SOLVER, "    except OverflowError:\n        raise PreconditionError(\n            \"quotient gradient",
+     "    except ZeroDivisionError:\n        raise PreconditionError(\n            \"quotient gradient",
+     "tests/test_solver.py::test_a_gradient_whose_energy_power_overflows_is_refused_by_name"),
+    (SOLVER, "for _ in range(_SHIFT_TRIES):", "for _ in range(_SHIFT_TRIES + 1):",
+     "tests/test_solver.py::test_the_morse_count_refuses_a_shift_that_meets_a_zero_pivot_on_every_try[cut]"),
+    (EXPANSION, "if not 1e-6 * d2 > 0.0:", "if not 1e-3 * d2 > 0.0:",
+     "tests/test_expansion.py::test_a_delta_whose_default_ladder_underflows_is_refused_by_name"),
+    (EXPANSION, "if not 0.0 < scale < math.inf:", "if not 0.0 <= scale < math.inf:",
+     "tests/test_expansion.py::test_a_curvature_whose_area_element_scale_leaves_the_float_range_is_refused_by_name"
+     "[1e-130-1.0]"),
+    (EXPANSION, "all(0.0 < value < math.inf for", "all(value < math.inf for",
+     "tests/test_expansion.py::test_a_quotient_whose_integrals_overflow_or_vanish_is_refused_by_name[zero]"),
+    (EXPANSION, "all(0.0 < value < math.inf for", "all(0.0 < value for",
+     "tests/test_expansion.py::test_a_quotient_whose_integrals_overflow_or_vanish_is_refused_by_name[inf]"),
+    (EXPANSION, "math.sqrt(least) < math.inf:", "math.sqrt(least) <= math.inf:",
+     "tests/test_expansion.py::test_a_panel_count_past_the_float_range_is_refused_by_name"),
+    (EXPANSION, "all(map(math.isfinite, fit))", "True",
+     "tests/test_expansion.py::test_a_fit_whose_numbers_overflow_is_refused_by_name[predicted]"),
+    (CLI, "if args.eps_min == 0.0 or args.eps_max == 0.0:", "if args.eps_min == 0.0:",
+     "tests/test_cli.py::test_an_eps_ladder_with_an_end_at_zero_is_refused_by_name[--eps-max]"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

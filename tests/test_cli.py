@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from cli_scan import undocumented_nulls
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symcrit import (
     ExpansionConfig,
@@ -350,6 +354,82 @@ def test_expansion_branches(capsys):
     for count in ("0", "-1"):
         assert main(["expansion", "--dim", "6", *args[:-1], count]) == 2
         assert "--eps-count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["--eps-min", "--eps-max"])
+def test_an_eps_ladder_with_an_end_at_zero_is_refused_by_name(capsys, edge):
+    argv = ["expansion", "--dim", "6", "--delta", "1.0", "--alpha", "1.0", "--orbit-volume", "1.0",
+            "--eps-max", "1e-4", "--eps-min", "1e-6"]
+    argv[argv.index(edge) + 1] = "0.0"
+    assert main(argv) == 2
+    assert "precondition violated: --eps-min and --eps-max must be positive, got " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("solve --length 6 --alpha 1000 --p 1.001 --grid 64", "the constant level (alpha/f)^{1/(p-1)} overflows"),
+        ("solve --length 1e-300 --alpha 1 --p 5 --grid 64", "the stencil 2/h^2 of the node spacing h"),
+        ("solve --length 1e-320 --alpha 1 --p 5 --grid 64", "the stencil 2/h^2 of the node spacing h"),
+        ("solve --length 9.417435721214023e-08 --alpha 3.29460598250793e-08 --p 60.13990317699089 --grid 64"
+         " --weight 528.7711818319289", "zero-mode tolerance ZERO_MODE_TOL * max(1, alpha) = 1e-06 is lost"),
+        ("expansion --dim 6 --delta 1e-320 --alpha 1 --orbit-volume 1", "the default eps ladder"),
+        ("expansion --dim 6 --delta 1.0 --alpha 1 --orbit-volume 1 --curvature 1e-300",
+         "the area element's scale sqrt(curvature)^{N-1}"),
+        ("expansion --dim 6 --delta 5.923371299533323 --alpha 1e300 --orbit-volume 248.1959638703932",
+         "I(u_eps) must be a finite positive float"),
+    ],
+)
+def test_inputs_past_the_float_range_are_refused_by_name(capsys, argv, named):
+    # each once ended in a traceback (OverflowError, ZeroDivisionError,
+    # RecursionError, ValueError) or, the last, in exit 0 with a null c1
+    with np.errstate(all="ignore"):
+        assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition violated: ") and named in err
+
+
+# Floats at the edges of the float range: subnormals, the largest floats,
+# 0 and negative values, beside ordinary magnitudes; p also just above 1
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -1.0, -0.0, 5e-324, 1e-320, 1e-300, 1e300, 1e308, 1.7976931348623157e308]),
+    st.floats(min_value=1e-8, max_value=1e8),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+_EXPONENTS = st.one_of(st.floats(min_value=1.0, max_value=1.0 + 1e-3, exclude_min=True), st.floats(1.0, 100.0),
+                       _EDGE_FLOATS)
+
+
+@st.composite
+def _solve_and_expansion_calls(draw):
+    if draw(st.booleans()):
+        argv = ["solve", "--grid", "64", "--length", repr(draw(_EDGE_FLOATS)), "--alpha", repr(draw(_EDGE_FLOATS)),
+                "--p", repr(draw(_EXPONENTS))]
+        optional = ("weight", "f-value", "orbit-volume")
+    else:
+        argv = ["expansion", "--dim", str(draw(st.integers(4, 8))), "--delta", repr(draw(_EDGE_FLOATS)),
+                "--alpha", repr(draw(_EDGE_FLOATS)), "--orbit-volume", repr(draw(_EDGE_FLOATS))]
+        optional = ("q", "curvature", "f-peak", "f-laplacian")
+    for flag in optional:
+        value = draw(st.none() | _EDGE_FLOATS)
+        if value is not None:
+            argv += ["--" + flag, repr(value)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_solve_and_expansion_calls())
+def test_every_solve_and_expansion_call_ends_in_a_named_refusal_or_a_finite_answer(argv):
+    # README's exit codes hold for any float flags: 0, 2 or 3, or 1 only as
+    # argparse's usage error, and no exception escapes main; a JSON answer
+    # holds null only where documented (tests/cli_scan.py scans more calls)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = main(argv)
+    assert code in (0, 2, 3) or (code == 1 and "usage:" in err.getvalue())
+    if code == 0:
+        assert undocumented_nulls(json.loads(out.getvalue())) == []
 
 
 def test_canonical_json_handles_special_values():

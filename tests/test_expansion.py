@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -558,6 +559,77 @@ def test_branch_dispatch_validation():
         rayleigh_quotient(_config(dim=6), 0.0)
     with pytest.raises(PreconditionError):
         fit_and_compare(_config(dim=6, epsilons=(1e-3,)))
+
+
+def test_a_delta_whose_default_ladder_underflows_is_refused_by_name():
+    # the ladder's last eps, 1e-6 delta^2, is 1e-322 at delta = 1e-158 and
+    # rounds to 0 at 1e-160, where np.geomspace could not start it
+    assert ExpansionConfig(dim=6, delta=1e-158, alpha=1.0, orbit_volume=1.0).epsilons[-1] > 0.0
+    with pytest.raises(PreconditionError, match=r"^the default eps ladder 1e-3 delta\^2 to 1e-6 delta\^2 underflows"
+                                                r" to 0 at delta = 1e-160$"):
+        ExpansionConfig(dim=6, delta=1e-160, alpha=1.0, orbit_volume=1.0)
+
+
+@pytest.mark.parametrize("curvature, delta", [(1e-130, 1.0), (1e300, 1e-151)])
+def test_a_curvature_whose_area_element_scale_leaves_the_float_range_is_refused_by_name(curvature, delta):
+    # sqrt(c)^5 at dim 6: 1e-320 at c = 1e-128, which _density divides by,
+    # 0 at c = 1e-130, and past the float range (float ** raises) at c = 1e300
+    assert ExpansionConfig(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0, curvature=1e-128).curvature == 1e-128
+    message = "the area element's scale sqrt(curvature)^{N-1} = sqrt(%r)^5 must be a finite positive float" % curvature
+    with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+        ExpansionConfig(dim=6, delta=delta, alpha=1.0, orbit_volume=1.0, curvature=curvature)
+
+
+@pytest.mark.parametrize("kwargs, fine, bad", [
+    # I = num / den^{2/3} passes the float range at alpha = 1e100 where f_peak is 1e-320
+    (dict(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0, f_peak=1e-320), dict(alpha=1e90), dict(alpha=1e100)),
+    # alpha u^2 passes it on the nodes, and rho's zero at r = 0 makes the integrand nan
+    (dict(dim=6, delta=5.923371299533323, alpha=1.0, orbit_volume=248.1959638703932), dict(alpha=1e200),
+     dict(alpha=1e300)),
+    # I, near 1e-299 at an orbit volume of 1e-300, rounds to 0 at 1e-310
+    (dict(dim=7, delta=52874.16684497661, alpha=6.098460738608095e-07, orbit_volume=1.0, f_peak=1e300,
+          f_laplacian=0.00043594509483381027), dict(orbit_volume=1e-300), dict(orbit_volume=1e-310)),
+], ids=["inf", "nan", "zero"])
+def test_a_quotient_whose_integrals_overflow_or_vanish_is_refused_by_name(kwargs, fine, bad):
+    # each once reached the fit: the first two printed null, the last divided by a limit of 0
+    config = ExpansionConfig(**{**kwargs, **fine})
+    values = rayleigh_quotient(config, config.epsilons)
+    assert np.all((0.0 < values) & (values < math.inf))
+    config = ExpansionConfig(**{**kwargs, **bad})
+    refusal = r"^I\(u_eps\) must be a finite positive float: the quotient's integrals overflow or vanish$"
+    with np.errstate(all="ignore"), pytest.raises(PreconditionError, match=refusal):
+        rayleigh_quotient(config, config.epsilons)
+
+
+def test_a_panel_count_past_the_float_range_is_refused_by_name():
+    # quad grades its panels by 3 from sqrt(eps) to delta: delta / (2 sqrt(eps))
+    # is 5e307 at delta = 1e308 and eps = 1, where a later check refuses the
+    # integrals, and inf at eps = 0.01
+    config = ExpansionConfig(dim=6, delta=1e308, alpha=1.0, orbit_volume=1.0, epsilons=(1.0, 0.01))
+    with np.errstate(all="ignore"):
+        with pytest.raises(PreconditionError, match="^degenerate test function: zero denominator$"):
+            rayleigh_quotient(config, 1.0)
+        with pytest.raises(PreconditionError, match=r"^the rule's panel count log_3\(delta / \(2 sqrt\(eps\)\)\) must"
+                                                    r" be finite, got delta = 1e\+308 and eps = 0.01$"):
+            rayleigh_quotient(config, config.epsilons)
+
+
+@pytest.mark.parametrize("kwargs, fine, bad", [
+    # finite samples of order 1e200 give slope differences whose square, in
+    # Aitken's Delta^2, passes the float range; samples of order 1e100 do not
+    (dict(dim=6, delta=5.923371299533323, orbit_volume=248.1959638703932), dict(alpha=1e100), dict(alpha=1e200)),
+    # the predicted c1's (N - 4) lap f / (2 f) is -8.3e306 at lap f = -1e8 and f = 1e-300, and -inf at -1e9
+    (dict(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0, f_peak=1e-300), dict(f_laplacian=-1e8),
+     dict(f_laplacian=-1e9)),
+], ids=["extrapolated", "predicted"])
+def test_a_fit_whose_numbers_overflow_is_refused_by_name(kwargs, fine, bad):
+    report = fit_and_compare(ExpansionConfig(**{**kwargs, **fine}))
+    assert math.isfinite(report.fitted_c1) and math.isfinite(report.predicted_c1)
+    with np.errstate(all="ignore"), pytest.raises(
+        PreconditionError, match=r"^the linear fit of I\(u_eps\) must give finite floats: its slopes, limit or"
+                                 r" extrapolated c1 overflow$"
+    ):
+        fit_and_compare(ExpansionConfig(**{**kwargs, **bad}))
 
 
 def test_default_epsilons_span_three_decades():

@@ -176,6 +176,19 @@ def test_the_node_spacing_is_set_once_on_a_frozen_problem():
         problem.length = 14.0
 
 
+def test_a_node_spacing_whose_stencil_overflows_is_refused_by_name():
+    # 2/h^2 is finite at h = 1.1e-154 (1.65e308) and inf at h = 1e-154 (h^2
+    # is 1e-308); at h = 1.6e-322, h^2 underflows to 0 and 2/h^2 would divide
+    # by zero.  length / 64 is exact, so the boundary sits where h says.
+    assert _problem(length=64 * 1.1e-154, m=64).h == 1.1e-154
+    for length in (64 * 1e-154, 1e-300, 1e-320):
+        with pytest.raises(PreconditionError, match=r"^the stencil 2/h\^2 of the node spacing h = length / grid = "
+                                                    r"[0-9.e+-]+ overflows a float$"):
+            _problem(length=length, m=64)
+    # a stencil that underflows to 0 leaves -Delta_h at 0 to rounding, and solves
+    assert solver._stencil(_problem(length=1e308, m=64).h)[0] == 0.0
+
+
 @pytest.mark.parametrize("m", [64, 97])
 def test_fused_evaluation_matches_quotient_and_gradient(m):
     rng = np.random.default_rng(100 + m)
@@ -233,6 +246,17 @@ def test_quotient_gradient_takes_one_power(monkeypatch, m):
     monkeypatch.setattr(solver, "_power", power)
     expected = energy(problem, x) ** (-1.0 / problem.two_sharp) * solver._evaluate(problem, x)[2]
     assert np.array_equal(g, expected)
+
+
+def test_a_gradient_whose_energy_power_overflows_is_refused_by_name():
+    # The gradient's weighted term takes den^{-p/(p+1)}, den = w h sum f x^{p+1}.
+    # With h = 1 and x = 1, den = 64 w: at p = 40, w = 2^-1050 gives 2^1018.5
+    # and w = 2^-1060 passes the float range, where float ** raises
+    x = np.ones(64)
+    assert np.all(np.isfinite(quotient_gradient(_problem(length=64.0, weight=2.0**-1050, p=40.0, m=64), x)))
+    with pytest.raises(PreconditionError, match=r"^quotient gradient undefined: the f-weighted integral 5.18e-318 is"
+                                                r" too small for den\^\{-p/\(p\+1\)\} to be a float$"):
+        quotient_gradient(_problem(length=64.0, weight=2.0**-1060, p=40.0, m=64), x)
 
 
 @pytest.mark.parametrize("m", [64, 97, 1024, 16384])
@@ -688,6 +712,31 @@ def test_a_constant_whose_energy_overflows_is_refused_by_name():
             solve(problem)
 
 
+@pytest.mark.parametrize("starts", [("constant",), ("soliton",), ("cos1",)])
+def test_a_level_that_overflows_is_refused_by_name(starts):
+    # At p = 1.5 the constant level (alpha/f)^{1/(p-1)} is (alpha/f)^2: 1.69e308
+    # at alpha = 1.3e154 and past the float range at 2e154, where float **
+    # raises OverflowError.  The soliton's amplitude ((p+1) alpha/(2 f))^2 is
+    # 1.5625 times the level, so at 1.3e154 it has passed the range already.
+    fine, over = _problem(alpha=1.3e154, p=1.5, m=64), _problem(alpha=2e154, p=1.5, m=64)
+    assert solver._level(fine, fine.alpha, 1.0) == 1.3e154 ** 2
+    for alpha, f in ((over.alpha, 1.0), (1e308, 1e-300)):  # float ** overflows; alpha / f is inf
+        with pytest.raises(PreconditionError, match=r"^the constant level \(alpha/f\)\^\{1/\(p-1\)\} overflows"):
+            solver._level(over, alpha, f)
+    config = SolveConfig(starts=starts)
+    with pytest.raises(PreconditionError, match=r"^the constant level \(alpha/f\)\^\{1/\(p-1\)\} overflows a float"
+                                                r" at alpha = 2e\+154, p = 1.5$"):
+        minimize(over, config)
+    with np.errstate(over="ignore"), pytest.raises(PreconditionError) as refused:
+        minimize(fine, config)
+    if starts == ("soliton",):
+        assert str(refused.value).startswith("the soliton amplitude ((p+1) alpha/(2 f))^{1/(p-1)} overflows")
+    else:  # the level is finite; its energy is not
+        assert str(refused.value).startswith("quotient undefined")
+    with pytest.raises(PreconditionError, match=r"^the constant level"):
+        constant_solution(over)
+
+
 def test_the_closed_form_is_alpha_over_f_to_the_one_over_p_minus_1():
     for m, p in ((96, 5.0), (97, 7.0 / 3.0)):
         report = constant_solution(_problem(alpha=0.3, p=p, m=m, f=np.full(m, 2.5)))
@@ -1082,6 +1131,24 @@ def test_the_half_grid_soliton_is_the_circle_solitons_first_half(m):
         assert np.array_equal(solver._soliton(problem, m // 2 + 1), solver._soliton(problem, m)[:m // 2 + 1])
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_the_soliton_start_is_the_line_soliton_in_the_periodic_distance(weighted):
+    # A cosh((p-1) sqrt(alpha) x / 2)^{-2/(p-1)} with x the distance to the
+    # peak of f around the circle, formed here independently of _soliton
+    m, alpha, p = 256, 3.0, 5.0
+    s = np.arange(m) * (2.0 * math.pi / m)
+    f = 1.0 + 0.15 * np.cos(s - 2.0) if weighted else None
+    problem = _problem(alpha=alpha, p=p, m=m, f=f)
+    k = int(np.argmax(problem.f_samples))
+    x = np.abs(s - s[k])
+    x = np.minimum(x, 2.0 * math.pi - x)
+    amplitude = ((p + 1.0) * alpha / (2.0 * problem.f_samples[k])) ** (1.0 / (p - 1.0))
+    expected = amplitude / np.cosh(0.5 * (p - 1.0) * math.sqrt(alpha) * x) ** (2.0 / (p - 1.0))
+    (_, u0), = solver._starts(problem, SolveConfig(starts=("soliton",)))
+    full = u0 if weighted else solver._mirror(u0)
+    assert full == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
 def test_the_soliton_start_of_a_constant_weight_peaks_where_cos1_does():
     problem = _problem(alpha=0.3, m=128)
     starts = dict(solver._starts(problem, SolveConfig(starts=("soliton", "cos1"))))
@@ -1366,6 +1433,48 @@ def test_morse_count_moves_its_shift_off_a_zero_middle_pivot(monkeypatch):
     eig = np.linalg.eigvalsh(jac)
     expected = (int(np.sum(eig < -tol)), int(np.sum(np.abs(eig) <= tol)))
     assert solver._morse_counts(_problem(alpha=0.5, m=m), np.ones(m), None) == expected  # the circle's length
+
+
+@pytest.mark.parametrize("path", ["cut", "half"])
+def test_the_morse_count_refuses_a_shift_that_meets_a_zero_pivot_on_every_try(monkeypatch, path):
+    # Each shift takes up to _SHIFT_TRIES factors, moving 1 % further from 0
+    # after each zero pivot: with one factor fewer singular the count is the
+    # one without any, and with every one singular it refuses by name
+    problem = _problem(alpha=0.3, m=64)
+    v = constant_solution(problem).u
+    if path == "half":
+        v = v[:33]
+    power = v ** (problem.p - 1.0)
+    expected = solver._morse_counts(problem, v, power)
+    ldl_count = solver._ldl_count
+    for singular in (solver._SHIFT_TRIES - 1, solver._SHIFT_TRIES):
+        calls = []
+
+        def singular_first(t, off, shift):
+            calls.append(shift)
+            return None if len(calls) <= singular else ldl_count(t, off, shift)
+
+        monkeypatch.setattr(solver, "_ldl_count", singular_first)
+        if singular < solver._SHIFT_TRIES:
+            assert solver._morse_counts(problem, v, power) == expected
+            assert calls[singular] == pytest.approx(-solver.ZERO_MODE_TOL * 1.01 ** singular, rel=1e-12, abs=0.0)
+        else:
+            with pytest.raises(PreconditionError, match=r"^the Morse count's zero-mode tolerance ZERO_MODE_TOL"
+                                                        r" \* max\(1, alpha\) = 1e-06 is lost in J's rounding level"
+                                                        r" eps \|J\|_inf = "):
+                solver._morse_counts(problem, v, power)
+            assert len(calls) == solver._SHIFT_TRIES
+
+
+def test_a_zero_mode_tolerance_below_j_rounding_is_refused_by_name():
+    # J's diagonal is about 9.2e17 here, so a shift of 1e-6 is lost in its
+    # rounding and every factor meets the same zero pivot: the count refuses
+    # after _SHIFT_TRIES factors, where it once recursed without end
+    problem = ReducedProblem(length=9.417435721214023e-08, weight=528.7711818319289, alpha=3.29460598250793e-08,
+                             p=60.13990317699089, f_samples=np.ones(64))
+    with pytest.raises(PreconditionError, match=r"^the Morse count's zero-mode tolerance .* = 1e-06 is lost in J's"
+                                                r" rounding level eps \|J\|_inf = 4[0-9]{2}$"):
+        minimize(problem)
 
 
 @pytest.mark.parametrize("n, count", [(4, 1), (6, 2), (7, 2)])
