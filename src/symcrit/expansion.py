@@ -88,6 +88,15 @@ class ExpansionConfig:
             object.__setattr__(self, "curvature", _above(self.curvature, "curvature", 0.0))
             if math.sqrt(self.curvature) * self.delta >= math.pi:
                 raise PreconditionError("delta exceeds the injectivity scale of the curvature")
+            try:
+                scale = math.sqrt(self.curvature) ** (self.dim - 1.0)  # _density divides by it
+            except OverflowError:
+                scale = math.inf
+            if not 0.0 < scale < math.inf:
+                raise PreconditionError(
+                    "the area element's scale sqrt(curvature)^{N-1} = sqrt(%r)^%d must be a finite positive float"
+                    % (self.curvature, self.dim - 1)
+                )
         eps = _real_array(self.epsilons)
         if eps is None or eps.ndim != 1:
             raise PreconditionError("epsilons must be a 1-d sequence of numbers")
@@ -103,16 +112,6 @@ class ExpansionConfig:
         if eps[0] > d2 / 4.0:
             raise PreconditionError("largest eps must not exceed delta^2 / 4")
         object.__setattr__(self, "epsilons", eps)
-        if self.curvature is not None:
-            try:
-                scale = math.sqrt(self.curvature) ** (self.dim - 1.0)  # _density divides by it
-            except OverflowError:
-                scale = math.inf
-            if not 0.0 < scale < math.inf:
-                raise PreconditionError(
-                    "the area element's scale sqrt(curvature)^{N-1} = sqrt(%r)^%d must be a finite positive float"
-                    % (self.curvature, self.dim - 1)
-                )
 
     @property
     def two_sharp(self):

@@ -526,11 +526,15 @@ def _schur(c, off, z):
 
 
 def _diagonal(problem, a):
-    """J's diagonal d + alpha - p f a at the nodes a = v^{p-1} holds: the circle's m, or the half grid's m/2 + 1.
+    """(diag, off): J's diagonal d + alpha - p f a at the nodes a = v^{p-1} holds, and _stencil's coupling off.
 
-    On the half grid f is constant, so f[:m/2 + 1] serves (_nonlinearity).
+    a holds the circle's m nodes, or the half grid's m/2 + 1, where f is
+    constant.  A constant f enters as its one value f[0], so the diagonal
+    takes one array product and fits either grid.
     """
-    return _stencil(problem.h)[0] + problem.alpha - problem.p * problem.f_samples[:a.size] * a
+    d, off = _stencil(problem.h)
+    f = problem.f_samples[0] if problem.constant_weight else problem.f_samples
+    return d + problem.alpha - problem.p * f * a, off
 
 
 def _cut(problem, v, a):
@@ -550,7 +554,8 @@ def _cut(problem, v, a):
     tau[0] = v[1] - v[-1]
     tau[-1] = v[0] - v[-2]
     k = int(np.argmax(np.abs(tau)))
-    return k, _ring(_diagonal(problem, a), k), _stencil(problem.h)[1]
+    diag, off = _diagonal(problem, a)
+    return k, _ring(diag, k), off
 
 
 def _mirror(y):
@@ -568,7 +573,7 @@ def _even_block(problem, a):
     with 2 off.  diag is J's diagonal there (_diagonal), and off is
     _stencil's coupling.
     """
-    return _diagonal(problem, a), _stencil(problem.h)[1]
+    return _diagonal(problem, a)
 
 
 def _ldl_count(t, off, shift):
@@ -807,12 +812,13 @@ def _start_nodes(problem, label):
 
 
 def _level(problem, alpha, f, what="the constant level (alpha/f)^{1/(p-1)}"):
-    """(alpha / f)^{1/(p-1)}, a start's level; a PreconditionError naming what unless it is a finite float.
+    """(alpha / f)^{1/(p-1)}, a level; a PreconditionError naming what unless it is a finite float.
 
-    The constant starts take it with alpha and their f (_starts, _closed_form), and
-    the soliton its amplitude, with (p+1) alpha and 2 f at the peak.  Float ** raises
-    OverflowError where the level passes the float range, and an overflowing
-    alpha / f makes it inf.
+    The constant starts take it with alpha and their f (_starts,
+    _closed_form), the soliton its amplitude, with (p+1) alpha and 2 f at
+    the peak, and Newton's first iterate its level s = Q^{1/(p-1)}, with Q
+    and 1 (_handoff).  Float ** raises OverflowError where the level passes
+    the float range, and an overflowing alpha / f makes it inf.
     """
     try:
         level = (alpha / f) ** (1.0 / (problem.p - 1.0))
@@ -841,7 +847,8 @@ def _soliton(problem, n):
 
 def _starts(problem, config):
     """(label, start) pairs; a start that solves on the half grid (_on_half_grid) holds nodes 0, ..., m/2 only."""
-    c = _level(problem, problem.alpha, float(problem.f_samples.mean()))
+    if any(label != "soliton" for label in config.starts):  # the soliton forms its own level
+        c = _level(problem, problem.alpha, float(problem.f_samples.mean()))
     out = []
     for idx, label in enumerate(config.starts):
         n = _start_nodes(problem, label)
@@ -1030,9 +1037,10 @@ def _handoff(problem, u, qv, g, scale, a):
     f v^p = s qv scale^p f x^p, so r(v) = s (-Delta_h u + alpha u - qv
     scale^p f a x) = (s / (2 w h)) g, and v^{p-1} = qv scale^{p-1} a,
     a = x^{p-1}.  Newton's first iterate thus takes no residual and no
-    power of its own.
+    power of its own.  Its level s is _level's, refused by name where it
+    passes the float range.
     """
-    s = qv ** (1.0 / (problem.p - 1.0))
+    s = _level(problem, qv, 1.0, "the solution's level Q^{1/(p-1)}")
     r = (s / (2.0 * problem.weight * problem.h)) * g
     return s * u, r, (qv * scale ** (problem.p - 1.0)) * a
 

@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Seeded scan of the command line: every call ends in a named refusal or a finite answer.
 
-    python3 tests/cli_scan.py [--calls 3000] [--seed 7]
+    python3 tests/cli_scan.py
 
-Draws `interval`, `solve` and `expansion` calls from random.Random(seed)
-and runs each through symcrit.cli.main in this process.  Floats are
-log-uniform in [1e-8, 1e8], with one in ten drawn from SPECIAL instead;
-`solve` runs at grid 64 with p = 1 + 10^U(-4, 2).  A call passes when main
-returns 0, 2 or 3, or 1 with argparse's usage message, and when the JSON
-it prints on exit 0 holds null only in the fields documented as nullable
-(NULLABLE).  Exits 1 when any call raises out of main (a traceback) or
+Draws CALLS `interval`, `solve` and `expansion` calls from
+random.Random(SEED) and runs each through symcrit.cli.main in this
+process.  Floats are log-uniform in [1e-8, 1e8], with one in ten drawn
+from SPECIAL instead; `solve` runs at grid 64 with p = 1 + 10^U(-4, 2).
+A call passes when main returns 0, 2 or 3, or 1 with argparse's usage
+message, and when the JSON it prints on exit 0 holds null only in the
+fields documented as nullable (NULLABLE).  Exits 1 when any call raises out of main (a traceback) or
 prints an undocumented null, listing the first calls of each kind.
 Pytest does not collect this file.
 """
 
-import argparse
 import collections
 import contextlib
 import io
@@ -30,6 +29,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from symcrit.cli import main  # noqa: E402
 from symcrit.geometry import EXAMPLE_IDS  # noqa: E402
+
+CALLS, SEED = 3000, 7
 
 SPECIAL = (0.0, -1.0, 5e-324, 1e-320, 1e-300, 1e300, 1e308)
 
@@ -124,18 +125,14 @@ def run(argv):
     return "exit %d" % code, None
 
 
-def main_scan(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--calls", type=int, default=3000)
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+def main_scan():
+    rng = random.Random(SEED)
     draws = (interval_call, solve_call, expansion_call)
     counts = collections.Counter()
     bad = collections.defaultdict(list)
     t0 = time.perf_counter()
     with warnings_off():
-        for _ in range(args.calls):
+        for _ in range(CALLS):
             call = rng.choice(draws)(rng)
             outcome, detail = run(call)
             counts[call[0], outcome] += 1
@@ -148,7 +145,7 @@ def main_scan(argv=None):
         for detail, call in cases[:10]:
             print("  %s: symcrit %s" % (detail, " ".join(call)))
     print("%d calls, %d tracebacks, %d undocumented nulls in %.1f s"
-          % (args.calls, len(bad["traceback"]), len(bad["null"]), time.perf_counter() - t0))
+          % (CALLS, len(bad["traceback"]), len(bad["null"]), time.perf_counter() - t0))
     return 1 if bad else 0
 
 

@@ -32,7 +32,7 @@ JSONIO = "src/symcrit/jsonio.py"
 CLI = "src/symcrit/cli.py"
 
 # The list may not shrink below this many mutants unnoticed.
-MIN_MUTANTS = 91
+MIN_MUTANTS = 107
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -261,6 +261,10 @@ MUTANTS = [
      "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts0]"),
     (SOLVER, "if not level < math.inf:", "if level != level:",
      "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts0]"),
+    (SOLVER, "if any(label != \"soliton\" for label in config.starts):", "if True:",
+     "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts1]"),
+    (SOLVER, "s = _level(problem, qv, 1.0,", "s = qv ** (1.0 / (problem.p - 1.0)) or _level(problem, qv, 1.0,",
+     "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts1]"),
     (SOLVER, "finite = _stencil(self.h)[0] < math.inf", "finite = _stencil(self.h)[0] <= math.inf",
      "tests/test_solver.py::test_a_node_spacing_whose_stencil_overflows_is_refused_by_name"),
     (SOLVER, "            finite = False\n", "            finite = True\n",

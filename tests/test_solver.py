@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pickle
+import re
 import subprocess
 import sys
 
@@ -724,17 +725,35 @@ def test_a_level_that_overflows_is_refused_by_name(starts):
         with pytest.raises(PreconditionError, match=r"^the constant level \(alpha/f\)\^\{1/\(p-1\)\} overflows"):
             solver._level(over, alpha, f)
     config = SolveConfig(starts=starts)
-    with pytest.raises(PreconditionError, match=r"^the constant level \(alpha/f\)\^\{1/\(p-1\)\} overflows a float"
-                                                r" at alpha = 2e\+154, p = 1.5$"):
+    soliton = starts == ("soliton",)  # it forms its own level, and no other
+    what = "the soliton amplitude ((p+1) alpha/(2 f))" if soliton else "the constant level (alpha/f)"
+    with pytest.raises(PreconditionError,
+                       match="^" + re.escape(what + "^{1/(p-1)} overflows a float at alpha = 2e+154, p = 1.5") + "$"):
         minimize(over, config)
     with np.errstate(over="ignore"), pytest.raises(PreconditionError) as refused:
         minimize(fine, config)
-    if starts == ("soliton",):
+    if soliton:
         assert str(refused.value).startswith("the soliton amplitude ((p+1) alpha/(2 f))^{1/(p-1)} overflows")
     else:  # the level is finite; its energy is not
         assert str(refused.value).startswith("quotient undefined")
     with pytest.raises(PreconditionError, match=r"^the constant level"):
         constant_solution(over)
+    # At p = 1.0001 a level is (alpha/f)^{1/(p-1)}, about (alpha/f)^{1e4}.  With
+    # f = 1/4 off a peak of (p+1)/2, the mean-f level (about 3.9^{1e4})
+    # overflows, while the soliton's amplitude ((p+1) alpha/(2 f_max))^{1e4} is
+    # 1.  The soliton descends, and the level Q^{1e4} that rescales its
+    # minimizer into a solution overflows
+    p = 1.0001
+    weighted = _problem(alpha=1.0, p=p, m=64, f=np.where(np.arange(64) == 5, 0.5 * (p + 1.0), 0.25))
+    if soliton:
+        ((_, start),) = solver._starts(weighted, config)
+        assert start[5] == start.max() == 1.0
+        level = "the solution's level Q^{1/(p-1)} overflows a float"
+        with pytest.raises(PreconditionError, match="^" + re.escape(level)):
+            minimize(weighted, config)
+    else:
+        with pytest.raises(PreconditionError, match=r"^the constant level \(alpha/f\)"):
+            solver._starts(weighted, config)
 
 
 def test_the_closed_form_is_alpha_over_f_to_the_one_over_p_minus_1():
