@@ -25,8 +25,8 @@ constants for which it is known to hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .best_constants import _curvature_term
 from .constants import _above, _concentration_threshold, _finite, _real, sobolev_constant
 from .errors import PreconditionError
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FProfile:
     """Scalar data of the positive weight f at and around its peak.
 
@@ -97,7 +97,7 @@ class FProfile:
         return self.f_max / self.f_avg
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GenericIneqParams:
     """Constants (crit, P, D) of one valid band inequality; see module docstring."""
 
@@ -123,13 +123,16 @@ class GenericIneqParams:
 
 
 # ConditionReport and GuaranteedInterval are built on every example_interval
-# call, so each has a hand-written __init__ that stores its fields through
-# their slot descriptors, bound once below each class: the generated frozen
-# __init__ looks object.__setattr__ up again for every field.
+# call, so each has a hand-written __init__ with fixed parameters that stores
+# its fields through their slot descriptors, bound once below each class: the
+# shared record __init__ takes *args and **kwargs and binds them in Python.
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class ConditionReport:
+    """One sufficient condition behind an interval, with its verdict and the
+    alpha endpoint it imposes (None when it imposes none)."""
+
     label: str
     status: str  # "satisfied" | "unsatisfiable" | "needs-unknown-constant" | "assumed"
     value: float | None = None
@@ -158,7 +161,7 @@ _SEPARATED = ConditionReport("separation-window", "satisfied")
 _NOT_SEPARATED = ConditionReport("separation-window", "unsatisfiable")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class GuaranteedInterval:
     """Alpha interval on which the advertised conclusion is guaranteed.
 
@@ -219,7 +222,7 @@ _set_count = GuaranteedInterval.count.__set__
 _set_conditions = GuaranteedInterval.conditions.__set__
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExistenceBound:
     """Ceiling below which an invariant minimizing solution exists."""
 
@@ -494,7 +497,7 @@ def _triple(lo, hi, a2t, conditions, hi_strict):
     return GuaranteedInterval(max(lo, a2t), hi, False, hi_strict, 3, conditions + (dominated,))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OrderingVerdict:
     """Outcome of one pairwise energy comparison.
 
@@ -509,8 +512,11 @@ class OrderingVerdict:
     separated: bool | None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OrderingReport:
+    """energy_ordering_check's verdicts at one alpha, one OrderingVerdict per
+    pair of groups with orbit volumes a_small < a_large."""
+
     alpha: float
     pairs: tuple
 
@@ -569,7 +575,7 @@ def energy_ordering_check(params, groups, alpha, bound_ambient, volume, f=None):
     return OrderingReport(alpha=alpha, pairs=tuple(verdicts))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FRatioCheck:
     """Displayed peak-ratio condition of a packaged example."""
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._lazy import lazy_import
+from ._record import record
 from .errors import PreconditionError
 
 __all__ = [
@@ -135,7 +135,7 @@ def _concentration_threshold(orbit_volume, dim, f_max):
     return orbit_volume ** (2.0 / dim) / (sobolev_constant(dim) * f_max ** (2.0 / two_sharp))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ConstantBound:
     """Closed interval [lo, hi] certified to contain an unknown constant."""
 
@@ -162,7 +162,7 @@ class ConstantBound:
         return "ConstantBound(%r, %s)" % (self.lo, hi)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EquationParams:
     """Parameters of  Delta u + alpha u = f u^p  on an n-manifold.
 

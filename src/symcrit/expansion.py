@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 from ._lazy import lazy_import
+from ._record import record
 from .best_constants import _concentration_ceiling
 from .constants import _above, _concentration_threshold, _finite, _integer, _real_array, sphere_volume
 from .errors import PreconditionError
@@ -51,8 +51,13 @@ _RIGHT_PANELS = 8  # panels shrinking toward the upper endpoint
 _EPS_COUNT = 7  # eps samples when none are given
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExpansionConfig:
+    """One radial test-function family (module docstring): dimension N,
+    support radius delta, alpha, orbit volume A, decay q, curvature (None is
+    flat), the weight's peak value and Laplacian, and the eps ladder, by
+    default _EPS_COUNT points from 1e-3 delta^2 down to 1e-6 delta^2."""
+
     dim: int
     delta: float
     alpha: float
@@ -286,8 +291,11 @@ def rayleigh_quotient(config, eps):
     return float(values[0]) if eps.ndim == 0 else values
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExpansionReport:
+    """fit_and_compare's samples of I(u_eps), with the limit and the
+    first-order coefficient c1 both predicted and fitted."""
+
     config: ExpansionConfig
     samples: tuple  # ((eps, value), ...) in decreasing eps
     predicted_limit: float
@@ -383,8 +391,11 @@ def fit_and_compare(config):
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LogBranchReport:
+    """log_branch_sign's dim-4 check: the eps ln(eps) coefficient, the
+    samples, and whether their signs agree with it."""
+
     config: ExpansionConfig
     coeff: float
     samples: tuple

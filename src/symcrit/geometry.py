@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from ._record import record
 from .best_constants import _circle_sphere_window, _lower_general, b0_quotient_sphere, b0_sphere
 from .constants import EquationParams, _above, _finite, _integer, sobolev_constant, sphere_volume
 from .errors import PreconditionError
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GroupActionSpec:
     """Data of one isometry-group action entering the estimates.
 
@@ -103,7 +104,7 @@ def product_scal_lower(base_scal, r1, r2):
     return float(base_scal) + float(r1) * (float(r1) - 1.0)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExampleConfig:
     """One packaged configuration: its manifold's volume, parameters, two actions."""
 
@@ -309,7 +310,7 @@ def _product_ratio(cfg, f):
     return f.peak_ratio, rhs
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Example:
     """Everything the package knows about one packaged example."""
 

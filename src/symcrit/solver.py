@@ -95,10 +95,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import flapack, lazy_import
+from ._record import record
 from .constants import _above, _concentration_threshold, _integer, _real_array
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
@@ -188,12 +188,7 @@ _START_LABELS = ("constant", "soliton", "cos1", "random")
 np = lazy_import("numpy")
 
 
-def _reduce_by_fields(self):
-    """Pickle and copy a record through its constructor, so __post_init__ freezes its arrays again."""
-    return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self) if f.init)
-
-
-@dataclass(eq=False, frozen=True, slots=True)
+@record(eq=False)
 class ReducedProblem:
     """One circle-reduced equation -u'' + alpha u = f u^p; frozen, so h and constant_weight stay as set."""
 
@@ -228,16 +223,18 @@ class ReducedProblem:
         object.__setattr__(self, "constant_weight", bool(f.max() == f.min()))
         if self.orbit_volume is not None:
             object.__setattr__(self, "orbit_volume", _above(self.orbit_volume, "orbit volume", 0.0))
-        try:  # a stencil that underflows to 0 leaves -Delta_h at 0 to rounding, and solves
-            finite = _stencil(self.h)[0] < math.inf
+        try:
+            diagonal = _stencil(self.h)[0]
         except ZeroDivisionError:  # h^2 underflows to 0
-            finite = False
-        if not finite:
+            diagonal = math.inf
+        if not diagonal < math.inf:
             raise PreconditionError(
                 "the stencil 2/h^2 of the node spacing h = length / grid = %r overflows a float" % (self.h,)
             )
-
-    __reduce__ = _reduce_by_fields
+        if not diagonal > 0.0:  # h^2 overflows: -Delta_h would be 0 and the nodes decouple
+            raise PreconditionError(
+                "the stencil 2/h^2 of the node spacing h = length / grid = %r rounds to 0" % (self.h,)
+            )
 
     @property
     def m(self):
@@ -281,8 +278,11 @@ class ReducedProblem:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SolveConfig:
+    """minimize's options: the seed of the "random" start, the start labels
+    tried, in order, and Newton's residual tolerance."""
+
     seed: int = 0  # of the opt-in "random" start
     starts: tuple = ("constant", "soliton")
     newton_tol: float = 1e-10
@@ -718,7 +718,7 @@ def _report(problem, run, winning_starts=(), descent_capped=()):
     )
 
 
-@dataclass(eq=False, slots=True)
+@record(eq=False)
 class SolveReport:
     """One solution with how it was obtained and its Morse certificate.
 
@@ -752,9 +752,7 @@ class SolveReport:
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float).copy()
         u.flags.writeable = False
-        self.u = u
-
-    __reduce__ = _reduce_by_fields
+        object.__setattr__(self, "u", u)
 
     def to_json(self, include_profile=False):
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "u"}
@@ -1209,8 +1207,12 @@ def minimize(problem, config=None):
     return _report(problem, tied[0], winning_starts=tuple(r.label for r in tied), descent_capped=capped)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BoundCheck:
+    """One a-priori mass bound of proof_chain_diagnostics: the bound, the
+    solution's mass int u^2 and whether it holds; all three None when the
+    bound is not applicable."""
+
     label: str
     status: str  # "checked" | "not-applicable"
     bound: float | None = None
@@ -1255,8 +1257,12 @@ def proof_chain_diagnostics(report, ineq=None):
     return checks
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SeparationReport:
+    """energy_separation's comparison of two solve reports a and b: their
+    energies, relative gap, whether they are distinct and which is lower
+    ("a", "b" or None), with each report's below_threshold."""
+
     energy_a: float
     energy_b: float
     rel_gap: float

@@ -30,9 +30,12 @@ CONDITIONS = "src/symcrit/conditions.py"
 GEOMETRY = "src/symcrit/geometry.py"
 JSONIO = "src/symcrit/jsonio.py"
 CLI = "src/symcrit/cli.py"
+RECORD = "src/symcrit/_record.py"
 
 # The list may not shrink below this many mutants unnoticed.
-MIN_MUTANTS = 107
+MIN_MUTANTS = 124
+
+SHARED = "tests/test_surface.py::test_records_behave_as_frozen_slotted_dataclasses[%s]"
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -265,10 +268,14 @@ MUTANTS = [
      "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts1]"),
     (SOLVER, "s = _level(problem, qv, 1.0,", "s = qv ** (1.0 / (problem.p - 1.0)) or _level(problem, qv, 1.0,",
      "tests/test_solver.py::test_a_level_that_overflows_is_refused_by_name[starts1]"),
-    (SOLVER, "finite = _stencil(self.h)[0] < math.inf", "finite = _stencil(self.h)[0] <= math.inf",
+    (SOLVER, "if not diagonal < math.inf:", "if not diagonal <= math.inf:",
      "tests/test_solver.py::test_a_node_spacing_whose_stencil_overflows_is_refused_by_name"),
-    (SOLVER, "            finite = False\n", "            finite = True\n",
+    (SOLVER, "            diagonal = math.inf\n", "            diagonal = 1.0\n",
      "tests/test_solver.py::test_a_node_spacing_whose_stencil_overflows_is_refused_by_name"),
+    (SOLVER, "if not diagonal > 0.0:", "if not diagonal >= 0.0:",
+     "tests/test_solver.py::test_a_node_spacing_whose_stencil_overflows_is_refused_by_name"),
+    (SOLVER, "if not diagonal > 0.0:", "if not diagonal > 2.2250738585072014e-308:",
+     "tests/test_solver.py::test_the_last_node_spacing_whose_stencil_is_positive_is_kept"),
     (SOLVER, "    except OverflowError:\n        raise PreconditionError(\n            \"quotient gradient",
      "    except ZeroDivisionError:\n        raise PreconditionError(\n            \"quotient gradient",
      "tests/test_solver.py::test_a_gradient_whose_energy_power_overflows_is_refused_by_name"),
@@ -289,6 +296,32 @@ MUTANTS = [
      "tests/test_expansion.py::test_a_fit_whose_numbers_overflow_is_refused_by_name[predicted]"),
     (CLI, "if args.eps_min == 0.0 or args.eps_max == 0.0:", "if args.eps_min == 0.0:",
      "tests/test_cli.py::test_an_eps_ladder_with_an_end_at_zero_is_refused_by_name[--eps-max]"),
+    # the records' shared methods: argument binding, __post_init__, repr, equality,
+    # hash, the frozen setters, pickling, the signature and the methods a class keeps
+    (RECORD, "if len(args) > len(fields):", "if len(args) > len(fields) + 1:", SHARED % "FRatioCheck"),
+    (RECORD, "            if value is _MISSING:\n", "            if False:\n", SHARED % "FRatioCheck"),
+    (RECORD, "for name in kwargs:", "for name in ():", SHARED % "FRatioCheck"),
+    (RECORD, "if name in self.__match_args__ else", "if name not in self.__match_args__ else", SHARED % "FRatioCheck"),
+    (RECORD, "    if post_init is not None:\n        post_init(self)\n", "    pass\n",
+     "tests/test_surface.py::test_round_trips_keep_the_solver_arrays_read_only[pickle]"),
+    (RECORD, "tuple(f.name for f in fields if f.repr)", "tuple(f.name for f in fields)", SHARED % "ReducedProblem"),
+    (RECORD, "return _values(self, names) == _values(other, names)",
+     "return _values(self, names[:1]) == _values(other, names[:1])",
+     "tests/test_surface.py::test_records_that_differ_in_their_last_field_are_unequal[ConstantBound-ConstantBound]"),
+    (RECORD, "if other.__class__ is self.__class__:", "if True:", SHARED % "FRatioCheck"),
+    (RECORD, "return hash(_values(self, self._record_compare))", "return hash(self._record_compare)",
+     SHARED % "FRatioCheck"),
+    (RECORD, "raise dataclasses.FrozenInstanceError(\"cannot assign to field %r\" % (name,))",
+     "object.__setattr__(self, name, value)", SHARED % "SolveReport"),
+    (RECORD, "raise dataclasses.FrozenInstanceError(\"cannot delete field %r\" % (name,))",
+     "object.__delattr__(self, name)", SHARED % "SolveReport"),
+    (RECORD, "for name, _, _ in self._record_init[0]])", "for name, _, _ in self._record_init[0][::-1]])",
+     SHARED % "FRatioCheck"),
+    (RECORD, "default=inspect.Parameter.empty if f.default is _MISSING else f.default,",
+     "default=inspect.Parameter.empty,", SHARED % "SolveConfig"),
+    (RECORD, "return_annotation=None,", "return_annotation=inspect.Signature.empty,", SHARED % "FRatioCheck"),
+    (RECORD, "            if name not in own:\n", "            if True:\n",
+     "tests/test_surface.py::test_no_record_carries_a_method_generated_for_its_class"),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

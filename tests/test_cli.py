@@ -371,6 +371,7 @@ def test_an_eps_ladder_with_an_end_at_zero_is_refused_by_name(capsys, edge):
         ("solve --length 6 --alpha 1000 --p 1.001 --grid 64", "the constant level (alpha/f)^{1/(p-1)} overflows"),
         ("solve --length 1e-300 --alpha 1 --p 5 --grid 64", "the stencil 2/h^2 of the node spacing h"),
         ("solve --length 1e-320 --alpha 1 --p 5 --grid 64", "the stencil 2/h^2 of the node spacing h"),
+        ("solve --length 1e308 --alpha 1 --p 5 --grid 64 --profile", "grid = 1.5625e+306 rounds to 0"),
         ("solve --length 9.417435721214023e-08 --alpha 3.29460598250793e-08 --p 60.13990317699089 --grid 64"
          " --weight 528.7711818319289", "zero-mode tolerance ZERO_MODE_TOL * max(1, alpha) = 1e-06 is lost"),
         ("expansion --dim 6 --delta 1e-320 --alpha 1 --orbit-volume 1", "the default eps ladder"),
@@ -382,7 +383,8 @@ def test_an_eps_ladder_with_an_end_at_zero_is_refused_by_name(capsys, edge):
 )
 def test_inputs_past_the_float_range_are_refused_by_name(capsys, argv, named):
     # each once ended in a traceback (OverflowError, ZeroDivisionError,
-    # RecursionError, ValueError) or, the last, in exit 0 with a null c1
+    # RecursionError, ValueError) or in exit 0: the zero stencil with a
+    # "nonconstant" solution of decoupled nodes, the last with a null c1
     with np.errstate(all="ignore"):
         assert main(argv.split()) == 2
     out, err = capsys.readouterr()

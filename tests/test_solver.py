@@ -186,8 +186,20 @@ def test_a_node_spacing_whose_stencil_overflows_is_refused_by_name():
         with pytest.raises(PreconditionError, match=r"^the stencil 2/h\^2 of the node spacing h = length / grid = "
                                                     r"[0-9.e+-]+ overflows a float$"):
             _problem(length=length, m=64)
-    # a stencil that underflows to 0 leaves -Delta_h at 0 to rounding, and solves
-    assert solver._stencil(_problem(length=1e308, m=64).h)[0] == 0.0
+    # past h = 1.34e154, h^2 overflows and 2/h^2 rounds to 0: -Delta_h would be 0
+    # and the nodes decouple
+    with pytest.raises(PreconditionError, match=r"^the stencil 2/h\^2 of the node spacing h = length / grid = "
+                                                r"1\.5625e\+306 rounds to 0$"):
+        _problem(length=1e308, m=64)
+
+
+def test_the_last_node_spacing_whose_stencil_is_positive_is_kept():
+    # h^2 is finite at this h, 1.7976931348623155e308, and overflows at the
+    # next float up; length / 64 is exact.
+    h = 1.3407807929942596e154
+    assert solver._stencil(_problem(length=64 * h, m=64).h)[0] == 2.0 / (h * h) > 0.0
+    with pytest.raises(PreconditionError, match=r"rounds to 0$"):
+        _problem(length=64 * math.nextafter(h, math.inf), m=64)
 
 
 @pytest.mark.parametrize("m", [64, 97])

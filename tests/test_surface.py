@@ -3,6 +3,7 @@ becomes canonical JSON."""
 
 import copy
 import dataclasses
+import inspect
 import json
 import math
 import pickle
@@ -28,6 +29,8 @@ from symcrit import (
     ReducedProblem,
     SeparationReport,
     SolveConfig,
+    SolveReport,
+    _record,
     best_constants,
     canonical_json,
     clean,
@@ -193,13 +196,135 @@ def test_the_constant_weight_flag_is_derived_once_and_survives_round_trips(round
         ReducedProblem(2.0 * math.pi, 1.0, 0.3, 5.0, f, None, problem.h)  # derived, not a constructor argument
 
 
-def test_every_dataclass_in_the_package_is_slotted():
-    classes = [
+def _record_classes():
+    return [
         obj for module in MODULES for obj in vars(module).values()
         if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
     ]
+
+
+def test_every_dataclass_in_the_package_is_slotted():
+    classes = _record_classes()
     assert geometry._Example in classes
     assert [cls.__name__ for cls in classes if "__slots__" not in vars(cls)] == []
+
+
+# ---------------------------------------------------------------------------
+# The records' shared methods (symcrit._record) against dataclass's own
+
+# The methods the records write themselves; every other one is _record's.
+HAND_WRITTEN = {("ConstantBound", "__repr__"), ("ConditionReport", "__init__"), ("GuaranteedInterval", "__init__")}
+IDENTITY_COMPARED = (ReducedProblem, SolveReport)
+
+
+def _twin(cls):
+    """cls's fields in a stdlib @dataclass(frozen=True, slots=True), with the
+    __post_init__ and __repr__ that cls writes itself."""
+    own = {name: vars(cls)[name] for name in ("__post_init__", "__repr__")
+           if getattr(vars(cls).get(name), "__module__", None) == cls.__module__}
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default, init=f.init, repr=f.repr, compare=f.compare))
+         for f in dataclasses.fields(cls)],
+        namespace=own,
+        frozen=True,
+        slots=True,
+        eq=cls not in IDENTITY_COMPARED,
+    )
+
+
+def _hash(obj):
+    try:
+        return hash(obj)
+    except TypeError:  # a dict or an array among the fields
+        return TypeError
+
+
+def _parameters(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_behave_as_frozen_slotted_dataclasses(record):
+    cls = type(record)
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    args = [getattr(record, name) for name in names]
+    Twin = _twin(cls)
+    twin = Twin(*args)
+    assert repr(record) == repr(twin)
+    assert cls.__match_args__ == Twin.__match_args__ == tuple(names)
+    assert _parameters(cls) == _parameters(Twin)
+    if (cls.__name__, "__init__") not in HAND_WRITTEN:  # the hand-written ones carry no annotations
+        assert inspect.signature(cls) == inspect.signature(Twin)
+    again = cls(*args)
+    assert (record == again) is (twin == Twin(*args)) is (cls not in IDENTITY_COMPARED)
+    assert record.__eq__(1) is twin.__eq__(1) is NotImplemented and record != 1
+    if cls in IDENTITY_COMPARED:
+        assert hash(record) == object.__hash__(record) and hash(twin) == object.__hash__(twin)
+    else:
+        assert _hash(record) == _hash(twin) == _hash(again)
+
+    def pickled(obj):
+        return pickle.loads(pickle.dumps(obj))
+
+    def replaced(obj):
+        return dataclasses.replace(obj, **{names[0]: args[0]})
+
+    for round_trip, twin_trip in (
+        (dataclasses.replace, dataclasses.replace),
+        (replaced, replaced),
+        (copy.copy, copy.copy),
+        (copy.deepcopy, copy.deepcopy),
+        (pickled, lambda t: Twin(*pickled(args))),  # a twin is no module attribute, for pickle to find
+    ):
+        copied, twin_copied = round_trip(record), twin_trip(twin)
+        assert type(copied) is cls and repr(copied) == repr(twin_copied) == repr(twin)
+        assert (copied == record) is (twin_copied == twin)  # a NaN copied by pickle is a new NaN
+    for name in (names[0], "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field '%s'" % name):
+            setattr(record, name, args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field '%s'" % name):
+            delattr(record, name)
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*args, args[0])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(*args, not_a_field=args[0])
+    with pytest.raises(TypeError, match="multiple values for argument '%s'" % names[0]):
+        cls(*args, **{names[0]: args[0]})
+    required = [f.name for f in dataclasses.fields(cls) if f.init and f.default is dataclasses.MISSING]
+    if required:
+        with pytest.raises(TypeError, match="missing .*'%s'" % required[-1]):
+            cls(*args[: names.index(required[-1])])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (ConstantBound(1.0, 2.0), ConstantBound(1.0, 3.0)),
+        (EquationParams(7, 0), EquationParams(7, 2)),
+        (BoundCheck("mass", "checked", 1.0, 2.0, True), BoundCheck("mass", "checked", 1.0, 2.0, False)),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_that_differ_in_their_last_field_are_unequal(a, b):
+    Twin = _twin(type(a))
+    twins = [Twin(*(getattr(r, f.name) for f in dataclasses.fields(r))) for r in (a, b)]
+    assert (a == b) is (twins[0] == twins[1]) is False and a != b
+    assert (hash(a) == hash(b)) is (hash(twins[0]) == hash(twins[1]))
+
+
+def test_no_record_carries_a_method_generated_for_its_class():
+    written = set()
+    for cls in _record_classes():
+        for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+            method = vars(cls).get(name)
+            if method is None:
+                continue
+            code = inspect.unwrap(method).__code__
+            assert code.co_filename != "<string>", "%s.%s is generated" % (cls.__name__, name)
+            if code.co_filename != _record.__file__:
+                written.add((cls.__name__, name))
+    assert written == HAND_WRITTEN
 
 
 @given(
