@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from ._record import record
+from ._record import field, record
 from .best_constants import _circle_sphere_window, _lower_general, b0_quotient_sphere, b0_sphere
 from .constants import EquationParams, _above, _finite, _integer, sobolev_constant, sphere_volume
 from .errors import PreconditionError

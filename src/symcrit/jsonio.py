@@ -2,14 +2,14 @@
 
 JSON output is canonical: keys sorted, two-space indent, non-finite
 floats replaced by None before encoding.  A record becomes JSON through
-its to_json method when it has one, else as the dict of its dataclass
+its to_json method when it has one, else as the dict of its fields, read
+from its `_record_names`; any other dataclass becomes the dict of its
 fields.  Parsing a canonical string and re-encoding it reproduces it
 byte for byte.  CSV output always uses '.' as the decimal separator via
-Python float repr.
+Python float repr.  Only `canonical_json` imports `json`, so a command
+that prints CSV loads none.
 """
 
-import dataclasses
-import json
 import math
 
 __all__ = ["canonical_json", "clean", "csv_text"]
@@ -27,12 +27,19 @@ def clean(obj):
         return [clean(v) for v in obj]
     if hasattr(obj, "to_json"):
         return clean(obj.to_json())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: clean(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    names = getattr(type(obj), "_record_names", None)
+    if names is None and hasattr(type(obj), "__dataclass_fields__"):
+        import dataclasses  # loaded already, by whoever made obj's class
+
+        names = [f.name for f in dataclasses.fields(obj)]
+    if names is not None:
+        return {name: clean(getattr(obj, name)) for name in names}
     return obj
 
 
 def canonical_json(payload):
+    import json
+
     return json.dumps(clean(payload), sort_keys=True, indent=2, allow_nan=False)
 
 

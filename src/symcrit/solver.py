@@ -92,13 +92,12 @@ form's, not a second computation.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from typing import NamedTuple
 
 from ._lazy import flapack, lazy_import
-from ._record import record
+from ._record import field, record
 from .constants import _above, _concentration_threshold, _integer, _real_array
 from .errors import ConvergenceError, PreconditionError
 from .geometry import _EXAMPLES
@@ -198,8 +197,8 @@ class ReducedProblem:
     p: float
     f_samples: np.ndarray
     orbit_volume: float | None = None
-    h: float = dataclasses.field(init=False, repr=False)  # the node spacing length / m, set once
-    constant_weight: bool = dataclasses.field(init=False, repr=False)  # whether f is constant, decided once
+    h: float = field(init=False, repr=False)  # the node spacing length / m, set once
+    constant_weight: bool = field(init=False, repr=False)  # whether f is constant, decided once
 
     def __post_init__(self):
         for name, what, floor in (
@@ -755,7 +754,7 @@ class SolveReport:
         object.__setattr__(self, "u", u)
 
     def to_json(self, include_profile=False):
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "u"}
+        d = {name: getattr(self, name) for name in self._record_names if name != "u"}
         if include_profile:
             d["s"] = list(self.problem.grid())
             d["u"] = list(self.u)

@@ -33,9 +33,10 @@ CLI = "src/symcrit/cli.py"
 RECORD = "src/symcrit/_record.py"
 
 # The list may not shrink below this many mutants unnoticed.
-MIN_MUTANTS = 124
+MIN_MUTANTS = 129
 
 SHARED = "tests/test_surface.py::test_records_behave_as_frozen_slotted_dataclasses[%s]"
+VIEW = "tests/test_surface.py::test_dataclasses_take_a_record_built_before_they_were_imported_for_its_stdlib_twin"
 
 MUTANTS = [
     # (file, exact text, replacement, test id)
@@ -311,17 +312,26 @@ MUTANTS = [
     (RECORD, "if other.__class__ is self.__class__:", "if True:", SHARED % "FRatioCheck"),
     (RECORD, "return hash(_values(self, self._record_compare))", "return hash(self._record_compare)",
      SHARED % "FRatioCheck"),
-    (RECORD, "raise dataclasses.FrozenInstanceError(\"cannot assign to field %r\" % (name,))",
+    (RECORD, "raise FrozenInstanceError(\"cannot assign to field %r\" % (name,))",
      "object.__setattr__(self, name, value)", SHARED % "SolveReport"),
-    (RECORD, "raise dataclasses.FrozenInstanceError(\"cannot delete field %r\" % (name,))",
+    (RECORD, "raise FrozenInstanceError(\"cannot delete field %r\" % (name,))",
      "object.__delattr__(self, name)", SHARED % "SolveReport"),
     (RECORD, "for name, _, _ in self._record_init[0]])", "for name, _, _ in self._record_init[0][::-1]])",
      SHARED % "FRatioCheck"),
     (RECORD, "default=inspect.Parameter.empty if f.default is _MISSING else f.default,",
      "default=inspect.Parameter.empty,", SHARED % "SolveConfig"),
     (RECORD, "return_annotation=None,", "return_annotation=inspect.Signature.empty,", SHARED % "FRatioCheck"),
-    (RECORD, "            if name not in own:\n", "            if True:\n",
+    (RECORD, "body.setdefault(name, method)", "body[name] = method",
      "tests/test_surface.py::test_no_record_carries_a_method_generated_for_its_class"),
+    # the class record builds, and the dataclass view built from its fields
+    (RECORD, 'body["__slots__"] = names', 'body["__slots__"] = names[:-1]', VIEW),
+    (RECORD, 'body.setdefault("__match_args__", tuple(f.name for f in fields if f.init))',
+     'body.setdefault("__match_args__", names)', SHARED % "ReducedProblem"),
+    (RECORD, "self.init, self.repr, self.compare = init, repr, compare",
+     "self.init, self.repr, self.compare = True, repr, compare", VIEW),
+    (RECORD, "                for f in cls._record_fields\n            ],",
+     "                for f in cls._record_fields if f.init\n            ],", VIEW),
+    (RECORD, 'body["_record_names"] = names', 'body["_record_names"] = tuple(sorted(names))', VIEW),
 ]
 
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "results", "*.egg-info")

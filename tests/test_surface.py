@@ -6,11 +6,15 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from record_samples import records
 
 import symcrit
 from symcrit import (
@@ -18,17 +22,12 @@ from symcrit import (
     ConditionReport,
     ConstantBound,
     EquationParams,
-    ExistenceBound,
-    ExpansionConfig,
-    FProfile,
     FRatioCheck,
-    GenericIneqParams,
     GroupActionSpec,
     OrderingReport,
     OrderingVerdict,
     ReducedProblem,
     SeparationReport,
-    SolveConfig,
     SolveReport,
     _record,
     best_constants,
@@ -37,17 +36,11 @@ from symcrit import (
     conditions,
     constant_solution,
     constants,
-    energy_separation,
     errors,
-    example_configuration,
-    example_interval,
     expansion,
-    fit_and_compare,
     geometry,
     jsonio,
-    log_branch_sign,
     minimize,
-    proof_chain_diagnostics,
     solver,
 )
 
@@ -92,59 +85,103 @@ def test_every_public_name_is_its_module_object():
 # JSON of every record
 
 
-def _records():
-    """One instance of every public record type, most from real computations."""
-    cfgs = {ex: example_configuration(ex) for ex in symcrit.EXAMPLE_IDS}
-    problem = ReducedProblem(
-        length=2.0 * math.pi, weight=1.0, alpha=0.3, p=5.0, f_samples=np.ones(64), orbit_volume=1.0
-    )
-    report = constant_solution(problem)
-    other = constant_solution(
-        ReducedProblem(length=4.0, weight=1.0, alpha=0.3, p=5.0, f_samples=np.ones(64))
-    )
-    ineq = GenericIneqParams(3.0, 1.0, 0.5)
-    weight = FProfile(1.2, 0.8, 1.0, 1.2, 0.3)
-    exp_config = ExpansionConfig(dim=6, delta=1.0, alpha=1.0, orbit_volume=1.0, epsilons=(1e-4, 1e-5))
-    return [
-        ConstantBound(1.5),
-        EquationParams(n=5, k=0),
-        cfgs["hopf"].first,
-        cfgs["triple-product"],
-        weight,
-        ineq,
-        ConditionReport("energy-gap", "unsatisfiable", math.nan),
-        example_interval("cylinder-triple"),
-        ExistenceBound(math.inf, False),
-        conditions.f_ratio_condition("cylinder-weighted", weight),
-        OrderingVerdict(0, 1, 1.25, None, None),
-        OrderingReport(0.5, (OrderingVerdict(0, 1, 1.25, 1.125, True),)),
-        problem,
-        SolveConfig(),
-        report,
-        *proof_chain_diagnostics(report, ineq),
-        energy_separation(report, other),
-        exp_config,
-        fit_and_compare(exp_config),
-        log_branch_sign(ExpansionConfig(dim=4, delta=1.0, alpha=1.0, orbit_volume=1.0)),
-    ]
-
-
 def test_the_samples_cover_every_public_record_type():
     public = {
         obj for obj in map(symcrit.__dict__.get, symcrit.__all__)
         if isinstance(obj, type) and dataclasses.is_dataclass(obj)
     }
-    assert {type(r) for r in _records()} == public
+    assert {type(r) for r in records()} == public
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+# A fresh interpreter builds one record of each type before anything imports
+# dataclasses.  Then stdlib dataclass reads each record's class from its
+# source, with `@record` taken for `@dataclass(frozen=True, slots=True)`:
+# dataclasses' functions must answer for the record as for that twin.
+_DATACLASS_VIEW_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from record_samples import records
+samples = records()
+assert "dataclasses" not in sys.modules
+import __future__, dataclasses, inspect, textwrap
+from symcrit import clean
+
+def stdlib_record(cls=None, /, *, eq=True):
+    def wrap(cls):
+        if "__init__" in vars(cls):  # it stores through the record's own slots
+            del cls.__init__
+        return dataclasses.dataclass(cls, frozen=True, slots=True, eq=eq)
+    return wrap if cls is None else wrap(cls)
+
+def stdlib_twin(cls):
+    namespace = dict(vars(sys.modules[cls.__module__]), record=stdlib_record, field=dataclasses.field)
+    source = textwrap.dedent(inspect.getsource(cls))
+    exec(compile(source, "<twin>", "exec", __future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    return namespace[cls.__name__]
+
+def raised(call):
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return repr(exc)
+
+for record in samples:
+    cls = type(record)
+    Twin = stdlib_twin(cls)
+    names = [f.name for f in dataclasses.fields(Twin)]
+    twin = Twin(*[getattr(record, f.name) for f in dataclasses.fields(Twin) if f.init])
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(record), cls
+    assert repr(dataclasses.fields(record)) == repr(dataclasses.fields(cls)) == repr(dataclasses.fields(Twin)), cls
+    assert repr(cls.__dataclass_params__) == repr(Twin.__dataclass_params__), cls
+    assert repr(dataclasses.asdict(record)) == repr(dataclasses.asdict(twin)), cls
+    first = {names[0]: getattr(record, names[0])}
+    copied = dataclasses.replace(record, **first)
+    assert type(copied) is cls, cls
+    assert repr(dataclasses.asdict(copied)) == repr(dataclasses.asdict(dataclasses.replace(twin, **first))), cls
+    for f in dataclasses.fields(Twin):
+        if not f.init:
+            change = {f.name: getattr(record, f.name)}
+            assert raised(lambda: dataclasses.replace(record, **change)) == raised(lambda: dataclasses.replace(twin, **change))
+    if not hasattr(record, "to_json"):
+        assert list(clean(record)) == names, cls
+print(len(samples), "records")
+"""
+
+
+def test_dataclasses_take_a_record_built_before_they_were_imported_for_its_stdlib_twin():
+    proc = subprocess.run(
+        [sys.executable, "-c", _DATACLASS_VIEW_PROBE, os.path.dirname(os.path.abspath(__file__))],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(len(records())), "records"]
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
 def test_record_json_round_trips_byte_for_byte(record):
     text = canonical_json(record)
     assert canonical_json(json.loads(text)) == text
     assert canonical_json(clean(record)) == text
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_a_plain_dataclass_still_becomes_the_dict_of_its_fields():
+    @dataclasses.dataclass
+    class Plain:
+        x: float
+        items: tuple = ()
+        hidden: float = dataclasses.field(default=math.nan, repr=False)
+
+    plain = Plain(1.5, (Plain(-math.inf),))
+    assert list(clean(plain)) == ["x", "items", "hidden"]
+    assert canonical_json(plain) == (
+        '{\n  "hidden": null,\n  "items": [\n    {\n      "hidden": null,\n      "items": [],\n'
+        '      "x": null\n    }\n  ],\n  "x": 1.5\n}'
+    )
+    assert clean(Plain) is Plain  # a dataclass itself is no instance to serialize
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
 def test_records_are_slotted_and_survive_pickle_and_deepcopy(record):
     assert not hasattr(record, "__dict__")
     text = canonical_json(record)
@@ -244,7 +281,7 @@ def _parameters(cls):
     return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
 
 
-@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
 def test_records_behave_as_frozen_slotted_dataclasses(record):
     cls = type(record)
     names = [f.name for f in dataclasses.fields(cls) if f.init]
